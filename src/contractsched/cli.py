@@ -16,13 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bounds, metrics, transforms
-from .core import load_schedule, save_schedule, schedule_to_dict
+from .core import load_schedule, save_schedule, schedule_to_dict, snapshots_before
 from .generators import (
     ExponentialSpec,
     acceleration_optimal_base,
@@ -32,26 +30,9 @@ from .generators import (
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order, lpt_makespan
 from .verification import VerifyConfig, run_checks
 
-THREADS_ENV = "CONTRACT_SCHED_THREADS"
-
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items: list):
-    threads = _thread_count()
-    if threads == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_csv(path: str, comment: str, header: list[str], rows: list[list[str]]) -> None:
@@ -122,9 +103,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 + [_fmt(v) for v in s.snapshot]
                 + [_fmt(s.denominator), _fmt(s.ratio), "1" if s.served else "0"]
             )
-        for t in report.unserved_times:
-            snap = metrics._sorted_snapshots(sched, [t])[0]
-            rows.append([_fmt(t)] + [_fmt(v) for v in snap] + ["0", "inf", "0"])
+        for t, longest in zip(report.unserved_times, snapshots_before(sched, report.unserved_times)):
+            rows.append([_fmt(t)] + [_fmt(v) for v in sorted(longest)] + ["0", "inf", "0"])
         rows.sort(key=lambda r: float(r[0]))
         comment = f"command=eval measure={args.measure} solver={args.solver} schedule={args.schedule} n={n} m={sched.m_processors}"
         _write_csv(args.csv, comment, header, rows)
@@ -235,27 +215,13 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.figure == 1:
-        rows = _parallel_map(
-            lambda r: [_fmt(r), _fmt((1 + 1 / r) * (1 + 1 / r) ** r)],
-            [float(r) for r in range(1, 65)],
-        )
+        rows = [[_fmt(r), _fmt(perf)] for r, perf in bounds.figure1_performance_curve()]
         _write_csv(args.csv, "command=sweep figure=1 ratio=n/m r=1..64", ["ratio", "perf"], rows)
     elif args.figure == 2:
-        grid = [(m, rho) for m in range(1, 65) for rho in range(1, 65)]
-        rows = _parallel_map(
-            lambda mr: [str(mr[0]), str(mr[1]), _fmt(bounds.deficiency_bound_at_beta_mrho(mr[0], mr[1]))],
-            grid,
-        )
+        rows = [[str(m), str(rho), _fmt(value)] for m, rho, value in bounds.figure2_deficiency_surface()]
         _write_csv(args.csv, "command=sweep figure=2 m=1..64 rho=1..64", ["m", "rho", "value"], rows)
     else:
-        rows = _parallel_map(
-            lambda n: [
-                str(n),
-                _fmt(bounds.deficiency_lower_bound_general(n).value),
-                _fmt(bounds.best_exponential_deficiency_single_processor(n).value),
-            ],
-            list(range(1, 21)),
-        )
+        rows = [[str(n), _fmt(lower), _fmt(exp)] for n, lower, exp in bounds.figure3_single_processor_curves()]
         _write_csv(args.csv, "command=sweep figure=3 n=1..20", ["n", "lower", "exp"], rows)
     return 0
 

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 # Library-wide comparison tolerances for time/length values.
 REL_TOL = 1e-9
@@ -136,22 +137,50 @@ def critical_times(schedule: Schedule) -> list[float]:
     return out
 
 
-def _snapshot(schedule: Schedule, t: float, include_boundary: bool) -> Snapshot:
-    if not t > 0.0:
-        raise ValueError(f"interruption time must be positive, got {t}")
+def _sweep(schedule: Schedule, times: Iterable[float], inclusive: bool) -> Iterator[tuple[float, ...]]:
+    events = sorted(
+        ((fin, c.problem, c.length) for c, (_, fin) in zip(schedule.contracts, simulate(schedule))),
+        key=lambda e: e[0],
+    )
     longest = [0.0] * schedule.n_problems
-    for (idx, fin) in simulate(schedule):
-        c = schedule.contracts[idx]
-        boundary = times_close(fin, t)
-        done = (fin <= t or boundary) if include_boundary else (fin < t and not boundary)
-        if done and c.length > longest[c.problem]:
-            longest[c.problem] = c.length
-    return Snapshot(t=t, longest=tuple(longest))
+    pos, end, prev = 0, len(events), -math.inf
+    for t in times:
+        if t < prev:
+            raise ValueError(f"interruption times must be ascending, got {t} after {prev}")
+        prev = t
+        while pos < end:
+            fin, problem, length = events[pos]
+            done = (fin <= t or times_close(fin, t)) if inclusive else (fin < t and not times_close(fin, t))
+            if not done:
+                break
+            if length > longest[problem]:
+                longest[problem] = length
+            pos += 1
+        yield tuple(longest)
+
+
+def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tuple[float, ...]]:
+    """Per-problem longest lengths completed strictly before each t, by one sweep.
+
+    ``times`` must be ascending (repeats allowed).  Yields one tuple per t,
+    in problem-index order.  A contract counts for t when it finishes before
+    t and not within tolerance of t (``times_close``), so all contracts tied
+    at t are excluded together.  The schedule is simulated once and its
+    finish events sorted once, so k contracts cost O(k log k + k n) for any
+    number of times.  The results are yielded rather than listed so that a
+    caller keeping only something derived from each snapshot (a sorted copy,
+    a sum) never holds them all; on a 100k-contract prefix a list would add
+    100k live tuples for the garbage collector to track.
+    """
+    return _sweep(schedule, times, inclusive=False)
 
 
 def snapshot(schedule: Schedule, t: float) -> Snapshot:
     """Snapshot at time t; contracts finishing exactly at t count as completed."""
-    return _snapshot(schedule, t, include_boundary=True)
+    if not t > 0.0:
+        raise ValueError(f"interruption time must be positive, got {t}")
+    (longest,) = _sweep(schedule, [t], inclusive=True)
+    return Snapshot(t=t, longest=longest)
 
 
 def snapshot_before(schedule: Schedule, t: float) -> Snapshot:
@@ -160,7 +189,10 @@ def snapshot_before(schedule: Schedule, t: float) -> Snapshot:
     This realizes interruption "right before" a finish time exactly; all
     contracts tied at t are excluded together.
     """
-    return _snapshot(schedule, t, include_boundary=False)
+    if not t > 0.0:
+        raise ValueError(f"interruption time must be positive, got {t}")
+    (longest,) = snapshots_before(schedule, [t])
+    return Snapshot(t=t, longest=longest)
 
 
 # ---------------------------------------------------------------------------

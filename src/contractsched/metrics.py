@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Schedule, critical_times, simulate, times_close
+# perfbench/traced_cli.py wraps metrics.simulate and metrics.critical_times by name, so both stay imported.
+from .core import Schedule, critical_times, simulate, snapshots_before  # noqa: F401
 from .makespan import MakespanInstance, exact_makespan, lpt_makespan
 
 
@@ -60,29 +61,6 @@ class MeasureReport:
     exact: bool = True
 
 
-def _sorted_snapshots(schedule: Schedule, times: Sequence[float]) -> list[tuple[float, ...]]:
-    """Snapshot right before each requested time, by a single sweep.
-
-    Equivalent to calling core.snapshot_before per time, but O(k log k + k n)
-    for k contracts.
-    """
-    events = sorted(
-        ((fin, schedule.contracts[idx].problem, schedule.contracts[idx].length) for idx, fin in simulate(schedule)),
-        key=lambda e: e[0],
-    )
-    longest = [0.0] * schedule.n_problems
-    out: list[tuple[float, ...]] = []
-    pos = 0
-    for t in times:
-        while pos < len(events) and events[pos][0] < t and not times_close(events[pos][0], t):
-            _, problem, length = events[pos]
-            if length > longest[problem]:
-                longest[problem] = length
-            pos += 1
-        out.append(tuple(sorted(longest)))
-    return out
-
-
 def _truncation_note(schedule: Schedule) -> str | None:
     if schedule.generator is not None:
         return f"finite prefix of {len(schedule)} contracts from an infinite {schedule.generator.get('family')} schedule"
@@ -93,13 +71,13 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
               solver: str | None = None, exact: bool = True) -> MeasureReport:
     explicit = window is not None
     times = sorted(window) if explicit else critical_times(schedule)
-    snaps = _sorted_snapshots(schedule, times)
 
     samples: list[MeasureSample] = []
     unserved: list[float] = []
     value = -math.inf
     argmax: float | None = None
-    for t, snap in zip(times, snaps):
+    for t, longest in zip(times, snapshots_before(schedule, times)):
+        snap = tuple(sorted(longest))
         if snap[0] <= 0.0:
             unserved.append(t)
             if explicit:
@@ -239,7 +217,8 @@ def deficiency_bruteforce_oracle(schedule: Schedule, t: float, max_problems: int
             f"oracle guard: needs n <= {max_problems} and m <= {max_processors}, "
             f"got n={schedule.n_problems}, m={schedule.m_processors}"
         )
-    snap = _sorted_snapshots(schedule, [t])[0]
+    (longest,) = snapshots_before(schedule, [t])
+    snap = tuple(sorted(longest))
     if snap[0] <= 0.0:
         return math.inf
     return scaling_oracle(snap, schedule.m_processors, t)

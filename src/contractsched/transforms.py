@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Contract, Schedule, times_close
+from .core import Contract, Schedule, simulate, snapshots_before, times_close
 
 
 @dataclass(frozen=True)
@@ -84,26 +84,26 @@ def _starts(contracts: list[Contract]) -> list[float]:
     return out
 
 
-def _windows(contracts: list[Contract], n: int) -> list[tuple[float, float, bool]]:
-    """(finish time, snapshot sum strictly before it, all problems served) per contract."""
-    longest = [0.0] * n
-    acc = 0.0
-    out = []
-    for c in contracts:
-        acc += c.length
-        out.append((acc, sum(longest), all(v > 0.0 for v in longest)))
-        if c.length > longest[c.problem]:
-            longest[c.problem] = c.length
-    return out
+def _windows(contracts: list[Contract], n: int, times: list[float] | None = None) -> list[tuple[float, float, bool]]:
+    """(t, snapshot sum right before t, all problems served) per ascending t.
+
+    ``times=None`` takes every contract's finish time, in contract order.
+    The snapshot sums run over the problems in index order.
+    """
+    schedule = Schedule(n_problems=n, m_processors=1, contracts=tuple(contracts))
+    if times is None:
+        times = [fin for _, fin in simulate(schedule)]
+    return [(t, sum(snap), min(snap) > 0.0) for t, snap in zip(times, snapshots_before(schedule, times))]
 
 
 def deficiency_value_m1(schedule_or_contracts, n: int | None = None, times: list[float] | None = None) -> float:
     """Exact single-processor deficiency: sup of t / (sum of completed lengths before t).
 
-    With ``times=None`` the supremum runs over the schedule's own served
-    critical times (+inf if none is served).  An explicit ``times`` list is
-    evaluated as given, which lets two schedules with the same critical times
-    be compared over a common window set.
+    With ``times=None`` the supremum runs over the finish times of the
+    schedule's contracts at which every problem is served (+inf if none is).
+    An explicit ``times`` list is evaluated as given, which lets two
+    schedules with the same critical times be compared over a common window
+    set.
     """
     if isinstance(schedule_or_contracts, Schedule):
         if schedule_or_contracts.m_processors != 1:
@@ -116,40 +116,11 @@ def deficiency_value_m1(schedule_or_contracts, n: int | None = None, times: list
             raise ValueError("n is required when passing a raw contract list")
 
     if times is None:
-        best = -math.inf
-        for t, denom, served in _windows(contracts, n):
-            if served:
-                best = max(best, t / denom)
-        return best if best > -math.inf else math.inf
-
-    best = -math.inf
-    for t in times:
-        longest = [0.0] * n
-        acc = 0.0
-        for c in contracts:
-            acc += c.length
-            if acc < t and not times_close(acc, t) and c.length > longest[c.problem]:
-                longest[c.problem] = c.length
-        denom = sum(longest)
-        best = max(best, t / denom if denom > 0.0 else math.inf)
-    return best if best > -math.inf else math.inf
-
-
-def _served_times(contracts: list[Contract], n: int) -> list[float]:
-    return [t for t, _, served in _windows(contracts, n) if served]
-
-
-def _sup_excluding(contracts: list[Contract], n: int, skip: int) -> float:
-    """Served-window deficiency supremum, skipping the window of contract `skip`.
-
-    Used as the "before" value of a removal step: the removed contract's own
-    interruption window does not survive into the shorter prefix.
-    """
-    best = -math.inf
-    for idx, (t, denom, served) in enumerate(_windows(contracts, n)):
-        if idx != skip and served:
-            best = max(best, t / denom)
-    return best if best > -math.inf else math.inf
+        return max((t / denom for t, denom, served in _windows(contracts, n) if served), default=math.inf)
+    return max(
+        (t / denom if denom > 0.0 else math.inf for t, denom, _ in _windows(contracts, n, sorted(times))),
+        default=math.inf,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +135,32 @@ def _first_dominated(contracts: list[Contract], n: int) -> int | None:
             return idx
         longest[c.problem] = c.length
     return None
+
+
+def _remove_dominated(contracts: list[Contract], n: int) -> tuple[list[Contract], TransformStep] | None:
+    """Drop the first dominated contract, recording the step; None if there is none.
+
+    The "before" value skips the removed contract's own window, which does
+    not survive into the shorter prefix.
+    """
+    dom = _first_dominated(contracts, n)
+    if dom is None:
+        return None
+    before = max(
+        (t / denom for idx, (t, denom, served) in enumerate(_windows(contracts, n)) if served and idx != dom),
+        default=math.inf,
+    )
+    nxt = contracts[:dom] + contracts[dom + 1 :]
+    step = TransformStep(
+        kind="remove-dominated",
+        index=dom,
+        time=_starts(contracts)[dom],
+        problems=None,
+        rule=None,
+        deficiency_before=before,
+        deficiency_after=deficiency_value_m1(nxt, n),
+    )
+    return nxt, step
 
 
 def _first_violation(contracts: list[Contract], n: int) -> tuple[int, int] | None:
@@ -219,32 +216,20 @@ def normalize(schedule: Schedule) -> NormalizationTrace:
     steps: list[TransformStep] = []
 
     while True:
-        dom = _first_dominated(cur, n)
-        if dom is not None:
-            before = _sup_excluding(cur, n, dom)
-            nxt = cur[:dom] + cur[dom + 1 :]
-            steps.append(
-                TransformStep(
-                    kind="remove-dominated",
-                    index=dom,
-                    time=_starts(cur)[dom],
-                    problems=None,
-                    rule=None,
-                    deficiency_before=before,
-                    deficiency_after=deficiency_value_m1(nxt, n),
-                )
-            )
-            cur = nxt
+        removal = _remove_dominated(cur, n)
+        if removal is not None:
+            cur, step = removal
+            steps.append(step)
             continue
         violation = _first_violation(cur, n)
         if violation is None:
             break
         idx, target = violation
         offending = cur[idx].problem
-        window = _served_times(cur, n)
-        before = deficiency_value_m1(cur, n, times=window) if window else math.inf
+        served = [(t, t / denom) for t, denom, ok in _windows(cur, n) if ok]
+        before = max((value for _, value in served), default=math.inf)
         nxt = _swap_suffix(cur, idx, target, offending)
-        after = deficiency_value_m1(nxt, n, times=window) if window else math.inf
+        after = deficiency_value_m1(nxt, n, times=[t for t, _ in served])
         steps.append(
             TransformStep(
                 kind="swap-assignment",
@@ -282,20 +267,10 @@ def _runs(contracts: list[Contract]) -> list[tuple[int, int]]:
     return runs
 
 
-def _window_value(contracts: list[Contract], n: int, t: float) -> float | None:
-    """Deficiency contribution of the interruption right before t, or None when
-    some problem has no strictly earlier completed contract."""
-    if not t > 0.0:
-        return None
-    longest = [0.0] * n
-    acc = 0.0
-    for c in contracts:
-        acc += c.length
-        if acc < t and not times_close(acc, t) and c.length > longest[c.problem]:
-            longest[c.problem] = c.length
-    if min(longest) <= 0.0:
-        return None
-    return t / sum(longest)
+def _window_values(contracts: list[Contract], times: list[float]) -> list[float | None]:
+    """Two-problem deficiency contribution right before each ascending t, or
+    None where some problem has no strictly earlier completed contract."""
+    return [t / denom if served else None for t, denom, served in _windows(contracts, 2, times)]
 
 
 def _pair_q_test(contracts: list[Contract], pair_at: int) -> tuple[bool, bool]:
@@ -320,11 +295,9 @@ def _pair_q_test(contracts: list[Contract], pair_at: int) -> tuple[bool, bool]:
     x_i = contracts[pair_at].length
     x_next = contracts[pair_at + 1].length
     candidate = contracts[:pair_at] + contracts[pair_at + 1 :]
-    n = 2
 
-    a_term = _window_value(contracts, n, t)  # identical in both schedules
-    terms_q = [a_term, _window_value(contracts, n, t + x_i), _window_value(contracts, n, t + x_i + x_next)]
-    terms_qp = [a_term, _window_value(candidate, n, t + x_next)]
+    terms_q = _window_values(contracts, [t, t + x_i, t + x_i + x_next])
+    terms_qp = [terms_q[0]] + _window_values(candidate, [t + x_next])  # the pair-start term is shared
     q = max((v for v in terms_q if v is not None), default=-math.inf)
     qp = max((v for v in terms_qp if v is not None), default=-math.inf)
     drop_ok = qp <= q * (1.0 + 1e-12) + 1e-15
@@ -358,22 +331,10 @@ def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
     outcomes: list[RunOutcome] = []
 
     while True:
-        dom = _first_dominated(cur, n)
-        if dom is not None:
-            before = _sup_excluding(cur, n, dom)
-            nxt = cur[:dom] + cur[dom + 1 :]
-            steps.append(
-                TransformStep(
-                    kind="remove-dominated",
-                    index=dom,
-                    time=_starts(cur)[dom],
-                    problems=None,
-                    rule=None,
-                    deficiency_before=before,
-                    deficiency_after=deficiency_value_m1(nxt, n),
-                )
-            )
-            cur = nxt
+        removal = _remove_dominated(cur, n)
+        if removal is not None:
+            cur, step = removal
+            steps.append(step)
             continue
 
         removed = False

@@ -7,7 +7,15 @@ import sys
 import pytest
 
 import contractsched
-from contractsched import deficiency_optimal_base, load_schedule
+from contractsched import (
+    Contract,
+    Schedule,
+    acceleration_ratio,
+    deficiency_optimal_base,
+    load_schedule,
+    save_schedule,
+    snapshot_before,
+)
 from contractsched.cli import main
 
 
@@ -70,6 +78,28 @@ def test_eval_measure_and_csv(tmp_path, capsys):
     assert len(rows) == 40
     assert rows[0][3] == "inf" and rows[0][4] == "0"  # first window is unserved
     assert float(rows[-1][3]) == pytest.approx(4.0, abs=1e-3)
+
+
+def test_eval_csv_unserved_rows_carry_snapshots(tmp_path, capsys):
+    # problem 2 is first served at 7.5, so the unserved windows before it
+    # hold nonzero lengths for problems 0 and 1
+    rows = [(0, 0, 1.0), (1, 1, 2.0), (0, 0, 2.5), (1, 1, 3.0), (2, 0, 4.0), (0, 1, 5.0), (1, 0, 6.0), (2, 1, 7.0)]
+    s = Schedule(3, 2, tuple(Contract(p, q, length) for p, q, length in rows))
+    sched_path = tmp_path / "sched.json"
+    csv_path = tmp_path / "series.csv"
+    save_schedule(s, sched_path)
+    code, _, _ = run_cli(["eval", "--schedule", str(sched_path), "--measure", "acc", "--csv", str(csv_path)], capsys)
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[1] == "time,s1,s2,s3,denominator,ratio,served"
+    unserved = [line.split(",")[:4] for line in lines[2:] if line.endswith(",0")]
+    expected = [
+        [f"{t:.12g}"] + [f"{v:.12g}" for v in sorted(snapshot_before(s, t).longest)]
+        for t in acceleration_ratio(s).unserved_times
+    ]
+    assert unserved == expected
+    assert len(expected) == 5
+    assert expected[-1] == ["7.5", "0", "2.5", "3"]
 
 
 def test_eval_acc_and_perf(tmp_path, capsys):
@@ -238,14 +268,6 @@ def test_sweep_reproducible_bytes(tmp_path, capsys):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["sweep", "--figure", "2", "--csv", str(p1)], capsys)
     run_cli(["sweep", "--figure", "2", "--csv", str(p2)], capsys)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_sweep_thread_count_does_not_change_bytes(tmp_path, capsys, monkeypatch):
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli(["sweep", "--figure", "1", "--csv", str(p1)], capsys)
-    monkeypatch.setenv("CONTRACT_SCHED_THREADS", "4")
-    run_cli(["sweep", "--figure", "1", "--csv", str(p2)], capsys)
     assert p1.read_bytes() == p2.read_bytes()
 
 

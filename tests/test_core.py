@@ -15,7 +15,9 @@ from contractsched import (
     simulate,
     snapshot,
     snapshot_before,
+    snapshots_before,
 )
+from contractsched.core import times_close
 
 
 def sched(n, m, rows):
@@ -139,6 +141,49 @@ def test_snapshot_before_equals_epsilon_shift():
         for t in times:
             if t - eps > 0:
                 assert snapshot_before(s, t).longest == snapshot(s, t - eps).longest
+
+
+def before_by_brute_force(schedule, t):
+    """Per-problem longest length among contracts finishing strictly before t."""
+    longest = [0.0] * schedule.n_problems
+    for idx, fin in simulate(schedule):
+        c = schedule.contracts[idx]
+        if fin < t and not times_close(fin, t) and c.length > longest[c.problem]:
+            longest[c.problem] = c.length
+    return tuple(longest)
+
+
+def test_snapshots_before_matches_brute_force():
+    rng = random.Random(11)
+    tied = 0
+    for trial in range(300):
+        n, m, k = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 12)
+        integer = trial % 2 == 0  # integer lengths make finish times tie exactly across processors
+        s = Schedule(
+            n,
+            m,
+            tuple(
+                Contract(rng.randrange(n), rng.randrange(m), float(rng.randint(1, 3)) if integer else rng.uniform(0.1, 5))
+                for _ in range(k)
+            ),
+        )
+        fins = sorted(fin for _, fin in simulate(s))
+        tied += len(set(fins)) < len(fins)
+        gaps = [(a + b) / 2 for a, b in zip(fins, fins[1:]) if a < b]
+        near = [fin * (1 + 1e-12) for fin in fins]  # within tolerance of a finish time
+        edges = [fins[0] / 2, fins[-1] + 1.0] if fins else [1.0]
+        times = sorted(fins + fins + gaps + near + edges)  # every finish time is queried at least twice
+        assert list(snapshots_before(s, times)) == [before_by_brute_force(s, t) for t in times]
+        for t in times:
+            assert [snapshot_before(s, t).longest] == list(snapshots_before(s, [t]))
+    assert tied > 50
+
+
+def test_snapshots_before_requires_ascending_times():
+    s = sched(2, 1, ALTERNATING)
+    assert list(snapshots_before(s, [])) == []
+    with pytest.raises(ValueError):
+        list(snapshots_before(s, [3.0, 1.0]))
 
 
 # --- critical times ----------------------------------------------------------

@@ -6,12 +6,14 @@ import pytest
 from contractsched import (
     Contract,
     Schedule,
+    critical_times,
     deficiency_value_m1,
     is_normalized,
     normalize,
     reduce_consecutive_pairs,
+    snapshots_before,
 )
-from contractsched.transforms import _pair_q_test, _runs, _windows
+from contractsched.transforms import _pair_q_test, _runs
 
 
 def sched(rows, n=None, m=1):
@@ -117,7 +119,7 @@ def test_normalize_swaps_pointwise_non_increasing():
         trace = normalize(s)
         if any(step.kind != "swap-assignment" for step in trace.steps) or trace.identity:
             continue
-        for t, _, _ in _windows(list(s.contracts), n):
+        for t in critical_times(s):
             assert pointwise_deficiency(trace.output, t) <= pointwise_deficiency(s, t) + 1e-9
         checked += 1
     assert checked > 10
@@ -214,8 +216,6 @@ def test_reduce_dichotomy_under_canonical_windows():
     # at the first pair of a run whose pair-start window has both problems
     # served strictly before it, the local test and the certification cannot
     # both fail
-    from contractsched.transforms import _window_value
-
     rng = random.Random(27)
     checked = 0
     for _ in range(2000):
@@ -226,7 +226,7 @@ def test_reduce_dichotomy_under_canonical_windows():
             if length < 3 or start == 0:
                 continue
             t = sum(c.length for c in contracts[:start])
-            if _window_value(contracts, 2, t) is None:
+            if not min(next(snapshots_before(normalized, [t]))) > 0.0:
                 continue
             drop_ok, certified = _pair_q_test(contracts, start)
             assert drop_ok or certified
