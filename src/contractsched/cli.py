@@ -90,6 +90,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "analytic": report.analytic,
             "solver": report.solver,
             "exact": report.exact,
+            "opt_solves": report.opt_solves,
         }
     )
     if args.csv:

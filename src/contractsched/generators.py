@@ -43,10 +43,11 @@ class ExponentialSpec:
 def exponential_schedule(spec: ExponentialSpec) -> Schedule:
     """Materialize the prefix of an exponential round-robin schedule."""
     b = spec.base
-    contracts = tuple(
-        Contract(problem=i % spec.n, processor=i % spec.m, length=b**i)
-        for i in range(spec.contracts_to_build)
-    )
+    k = spec.contracts_to_build
+    try:
+        contracts = tuple(Contract(problem=i % spec.n, processor=i % spec.m, length=b**i) for i in range(k))
+    except OverflowError:
+        raise ValueError(f"base {b!r} with k={k} contracts overflows: {b!r}**{k - 1} exceeds the float range") from None
     return Schedule(
         n_problems=spec.n,
         m_processors=spec.m,

@@ -48,7 +48,12 @@ class Assignment:
     optimal: bool
 
 
-def _assignment_from_map(processor_of: Sequence[int], sizes: Sequence[float], m: int, optimal: bool) -> Assignment:
+def assignment_from_map(processor_of: Sequence[int], sizes: Sequence[float], m: int, optimal: bool) -> Assignment:
+    """The assignment sending job j to processor ``processor_of[j]``.
+
+    Loads are summed in job-index order, so every solver's makespan is the
+    same float for the same map and sizes.
+    """
     loads = [0.0] * m
     for job, proc in enumerate(processor_of):
         loads[proc] += sizes[job]
@@ -79,7 +84,7 @@ def greedy_in_order(instance: MakespanInstance, order: Sequence[int] | None = No
         proc = min(range(instance.m), key=lambda p: loads[p])
         processor_of[job] = proc
         loads[proc] += instance.sizes[job]
-    return _assignment_from_map(processor_of, instance.sizes, instance.m, optimal=False)
+    return assignment_from_map(processor_of, instance.sizes, instance.m, optimal=False)
 
 
 def lpt_makespan(instance: MakespanInstance) -> Assignment:
@@ -118,7 +123,7 @@ def exact_makespan(instance: MakespanInstance, max_jobs: int = EXACT_MAX_JOBS) -
         raise InstanceTooLargeError(f"{n} jobs exceeds the exact-solver guard of {max_jobs}")
 
     if m == 1:
-        return _assignment_from_map([0] * n, sizes, 1, optimal=True)
+        return assignment_from_map([0] * n, sizes, 1, optimal=True)
 
     lower = max(max(sizes), sum(sizes) / m)
     seed = lpt_makespan(instance)
@@ -164,4 +169,4 @@ def exact_makespan(instance: MakespanInstance, max_jobs: int = EXACT_MAX_JOBS) -
                 return
 
     descend(0, 0.0)
-    return _assignment_from_map(best_assign, sizes, m, optimal=True)
+    return assignment_from_map(best_assign, sizes, m, optimal=True)

@@ -19,12 +19,16 @@ that is unserved makes the value +infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 # perfbench/traced_cli.py wraps metrics.simulate and metrics.critical_times by name, so both stay imported.
 from .core import Schedule, critical_times, simulate, snapshots_before  # noqa: F401
-from .makespan import MakespanInstance, exact_makespan, lpt_makespan
+from .makespan import MakespanInstance, assignment_from_map, exact_makespan, lpt_makespan
+
+# Relative distance, entry by entry, within which two normalized snapshots
+# share one optimal partition in ``deficiency`` (see its docstring).
+SHAPE_REL_TOL = 4e-13
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,9 @@ class MeasureReport:
     explicitly requested, or if no window is served at all).  ``analytic``
     carries the closed-form limit or upper bound for recognized schedule
     families, since the true supremum of an infinite schedule is only
-    approached by the finite prefix.
+    approached by the finite prefix.  ``opt_solves`` counts the exact OPT
+    solves actually run (0 for the acceleration and performance ratios and
+    for the LPT deficiency).
     """
 
     measure: str
@@ -59,6 +65,7 @@ class MeasureReport:
     analytic: dict | None = None
     solver: str | None = None
     exact: bool = True
+    opt_solves: int = 0
 
 
 def _truncation_note(schedule: Schedule) -> str | None:
@@ -149,16 +156,43 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     24 jobs).  ``solver="lpt"`` substitutes the LPT makespan; since LPT
     over-estimates OPT, each ratio in the series then under-estimates the
     true deficiency, and the report is flagged non-exact.
+
+    Exact solves are shared between the windows of one call.  Since
+    OPT(c*S) = c*OPT(S), windows whose sorted snapshots are equal up to
+    scale (every served window of an exponential schedule) have the same
+    optimal partitions.  The memo key is the sorted snapshot divided by its
+    largest entry, each ratio rounded to 12 significant digits; its value is
+    the partition of the first exact solve of that shape.  A later window
+    reuses the partition only when each of its ratios is within a relative
+    ``SHAPE_REL_TOL`` of the solved shape's, and its makespan is then summed
+    from the window's own sizes.  Soundness: with every ratio within a
+    relative eps, any partition's normalized load moves by at most a factor
+    1 +- eps, so a partition optimal for one shape is within
+    (1 + eps)/(1 - eps) < 1 + 1e-12 of optimal for the other.  That adds at
+    most a relative 1e-12 to the 1e-12 at which ``exact_makespan`` already
+    stops against its lower bound, so the report stays exact.
+    ``opt_solves`` counts the solves actually run.
     """
     if solver not in ("exact", "lpt"):
         raise ValueError(f"solver must be 'exact' or 'lpt', got {solver!r}")
     m = schedule.m_processors
+    shapes: dict[tuple[float, ...], tuple[tuple[float, ...], tuple[int, ...]]] = {}
+    solves = 0
 
     def denom_of(snap: tuple[float, ...]) -> float:
-        instance = MakespanInstance(sizes=snap, m=m)
-        if solver == "exact":
-            return exact_makespan(instance).makespan
-        return lpt_makespan(instance).makespan
+        nonlocal solves
+        if solver == "lpt":
+            return lpt_makespan(MakespanInstance(sizes=snap, m=m)).makespan
+        top = snap[-1]
+        ratios = tuple(v / top for v in snap)
+        key = tuple(float(f"{r:.12g}") for r in ratios)
+        solved = shapes.get(key)
+        if solved is not None and all(abs(r - q) <= SHAPE_REL_TOL * q for r, q in zip(ratios, solved[0])):
+            return assignment_from_map(solved[1], snap, m, optimal=True).makespan
+        solves += 1
+        best = exact_makespan(MakespanInstance(sizes=snap, m=m))
+        shapes.setdefault(key, (ratios, best.processor_of))
+        return best.makespan
 
     analytic = None
     b = _exponential_base(schedule)
@@ -170,7 +204,8 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
             gamma = (n - 1) % m
             lam = min(2.0 - 1.0 / m, b**m / (b**m - 1))
             analytic = {"kind": "upper_bound", "value": lam * b ** (n + m) / (b ** (n + m - 1) - b**gamma)}
-    return _evaluate(schedule, window, "deficiency", denom_of, analytic, solver=solver, exact=(solver == "exact"))
+    report = _evaluate(schedule, window, "deficiency", denom_of, analytic, solver=solver, exact=(solver == "exact"))
+    return replace(report, opt_solves=solves)
 
 
 def scaling_oracle(values: Sequence[float], m: int, t: float, rel_tol: float = 1e-13) -> float:

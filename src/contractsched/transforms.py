@@ -103,7 +103,8 @@ def deficiency_value_m1(schedule_or_contracts, n: int | None = None, times: list
     schedule's contracts at which every problem is served (+inf if none is).
     An explicit ``times`` list is evaluated as given, which lets two
     schedules with the same critical times be compared over a common window
-    set.
+    set; a listed time at which some problem is unserved scores +inf, as in
+    ``metrics.deficiency(window=...)``.
     """
     if isinstance(schedule_or_contracts, Schedule):
         if schedule_or_contracts.m_processors != 1:
@@ -118,7 +119,7 @@ def deficiency_value_m1(schedule_or_contracts, n: int | None = None, times: list
     if times is None:
         return max((t / denom for t, denom, served in _windows(contracts, n) if served), default=math.inf)
     return max(
-        (t / denom if denom > 0.0 else math.inf for t, denom, _ in _windows(contracts, n, sorted(times))),
+        (t / denom if served else math.inf for t, denom, served in _windows(contracts, n, sorted(times))),
         default=math.inf,
     )
 

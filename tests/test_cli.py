@@ -57,6 +57,14 @@ def test_gen_rejects_bad_base(capsys):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+def test_gen_overflow_is_a_domain_error(capsys):
+    code, out, err = run_cli(["gen", "--n", "2", "--m", "1", "--base", "2", "--k", "2000"], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "base 2.0" in error["message"] and "k=2000" in error["message"]
+
+
 # --- eval ----------------------------------------------------------------------
 
 
@@ -71,6 +79,7 @@ def test_eval_measure_and_csv(tmp_path, capsys):
     doc = json.loads(out)
     assert abs(doc["value"] - 4.0) <= 1e-3
     assert doc["analytic"] == {"kind": "limit", "value": 4.0}
+    assert doc["opt_solves"] == 1  # every window of the doubling schedule has one shape
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("# command=eval")
     assert lines[1] == "time,s1,opt,ratio,served"
@@ -119,6 +128,45 @@ def test_eval_lpt_solver_flag(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["solver"] == "lpt" and doc["exact"] is False
+    assert doc["opt_solves"] == 0
+
+
+def one_contract(**fields):
+    return {"n": 2, "m": 1, "contracts": [{"problem": 0, "processor": 0, "length": 1.0, **fields}]}
+
+
+MALFORMED_SCHEDULES = {
+    "top-level-list": ([], "must be a JSON object"),
+    "contracts-not-a-list": ({"n": 1, "m": 1, "contracts": 5}, "'contracts' must be a list"),
+    "contract-not-an-object": ({"n": 1, "m": 1, "contracts": [5]}, "contract 0 must be a JSON object"),
+    "float-problem": (one_contract(problem=1.7), "problem must be an integer, got 1.7"),
+    "float-processor": (one_contract(processor=0.0), "processor must be an integer, got 0.0"),
+    "bool-problem": (one_contract(problem=False), "problem must be an integer, got False"),
+    "string-length": (one_contract(length="1"), "length must be a number"),
+    "float-n": ({**one_contract(), "n": 2.0}, "n must be an integer, got 2.0"),
+    "bool-m": ({**one_contract(), "m": True}, "m must be an integer, got True"),
+    "generator-not-an-object": ({**one_contract(), "generator": 5}, "'generator' must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_SCHEDULES.values(), ids=MALFORMED_SCHEDULES.keys())
+def test_eval_rejects_malformed_schedule(tmp_path, capsys, doc, message):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["eval", "--schedule", str(path), "--measure", "acc"], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert message in error["message"]
+
+
+def test_eval_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "sched.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(["eval", "--schedule", str(path), "--measure", "acc"], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and "nests too deeply" in error["message"]
 
 
 # --- bounds ----------------------------------------------------------------------

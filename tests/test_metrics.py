@@ -7,12 +7,15 @@ from contractsched import (
     Contract,
     ExponentialSpec,
     InstanceTooLargeError,
+    MakespanInstance,
     Schedule,
     acceleration_ratio,
     critical_times,
     deficiency,
     deficiency_bruteforce_oracle,
+    deficiency_optimal_base,
     deficiency_upper_bound,
+    exact_makespan,
     exponential_schedule,
     performance_ratio,
     scaling_oracle,
@@ -224,6 +227,78 @@ def test_interior_windows_never_beat_next_critical():
             right = deficiency(s, window=[t1]).value
             if not math.isinf(right):
                 assert left <= right + 1e-9
+
+
+# --- OPT shape memo ------------------------------------------------------------------
+
+
+def memo_test_schedules(rng):
+    """Random schedules whose windows repeat exactly, up to a power of two, or up to scale.
+
+    Integer lengths make snapshots repeat exactly; a schedule followed by a
+    copy scaled by a power of two far above its lengths repeats every
+    served window at that scale; exponential schedules with a random base
+    repeat one shape at non-power-of-two scales.
+    """
+    for i in range(200):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 4)
+        k = rng.randint(n + 1, 14)
+        if i % 4 == 3:
+            base = rng.uniform(1.1, 2.5)
+            yield exponential_schedule(ExponentialSpec(n=n, m=m, base=base, k_max=rng.randint(n + m, 4 * (n + m))))
+            continue
+        integral = i % 2 == 0
+        rows = [
+            (rng.randrange(n), rng.randrange(m), float(rng.randint(1, 6)) if integral else rng.uniform(0.1, 10.0))
+            for _ in range(k)
+        ]
+        if i % 4 == 2:
+            scale = 2.0 ** rng.randint(7, 12)
+            rows += [(p, q, length * scale) for p, q, length in rows]
+        yield sched(n, m, rows)
+
+
+def test_opt_memo_denominators_match_fresh_solves():
+    rng = random.Random(41)
+    hits = 0
+    for s in memo_test_schedules(rng):
+        m = s.m_processors
+        report = deficiency(s)
+        served = [x for x in report.samples if x.served]
+        expected = []
+        for sample in served:
+            fresh = exact_makespan(MakespanInstance(sample.snapshot, m)).makespan
+            assert sample.denominator == fresh
+            expected.append(sample.time / fresh)
+        assert [x.ratio for x in served] == expected
+        assert report.value == max(expected, default=math.inf)
+        assert report.opt_solves <= len(served)
+        hits += len(served) - report.opt_solves
+    assert hits > 500
+
+
+def test_opt_memo_solves_a_beta_exponential_shape_once():
+    s = exponential_schedule(ExponentialSpec(n=16, m=4, base=deficiency_optimal_base(16, 4)))
+    report = deficiency(s)
+    assert report.opt_solves == 1
+    assert report.value == 1.6182625912321769
+    assert len(report.samples) == 144
+    assert deficiency(s, solver="lpt").opt_solves == 0
+    assert acceleration_ratio(s).opt_solves == 0
+    assert performance_ratio(s).opt_solves == 0
+
+
+def test_opt_memo_reuses_a_partition_only_within_its_tolerance():
+    # the two windows' shapes, (0.1234, 1) and (third / 4, 1), round to one
+    # key at 12 digits; a relative 1e-13 apart the partition is reused, a
+    # relative 2.4e-12 apart (beyond SHAPE_REL_TOL) it is solved again
+    r = 0.1234
+    for third, solves in ((4.0 * r * (1 + 1e-13), 1), (4.0 * (r + 3e-13), 2)):
+        s = sched(2, 1, [(0, 0, r), (1, 0, 1.0), (0, 0, third), (1, 0, 4.0)])
+        report = deficiency(s, window=[critical_times(s)[2], 100.0])
+        assert [x.snapshot for x in report.samples] == [(r, 1.0), (third, 4.0)]
+        assert report.opt_solves == solves
 
 
 # --- scaling oracle ----------------------------------------------------------------
