@@ -8,8 +8,6 @@ makespan oracle per interruption window) always sits under the closed-form
 bound, and the bound surface over (m, rho) peaks at m=2, rho=1.
 """
 
-import numpy as np
-
 from contractsched import (
     ExponentialSpec,
     deficiency,
@@ -31,12 +29,11 @@ def main() -> None:
     print()
 
     surface = figure2_deficiency_surface(64, 64)
-    values = np.array([v for _, _, v in surface]).reshape(64, 64)
-    peak = np.unravel_index(np.argmax(values), values.shape)
+    peak_m, peak_rho, peak = max(surface, key=lambda row: row[2])
     print(f"bound surface over m, rho in 1..64:")
-    print(f"  max {values[peak]:.9f} at m={peak[0] + 1}, rho={peak[1] + 1}")
-    print(f"  everything stays below 3.74 (n > m regime): max = {values.max():.6f}")
-    print(f"  large m, larger n: corner value {values[-1, -1]:.6f} (approaches 2)")
+    print(f"  max {peak:.9f} at m={peak_m}, rho={peak_rho}")
+    print(f"  everything stays below 3.74 (n > m regime): max = {peak:.6f}")
+    print(f"  large m, larger n: corner value {surface[-1][2]:.6f} (approaches 2)")
 
 
 if __name__ == "__main__":

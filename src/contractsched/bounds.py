@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .generators import acceleration_optimal_base, deficiency_optimal_base
 
 
@@ -68,7 +66,7 @@ def deficiency_bound_at_beta_mrho(m: int, rho: int) -> float:
     if m < 1 or rho < 0:
         raise ValueError("m must be >= 1 and rho >= 0")
     y = m * (rho + 1)
-    beta = math.exp(math.log(y + 1) / y)
+    beta = deficiency_optimal_base(m * rho + 1, m)
     return _lambda_factor(m, beta) / (beta**-1 - beta ** (-(y + 1)))
 
 
@@ -171,7 +169,8 @@ def performance_ratio_closed_form(n: int, m: int) -> BoundReport:
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    raw = (n / m) * ((m + n) / n) ** ((m + n) / m)
+    acceleration = cyclic_acceleration_lower_bound(n, m)
+    raw = acceleration.value
     stack = math.ceil(n / m)
     value = raw / stack
     return BoundReport(
@@ -182,7 +181,7 @@ def performance_ratio_closed_form(n: int, m: int) -> BoundReport:
         params={
             "n": n,
             "m": m,
-            "a": acceleration_optimal_base(n, m),
+            "a": acceleration.params["a"],
             "acceleration_value": raw,
             "rewritten_m_ge_n": (1 + n / m) * (1 + m / n) ** (n / m),
             "rewritten_m_lt_n": (1 + m / n) * (1 + m / n) ** (n / m),
@@ -309,22 +308,11 @@ def figure1_performance_curve(r_max: int = 64) -> list[tuple[float, float]]:
 
 
 def figure2_deficiency_surface(m_max: int = 64, rho_max: int = 64) -> list[tuple[int, int, float]]:
-    """The optimized deficiency bound over the (m, rho) grid (the n > m regime).
-
-    Vectorized rendering of the same expression as
-    ``deficiency_bound_at_beta_mrho``; the two routes are cross-checked in
-    the test suite.
-    """
-    m = np.arange(1, m_max + 1, dtype=float)[:, None]
-    rho = np.arange(1, rho_max + 1, dtype=float)[None, :]
-    y = m * (rho + 1.0)
-    beta = np.exp(np.log(y + 1.0) / y)
-    lam = np.minimum(2.0 - 1.0 / m, beta**m / (beta**m - 1.0))
-    values = lam / (beta**-1.0 - beta ** (-(y + 1.0)))
+    """The optimized deficiency bound over the (m, rho) grid (the n > m regime)."""
     return [
-        (mi, ri, float(values[mi - 1, ri - 1]))
-        for mi in range(1, m_max + 1)
-        for ri in range(1, rho_max + 1)
+        (m, rho, deficiency_bound_at_beta_mrho(m, rho))
+        for m in range(1, m_max + 1)
+        for rho in range(1, rho_max + 1)
     ]
 
 

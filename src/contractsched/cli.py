@@ -112,34 +112,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+# name -> (parameters the bound needs, builder)
 BOUND_BUILDERS = {
-    "def-upper": lambda a: bounds.deficiency_upper_bound(a.n, a.m, a.b),
-    "def-upper-beta": lambda a: bounds.deficiency_upper_bound_at_beta(a.n, a.m),
-    "best-exp-def-m1": lambda a: bounds.best_exponential_deficiency_single_processor(a.n),
-    "def-lower-general": lambda a: bounds.deficiency_lower_bound_general(a.n),
-    "def-lower-roundrobin": lambda a: bounds.roundrobin_lower_bound(a.n),
-    "two-problem-lb": lambda a: bounds.two_problem_lower_bound(),
-    "cyclic-acc-lb": lambda a: bounds.cyclic_acceleration_lower_bound(a.n, a.m),
-    "perf-closed-form": lambda a: bounds.performance_ratio_closed_form(a.n, a.m),
-}
-
-NEEDS = {
-    "def-upper": ("n", "m", "b"),
-    "def-upper-beta": ("n", "m"),
-    "best-exp-def-m1": ("n",),
-    "def-lower-general": ("n",),
-    "def-lower-roundrobin": ("n",),
-    "two-problem-lb": (),
-    "cyclic-acc-lb": ("n", "m"),
-    "perf-closed-form": ("n", "m"),
+    "def-upper": (("n", "m", "b"), lambda a: bounds.deficiency_upper_bound(a.n, a.m, a.b)),
+    "def-upper-beta": (("n", "m"), lambda a: bounds.deficiency_upper_bound_at_beta(a.n, a.m)),
+    "best-exp-def-m1": (("n",), lambda a: bounds.best_exponential_deficiency_single_processor(a.n)),
+    "def-lower-general": (("n",), lambda a: bounds.deficiency_lower_bound_general(a.n)),
+    "def-lower-roundrobin": (("n",), lambda a: bounds.roundrobin_lower_bound(a.n)),
+    "two-problem-lb": ((), lambda a: bounds.two_problem_lower_bound()),
+    "cyclic-acc-lb": (("n", "m"), lambda a: bounds.cyclic_acceleration_lower_bound(a.n, a.m)),
+    "perf-closed-form": (("n", "m"), lambda a: bounds.performance_ratio_closed_form(a.n, a.m)),
 }
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    for field in NEEDS[args.name]:
+    needs, build = BOUND_BUILDERS[args.name]
+    for field in needs:
         if getattr(args, field) is None:
             raise ValueError(f"bound {args.name!r} requires --{field}")
-    report = BOUND_BUILDERS[args.name](args)
+    report = build(args)
     _print_json(
         {
             "name": report.name,

@@ -112,13 +112,18 @@ def simulate(schedule: Schedule) -> list[tuple[int, float]]:
     """Finish time of every contract, as (contract index, finish time) pairs.
 
     Each processor executes its queue back-to-back from time 0, so a
-    contract's finish time is the running load of its processor.
+    contract's finish time is the running load of its processor.  Raises
+    ValueError if a processor's load overflows the float range.
     """
     loads = [0.0] * schedule.m_processors
     out: list[tuple[int, float]] = []
     for idx, c in enumerate(schedule.contracts):
         loads[c.processor] += c.length
         out.append((idx, loads[c.processor]))
+    # loads only grow, so checking the final ones covers every finish time
+    for processor, load in enumerate(loads):
+        if not math.isfinite(load):
+            raise ValueError(f"finish times on processor {processor} overflow the float range")
     return out
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 # perfbench/traced_cli.py wraps metrics.simulate and metrics.critical_times by name, so both stay imported.
+from .bounds import deficiency_upper_bound, geometric_functional
 from .core import Schedule, critical_times, simulate, snapshots_before  # noqa: F401
 from .makespan import MakespanInstance, assignment_from_map, exact_makespan, lpt_makespan
 
@@ -123,14 +124,17 @@ def _exponential_base(schedule: Schedule) -> float | None:
     return None
 
 
+def _acceleration_limit(schedule: Schedule) -> dict | None:
+    b = _exponential_base(schedule)
+    if b is None:
+        return None
+    limit = geometric_functional("cyclic-acceleration", n=schedule.n_problems, m=schedule.m_processors)
+    return {"kind": "limit", "value": limit(b)}
+
+
 def acceleration_ratio(schedule: Schedule, window: Iterable[float] | None = None) -> MeasureReport:
     """sup over interruption times t, max over problems, of t / longest completed."""
-    analytic = None
-    b = _exponential_base(schedule)
-    if b is not None:
-        n, m = schedule.n_problems, schedule.m_processors
-        analytic = {"kind": "limit", "value": b ** (n + m) / (b**m - 1)}
-    return _evaluate(schedule, window, "acceleration", lambda snap: snap[0], analytic)
+    return _evaluate(schedule, window, "acceleration", lambda snap: snap[0], _acceleration_limit(schedule))
 
 
 def performance_ratio(schedule: Schedule, window: Iterable[float] | None = None) -> MeasureReport:
@@ -141,11 +145,9 @@ def performance_ratio(schedule: Schedule, window: Iterable[float] | None = None)
     t/ceil(n/m).  For m >= n this coincides with the acceleration ratio.
     """
     stack = math.ceil(schedule.n_problems / schedule.m_processors)
-    analytic = None
-    b = _exponential_base(schedule)
-    if b is not None:
-        n, m = schedule.n_problems, schedule.m_processors
-        analytic = {"kind": "limit", "value": b ** (n + m) / (b**m - 1) / stack}
+    analytic = _acceleration_limit(schedule)
+    if analytic is not None:
+        analytic["value"] /= stack
     return _evaluate(schedule, window, "performance", lambda snap: stack * snap[0], analytic)
 
 
@@ -197,13 +199,9 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     analytic = None
     b = _exponential_base(schedule)
     if b is not None:
-        n = schedule.n_problems
-        if m == 1:
-            analytic = {"kind": "limit", "value": b ** (n + 1) / (b**n - 1)}
-        else:
-            gamma = (n - 1) % m
-            lam = min(2.0 - 1.0 / m, b**m / (b**m - 1))
-            analytic = {"kind": "upper_bound", "value": lam * b ** (n + m) / (b ** (n + m - 1) - b**gamma)}
+        # for m = 1 the bound is the limit b^(n+1)/(b^n - 1) of the series itself
+        bound = deficiency_upper_bound(schedule.n_problems, m, b).value
+        analytic = {"kind": "limit" if m == 1 else "upper_bound", "value": bound}
     report = _evaluate(schedule, window, "deficiency", denom_of, analytic, solver=solver, exact=(solver == "exact"))
     return replace(report, opt_solves=solves)
 

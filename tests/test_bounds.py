@@ -271,6 +271,8 @@ def test_figure2_grid_shape():
     assert rows[0][:2] == (1, 1)
 
 
-def test_figure2_vectorized_matches_scalar_route():
-    for m, rho, value in figure2_deficiency_surface(12, 12):
-        assert value == pytest.approx(deficiency_bound_at_beta_mrho(m, rho), rel=1e-12)
+def test_figure2_cells_are_the_scalar_bound():
+    rows = figure2_deficiency_surface(12, 13)
+    assert [(m, rho) for m, rho, _ in rows] == list(itertools.product(range(1, 13), range(1, 14)))
+    for m, rho, value in rows:
+        assert value == deficiency_bound_at_beta_mrho(m, rho)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from contractsched import (
     save_schedule,
     snapshot_before,
 )
-from contractsched.cli import main
+from contractsched.cli import BOUND_BUILDERS, main
 
 
 def run_cli(args, capsys):
@@ -169,6 +170,28 @@ def test_eval_rejects_deeply_nested_json(tmp_path, capsys):
     assert error["type"] == "ValueError" and "nests too deeply" in error["message"]
 
 
+def test_eval_rejects_overflowing_finish_times(tmp_path, capsys):
+    # every length fits (2**1023 is the largest), but the running load reaches 2**1024 = inf
+    path = tmp_path / "sched.json"
+    code, _, _ = run_cli(["gen", "--n", "2", "--m", "1", "--base", "2", "--k", "1024", "--out", str(path)], capsys)
+    assert code == 0
+    # this one needs a normalization step (contract 2 is dominated), so normalize reads its finish times
+    unnormalized = tmp_path / "unnormalized.json"
+    save_schedule(Schedule(2, 1, [Contract(0, 0, 1e308), Contract(1, 0, 1e308), Contract(0, 0, 1e308)]), unnormalized)
+    for args in (
+        ["eval", "--schedule", str(path), "--measure", "acc"],
+        ["eval", "--schedule", str(path), "--measure", "perf"],
+        ["eval", "--schedule", str(path), "--measure", "def", "--solver", "lpt"],
+        ["normalize", "--schedule", str(unnormalized)],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1, args
+        assert "Infinity" not in out
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "processor 0" in error["message"] and "overflow" in error["message"]
+
+
 # --- bounds ----------------------------------------------------------------------
 
 
@@ -186,10 +209,20 @@ def test_bounds_def_upper(capsys):
     assert json.loads(out)["value"] == 4.0
 
 
-def test_bounds_missing_parameter(capsys):
-    code, _, err = run_cli(["bounds", "--name", "def-upper", "--n", "1", "--m", "1"], capsys)
-    assert code == 1
-    assert "requires" in json.loads(err)["error"]["message"]
+@pytest.mark.parametrize(
+    "name, missing",
+    [(name, field) for name, (needs, _) in BOUND_BUILDERS.items() for field in needs],
+    ids=lambda v: v,
+)
+def test_bounds_missing_parameter(capsys, name, missing):
+    given = {"n": "3", "m": "2", "b": "2"}
+    args = ["bounds", "--name", name]
+    for field in BOUND_BUILDERS[name][0]:
+        if field != missing:
+            args += [f"--{field}", given[field]]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["message"] == f"bound {name!r} requires --{missing}"
 
 
 # --- makespan ----------------------------------------------------------------------
@@ -312,6 +345,22 @@ def test_sweep_figure2_max(tmp_path, capsys):
     assert float(best[2]) == pytest.approx(2.803778964789789, abs=1e-6)
 
 
+# SHA-256 of each figure's CSV: pins the content, which test_sweep_reproducible_bytes does not
+FIGURE_DIGESTS = {
+    1: "0c9528ba2d80bc02b322c30443f194bde62f5ea3ceba41856a79dfbcbeaac408",
+    2: "97838df98082ff5d97ba847af5095d46bdc5f3533a37fa535714d5a679111c36",
+    3: "c5cf2f38ec16eaabb66df6264cbae430f921b35a23ac019dba96ba9a979e27a4",
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_DIGESTS))
+def test_sweep_csv_digests(tmp_path, capsys, figure):
+    path = tmp_path / f"fig{figure}.csv"
+    code, _, _ = run_cli(["sweep", "--figure", str(figure), "--csv", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIGURE_DIGESTS[figure]
+
+
 def test_sweep_reproducible_bytes(tmp_path, capsys):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["sweep", "--figure", "2", "--csv", str(p1)], capsys)
@@ -344,16 +393,30 @@ def test_verify_tolerance_override(capsys):
     assert "C01 FAIL" in out
 
 
-def test_usage_error_exit_code():
+def run_child(args):
     # The child must import the same package as this process, whether it came
     # from an install or from a source directory on PYTHONPATH.
     package_root = os.path.dirname(os.path.dirname(contractsched.__file__))
     path = [package_root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    proc = subprocess.run(
-        [sys.executable, "-m", "contractsched.cli", "nonsense"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
+
+
+def test_usage_error_exit_code():
+    proc = run_child(["-m", "contractsched.cli", "nonsense"])
     assert proc.returncode == 2
     assert "invalid choice: 'nonsense'" in proc.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    # the package has no third-party runtime dependency, and every CLI process pays for what it imports
+    code = "import sys, contractsched.cli; print(contractsched.__file__); print('numpy' in sys.modules)"
+    proc = run_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    package_file, numpy_loaded = proc.stdout.splitlines()
+    assert package_file == contractsched.__file__
+    assert numpy_loaded == "False"
