@@ -8,7 +8,8 @@ the length of the longest contract completed by ``t``.
 
 Interruptions "right before" a contract finishes are represented exactly, by
 taking the snapshot at the finish time with every contract finishing at that
-time excluded, rather than through floating-point epsilon arithmetic.
+time excluded, rather than through floating-point epsilon arithmetic.  Two
+finish times tie only when they are the same float.
 """
 
 from __future__ import annotations
@@ -18,16 +19,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
-
-# Library-wide comparison tolerances for time/length values.
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
-
-
-def times_close(a: float, b: float) -> bool:
-    """True if two time values are equal under the library tolerance."""
-    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
-
 
 @dataclass(frozen=True)
 class Contract:
@@ -128,21 +119,29 @@ def simulate(schedule: Schedule) -> list[tuple[int, float]]:
 
 
 def critical_times(schedule: Schedule) -> list[float]:
-    """Sorted distinct contract finish times.
+    """Sorted distinct contract finish times, as simulated.
 
     These are the only interruption times that matter for suprema of the
     ratio measures: between two consecutive finish times the snapshot is
     constant while the numerator grows.
     """
     fins = sorted(f for _, f in simulate(schedule))
-    out: list[float] = []
-    for f in fins:
-        if not out or not times_close(out[-1], f):
-            out.append(f)
-    return out
+    return fins[:1] + [f for prev, f in zip(fins, fins[1:]) if f != prev]
 
 
-def _sweep(schedule: Schedule, times: Iterable[float], inclusive: bool) -> Iterator[tuple[float, ...]]:
+def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tuple[float, ...]]:
+    """Per-problem longest lengths completed strictly before each t, by one sweep.
+
+    ``times`` must be ascending (repeats allowed).  Yields one tuple per t,
+    in problem-index order.  A contract counts for t when its simulated
+    finish time is a float below t, so all contracts finishing at exactly t
+    are excluded together.  The schedule is simulated once and its
+    finish events sorted once, so k contracts cost O(k log k + k n) for any
+    number of times.  The results are yielded rather than listed so that a
+    caller keeping only something derived from each snapshot (a sorted copy,
+    a sum) never holds them all; on a 100k-contract prefix a list would add
+    100k live tuples for the garbage collector to track.
+    """
     events = sorted(
         ((fin, c.problem, c.length) for c, (_, fin) in zip(schedule.contracts, simulate(schedule))),
         key=lambda e: e[0],
@@ -153,43 +152,25 @@ def _sweep(schedule: Schedule, times: Iterable[float], inclusive: bool) -> Itera
         if t < prev:
             raise ValueError(f"interruption times must be ascending, got {t} after {prev}")
         prev = t
-        while pos < end:
-            fin, problem, length = events[pos]
-            done = (fin <= t or times_close(fin, t)) if inclusive else (fin < t and not times_close(fin, t))
-            if not done:
-                break
+        while pos < end and events[pos][0] < t:
+            _, problem, length = events[pos]
             if length > longest[problem]:
                 longest[problem] = length
             pos += 1
         yield tuple(longest)
 
 
-def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tuple[float, ...]]:
-    """Per-problem longest lengths completed strictly before each t, by one sweep.
-
-    ``times`` must be ascending (repeats allowed).  Yields one tuple per t,
-    in problem-index order.  A contract counts for t when it finishes before
-    t and not within tolerance of t (``times_close``), so all contracts tied
-    at t are excluded together.  The schedule is simulated once and its
-    finish events sorted once, so k contracts cost O(k log k + k n) for any
-    number of times.  The results are yielded rather than listed so that a
-    caller keeping only something derived from each snapshot (a sorted copy,
-    a sum) never holds them all; on a 100k-contract prefix a list would add
-    100k live tuples for the garbage collector to track.
-    """
-    return _sweep(schedule, times, inclusive=False)
-
-
 def snapshot(schedule: Schedule, t: float) -> Snapshot:
     """Snapshot at time t; contracts finishing exactly at t count as completed."""
     if not t > 0.0:
         raise ValueError(f"interruption time must be positive, got {t}")
-    (longest,) = _sweep(schedule, [t], inclusive=True)
+    # a float finishes at or before t exactly when it finishes before the next float above t
+    (longest,) = snapshots_before(schedule, [math.nextafter(t, math.inf)])
     return Snapshot(t=t, longest=longest)
 
 
 def snapshot_before(schedule: Schedule, t: float) -> Snapshot:
-    """Snapshot right before t: contracts finishing at t (within tolerance) are excluded.
+    """Snapshot right before t: contracts finishing at exactly t are excluded.
 
     This realizes interruption "right before" a finish time exactly; all
     contracts tied at t are excluded together.

@@ -40,19 +40,24 @@ class MakespanInstance:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A job-to-processor map with its loads and makespan."""
+    """A job-to-processor map with its loads and makespan; a makespan that overflows is a ValueError."""
 
     processor_of: tuple[int, ...]
     loads: tuple[float, ...]
     makespan: float
     optimal: bool
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.makespan):
+            raise ValueError("a processor load overflows the float range")
+
 
 def assignment_from_map(processor_of: Sequence[int], sizes: Sequence[float], m: int, optimal: bool) -> Assignment:
     """The assignment sending job j to processor ``processor_of[j]``.
 
     Loads are summed in job-index order, so every solver's makespan is the
-    same float for the same map and sizes.
+    same float for the same map and sizes (``exact_makespan`` on one
+    processor returns the correctly rounded total instead).
     """
     loads = [0.0] * m
     for job, proc in enumerate(processor_of):
@@ -113,8 +118,10 @@ def exact_makespan(instance: MakespanInstance, max_jobs: int = EXACT_MAX_JOBS) -
     Jobs are assigned in decreasing size order; identical current loads are
     only branched once (processor symmetry), and branches are cut against the
     incumbent with the lower bound max(current makespan, remaining work / m).
-    The LPT assignment seeds the incumbent.  Guarded at `max_jobs` jobs;
-    callers needing larger instances can opt into the flagged LPT heuristic.
+    The LPT assignment seeds the incumbent.  On one processor the optimum is
+    the total, taken with ``math.fsum`` (correctly rounded, so independent
+    of the job order).  Guarded at `max_jobs` jobs; callers needing larger
+    instances can opt into the flagged LPT heuristic.
     """
     sizes = instance.sizes
     m = instance.m
@@ -123,9 +130,15 @@ def exact_makespan(instance: MakespanInstance, max_jobs: int = EXACT_MAX_JOBS) -
         raise InstanceTooLargeError(f"{n} jobs exceeds the exact-solver guard of {max_jobs}")
 
     if m == 1:
-        return assignment_from_map([0] * n, sizes, 1, optimal=True)
+        try:
+            total = math.fsum(sizes)
+        except OverflowError:
+            total = math.inf
+        return Assignment((0,) * n, (total,), total, optimal=True)
 
-    lower = max(max(sizes), sum(sizes) / m)
+    total = sum(sizes)
+    # an overflowing total would make the bound inf and pass the seed off as optimal
+    lower = max(max(sizes), total / m if math.isfinite(total) else sum(s / m for s in sizes))
     seed = lpt_makespan(instance)
     if seed.makespan <= lower * (1.0 + 1e-12):
         return Assignment(seed.processor_of, seed.loads, seed.makespan, optimal=True)

@@ -19,8 +19,9 @@ that is unserved makes the value +infinity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # perfbench/traced_cli.py wraps metrics.simulate and metrics.critical_times by name, so both stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
@@ -29,7 +30,7 @@ from .makespan import MakespanInstance, assignment_from_map, exact_makespan, lpt
 
 # Relative distance, entry by entry, within which two normalized snapshots
 # share one optimal partition in ``deficiency`` (see its docstring).
-SHAPE_REL_TOL = 4e-13
+SHAPE_TOLERANCE = 4e-13
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,23 @@ def _truncation_note(schedule: Schedule) -> str | None:
     return None
 
 
+def window_ratios(schedule: Schedule, times: Sequence[float],
+                  denom_of: Callable[[tuple[float, ...]], float]) -> Iterator[tuple]:
+    """(t, sorted snapshot, denominator, ratio) right before each ascending t.
+
+    A window where some problem has nothing completed yields denominator 0.0
+    and ratio +inf; ``denom_of`` is called only on served snapshots.  Every
+    measure reads its windows from here.
+    """
+    for t, longest in zip(times, snapshots_before(schedule, times)):
+        snap = tuple(sorted(longest))
+        if snap[0] <= 0.0:
+            yield t, snap, 0.0, math.inf
+        else:
+            denom = denom_of(snap)
+            yield t, snap, denom, t / denom
+
+
 def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None,
               solver: str | None = None, exact: bool = True) -> MeasureReport:
     explicit = window is not None
@@ -84,17 +102,14 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
     unserved: list[float] = []
     value = -math.inf
     argmax: float | None = None
-    for t, longest in zip(times, snapshots_before(schedule, times)):
-        snap = tuple(sorted(longest))
+    for t, snap, denom, ratio in window_ratios(schedule, times, denom_of):
         if snap[0] <= 0.0:
             unserved.append(t)
             if explicit:
-                samples.append(MeasureSample(t, snap, 0.0, math.inf, served=False))
+                samples.append(MeasureSample(t, snap, denom, ratio, served=False))
                 value = math.inf
                 argmax = t
             continue
-        denom = denom_of(snap)
-        ratio = t / denom
         samples.append(MeasureSample(t, snap, denom, ratio, served=True))
         if value != math.inf and ratio > value:
             value = ratio
@@ -120,7 +135,10 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
 def _exponential_base(schedule: Schedule) -> float | None:
     gen = schedule.generator
     if gen is not None and gen.get("family") == "exponential":
-        return float(gen["base"])
+        b = gen.get("base")
+        if type(b) not in (int, float) or not 1.0 < b <= sys.float_info.max:
+            raise ValueError(f"exponential generator base must be a finite number > 1, got {b!r}")
+        return float(b)
     return None
 
 
@@ -157,7 +175,10 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     ``solver="exact"`` uses the branch-and-bound makespan oracle (guarded at
     24 jobs).  ``solver="lpt"`` substitutes the LPT makespan; since LPT
     over-estimates OPT, each ratio in the series then under-estimates the
-    true deficiency, and the report is flagged non-exact.
+    true deficiency, and the report is flagged non-exact.  On one processor
+    OPT is the snapshot's total, taken with ``math.fsum`` (correctly
+    rounded, so independent of summation order) for either solver, and no
+    solve runs.
 
     Exact solves are shared between the windows of one call.  Since
     OPT(c*S) = c*OPT(S), windows whose sorted snapshots are equal up to
@@ -166,7 +187,7 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     largest entry, each ratio rounded to 12 significant digits; its value is
     the partition of the first exact solve of that shape.  A later window
     reuses the partition only when each of its ratios is within a relative
-    ``SHAPE_REL_TOL`` of the solved shape's, and its makespan is then summed
+    ``SHAPE_TOLERANCE`` of the solved shape's, and its makespan is then summed
     from the window's own sizes.  Soundness: with every ratio within a
     relative eps, any partition's normalized load moves by at most a factor
     1 +- eps, so a partition optimal for one shape is within
@@ -183,13 +204,15 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
 
     def denom_of(snap: tuple[float, ...]) -> float:
         nonlocal solves
+        if m == 1:
+            return math.fsum(snap)
         if solver == "lpt":
             return lpt_makespan(MakespanInstance(sizes=snap, m=m)).makespan
         top = snap[-1]
         ratios = tuple(v / top for v in snap)
         key = tuple(float(f"{r:.12g}") for r in ratios)
         solved = shapes.get(key)
-        if solved is not None and all(abs(r - q) <= SHAPE_REL_TOL * q for r, q in zip(ratios, solved[0])):
+        if solved is not None and all(abs(r - q) <= SHAPE_TOLERANCE * q for r, q in zip(ratios, solved[0])):
             return assignment_from_map(solved[1], snap, m, optimal=True).makespan
         solves += 1
         best = exact_makespan(MakespanInstance(sizes=snap, m=m))

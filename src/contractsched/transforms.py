@@ -18,7 +18,9 @@ removing it only shortens later interruption times.
 
 On one processor the deficiency at time t is t divided by the sum of the
 per-problem completed lengths, which keeps every step's bookkeeping exact
-and independent of the makespan solver.
+and independent of the makespan solver.  Windows are read from
+``metrics.window_ratios`` with ``math.fsum`` as the denominator, so every
+value here is the float ``metrics.deficiency`` reports.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Contract, Schedule, simulate, snapshots_before, times_close
+from .core import Contract, Schedule, simulate
+from .metrics import window_ratios
 
 
 @dataclass(frozen=True)
@@ -84,16 +87,15 @@ def _starts(contracts: list[Contract]) -> list[float]:
     return out
 
 
-def _windows(contracts: list[Contract], n: int, times: list[float] | None = None) -> list[tuple[float, float, bool]]:
-    """(t, snapshot sum right before t, all problems served) per ascending t.
+def _ratios(contracts: list[Contract], n: int, times: list[float] | None = None) -> list[tuple[float, float | None]]:
+    """(t, deficiency ratio right before t) per ascending t; None where a problem is unserved.
 
     ``times=None`` takes every contract's finish time, in contract order.
-    The snapshot sums run over the problems in index order.
     """
     schedule = Schedule(n_problems=n, m_processors=1, contracts=tuple(contracts))
     if times is None:
         times = [fin for _, fin in simulate(schedule)]
-    return [(t, sum(snap), min(snap) > 0.0) for t, snap in zip(times, snapshots_before(schedule, times))]
+    return [(t, ratio if snap[0] > 0.0 else None) for t, snap, _, ratio in window_ratios(schedule, times, math.fsum)]
 
 
 def deficiency_value_m1(schedule_or_contracts, n: int | None = None, times: list[float] | None = None) -> float:
@@ -117,11 +119,9 @@ def deficiency_value_m1(schedule_or_contracts, n: int | None = None, times: list
             raise ValueError("n is required when passing a raw contract list")
 
     if times is None:
-        return max((t / denom for t, denom, served in _windows(contracts, n) if served), default=math.inf)
-    return max(
-        (t / denom if served else math.inf for t, denom, served in _windows(contracts, n, sorted(times))),
-        default=math.inf,
-    )
+        return max((ratio for _, ratio in _ratios(contracts, n) if ratio is not None), default=math.inf)
+    return max((math.inf if ratio is None else ratio for _, ratio in _ratios(contracts, n, sorted(times))),
+               default=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def _remove_dominated(contracts: list[Contract], n: int) -> tuple[list[Contract]
     if dom is None:
         return None
     before = max(
-        (t / denom for idx, (t, denom, served) in enumerate(_windows(contracts, n)) if served and idx != dom),
+        (ratio for idx, (_, ratio) in enumerate(_ratios(contracts, n)) if ratio is not None and idx != dom),
         default=math.inf,
     )
     nxt = contracts[:dom] + contracts[dom + 1 :]
@@ -174,7 +174,7 @@ def _first_violation(contracts: list[Contract], n: int) -> tuple[int, int] | Non
     longest = [0.0] * n
     for idx, c in enumerate(contracts):
         low = min(range(n), key=lambda p: (longest[p], p))
-        if longest[c.problem] > longest[low] and not times_close(longest[c.problem], longest[low]):
+        if longest[c.problem] > longest[low]:
             return idx, low
         if c.length > longest[c.problem]:
             longest[c.problem] = c.length
@@ -227,7 +227,7 @@ def normalize(schedule: Schedule) -> NormalizationTrace:
             break
         idx, target = violation
         offending = cur[idx].problem
-        served = [(t, t / denom) for t, denom, ok in _windows(cur, n) if ok]
+        served = [(t, ratio) for t, ratio in _ratios(cur, n) if ratio is not None]
         before = max((value for _, value in served), default=math.inf)
         nxt = _swap_suffix(cur, idx, target, offending)
         after = deficiency_value_m1(nxt, n, times=[t for t, _ in served])
@@ -268,12 +268,6 @@ def _runs(contracts: list[Contract]) -> list[tuple[int, int]]:
     return runs
 
 
-def _window_values(contracts: list[Contract], times: list[float]) -> list[float | None]:
-    """Two-problem deficiency contribution right before each ascending t, or
-    None where some problem has no strictly earlier completed contract."""
-    return [t / denom if served else None for t, denom, served in _windows(contracts, 2, times)]
-
-
 def _pair_q_test(contracts: list[Contract], pair_at: int) -> tuple[bool, bool]:
     """(drop allowed, next-contract certification) for the pair at `pair_at`.
 
@@ -297,8 +291,9 @@ def _pair_q_test(contracts: list[Contract], pair_at: int) -> tuple[bool, bool]:
     x_next = contracts[pair_at + 1].length
     candidate = contracts[:pair_at] + contracts[pair_at + 1 :]
 
-    terms_q = _window_values(contracts, [t, t + x_i, t + x_i + x_next])
-    terms_qp = [terms_q[0]] + _window_values(candidate, [t + x_next])  # the pair-start term is shared
+    terms_q = [ratio for _, ratio in _ratios(contracts, 2, [t, t + x_i, t + x_i + x_next])]
+    # the pair-start term is shared
+    terms_qp = [terms_q[0]] + [ratio for _, ratio in _ratios(candidate, 2, [t + x_next])]
     q = max((v for v in terms_q if v is not None), default=-math.inf)
     qp = max((v for v in terms_qp if v is not None), default=-math.inf)
     drop_ok = qp <= q * (1.0 + 1e-12) + 1e-15

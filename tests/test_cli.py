@@ -80,7 +80,7 @@ def test_eval_measure_and_csv(tmp_path, capsys):
     doc = json.loads(out)
     assert abs(doc["value"] - 4.0) <= 1e-3
     assert doc["analytic"] == {"kind": "limit", "value": 4.0}
-    assert doc["opt_solves"] == 1  # every window of the doubling schedule has one shape
+    assert doc["opt_solves"] == 0  # on one processor OPT is the snapshot total
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("# command=eval")
     assert lines[1] == "time,s1,opt,ratio,served"
@@ -190,6 +190,20 @@ def test_eval_rejects_overflowing_finish_times(tmp_path, capsys):
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError"
         assert "processor 0" in error["message"] and "overflow" in error["message"]
+
+
+@pytest.mark.parametrize("measure", ["acc", "perf", "def"])
+@pytest.mark.parametrize("base", [1, 0.5, "x", 10**400], ids=["1", "0.5", "x", "huge-int"])
+def test_eval_rejects_a_bad_generator_base(tmp_path, capsys, measure, base):
+    # base 1 divided by zero in the acceleration limit, 0.5 gave a negative analytic value,
+    # and an integer beyond the float range cannot be converted
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({**one_contract(), "generator": {"family": "exponential", "base": base}}))
+    code, out, err = run_cli(["eval", "--schedule", str(path), "--measure", measure], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == f"exponential generator base must be a finite number > 1, got {base!r}"
 
 
 # --- bounds ----------------------------------------------------------------------

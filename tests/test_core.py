@@ -17,7 +17,6 @@ from contractsched import (
     snapshot_before,
     snapshots_before,
 )
-from contractsched.core import times_close
 
 
 def sched(n, m, rows):
@@ -148,7 +147,7 @@ def before_by_brute_force(schedule, t):
     longest = [0.0] * schedule.n_problems
     for idx, fin in simulate(schedule):
         c = schedule.contracts[idx]
-        if fin < t and not times_close(fin, t) and c.length > longest[c.problem]:
+        if fin < t and c.length > longest[c.problem]:
             longest[c.problem] = c.length
     return tuple(longest)
 
@@ -170,7 +169,7 @@ def test_snapshots_before_matches_brute_force():
         fins = sorted(fin for _, fin in simulate(s))
         tied += len(set(fins)) < len(fins)
         gaps = [(a + b) / 2 for a, b in zip(fins, fins[1:]) if a < b]
-        near = [fin * (1 + 1e-12) for fin in fins]  # within tolerance of a finish time
+        near = [fin * (1 + 1e-12) for fin in fins]  # just after a finish time: it counts
         edges = [fins[0] / 2, fins[-1] + 1.0] if fins else [1.0]
         times = sorted(fins + fins + gaps + near + edges)  # every finish time is queried at least twice
         assert list(snapshots_before(s, times)) == [before_by_brute_force(s, t) for t in times]

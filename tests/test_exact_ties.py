@@ -1,0 +1,131 @@
+"""Property tests: the sweep and the measures against a reference written here.
+
+The reference takes finish times from float running sums per processor and
+decides "completed before t" with float ``<``, so two finish times tie only
+when they are the same float.  Snapshot totals are summed exactly in
+``Fraction``; on one processor that total, rounded once, is the deficiency's
+denominator bit for bit.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from contractsched import (
+    Contract,
+    Schedule,
+    acceleration_ratio,
+    critical_times,
+    deficiency,
+    deficiency_value_m1,
+    snapshot,
+    snapshots_before,
+)
+
+# one processor's finish times 1e6, 1e6 + 1 and 1e6 + 1 + 1e-4 lie within a
+# relative 1e-9 of each other, yet are three distinct interruption times
+NEAR_TIE = Schedule(1, 1, (Contract(0, 0, 1e6), Contract(0, 0, 1.0), Contract(0, 0, 1e-4)))
+# the last window's snapshot sums to 0.6 exactly rounded, but to 0.6000000000000001 left to right
+ORDER_DEPENDENT = Schedule(3, 1, (Contract(0, 0, 0.1), Contract(1, 0, 0.2), Contract(2, 0, 0.3), Contract(0, 0, 0.7)))
+
+LENGTHS = (
+    st.integers(1, 4).map(float),  # finish times tie exactly across processors
+    st.builds(lambda i, j: i * (1 + j * 1e-10), st.integers(1, 4), st.integers(-2, 2)),  # near ties
+    st.sampled_from((1e6, 1.0, 1e-4, 1e-11, 1e-17)),  # tiny lengths vanish into a running sum
+    st.sampled_from((0.1, 0.2, 0.3, 0.7)),  # float sums that depend on the order: 0.1 + 0.2 + 0.3 != 0.6
+)
+
+
+@st.composite
+def schedules(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lengths = draw(st.sampled_from(LENGTHS + (st.one_of(LENGTHS),)))
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), lengths), max_size=10))
+    return Schedule(n, m, tuple(Contract(p, q, length) for p, q, length in rows))
+
+
+def finish_times(schedule):
+    loads = [0.0] * schedule.m_processors
+    fins = []
+    for c in schedule.contracts:
+        loads[c.processor] += c.length
+        fins.append(loads[c.processor])
+    return fins
+
+
+def longest_before(schedule, fins, t):
+    longest = [0.0] * schedule.n_problems
+    for c, fin in zip(schedule.contracts, fins):
+        if fin < t and c.length > longest[c.problem]:
+            longest[c.problem] = c.length
+    return tuple(longest)
+
+
+def exact_opt(snap, m):
+    """OPT of the snapshot by enumeration, with loads summed in Fraction."""
+    return min(
+        max(sum((Fraction(v) for v, p in zip(snap, assign) if p == q), Fraction(0)) for q in range(m))
+        for assign in itertools.product(range(m), repeat=len(snap))
+    )
+
+
+def reference_windows(schedule):
+    """(t, snapshot, exact denominator) per distinct finish time; None for an unserved window."""
+    fins = finish_times(schedule)
+    for t in sorted(set(fins)):
+        snap = longest_before(schedule, fins, t)
+        yield t, snap, exact_opt(snap, schedule.m_processors) if min(snap) > 0.0 else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(schedules())
+@example(NEAR_TIE)
+def test_sweep_matches_float_reference(s):
+    fins = finish_times(s)
+    assert critical_times(s) == sorted(set(fins))
+    # every finish time, twice, and the floats on either side of it
+    times = sorted(fins + fins + [math.nextafter(f, 0.0) for f in fins] + [math.nextafter(f, math.inf) for f in fins])
+    assert list(snapshots_before(s, times)) == [longest_before(s, fins, t) for t in times]
+    for t in fins:
+        assert snapshot(s, t).longest == longest_before(s, fins, math.nextafter(t, math.inf))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(schedules())
+@example(NEAR_TIE)
+@example(ORDER_DEPENDENT)
+def test_measures_match_exact_reference(s):
+    windows = list(reference_windows(s))
+    served = [(t, snap, opt) for t, snap, opt in windows if opt is not None]
+    report, acc = deficiency(s), acceleration_ratio(s)
+    for r in (report, acc):
+        assert r.unserved_times == tuple(t for t, _, opt in windows if opt is None)
+        assert [(x.time, x.snapshot) for x in r.samples] == [(t, tuple(sorted(snap))) for t, snap, _ in served]
+    assert [x.ratio for x in acc.samples] == [t / min(snap) for t, snap, _ in served]
+
+    ratios = [t / float(opt) for t, _, opt in served]
+    value = max(ratios, default=math.inf)
+    if s.m_processors == 1:
+        # one processor's OPT is the total: no solve, and the same float as the exact sum rounded once
+        assert [x.denominator for x in report.samples] == [float(opt) for _, _, opt in served]
+        assert [x.ratio for x in report.samples] == ratios
+        assert report.value == deficiency_value_m1(s) == value
+        assert report.argmax_time == (served[ratios.index(value)][0] if served else None)
+        assert report.opt_solves == 0
+    else:
+        # the solver stops within a relative 1e-12 of its lower bound and a
+        # reused partition adds at most 1e-12 more; float loads may round below OPT
+        for x, (_, _, opt) in zip(report.samples, served):
+            assert float(opt) * (1 - 1e-15) <= x.denominator <= float(opt) * (1 + 1e-12) ** 2
+        assert report.value == pytest.approx(value, rel=3e-12)
+        if served:
+            assert ratios[[t for t, _, _ in served].index(report.argmax_time)] == pytest.approx(value, rel=3e-12)
+
+
+def test_near_tie_is_one_value_on_both_routes():
+    assert len(critical_times(NEAR_TIE)) == 3
+    assert deficiency(NEAR_TIE).value == deficiency_value_m1(NEAR_TIE) == 1.0000010001

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -12,6 +13,7 @@ from contractsched import (
     greedy_in_order,
     lpt_makespan,
 )
+from contractsched.cli import main
 
 
 def enumerate_optimum(sizes, m):
@@ -131,6 +133,25 @@ def test_exact_lower_bounds():
         assert span >= sum(sizes) / m - 1e-12
         if m >= n:
             assert span == pytest.approx(max(sizes), rel=1e-12)
+
+
+def test_overflowing_load_is_a_domain_error(capsys):
+    instance = MakespanInstance((1e308, 1e308), 1)
+    for solver in (exact_makespan, greedy_in_order, lpt_makespan):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            solver(instance)
+    assert main(["makespan", "--sizes", "1e308,1e308", "--m", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_exact_solves_when_only_the_total_overflows():
+    # the total, 2.72e308, overflows; the optimum 5.1e307 * 2 does not
+    sizes = (5.1e307, 5.1e307, 3.4e307, 3.4e307, 3.4e307)
+    got = exact_makespan(MakespanInstance(sizes, 2))
+    assert got.optimal
+    assert got.makespan == pytest.approx(enumerate_optimum(sizes, 2), rel=1e-12)
+    assert got.makespan < lpt_makespan(MakespanInstance(sizes, 2)).makespan
 
 
 def test_exact_guard():

@@ -292,10 +292,11 @@ def test_opt_memo_solves_a_beta_exponential_shape_once():
 def test_opt_memo_reuses_a_partition_only_within_its_tolerance():
     # the two windows' shapes, (0.1234, 1) and (third / 4, 1), round to one
     # key at 12 digits; a relative 1e-13 apart the partition is reused, a
-    # relative 2.4e-12 apart (beyond SHAPE_REL_TOL) it is solved again
+    # relative 2.4e-12 apart (beyond SHAPE_TOLERANCE) it is solved again; two
+    # processors, since one processor's OPT is the total and never solved
     r = 0.1234
     for third, solves in ((4.0 * r * (1 + 1e-13), 1), (4.0 * (r + 3e-13), 2)):
-        s = sched(2, 1, [(0, 0, r), (1, 0, 1.0), (0, 0, third), (1, 0, 4.0)])
+        s = sched(2, 2, [(0, 0, r), (1, 0, 1.0), (0, 0, third), (1, 0, 4.0)])
         report = deficiency(s, window=[critical_times(s)[2], 100.0])
         assert [x.snapshot for x in report.samples] == [(r, 1.0), (third, 4.0)]
         assert report.opt_solves == solves

@@ -94,7 +94,7 @@ def test_normalize_steps_never_increase_deficiency():
         n = rng.randint(2, 4)
         s = random_sched(rng, n, rng.randint(n + 1, 10), serve_all_first=False)
         for step in normalize(s).steps:
-            assert step.deficiency_after <= step.deficiency_before + 1e-9
+            assert step.deficiency_after <= step.deficiency_before
 
 
 def test_normalize_overall_deficiency_never_increases():
@@ -106,7 +106,7 @@ def test_normalize_overall_deficiency_never_increases():
         trace = normalize(s)
         after = deficiency_value_m1(trace.output)
         if not math.isinf(after):
-            assert after <= deficiency_value_m1(s) + 1e-9
+            assert after <= deficiency_value_m1(s)
 
 
 def test_normalize_swaps_pointwise_non_increasing():
@@ -121,7 +121,7 @@ def test_normalize_swaps_pointwise_non_increasing():
         if any(step.kind != "swap-assignment" for step in trace.steps) or trace.identity:
             continue
         for t in critical_times(s):
-            assert pointwise_deficiency(trace.output, t) <= pointwise_deficiency(s, t) + 1e-9
+            assert pointwise_deficiency(trace.output, t) <= pointwise_deficiency(s, t)
         checked += 1
     assert checked > 10
 
@@ -185,7 +185,7 @@ def test_reduce_triple_run():
     trace = reduce_consecutive_pairs(s)
     assert all(length <= 2 for _, length in _runs(list(trace.output.contracts)))
     assert all(o.action == "removed" for o in trace.run_outcomes)
-    assert deficiency_value_m1(trace.output) <= deficiency_value_m1(s) + 1e-9
+    assert deficiency_value_m1(trace.output) <= deficiency_value_m1(s)
 
 
 def test_reduce_second_pair_fires_when_first_is_blocked():
@@ -251,10 +251,10 @@ def test_reduce_never_increases_deficiency_randomized():
         normalized = normalize(s).output
         trace = reduce_consecutive_pairs(normalized)
         for step in trace.steps:
-            assert step.deficiency_after <= step.deficiency_before + 1e-9
+            assert step.deficiency_after <= step.deficiency_before
         after = deficiency_value_m1(trace.output)
         before = deficiency_value_m1(normalized)
-        assert after <= before + 1e-9
+        assert after <= before
         blocked += sum(1 for o in trace.run_outcomes if o.action != "removed")
         if not trace.run_outcomes or all(o.action == "removed" for o in trace.run_outcomes):
             assert all(length <= 2 for _, length in _runs(list(trace.output.contracts)))
