@@ -97,16 +97,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         n = sched.n_problems
         denom_name = "opt" if args.measure == "def" else "denominator"
         header = ["time"] + [f"s{i}" for i in range(1, n + 1)] + [denom_name, "ratio", "served"]
-        rows = []
+        # a served window stays served, so the unserved windows come first in time
+        rows = [
+            [_fmt(t)] + [_fmt(v) for v in sorted(longest)] + ["0", "inf", "0"]
+            for t, longest in zip(report.unserved_times, snapshots_before(sched, report.unserved_times))
+        ]
         for s in report.samples:
             rows.append(
                 [_fmt(s.time)]
                 + [_fmt(v) for v in s.snapshot]
                 + [_fmt(s.denominator), _fmt(s.ratio), "1" if s.served else "0"]
             )
-        for t, longest in zip(report.unserved_times, snapshots_before(sched, report.unserved_times)):
-            rows.append([_fmt(t)] + [_fmt(v) for v in sorted(longest)] + ["0", "inf", "0"])
-        rows.sort(key=lambda r: float(r[0]))
         comment = f"command=eval measure={args.measure} solver={args.solver} schedule={args.schedule} n={n} m={sched.m_processors}"
         _write_csv(args.csv, comment, header, rows)
     return 0

@@ -214,7 +214,10 @@ def _integer(value, what: str) -> int:
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is outside the float range") from None
 
 
 def schedule_from_dict(doc: dict) -> Schedule:

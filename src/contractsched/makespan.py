@@ -112,22 +112,27 @@ def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
     return b**k * (b ** (n + m - 1) - b ** ((n - 1) % m)) / (b**m - 1)
 
 
-def exact_makespan(instance: MakespanInstance, max_jobs: int = EXACT_MAX_JOBS) -> Assignment:
+def exact_makespan(instance: MakespanInstance) -> Assignment:
     """Provably optimal makespan by branch and bound.
 
-    Jobs are assigned in decreasing size order; identical current loads are
-    only branched once (processor symmetry), and branches are cut against the
-    incumbent with the lower bound max(current makespan, remaining work / m).
-    The LPT assignment seeds the incumbent.  On one processor the optimum is
-    the total, taken with ``math.fsum`` (correctly rounded, so independent
-    of the job order).  Guarded at `max_jobs` jobs; callers needing larger
-    instances can opt into the flagged LPT heuristic.
+    The LPT assignment seeds the incumbent, and is returned at once if it is
+    within a relative 1e-12 of the lower bound max(largest job, total / m).
+    Otherwise jobs are assigned depth first in decreasing size order, and
+    processors with identical current loads are only branched once
+    (processor symmetry).  A placement is cut when it would bring its
+    processor's load to the incumbent or above, and a branch when its
+    current makespan has reached an incumbent improved below it.  The search
+    stops at the first assignment within the same 1e-12 of the lower bound.
+    On one processor the optimum is the total, taken with ``math.fsum``
+    (correctly rounded, so independent of the job order).  Guarded at
+    ``EXACT_MAX_JOBS`` jobs; callers needing larger instances can opt into
+    the flagged LPT heuristic.
     """
     sizes = instance.sizes
     m = instance.m
     n = len(sizes)
-    if n > max_jobs:
-        raise InstanceTooLargeError(f"{n} jobs exceeds the exact-solver guard of {max_jobs}")
+    if n > EXACT_MAX_JOBS:
+        raise InstanceTooLargeError(f"{n} jobs exceeds the exact-solver guard of {EXACT_MAX_JOBS}")
 
     if m == 1:
         try:

@@ -32,6 +32,12 @@ from .makespan import MakespanInstance, assignment_from_map, exact_makespan, lpt
 # share one optimal partition in ``deficiency`` (see its docstring).
 SHAPE_TOLERANCE = 4e-13
 
+# Relative width at which ``scaling_oracle`` stops bisecting, and the largest
+# schedules ``deficiency_bruteforce_oracle`` accepts.
+ORACLE_REL_TOL = 1e-13
+ORACLE_MAX_PROBLEMS = 10
+ORACLE_MAX_PROCESSORS = 3
+
 
 @dataclass(frozen=True)
 class MeasureSample:
@@ -229,7 +235,7 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     return replace(report, opt_solves=solves)
 
 
-def scaling_oracle(values: Sequence[float], m: int, t: float, rel_tol: float = 1e-13) -> float:
+def scaling_oracle(values: Sequence[float], m: int, t: float) -> float:
     """Largest d such that the d-scaled value set packs into m processors by time t.
 
     Bisection on d with exact-makespan feasibility.  Because the makespan
@@ -251,7 +257,7 @@ def scaling_oracle(values: Sequence[float], m: int, t: float, rel_tol: float = 1
     if feasible(hi):  # numerical slack only; hi is infeasible in exact arithmetic
         return hi
     for _ in range(200):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= ORACLE_REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -261,16 +267,16 @@ def scaling_oracle(values: Sequence[float], m: int, t: float, rel_tol: float = 1
     return 0.5 * (lo + hi)
 
 
-def deficiency_bruteforce_oracle(schedule: Schedule, t: float, max_problems: int = 10, max_processors: int = 3) -> float:
+def deficiency_bruteforce_oracle(schedule: Schedule, t: float) -> float:
     """Deficiency at time t via the scaling characterization, as an independent check.
 
     The best offline schedule scales the snapshot uniformly by the largest
     feasible factor d, so def(X, t) = d; computed by bisection rather than by
     the t/OPT formula.  Guarded to small instances.
     """
-    if schedule.n_problems > max_problems or schedule.m_processors > max_processors:
+    if schedule.n_problems > ORACLE_MAX_PROBLEMS or schedule.m_processors > ORACLE_MAX_PROCESSORS:
         raise ValueError(
-            f"oracle guard: needs n <= {max_problems} and m <= {max_processors}, "
+            f"oracle guard: needs n <= {ORACLE_MAX_PROBLEMS} and m <= {ORACLE_MAX_PROCESSORS}, "
             f"got n={schedule.n_problems}, m={schedule.m_processors}"
         )
     (longest,) = snapshots_before(schedule, [t])

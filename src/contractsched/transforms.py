@@ -12,9 +12,12 @@ deficiency before and after:
   contract of a pair whenever a local supremum test shows the drop cannot
   increase the deficiency.
 
-Both run a dominance pre-pass first: a contract no longer than an earlier
-contract for the same problem never contributes to any snapshot, and
-removing it only shortens later interruption times.
+Both are one rewrite loop with a different step rule.  Before each step the
+loop removes a dominated contract if there is one: a contract no longer than
+an earlier contract for the same problem never contributes to any snapshot,
+and removing it only shortens later interruption times.  The loop evaluates
+every schedule state it reaches once and reads both deficiencies of a step
+from those evaluations.
 
 On one processor the deficiency at time t is t divided by the sum of the
 per-problem completed lengths, which keeps every step's bookkeeping exact
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .core import Contract, Schedule, simulate
 from .metrics import window_ratios
@@ -98,15 +102,17 @@ def _ratios(contracts: list[Contract], n: int, times: list[float] | None = None)
     return [(t, ratio if snap[0] > 0.0 else None) for t, snap, _, ratio in window_ratios(schedule, times, math.fsum)]
 
 
-def deficiency_value_m1(schedule_or_contracts, n: int | None = None, times: list[float] | None = None) -> float:
+def _value(ratios: list[tuple[float, float | None]]) -> float:
+    """Supremum over the served windows (+inf if none is)."""
+    return max((ratio for _, ratio in ratios if ratio is not None), default=math.inf)
+
+
+def deficiency_value_m1(schedule_or_contracts, n: int | None = None) -> float:
     """Exact single-processor deficiency: sup of t / (sum of completed lengths before t).
 
-    With ``times=None`` the supremum runs over the finish times of the
-    schedule's contracts at which every problem is served (+inf if none is).
-    An explicit ``times`` list is evaluated as given, which lets two
-    schedules with the same critical times be compared over a common window
-    set; a listed time at which some problem is unserved scores +inf, as in
-    ``metrics.deficiency(window=...)``.
+    The supremum runs over the finish times of the schedule's contracts at
+    which every problem is served (+inf if none is).  To evaluate an
+    explicit list of times, use ``metrics.deficiency(window=...)``.
     """
     if isinstance(schedule_or_contracts, Schedule):
         if schedule_or_contracts.m_processors != 1:
@@ -117,16 +123,15 @@ def deficiency_value_m1(schedule_or_contracts, n: int | None = None, times: list
         contracts = list(schedule_or_contracts)
         if n is None:
             raise ValueError("n is required when passing a raw contract list")
-
-    if times is None:
-        return max((ratio for _, ratio in _ratios(contracts, n) if ratio is not None), default=math.inf)
-    return max((math.inf if ratio is None else ratio for _, ratio in _ratios(contracts, n, sorted(times))),
-               default=math.inf)
+    return _value(_ratios(contracts, n))
 
 
 # ---------------------------------------------------------------------------
-# Dominated contracts and the least-served rule
+# The rewrite loop
 # ---------------------------------------------------------------------------
+
+# one step: (kind, index, problems, rule, next contract list)
+_Move = tuple[str, int, tuple[int, int] | None, str | None, list[Contract]]
 
 
 def _first_dominated(contracts: list[Contract], n: int) -> int | None:
@@ -138,30 +143,50 @@ def _first_dominated(contracts: list[Contract], n: int) -> int | None:
     return None
 
 
-def _remove_dominated(contracts: list[Contract], n: int) -> tuple[list[Contract], TransformStep] | None:
-    """Drop the first dominated contract, recording the step; None if there is none.
+def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
+             outcomes: Sequence[RunOutcome] = ()) -> NormalizationTrace:
+    """Apply steps until none applies: a dominated-contract removal, else ``next_move``.
 
-    The "before" value skips the removed contract's own window, which does
-    not survive into the shorter prefix.
+    ``next_move(contracts, n, ratios)`` sees the current state with its
+    windows and returns the next move, or None when it has none; ``outcomes``
+    holds the run outcomes it records.  The loop holds each state's
+    ``_ratios``, evaluates a new state once and reads both deficiencies of a
+    step from those lists, over the window sets ``TransformStep`` describes.
     """
-    dom = _first_dominated(contracts, n)
-    if dom is None:
-        return None
-    before = max(
-        (ratio for idx, (_, ratio) in enumerate(_ratios(contracts, n)) if ratio is not None and idx != dom),
-        default=math.inf,
-    )
-    nxt = contracts[:dom] + contracts[dom + 1 :]
-    step = TransformStep(
-        kind="remove-dominated",
-        index=dom,
-        time=_starts(contracts)[dom],
-        problems=None,
-        rule=None,
-        deficiency_before=before,
-        deficiency_after=deficiency_value_m1(nxt, n),
-    )
-    return nxt, step
+    n = schedule.n_problems
+    cur = list(schedule.contracts)
+    ratios = _ratios(cur, n)
+    steps: list[TransformStep] = []
+    while True:
+        dom = _first_dominated(cur, n)
+        if dom is not None:
+            move = ("remove-dominated", dom, None, None, cur[:dom] + cur[dom + 1 :])
+        else:
+            move = next_move(cur, n, ratios)
+            if move is None:
+                break
+        kind, idx, problems, rule, nxt = move
+        nxt_ratios = _ratios(nxt, n)
+        served = [i for i, (_, ratio) in enumerate(ratios)
+                  if ratio is not None and not (kind == "remove-dominated" and i == idx)]
+        before = max((ratios[i][1] for i in served), default=math.inf)
+        if kind == "swap-assignment":  # same finish times: windows match index by index
+            after = max((math.inf if nxt_ratios[i][1] is None else nxt_ratios[i][1] for i in served),
+                        default=math.inf)
+        else:
+            after = _value(nxt_ratios)
+        steps.append(TransformStep(kind, idx, _starts(cur)[idx], problems, rule, before, after))
+        cur, ratios = nxt, nxt_ratios
+
+    if not steps and not outcomes:
+        return NormalizationTrace(input=schedule, output=schedule, steps=())
+    output = Schedule(n_problems=n, m_processors=1, contracts=tuple(cur))
+    return NormalizationTrace(input=schedule, output=output, steps=tuple(steps), run_outcomes=tuple(outcomes))
+
+
+# ---------------------------------------------------------------------------
+# The least-served rule
+# ---------------------------------------------------------------------------
 
 
 def _first_violation(contracts: list[Contract], n: int) -> tuple[int, int] | None:
@@ -200,6 +225,15 @@ def _swap_suffix(contracts: list[Contract], start: int, a: int, b: int) -> list[
     return out
 
 
+def _suffix_swap_move(contracts: list[Contract], n: int, ratios) -> _Move | None:
+    violation = _first_violation(contracts, n)
+    if violation is None:
+        return None
+    idx, target = violation
+    offending = contracts[idx].problem
+    return "swap-assignment", idx, (target, offending), None, _swap_suffix(contracts, idx, target, offending)
+
+
 def normalize(schedule: Schedule) -> NormalizationTrace:
     """Rewrite a single-processor schedule to always serve a least-served problem.
 
@@ -212,42 +246,7 @@ def normalize(schedule: Schedule) -> NormalizationTrace:
     """
     if schedule.m_processors != 1:
         raise ValueError("normalize requires m = 1")
-    n = schedule.n_problems
-    cur = list(schedule.contracts)
-    steps: list[TransformStep] = []
-
-    while True:
-        removal = _remove_dominated(cur, n)
-        if removal is not None:
-            cur, step = removal
-            steps.append(step)
-            continue
-        violation = _first_violation(cur, n)
-        if violation is None:
-            break
-        idx, target = violation
-        offending = cur[idx].problem
-        served = [(t, ratio) for t, ratio in _ratios(cur, n) if ratio is not None]
-        before = max((value for _, value in served), default=math.inf)
-        nxt = _swap_suffix(cur, idx, target, offending)
-        after = deficiency_value_m1(nxt, n, times=[t for t, _ in served])
-        steps.append(
-            TransformStep(
-                kind="swap-assignment",
-                index=idx,
-                time=_starts(cur)[idx],
-                problems=(target, offending),
-                rule=None,
-                deficiency_before=before,
-                deficiency_after=after,
-            )
-        )
-        cur = nxt
-
-    if not steps:
-        return NormalizationTrace(input=schedule, output=schedule, steps=())
-    output = Schedule(n_problems=n, m_processors=1, contracts=tuple(cur))
-    return NormalizationTrace(input=schedule, output=output, steps=tuple(steps))
+    return _rewrite(schedule, _suffix_swap_move)
 
 
 # ---------------------------------------------------------------------------
@@ -321,70 +320,27 @@ def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
     if not is_normalized(schedule):
         raise ValueError("schedule must be normalized first (see normalize())")
 
-    n = 2
-    cur = list(schedule.contracts)
-    steps: list[TransformStep] = []
     outcomes: list[RunOutcome] = []
 
-    while True:
-        removal = _remove_dominated(cur, n)
-        if removal is not None:
-            cur, step = removal
-            steps.append(step)
-            continue
-
-        removed = False
-        for run_start, run_len in _runs(cur):
-            if run_len < 3:
-                continue
-            chosen: tuple[int, str] | None = None
-            for pair_at in range(run_start, run_start + run_len - 1):
-                drop_ok, _ = _pair_q_test(cur, pair_at)
-                if drop_ok:
-                    chosen = (pair_at, "q-test")
-                    break
+    def drop_pair(cur: list[Contract], n: int, ratios) -> _Move | None:
+        runs = [(start, length) for start, length in _runs(cur) if length >= 3]
+        for run_start, run_len in runs:
+            pairs = range(run_start, run_start + run_len - 1)
+            chosen = next(((p, "q-test") for p in pairs if _pair_q_test(cur, p)[0]), None)
             if chosen is None:
-                before_all = deficiency_value_m1(cur, n)
-                for pair_at in range(run_start, run_start + run_len - 1):
-                    candidate = cur[:pair_at] + cur[pair_at + 1 :]
-                    if deficiency_value_m1(candidate, n) <= before_all * (1.0 + 1e-12) + 1e-15:
-                        chosen = (pair_at, "direct")
-                        break
-            if chosen is None:
-                continue  # this run is blocked; try the next one
-            pair_at, rule = chosen
-            before = deficiency_value_m1(cur, n)
-            nxt = cur[:pair_at] + cur[pair_at + 1 :]
-            steps.append(
-                TransformStep(
-                    kind="remove-consecutive",
-                    index=pair_at,
-                    time=_starts(cur)[pair_at],
-                    problems=None,
-                    rule=rule,
-                    deficiency_before=before,
-                    deficiency_after=deficiency_value_m1(nxt, n),
-                )
-            )
-            outcomes.append(RunOutcome(run_start, run_len, "removed"))
-            cur = nxt
-            removed = True
-            break
-        if not removed:
-            break
+                limit = _value(ratios) * (1.0 + 1e-12) + 1e-15
+                chosen = next(((p, "direct") for p in pairs
+                               if deficiency_value_m1(cur[:p] + cur[p + 1 :], n) <= limit), None)
+            if chosen is not None:
+                pair_at, rule = chosen
+                outcomes.append(RunOutcome(run_start, run_len, "removed"))
+                return "remove-consecutive", pair_at, None, rule, cur[:pair_at] + cur[pair_at + 1 :]
+        # whatever still stands is blocked: record whether the run at least
+        # carries a certification (the pair's successor legitimately belongs
+        # to the run's problem only through a least-served tie)
+        for run_start, run_len in runs:
+            certified = any(_pair_q_test(cur, p)[1] for p in range(run_start, run_start + run_len - 1))
+            outcomes.append(RunOutcome(run_start, run_len, "certified" if certified else "irreducible"))
+        return None
 
-    # whatever still stands is blocked: record whether the run at least carries
-    # a certification (the pair's successor legitimately belongs to the run's
-    # problem only through a least-served tie)
-    for run_start, run_len in _runs(cur):
-        if run_len < 3:
-            continue
-        any_certified = any(
-            _pair_q_test(cur, pair_at)[1] for pair_at in range(run_start, run_start + run_len - 1)
-        )
-        outcomes.append(RunOutcome(run_start, run_len, "certified" if any_certified else "irreducible"))
-
-    if not steps and not outcomes:
-        return NormalizationTrace(input=schedule, output=schedule, steps=())
-    output = Schedule(n_problems=2, m_processors=1, contracts=tuple(cur))
-    return NormalizationTrace(input=schedule, output=output, steps=tuple(steps), run_outcomes=tuple(outcomes))
+    return _rewrite(schedule, drop_pair, outcomes)

@@ -112,6 +112,23 @@ def test_eval_csv_unserved_rows_carry_snapshots(tmp_path, capsys):
     assert expected[-1] == ["7.5", "0", "2.5", "3"]
 
 
+def test_eval_csv_rows_follow_time_order(tmp_path, capsys):
+    # the windows at 1.0, 1.0000000000000002 (both unserved) and
+    # 1.0000000000000004 (served) all print as "1", so the rows cannot be
+    # ordered by their printed time
+    rows = [(0, 0, 1.0), (1, 1, 1.0000000000000002), (1, 0, 4.440892098500626e-16), (0, 1, 3.0), (1, 0, 5.0)]
+    s = Schedule(2, 2, tuple(Contract(p, q, length) for p, q, length in rows))
+    sched_path = tmp_path / "sched.json"
+    csv_path = tmp_path / "series.csv"
+    save_schedule(s, sched_path)
+    code, _, _ = run_cli(["eval", "--schedule", str(sched_path), "--measure", "acc", "--csv", str(csv_path)], capsys)
+    assert code == 0
+    report = acceleration_ratio(s)
+    expected = [(f"{t:.12g}", "0") for t in report.unserved_times] + [(f"{x.time:.12g}", "1") for x in report.samples]
+    assert [(line.split(",")[0], line.split(",")[-1]) for line in csv_path.read_text().splitlines()[2:]] == expected
+    assert [flag for _, flag in expected] == ["0", "0", "1", "1", "1"]
+
+
 def test_eval_acc_and_perf(tmp_path, capsys):
     sched_path = tmp_path / "sched.json"
     run_cli(["gen", "--n", "2", "--m", "1", "--base", "1.5", "--k", "40", "--out", str(sched_path)], capsys)
@@ -144,6 +161,7 @@ MALFORMED_SCHEDULES = {
     "float-processor": (one_contract(processor=0.0), "processor must be an integer, got 0.0"),
     "bool-problem": (one_contract(problem=False), "problem must be an integer, got False"),
     "string-length": (one_contract(length="1"), "length must be a number"),
+    "huge-int-length": (one_contract(length=10**400), "contract 0: length is outside the float range"),
     "float-n": ({**one_contract(), "n": 2.0}, "n must be an integer, got 2.0"),
     "bool-m": ({**one_contract(), "m": True}, "m must be an integer, got True"),
     "generator-not-an-object": ({**one_contract(), "generator": 5}, "'generator' must be a JSON object"),

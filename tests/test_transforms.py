@@ -129,9 +129,8 @@ def test_normalize_swaps_pointwise_non_increasing():
 def test_explicit_unserved_window_scores_infinity():
     # before 2.0 only problem 0 has finished, so the window is unserved
     s = sched([(0, 1.0), (1, 2.0), (0, 4.0)])
-    assert math.isinf(deficiency_value_m1(s, times=[2.0]))
     assert math.isinf(deficiency(s, window=[2.0]).value)
-    assert deficiency_value_m1(s, times=[7.0]) == deficiency(s, window=[7.0]).value == 7.0 / 3.0
+    assert deficiency(s, window=[7.0]).value == 7.0 / 3.0
 
 
 def test_dominated_contracts_are_removed():
