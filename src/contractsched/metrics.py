@@ -60,7 +60,10 @@ class MeasureReport:
     families, since the true supremum of an infinite schedule is only
     approached by the finite prefix.  ``opt_solves`` counts the exact OPT
     solves actually run (0 for the acceleration and performance ratios and
-    for the LPT deficiency).
+    for the LPT deficiency).  ``windows`` counts the windows evaluated (the
+    served ones for the default window), ``pruned_windows`` those of them
+    whose OPT solve the bound-pruned deficiency skipped; that route keeps
+    no samples.
     """
 
     measure: str
@@ -74,6 +77,8 @@ class MeasureReport:
     solver: str | None = None
     exact: bool = True
     opt_solves: int = 0
+    windows: int = 0
+    pruned_windows: int = 0
 
 
 def _truncation_note(schedule: Schedule) -> str | None:
@@ -135,6 +140,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
         analytic=analytic,
         solver=solver,
         exact=exact,
+        windows=len(samples),
     )
 
 
@@ -175,7 +181,8 @@ def performance_ratio(schedule: Schedule, window: Iterable[float] | None = None)
     return _evaluate(schedule, window, "performance", lambda snap: stack * snap[0], analytic)
 
 
-def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver: str = "exact") -> MeasureReport:
+def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver: str = "exact", *,
+               samples: bool = True) -> MeasureReport:
     """sup over interruption times t of t / OPT(snapshot before t).
 
     ``solver="exact"`` uses the branch-and-bound makespan oracle (guarded at
@@ -201,6 +208,18 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     most a relative 1e-12 to the 1e-12 at which ``exact_makespan`` already
     stops against its lower bound, so the report stays exact.
     ``opt_solves`` counts the solves actually run.
+
+    ``samples=False`` asks for the value alone.  With the default window,
+    the exact solver and m >= 2 it then solves only the windows that can
+    reach the supremum: a window's ratio is at most its ceiling t / LB, with
+    LB = max(largest, total / m) <= OPT.  The window with the largest
+    ceiling (earliest on ties) is solved first; then, in time order, a
+    window is solved only if its ceiling is at least the best ratio so far
+    times 1 - 1e-12, a margin that covers the few ulps by which a float LB
+    may exceed a computed load.  A skipped window's ratio is therefore
+    strictly below the best one, so ``value`` and ``argmax_time`` (the
+    earliest solved window attaining it) are those of the full series.
+    Every other case takes the full route and drops its samples.
     """
     if solver not in ("exact", "lpt"):
         raise ValueError(f"solver must be 'exact' or 'lpt', got {solver!r}")
@@ -231,8 +250,34 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
         # for m = 1 the bound is the limit b^(n+1)/(b^n - 1) of the series itself
         bound = deficiency_upper_bound(schedule.n_problems, m, b).value
         analytic = {"kind": "limit" if m == 1 else "upper_bound", "value": bound}
-    report = _evaluate(schedule, window, "deficiency", denom_of, analytic, solver=solver, exact=(solver == "exact"))
-    return replace(report, opt_solves=solves)
+    if samples or window is not None or m == 1 or solver == "lpt":
+        report = _evaluate(schedule, window, "deficiency", denom_of, analytic, solver=solver,
+                           exact=(solver == "exact"))
+        return replace(report, opt_solves=solves, samples=report.samples if samples else ())
+
+    def lower(snap: tuple[float, ...]) -> float:  # v / m stays finite where the snapshot's total may not
+        return max(snap[-1], sum(v / m for v in snap))
+
+    served, unserved = [], []
+    for t, snap, _, ceiling in window_ratios(schedule, critical_times(schedule), lower):
+        if snap[0] <= 0.0:
+            unserved.append(t)
+        else:
+            served.append((t, snap, ceiling))
+    solved: dict[int, float] = {}
+    if served:
+        first = max(range(len(served)), key=lambda i: served[i][2])
+        t, snap, _ = served[first]
+        best = solved[first] = t / denom_of(snap)
+        for i, (t, snap, ceiling) in enumerate(served):
+            if i not in solved and ceiling >= best * (1.0 - 1e-12):
+                solved[i] = ratio = t / denom_of(snap)
+                best = max(best, ratio)
+    value = max(solved.values(), default=math.inf)
+    argmax = min((served[i][0] for i, ratio in solved.items() if ratio == value), default=None)
+    return MeasureReport("deficiency", value, argmax, (), tuple(unserved), bool(unserved), _truncation_note(schedule),
+                         analytic, solver=solver, opt_solves=solves, windows=len(served),
+                         pruned_windows=len(served) - len(solved))
 
 
 def scaling_oracle(values: Sequence[float], m: int, t: float) -> float:

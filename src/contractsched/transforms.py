@@ -178,9 +178,7 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
         steps.append(TransformStep(kind, idx, _starts(cur)[idx], problems, rule, before, after))
         cur, ratios = nxt, nxt_ratios
 
-    if not steps and not outcomes:
-        return NormalizationTrace(input=schedule, output=schedule, steps=())
-    output = Schedule(n_problems=n, m_processors=1, contracts=tuple(cur))
+    output = Schedule(n_problems=n, m_processors=1, contracts=tuple(cur)) if steps else schedule
     return NormalizationTrace(input=schedule, output=output, steps=tuple(steps), run_outcomes=tuple(outcomes))
 
 

@@ -34,6 +34,12 @@ class VerifyConfig:
     trials_scale: float = 1.0
     tolerance_scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name in ("trials_scale", "tolerance_scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name.replace('_', ' ')} must be a finite number > 0, got {value!r}")
+
     def trials(self, base: int) -> int:
         return max(1, int(round(base * self.trials_scale)))
 
@@ -522,4 +528,8 @@ ACCEPTANCE_CHECKS = [c for c in ALL_CHECKS if c.check_id.startswith("C")]
 def run_checks(config: VerifyConfig | None = None, ids: list[str] | None = None) -> list[CheckResult]:
     config = config or VerifyConfig()
     selected = ALL_CHECKS if ids is None else [c for c in ALL_CHECKS if c.check_id in ids]
+    if ids is not None:
+        unknown = sorted(set(ids) - {c.check_id for c in selected})
+        if unknown or not ids:
+            raise ValueError(f"unknown check ids: {', '.join(unknown)}" if unknown else "no check ids given")
     return [check(config) for check in selected]

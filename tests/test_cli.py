@@ -149,6 +149,39 @@ def test_eval_lpt_solver_flag(tmp_path, capsys):
     assert doc["opt_solves"] == 0
 
 
+def test_eval_def_window_counts_match_the_csv(tmp_path, capsys):
+    # without --csv the value comes from the bound-pruned route, which keeps no samples
+    rows = [(i % 4, i % 3, float(1 + (5 * i) % 7)) for i in range(30)]
+    sched_path = tmp_path / "sched.json"
+    csv_path = tmp_path / "series.csv"
+    save_schedule(Schedule(4, 3, tuple(Contract(p, q, length) for p, q, length in rows)), sched_path)
+    args = ["eval", "--schedule", str(sched_path), "--measure", "def"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    pruned = json.loads(out)
+    code, out, _ = run_cli(args + ["--csv", str(csv_path)], capsys)
+    assert code == 0
+    full = json.loads(out)
+    served = [line.split(",")[-1] for line in csv_path.read_text().splitlines()[2:]]
+    assert (pruned["windows"], pruned["unserved_windows"]) == (served.count("1"), served.count("0"))
+    assert (full["windows"], full["unserved_windows"]) == (served.count("1"), served.count("0"))
+    assert full["pruned_windows"] == 0 < pruned["pruned_windows"]
+    assert pruned["opt_solves"] < full["opt_solves"]
+    assert (pruned["value"], pruned["argmax_time"]) == (full["value"], full["argmax_time"])
+
+
+def test_eval_def_guard_error_on_both_routes(tmp_path, capsys):
+    # 25 problems exceed the exact solver's guard of 24 jobs
+    sched_path = tmp_path / "sched.json"
+    save_schedule(Schedule(25, 2, tuple(Contract(p, p % 2, 1.0 + p) for p in range(25)) + (Contract(0, 0, 99.0),)),
+                  sched_path)
+    for extra in ([], ["--csv", str(tmp_path / "series.csv")]):
+        code, out, err = run_cli(["eval", "--schedule", str(sched_path), "--measure", "def", *extra], capsys)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InstanceTooLargeError" and "guard of 24" in error["message"]
+
+
 def one_contract(**fields):
     return {"n": 2, "m": 1, "contracts": [{"problem": 0, "processor": 0, "length": 1.0, **fields}]}
 
@@ -423,6 +456,23 @@ def test_verify_tolerance_override(capsys):
     code, out, _ = run_cli(["verify", "--only", "C01", "--tolerance-scale", "1e-12"], capsys)
     assert code == 1
     assert "C01 FAIL" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--trials-scale", "inf"], "trials scale must be a finite number > 0, got inf"),
+    (["--trials-scale", "0"], "trials scale must be a finite number > 0, got 0.0"),
+    (["--trials-scale", "-1"], "trials scale must be a finite number > 0, got -1.0"),
+    (["--tolerance-scale", "nan"], "tolerance scale must be a finite number > 0, got nan"),
+    (["--tolerance-scale", "inf"], "tolerance scale must be a finite number > 0, got inf"),
+    (["--tolerance-scale", "0"], "tolerance scale must be a finite number > 0, got 0.0"),
+    (["--only", "C99"], "unknown check ids: C99"),
+    (["--only", "C01", "P77", "C99"], "unknown check ids: C99, P77"),
+    (["--only"], "no check ids given"),
+])
+def test_verify_rejects_hostile_scales_and_ids(capsys, args, message):
+    code, out, err = run_cli(["verify", *args], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
 
 
 def run_child(args):

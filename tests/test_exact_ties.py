@@ -124,6 +124,11 @@ def test_measures_match_exact_reference(s):
         assert report.value == pytest.approx(value, rel=3e-12)
         if served:
             assert ratios[[t for t, _, _ in served].index(report.argmax_time)] == pytest.approx(value, rel=3e-12)
+        # the bound-pruned route reports the same value and window counts
+        pruned = deficiency(s, samples=False)
+        assert (pruned.value, pruned.argmax_time, pruned.windows, pruned.unserved_times, pruned.incomplete) == (
+            report.value, report.argmax_time, report.windows, report.unserved_times, report.incomplete)
+        assert pruned.opt_solves <= report.opt_solves
 
 
 def test_near_tie_is_one_value_on_both_routes():

@@ -278,6 +278,47 @@ def test_opt_memo_denominators_match_fresh_solves():
     assert hits > 500
 
 
+def same_value(pruned, full):
+    """The value-only route reports what the full route does, without samples."""
+    assert pruned.samples == () and full.windows == len(full.samples)
+    assert (pruned.value, pruned.argmax_time) == (full.value, full.argmax_time)
+    assert (pruned.windows, pruned.unserved_times, pruned.incomplete) == (full.windows, full.unserved_times, full.incomplete)
+    assert pruned.opt_solves <= full.opt_solves
+    assert 0 <= pruned.pruned_windows < max(pruned.windows, 1)
+
+
+def test_pruned_deficiency_matches_the_full_route():
+    pruned_somewhere = full_solves = pruned_solves = 0
+    for s in memo_test_schedules(random.Random(41)):
+        full, pruned = deficiency(s), deficiency(s, samples=False)
+        same_value(pruned, full)
+        assert full.pruned_windows == 0
+        pruned_somewhere += pruned.pruned_windows > 0
+        full_solves += full.opt_solves
+        pruned_solves += pruned.opt_solves
+    assert pruned_somewhere > 50
+    assert 2 * pruned_solves < full_solves
+
+
+def test_pruned_deficiency_solves_a_snapshot_whose_total_overflows():
+    # the last window's total, 2.1e308, overflows, yet it holds the supremum
+    # 17 / 9; a ceiling t / (total / m) would read 0 there and skip it
+    s = sched(3, 2, [(2, 1, 1e307), (1, 0, 8e307), (0, 1, 9e307), (2, 0, 9e307), (1, 1, 3e307)])
+    full, pruned = deficiency(s), deficiency(s, samples=False)
+    same_value(pruned, full)
+    assert pruned.value == full.samples[-1].ratio == pytest.approx(17 / 9)
+
+
+def test_value_only_routes_without_pruning_drop_the_samples():
+    # one processor, the LPT solver and an explicit window take the full route
+    s = random_sched(random.Random(3), 3, 2, 12)
+    for s, kwargs in ((sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 3.0)]), {}), (s, {"solver": "lpt"}),
+                      (s, {"window": critical_times(s)[-3:]})):
+        full, pruned = deficiency(s, **kwargs), deficiency(s, samples=False, **kwargs)
+        same_value(pruned, full)
+        assert pruned.opt_solves == full.opt_solves and pruned.pruned_windows == 0
+
+
 def test_opt_memo_solves_a_beta_exponential_shape_once():
     s = exponential_schedule(ExponentialSpec(n=16, m=4, base=deficiency_optimal_base(16, 4)))
     report = deficiency(s)

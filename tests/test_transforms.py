@@ -220,6 +220,18 @@ def test_reduce_irreducible_run_left_intact():
     assert deficiency_value_m1(trace.output) == before
 
 
+def test_reduce_with_only_blocked_runs_returns_its_input():
+    # an identity trace returns the input itself, generator included, and
+    # still reports the blocked run
+    rows = [(0, 0.1984), (1, 7.906), (0, 1.3881), (0, 6.3709), (0, 7.8351)]
+    s = Schedule(2, 1, tuple(Contract(p, 0, length) for p, length in rows), generator={"family": "custom"})
+    trace = reduce_consecutive_pairs(s)
+    assert trace.identity
+    assert trace.output is s
+    assert trace.output.generator == {"family": "custom"}
+    assert [o.action for o in trace.run_outcomes] in (["certified"], ["irreducible"])
+
+
 def test_reduce_dichotomy_under_canonical_windows():
     # at the first pair of a run whose pair-start window has both problems
     # served strictly before it, the local test and the certification cannot
