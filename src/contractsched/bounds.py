@@ -33,6 +33,17 @@ class BoundReport:
     params: dict = field(default_factory=dict)
 
 
+def _finite(what: str, closed_form) -> float:
+    """closed_form(); a value that overflows the float range or is not finite is a ValueError."""
+    try:
+        value = closed_form()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows the float range")
+    return value
+
+
 def _lambda_factor(m: int, b: float) -> float:
     """min{2 - 1/m, b^m/(b^m - 1)}: how far greedy can sit above OPT, inverted."""
     return min(2.0 - 1.0 / m, b**m / (b**m - 1.0))
@@ -40,13 +51,14 @@ def _lambda_factor(m: int, b: float) -> float:
 
 def deficiency_upper_bound(n: int, m: int, b: float) -> BoundReport:
     """Deficiency bound of the base-b exponential schedule: lambda * b^(n+m) / (b^(n+m-1) - b^gamma)."""
-    if not b > 1.0:
-        raise ValueError(f"base must be > 1, got {b}")
+    if not (b > 1.0 and math.isfinite(b)):
+        raise ValueError(f"base must be a finite number > 1, got {b}")
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     gamma = (n - 1) % m
-    lam = _lambda_factor(m, b)
-    value = lam * b ** (n + m) / (b ** (n + m - 1) - b**gamma)
+    what = f"exponential deficiency bound at n={n}, m={m}, b={b!r}"
+    lam = _finite(what, lambda: _lambda_factor(m, b))
+    value = _finite(what, lambda: lam * b ** (n + m) / (b ** (n + m - 1) - b**gamma))
     return BoundReport(
         name="exponential-deficiency-upper",
         measure="deficiency",
@@ -206,13 +218,13 @@ def geometric_functional(name: str, n: int | None = None, m: int | None = None):
     if name == "round-robin":
         if n is None:
             raise ValueError("round-robin functional needs n")
-        return lambda a: a ** (n + 1) / (a**n - 1)
+        return lambda a: _finite(f"{name} functional at a={a!r}", lambda: a ** (n + 1) / (a**n - 1))
     if name == "cyclic-acceleration":
         if n is None or m is None:
             raise ValueError("cyclic-acceleration functional needs n and m")
-        return lambda a: a ** (n + m) / (a**m - 1)
+        return lambda a: _finite(f"{name} functional at a={a!r}", lambda: a ** (n + m) / (a**m - 1))
     if name == "two-problem":
-        return lambda a: a**4 / (a**3 - 1)
+        return lambda a: _finite(f"{name} functional at a={a!r}", lambda: a**4 / (a**3 - 1))
     raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
 
 
@@ -265,8 +277,9 @@ def truncated_functional_sup(name: str, a: float, k_max: int = 200, n: int | Non
     eliminating the supremum over k yields the closed forms of
     ``geometric_functional`` in the k -> infinity limit (for a > 1).
     """
-    if not a > 1.0:
-        raise ValueError("direct sup evaluation needs a > 1")
+    geometric_functional(name, n=n, m=m)  # rejects an unknown name and a missing n or m
+    if not (a > 1.0 and math.isfinite(a)):
+        raise ValueError(f"direct sup evaluation needs a finite a > 1, got {a}")
     powers = [a**j for j in range(k_max + (n or 0) + 2 * (m or 0) + 3)]
     prefix = [0.0]
     for p in powers:
@@ -277,20 +290,14 @@ def truncated_functional_sup(name: str, a: float, k_max: int = 200, n: int | Non
 
     best = -math.inf
     if name == "round-robin":
-        if n is None:
-            raise ValueError("round-robin functional needs n")
         for k in range(k_max + 1):
             best = max(best, window(0, k + n) / window(k, k + n - 1))
     elif name == "cyclic-acceleration":
-        if n is None or m is None:
-            raise ValueError("cyclic-acceleration functional needs n and m")
         for k in range(k_max + 1):
             best = max(best, window(0, k + n + 2 * m - 1) / window(k + m, k + 2 * m - 1))
-    elif name == "two-problem":
+    else:
         for k in range(2, k_max + 1):
             best = max(best, window(0, k + 1) / (powers[k] + powers[k - 1] + powers[k - 2]))
-    else:
-        raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
     return best
 
 

@@ -112,21 +112,27 @@ def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
     return b**k * (b ** (n + m - 1) - b ** ((n - 1) % m)) / (b**m - 1)
 
 
+def lower_bound(sizes: Sequence[float], m: int) -> float:
+    """max(largest job, total / m) <= OPT; a total that overflows becomes the sum of s / m, which stays finite."""
+    total = sum(sizes)
+    # an overflowing total would make the bound inf and pass any assignment off as optimal
+    return max(max(sizes), total / m if math.isfinite(total) else sum(s / m for s in sizes))
+
+
 def exact_makespan(instance: MakespanInstance) -> Assignment:
     """Provably optimal makespan by branch and bound.
 
     The LPT assignment seeds the incumbent, and is returned at once if it is
-    within a relative 1e-12 of the lower bound max(largest job, total / m).
-    Otherwise jobs are assigned depth first in decreasing size order, and
-    processors with identical current loads are only branched once
-    (processor symmetry).  A placement is cut when it would bring its
-    processor's load to the incumbent or above, and a branch when its
-    current makespan has reached an incumbent improved below it.  The search
-    stops at the first assignment within the same 1e-12 of the lower bound.
-    On one processor the optimum is the total, taken with ``math.fsum``
-    (correctly rounded, so independent of the job order).  Guarded at
-    ``EXACT_MAX_JOBS`` jobs; callers needing larger instances can opt into
-    the flagged LPT heuristic.
+    within a relative 1e-12 of ``lower_bound``.  Otherwise jobs are assigned
+    depth first in decreasing size order, and processors with identical
+    current loads are only branched once (processor symmetry).  A placement
+    is cut when it would bring its processor's load to the incumbent or
+    above, and a branch when its current makespan has reached an incumbent
+    improved below it.  The search stops at the first assignment within the
+    same 1e-12 of the lower bound.  On one processor the optimum is the
+    total, taken with ``math.fsum`` (correctly rounded, so independent of
+    the job order).  Guarded at ``EXACT_MAX_JOBS`` jobs; callers needing
+    larger instances can opt into the flagged LPT heuristic.
     """
     sizes = instance.sizes
     m = instance.m
@@ -141,9 +147,7 @@ def exact_makespan(instance: MakespanInstance) -> Assignment:
             total = math.inf
         return Assignment((0,) * n, (total,), total, optimal=True)
 
-    total = sum(sizes)
-    # an overflowing total would make the bound inf and pass the seed off as optimal
-    lower = max(max(sizes), total / m if math.isfinite(total) else sum(s / m for s in sizes))
+    lower = lower_bound(sizes, m)
     seed = lpt_makespan(instance)
     if seed.makespan <= lower * (1.0 + 1e-12):
         return Assignment(seed.processor_of, seed.loads, seed.makespan, optimal=True)

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 # perfbench/traced_cli.py wraps metrics.simulate and metrics.critical_times by name, so both stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
 from .core import Schedule, critical_times, simulate, snapshots_before  # noqa: F401
-from .makespan import MakespanInstance, assignment_from_map, exact_makespan, lpt_makespan
+from .makespan import MakespanInstance, assignment_from_map, exact_makespan, lower_bound, lpt_makespan
 
 # Relative distance, entry by entry, within which two normalized snapshots
 # share one optimal partition in ``deficiency`` (see its docstring).
@@ -60,10 +60,9 @@ class MeasureReport:
     families, since the true supremum of an infinite schedule is only
     approached by the finite prefix.  ``opt_solves`` counts the exact OPT
     solves actually run (0 for the acceleration and performance ratios and
-    for the LPT deficiency).  ``windows`` counts the windows evaluated (the
-    served ones for the default window), ``pruned_windows`` those of them
-    whose OPT solve the bound-pruned deficiency skipped; that route keeps
-    no samples.
+    for the LPT deficiency).  ``windows`` counts the windows of the series
+    (the served ones for the default window), ``pruned_windows`` those whose
+    OPT solve the bound-pruned deficiency skipped.
     """
 
     measure: str
@@ -79,12 +78,6 @@ class MeasureReport:
     opt_solves: int = 0
     windows: int = 0
     pruned_windows: int = 0
-
-
-def _truncation_note(schedule: Schedule) -> str | None:
-    if schedule.generator is not None:
-        return f"finite prefix of {len(schedule)} contracts from an infinite {schedule.generator.get('family')} schedule"
-    return None
 
 
 def window_ratios(schedule: Schedule, times: Sequence[float],
@@ -104,43 +97,62 @@ def window_ratios(schedule: Schedule, times: Sequence[float],
             yield t, snap, denom, t / denom
 
 
-def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None,
-              solver: str | None = None, exact: bool = True) -> MeasureReport:
+def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None, *,
+              samples: bool = True, lower: Callable[[tuple[float, ...]], float] | None = None) -> MeasureReport:
+    """The one window loop; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes."""
     explicit = window is not None
     times = sorted(window) if explicit else critical_times(schedule)
 
-    samples: list[MeasureSample] = []
+    seed, best = -1, -math.inf  # the served window with the largest ceiling t / lower, earliest on ties
+    if lower is not None:
+        top = -math.inf
+        for i, (t, snap, _, ceiling) in enumerate(window_ratios(schedule, times, lower)):
+            if snap[0] > 0.0 and ceiling > top:
+                seed, top, seed_snap = i, ceiling, snap
+        if seed >= 0:
+            seed_denom = denom_of(seed_snap)
+            best = times[seed] / seed_denom
+
+    rows: list[MeasureSample] = []
     unserved: list[float] = []
     value = -math.inf
     argmax: float | None = None
-    for t, snap, denom, ratio in window_ratios(schedule, times, denom_of):
-        if snap[0] <= 0.0:
+    pruned = 0
+    for i, (t, snap, denom, ratio) in enumerate(window_ratios(schedule, times, lower or denom_of)):
+        served = snap[0] > 0.0
+        if not served:
             unserved.append(t)
-            if explicit:
-                samples.append(MeasureSample(t, snap, denom, ratio, served=False))
-                value = math.inf
-                argmax = t
-            continue
-        samples.append(MeasureSample(t, snap, denom, ratio, served=True))
-        if value != math.inf and ratio > value:
+            if not explicit:
+                continue
+        elif lower is not None:  # denom and ratio are the lower bound and the ceiling
+            if i != seed and ratio < max(best, value) * (1.0 - 1e-12):
+                pruned += 1
+                continue
+            denom = seed_denom if i == seed else denom_of(snap)
+            ratio = t / denom
+        if samples:
+            rows.append(MeasureSample(t, snap, denom, ratio, served))
+        if ratio > value:
             value = ratio
             argmax = t
     if value == -math.inf:
         value = math.inf  # nothing served: any interruption is infinitely bad
         argmax = None
 
+    note = None
+    if schedule.generator is not None:
+        note = f"finite prefix of {len(schedule)} contracts from an infinite {schedule.generator.get('family')} schedule"
     return MeasureReport(
         measure=measure,
         value=value,
         argmax_time=argmax,
-        samples=tuple(samples),
+        samples=tuple(rows),
         unserved_times=tuple(unserved),
         incomplete=bool(unserved),
-        truncation_note=_truncation_note(schedule),
+        truncation_note=note,
         analytic=analytic,
-        solver=solver,
-        exact=exact,
-        windows=len(samples),
+        windows=len(times) if explicit else len(times) - len(unserved),
+        pruned_windows=pruned,
     )
 
 
@@ -209,17 +221,17 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     stops against its lower bound, so the report stays exact.
     ``opt_solves`` counts the solves actually run.
 
-    ``samples=False`` asks for the value alone.  With the default window,
-    the exact solver and m >= 2 it then solves only the windows that can
-    reach the supremum: a window's ratio is at most its ceiling t / LB, with
-    LB = max(largest, total / m) <= OPT.  The window with the largest
-    ceiling (earliest on ties) is solved first; then, in time order, a
-    window is solved only if its ceiling is at least the best ratio so far
-    times 1 - 1e-12, a margin that covers the few ulps by which a float LB
-    may exceed a computed load.  A skipped window's ratio is therefore
-    strictly below the best one, so ``value`` and ``argmax_time`` (the
-    earliest solved window attaining it) are those of the full series.
-    Every other case takes the full route and drops its samples.
+    ``samples=False`` asks for the value alone, and no per-window row is
+    kept.  With the default window, the exact solver and m >= 2 it then
+    solves only the windows that can reach the supremum: a window's ratio is
+    at most its ceiling t / LB, with LB = ``makespan.lower_bound`` <= OPT.
+    The window with the largest ceiling (earliest on ties) is solved first;
+    then, in time order, a window is solved only if its ceiling is at least
+    the best ratio so far times 1 - 1e-12, a margin that covers the few ulps
+    by which a float LB may exceed a computed load.  A skipped window's
+    ratio is therefore strictly below the best one, so ``value`` and
+    ``argmax_time`` (the earliest solved window attaining it) are those of
+    the full series.  Every other case evaluates every window.
     """
     if solver not in ("exact", "lpt"):
         raise ValueError(f"solver must be 'exact' or 'lpt', got {solver!r}")
@@ -250,34 +262,10 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
         # for m = 1 the bound is the limit b^(n+1)/(b^n - 1) of the series itself
         bound = deficiency_upper_bound(schedule.n_problems, m, b).value
         analytic = {"kind": "limit" if m == 1 else "upper_bound", "value": bound}
-    if samples or window is not None or m == 1 or solver == "lpt":
-        report = _evaluate(schedule, window, "deficiency", denom_of, analytic, solver=solver,
-                           exact=(solver == "exact"))
-        return replace(report, opt_solves=solves, samples=report.samples if samples else ())
-
-    def lower(snap: tuple[float, ...]) -> float:  # v / m stays finite where the snapshot's total may not
-        return max(snap[-1], sum(v / m for v in snap))
-
-    served, unserved = [], []
-    for t, snap, _, ceiling in window_ratios(schedule, critical_times(schedule), lower):
-        if snap[0] <= 0.0:
-            unserved.append(t)
-        else:
-            served.append((t, snap, ceiling))
-    solved: dict[int, float] = {}
-    if served:
-        first = max(range(len(served)), key=lambda i: served[i][2])
-        t, snap, _ = served[first]
-        best = solved[first] = t / denom_of(snap)
-        for i, (t, snap, ceiling) in enumerate(served):
-            if i not in solved and ceiling >= best * (1.0 - 1e-12):
-                solved[i] = ratio = t / denom_of(snap)
-                best = max(best, ratio)
-    value = max(solved.values(), default=math.inf)
-    argmax = min((served[i][0] for i, ratio in solved.items() if ratio == value), default=None)
-    return MeasureReport("deficiency", value, argmax, (), tuple(unserved), bool(unserved), _truncation_note(schedule),
-                         analytic, solver=solver, opt_solves=solves, windows=len(served),
-                         pruned_windows=len(served) - len(solved))
+    prune = not samples and window is None and m > 1 and solver == "exact"
+    report = _evaluate(schedule, window, "deficiency", denom_of, analytic, samples=samples,
+                       lower=(lambda snap: lower_bound(snap, m)) if prune else None)
+    return replace(report, solver=solver, exact=(solver == "exact"), opt_solves=solves)
 
 
 def scaling_oracle(values: Sequence[float], m: int, t: float) -> float:

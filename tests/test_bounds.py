@@ -55,6 +55,17 @@ def test_upper_bound_rejects_base():
         deficiency_upper_bound(2, 1, 1.0)
 
 
+@pytest.mark.parametrize("name, kwargs", [("round-robin", {"n": 2}), ("cyclic-acceleration", {"n": 2, "m": 1}),
+                                          ("two-problem", {})])
+def test_functionals_reject_values_beyond_the_float_range(name, kwargs):
+    functional = geometric_functional(name, **kwargs)
+    assert functional(2.0) == {"round-robin": 8 / 3, "cyclic-acceleration": 8.0, "two-problem": 16 / 7}[name]
+    with pytest.raises(ValueError, match=f"^{name} functional at a=1e\\+200 overflows the float range$"):
+        functional(1e200)
+    with pytest.raises(ValueError, match="needs a finite a > 1"):
+        truncated_functional_sup(name, math.inf, **kwargs)
+
+
 def test_at_beta_consistent_with_general_bound():
     for n, m in itertools.product(range(1, 13), range(1, 7)):
         direct = deficiency_upper_bound(n, m, deficiency_optimal_base(n, m)).value

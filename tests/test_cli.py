@@ -257,6 +257,22 @@ def test_eval_rejects_a_bad_generator_base(tmp_path, capsys, measure, base):
     assert error["message"] == f"exponential generator base must be a finite number > 1, got {base!r}"
 
 
+@pytest.mark.parametrize("measure, message", [
+    ("acc", "cyclic-acceleration functional at a=1e+300 overflows the float range"),
+    ("perf", "cyclic-acceleration functional at a=1e+300 overflows the float range"),
+    ("def", "exponential deficiency bound at n=2, m=1, b=1e+300 overflows the float range"),
+])
+def test_eval_rejects_a_base_whose_closed_form_overflows(tmp_path, capsys, measure, message):
+    # the analytic closed forms raised OverflowError tracebacks
+    doc = {"n": 2, "m": 1, "generator": {"family": "exponential", "base": 1e300},
+           "contracts": [{"problem": 0, "processor": 0, "length": 1.0}, {"problem": 1, "processor": 0, "length": 2.0}]}
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["eval", "--schedule", str(path), "--measure", measure], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
 # --- bounds ----------------------------------------------------------------------
 
 
@@ -272,6 +288,24 @@ def test_bounds_def_upper(capsys):
     code, out, _ = run_cli(["bounds", "--name", "def-upper", "--n", "1", "--m", "1", "--b", "2"], capsys)
     assert code == 0
     assert json.loads(out)["value"] == 4.0
+    b = 1e154  # b**2 is just inside the float range, and the value stays the formula's
+    code, out, _ = run_cli(["bounds", "--name", "def-upper", "--n", "1", "--m", "1", "--b", repr(b)], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == min(1.0, b / (b - 1.0)) * b**2 / (b - 1.0)
+
+
+@pytest.mark.parametrize("n, m, b, message", [
+    ("1", "1", "inf", "base must be a finite number > 1, got inf"),
+    ("1", "1", "nan", "base must be a finite number > 1, got nan"),
+    ("1", "1", "1e300", "exponential deficiency bound at n=1, m=1, b=1e+300 overflows the float range"),
+    ("2", "2", "1e200", "exponential deficiency bound at n=2, m=2, b=1e+200 overflows the float range"),
+    ("3000", "1", "2", "exponential deficiency bound at n=3000, m=1, b=2.0 overflows the float range"),
+])
+def test_bounds_def_upper_rejects_a_bound_beyond_the_float_range(capsys, n, m, b, message):
+    # an infinite base printed NaN with exit 0, and the overflowing powers were tracebacks
+    code, out, err = run_cli(["bounds", "--name", "def-upper", "--n", n, "--m", m, "--b", b], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
 
 
 @pytest.mark.parametrize(
@@ -502,3 +536,25 @@ def test_cli_import_does_not_load_numpy():
     package_file, numpy_loaded = proc.stdout.splitlines()
     assert package_file == contractsched.__file__
     assert numpy_loaded == "False"
+
+
+# SHA-256 of each demo's stdout, recorded before the measures shared one window loop
+DEMO_DIGESTS = {
+    "doubling_and_measures.py": "35229e9ef7bf46e293fe3b955cd29148fedf8e723fc91bd2c99fa3607db0f613",
+    "lower_bound_functionals.py": "f97bd605f9dabbd644e2e41d4f1b86dbdd198e92c45dfb44da5ce5b579949d23",
+    "makespan_solvers.py": "266b416b6b5d72798abcf3c6eac7506bc78e9fc02d12d7dcfb7ebe707d6d100d",
+    "multiprocessor_deficiency.py": "f2aa1e43bf61e89b54cc354ae71d6d5ac2ce64378965e47fd1fea3146ca224cd",
+    "normalization_walkthrough.py": "50f504ab3341f6702da82988688659e962d4ead79312d987fd214c9728fc623e",
+}
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+def test_every_demo_has_a_pinned_digest():
+    assert sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")) == sorted(DEMO_DIGESTS)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_DIGESTS))
+def test_demo_prints_its_pinned_output(demo):
+    proc = run_child([os.path.join(DEMOS, demo)])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_DIGESTS[demo]

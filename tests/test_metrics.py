@@ -20,6 +20,8 @@ from contractsched import (
     performance_ratio,
     scaling_oracle,
 )
+from contractsched import metrics
+from contractsched.makespan import lower_bound
 from contractsched.transforms import deficiency_value_m1
 
 
@@ -195,6 +197,10 @@ def test_explicit_unserved_window_is_infinite():
     report = deficiency(s, window=[1.5])  # problem 1 unserved at 1.5
     assert math.isinf(report.value)
     assert not report.samples[0].served
+    # problem 1 is unserved until 3.0; the earliest window attaining the value is the argmax
+    report = deficiency(s, window=[1.5, 2.5, 3.5])
+    assert math.isinf(report.value) and report.argmax_time == 1.5
+    assert report.unserved_times == (1.5, 2.5) and report.windows == 3
 
 
 def test_empty_prefix_value_is_infinite():
@@ -300,6 +306,21 @@ def test_pruned_deficiency_matches_the_full_route():
     assert 2 * pruned_solves < full_solves
 
 
+def test_pruned_route_computes_each_kept_denominator_once():
+    # the seed window, solved before the time-order pass, reuses its denominator there
+    for s in memo_test_schedules(random.Random(41)):
+        m = s.m_processors
+        calls = []
+
+        def denom_of(snap):
+            calls.append(snap)
+            return exact_makespan(MakespanInstance(snap, m)).makespan
+
+        report = metrics._evaluate(s, None, "deficiency", denom_of, None, samples=False,
+                                   lower=lambda snap: lower_bound(snap, m))
+        assert len(calls) == report.windows - report.pruned_windows
+
+
 def test_pruned_deficiency_solves_a_snapshot_whose_total_overflows():
     # the last window's total, 2.1e308, overflows, yet it holds the supremum
     # 17 / 9; a ceiling t / (total / m) would read 0 there and skip it
@@ -309,14 +330,29 @@ def test_pruned_deficiency_solves_a_snapshot_whose_total_overflows():
     assert pruned.value == full.samples[-1].ratio == pytest.approx(17 / 9)
 
 
-def test_value_only_routes_without_pruning_drop_the_samples():
-    # one processor, the LPT solver and an explicit window take the full route
-    s = random_sched(random.Random(3), 3, 2, 12)
-    for s, kwargs in ((sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 3.0)]), {}), (s, {"solver": "lpt"}),
-                      (s, {"window": critical_times(s)[-3:]})):
-        full, pruned = deficiency(s, **kwargs), deficiency(s, samples=False, **kwargs)
+def test_value_only_routes_build_no_samples(monkeypatch):
+    built = []
+
+    class CountingSample(metrics.MeasureSample):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "MeasureSample", CountingSample)
+    two = random_sched(random.Random(3), 3, 2, 12)
+    one = sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 3.0)])
+    # exact with m >= 2 (the pruned route), exact with m = 1, LPT, an explicit window
+    for s, kwargs in ((two, {}), (one, {}), (two, {"solver": "lpt"}), (two, {"window": critical_times(two)[-3:]})):
+        full = deficiency(s, **kwargs)
+        assert len(built) == len(full.samples) > 0
+        built.clear()
+        pruned = deficiency(s, samples=False, **kwargs)
+        assert built == []
         same_value(pruned, full)
-        assert pruned.opt_solves == full.opt_solves and pruned.pruned_windows == 0
+        if kwargs or s is one:
+            assert pruned.opt_solves == full.opt_solves and pruned.pruned_windows == 0
+        else:
+            assert pruned.pruned_windows > 0
 
 
 def test_opt_memo_solves_a_beta_exponential_shape_once():
