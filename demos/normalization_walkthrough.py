@@ -52,7 +52,8 @@ def main() -> None:
     contracts = list(stuck.contracts)
     for idx in (2, 3):
         candidate = contracts[:idx] + contracts[idx + 1 :]
-        print(f"  removing index {idx} would move deficiency {base:.6f} -> {deficiency_value_m1(candidate, 2):.6f}")
+        after = deficiency_value_m1(Schedule(2, 1, tuple(candidate)))
+        print(f"  removing index {idx} would move deficiency {base:.6f} -> {after:.6f}")
     show_trace("so the transform reports it instead:", reduce_consecutive_pairs(stuck))
 
 

@@ -9,9 +9,10 @@ Every bound is reported with the parameters it was evaluated at:
 * beta is the deficiency-minimizing exponential base, a the minimizer of a
   geometric functional.
 
-The module also carries the ternary-search optimizer for the geometric
-functionals that appear in the lower-bound arguments, plus the data sets
-behind the three standard figures.
+The module also carries the greedy makespan's closed form on geometric
+instances, the ternary-search optimizer for the geometric functionals that
+appear in the lower-bound arguments, and the data sets behind the three
+standard figures.
 """
 
 from __future__ import annotations
@@ -47,6 +48,21 @@ def _finite(what: str, closed_form) -> float:
 def _lambda_factor(m: int, b: float) -> float:
     """min{2 - 1/m, b^m/(b^m - 1)}: how far greedy can sit above OPT, inverted."""
     return min(2.0 - 1.0 / m, b**m / (b**m - 1.0))
+
+
+def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
+    """Closed form of the greedy makespan on jobs b**k, ..., b**(n+k-1).
+
+    Greedy in increasing order places the i-th job on processor i mod m, so
+    the busiest processor carries the geometric subseries ending at the last
+    job:  b**k * (b**(n+m-1) - b**((n-1) mod m)) / (b**m - 1).
+    """
+    if not (b > 1.0 and math.isfinite(b)):
+        raise ValueError(f"geometric ratio must be a finite number > 1, got {b}")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    return _finite(f"greedy geometric makespan at b={b!r}, n={n}, m={m}, k={k}",
+                   lambda: b**k * (b ** (n + m - 1) - b ** ((n - 1) % m)) / (b**m - 1))
 
 
 def deficiency_upper_bound(n: int, m: int, b: float) -> BoundReport:
@@ -251,11 +267,15 @@ def optimize_geometric_functional(
 ) -> tuple[float, float]:
     """Ternary-search minimizer (a*, F(a*)) of a geometric functional over (1, 64].
 
+    The bracket's upper end is lowered to 2**(1020/top), top being the
+    functional's largest exponent, so that a**top stays in the float range.
     The functional is checked for unimodality on the bracket by sampled
     monotonicity of the difference signs before searching.  Raises if the
     bracket has not shrunk below `tol` within `max_iter` iterations.
     """
     f = geometric_functional(name, n=n, m=m)
+    top = n + 1 if name == "round-robin" else n + m if name == "cyclic-acceleration" else 4
+    hi = min(hi, 2 ** (1020 / top))
     _assert_unimodal(f, lo, hi)
     for _ in range(max_iter):
         if hi - lo <= tol:
@@ -275,30 +295,34 @@ def truncated_functional_sup(name: str, a: float, k_max: int = 200, n: int | Non
 
     Computed by direct accumulation of the truncated sums, confirming that
     eliminating the supremum over k yields the closed forms of
-    ``geometric_functional`` in the k -> infinity limit (for a > 1).
+    ``geometric_functional`` in the k -> infinity limit (for a > 1).  A sum
+    beyond the float range is a ValueError.
     """
     geometric_functional(name, n=n, m=m)  # rejects an unknown name and a missing n or m
     if not (a > 1.0 and math.isfinite(a)):
         raise ValueError(f"direct sup evaluation needs a finite a > 1, got {a}")
-    powers = [a**j for j in range(k_max + (n or 0) + 2 * (m or 0) + 3)]
-    prefix = [0.0]
-    for p in powers:
-        prefix.append(prefix[-1] + p)  # prefix[i] = sum of a^0 .. a^(i-1)
+    def sup() -> float:
+        powers = [a**j for j in range(k_max + (n or 0) + 2 * (m or 0) + 3)]
+        prefix = [0.0]
+        for p in powers:
+            prefix.append(prefix[-1] + p)  # prefix[i] = sum of a^0 .. a^(i-1)
 
-    def window(lo_idx: int, hi_idx: int) -> float:
-        return prefix[hi_idx + 1] - prefix[lo_idx]
+        def window(lo_idx: int, hi_idx: int) -> float:
+            return prefix[hi_idx + 1] - prefix[lo_idx]
 
-    best = -math.inf
-    if name == "round-robin":
-        for k in range(k_max + 1):
-            best = max(best, window(0, k + n) / window(k, k + n - 1))
-    elif name == "cyclic-acceleration":
-        for k in range(k_max + 1):
-            best = max(best, window(0, k + n + 2 * m - 1) / window(k + m, k + 2 * m - 1))
-    else:
-        for k in range(2, k_max + 1):
-            best = max(best, window(0, k + 1) / (powers[k] + powers[k - 1] + powers[k - 2]))
-    return best
+        best = -math.inf
+        if name == "round-robin":
+            for k in range(k_max + 1):
+                best = max(best, window(0, k + n) / window(k, k + n - 1))
+        elif name == "cyclic-acceleration":
+            for k in range(k_max + 1):
+                best = max(best, window(0, k + n + 2 * m - 1) / window(k + m, k + 2 * m - 1))
+        else:
+            for k in range(2, k_max + 1):
+                best = max(best, window(0, k + 1) / (powers[k] + powers[k - 1] + powers[k - 2]))
+        return best
+
+    return _finite(f"{name} truncated sup at a={a!r}", sup)
 
 
 # ---------------------------------------------------------------------------

@@ -98,20 +98,6 @@ def lpt_makespan(instance: MakespanInstance) -> Assignment:
     return greedy_in_order(instance, order)
 
 
-def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
-    """Closed form of the greedy makespan on jobs b**k, ..., b**(n+k-1).
-
-    Greedy in increasing order places the i-th job on processor i mod m, so
-    the busiest processor carries the geometric subseries ending at the last
-    job:  b**k * (b**(n+m-1) - b**((n-1) mod m)) / (b**m - 1).
-    """
-    if not b > 1.0:
-        raise ValueError(f"geometric ratio must be > 1, got {b}")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    return b**k * (b ** (n + m - 1) - b ** ((n - 1) % m)) / (b**m - 1)
-
-
 def lower_bound(sizes: Sequence[float], m: int) -> float:
     """max(largest job, total / m) <= OPT; a total that overflows becomes the sum of s / m, which stays finite."""
     total = sum(sizes)

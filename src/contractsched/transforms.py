@@ -83,22 +83,14 @@ class NormalizationTrace:
 # ---------------------------------------------------------------------------
 
 
-def _starts(contracts: list[Contract]) -> list[float]:
-    out, acc = [], 0.0
-    for c in contracts:
-        out.append(acc)
-        acc += c.length
-    return out
+def _ratios(contracts: list[Contract], n: int) -> list[tuple[float, float | None]]:
+    """(t, deficiency ratio right before t) per contract finish time t, in contract order.
 
-
-def _ratios(contracts: list[Contract], n: int, times: list[float] | None = None) -> list[tuple[float, float | None]]:
-    """(t, deficiency ratio right before t) per ascending t; None where a problem is unserved.
-
-    ``times=None`` takes every contract's finish time, in contract order.
+    The ratio is None where a problem is unserved.  Entry i is the window at
+    the finish of contract i, so entry i - 1 is the one at its start.
     """
     schedule = Schedule(n_problems=n, m_processors=1, contracts=tuple(contracts))
-    if times is None:
-        times = [fin for _, fin in simulate(schedule)]
+    times = [fin for _, fin in simulate(schedule)]
     return [(t, ratio if snap[0] > 0.0 else None) for t, snap, _, ratio in window_ratios(schedule, times, math.fsum)]
 
 
@@ -107,23 +99,16 @@ def _value(ratios: list[tuple[float, float | None]]) -> float:
     return max((ratio for _, ratio in ratios if ratio is not None), default=math.inf)
 
 
-def deficiency_value_m1(schedule_or_contracts, n: int | None = None) -> float:
+def deficiency_value_m1(schedule: Schedule) -> float:
     """Exact single-processor deficiency: sup of t / (sum of completed lengths before t).
 
     The supremum runs over the finish times of the schedule's contracts at
     which every problem is served (+inf if none is).  To evaluate an
     explicit list of times, use ``metrics.deficiency(window=...)``.
     """
-    if isinstance(schedule_or_contracts, Schedule):
-        if schedule_or_contracts.m_processors != 1:
-            raise ValueError("this deficiency route is only valid on a single processor")
-        contracts = list(schedule_or_contracts.contracts)
-        n = schedule_or_contracts.n_problems
-    else:
-        contracts = list(schedule_or_contracts)
-        if n is None:
-            raise ValueError("n is required when passing a raw contract list")
-    return _value(_ratios(contracts, n))
+    if schedule.m_processors != 1:
+        raise ValueError("this deficiency route is only valid on a single processor")
+    return _value(_ratios(list(schedule.contracts), schedule.n_problems))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +160,8 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
                         default=math.inf)
         else:
             after = _value(nxt_ratios)
-        steps.append(TransformStep(kind, idx, _starts(cur)[idx], problems, rule, before, after))
+        start = ratios[idx - 1][0] if idx else 0.0
+        steps.append(TransformStep(kind, idx, start, problems, rule, before, after))
         cur, ratios = nxt, nxt_ratios
 
     output = Schedule(n_problems=n, m_processors=1, contracts=tuple(cur)) if steps else schedule
@@ -265,39 +251,36 @@ def _runs(contracts: list[Contract]) -> list[tuple[int, int]]:
     return runs
 
 
-def _pair_q_test(contracts: list[Contract], pair_at: int) -> tuple[bool, bool]:
-    """(drop allowed, next-contract certification) for the pair at `pair_at`.
+def _pair_q_test(ratios: list[tuple[float, float | None]], dropped: list[tuple[float, float | None]],
+                 pair_at: int) -> bool:
+    """Whether the first contract of the pair at `pair_at` may be dropped.
 
-    Compares the local suprema Q and Q' with and without the first contract
-    of the pair: Q covers the interruptions right before the pair starts and
-    right before each pair contract finishes, Q' the pair-start interruption
-    and the finish of the surviving contract.  All other interruptions
-    contribute to the shorter schedule no more than to the original (earlier
-    windows are identical; later ones keep their snapshot, since the
-    surviving contract masks the dropped one, at an earlier time).  The
-    terms are evaluated as true schedule windows; one that lands before both
-    problems are served contributes to neither side, matching how such
-    windows are excluded from the deficiency itself.
+    ``ratios`` are the schedule's windows and ``dropped`` those of the
+    schedule without that contract.  Compares the local suprema Q and Q'
+    with and without it: Q covers the interruptions right before the pair
+    starts and right before each pair contract finishes, Q' the pair-start
+    interruption and the finish of the surviving contract.  All other
+    interruptions contribute to the shorter schedule no more than to the
+    original (earlier windows are identical; later ones keep their snapshot,
+    since the surviving contract masks the dropped one, at an earlier time).
+    A window that lands before both problems are served contributes to
+    neither side, matching how such windows are excluded from the deficiency
+    itself; at index 0 the pair-start window is time 0, where nothing is.
+    """
+    shared = [ratios[pair_at - 1]] if pair_at else []
+    q = max((v for _, v in shared + ratios[pair_at : pair_at + 2] if v is not None), default=-math.inf)
+    qp = max((v for _, v in shared + dropped[pair_at : pair_at + 1] if v is not None), default=-math.inf)
+    return qp <= q * (1.0 + 1e-12) + 1e-15
 
-    The certification ``x_next >= l_other`` means the contract following the
-    pair must serve the other problem, so the run legitimately ends there.
+
+def _certified(contracts: list[Contract], pair_at: int) -> bool:
+    """Whether ``x_next >= l_other``: the contract following the pair must serve the other problem.
+
+    The run then legitimately ends there.  Reads the contract lengths only.
     """
     other = 1 - contracts[pair_at].problem
-    t = _starts(contracts)[pair_at]
-    x_i = contracts[pair_at].length
-    x_next = contracts[pair_at + 1].length
-    candidate = contracts[:pair_at] + contracts[pair_at + 1 :]
-
-    terms_q = [ratio for _, ratio in _ratios(contracts, 2, [t, t + x_i, t + x_i + x_next])]
-    # the pair-start term is shared
-    terms_qp = [terms_q[0]] + [ratio for _, ratio in _ratios(candidate, 2, [t + x_next])]
-    q = max((v for v in terms_q if v is not None), default=-math.inf)
-    qp = max((v for v in terms_qp if v is not None), default=-math.inf)
-    drop_ok = qp <= q * (1.0 + 1e-12) + 1e-15
-
     l_other = max((c.length for c in contracts[:pair_at] if c.problem == other), default=0.0)
-    certified = x_next >= l_other * (1.0 - 1e-12)
-    return drop_ok, certified
+    return contracts[pair_at + 1].length >= l_other * (1.0 - 1e-12)
 
 
 def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
@@ -323,21 +306,26 @@ def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
     def drop_pair(cur: list[Contract], n: int, ratios) -> _Move | None:
         runs = [(start, length) for start, length in _runs(cur) if length >= 3]
         for run_start, run_len in runs:
-            pairs = range(run_start, run_start + run_len - 1)
-            chosen = next(((p, "q-test") for p in pairs if _pair_q_test(cur, p)[0]), None)
-            if chosen is None:
+            candidates = []  # (pair index, contracts, windows) of the pairs that failed the q-test
+            for p in range(run_start, run_start + run_len - 1):
+                dropped = cur[:p] + cur[p + 1 :]
+                dropped_ratios = _ratios(dropped, n)
+                if _pair_q_test(ratios, dropped_ratios, p):
+                    chosen = p, "q-test", dropped
+                    break
+                candidates.append((p, dropped, dropped_ratios))
+            else:
                 limit = _value(ratios) * (1.0 + 1e-12) + 1e-15
-                chosen = next(((p, "direct") for p in pairs
-                               if deficiency_value_m1(cur[:p] + cur[p + 1 :], n) <= limit), None)
+                chosen = next(((p, "direct", d) for p, d, r in candidates if _value(r) <= limit), None)
             if chosen is not None:
-                pair_at, rule = chosen
+                pair_at, rule, nxt = chosen
                 outcomes.append(RunOutcome(run_start, run_len, "removed"))
-                return "remove-consecutive", pair_at, None, rule, cur[:pair_at] + cur[pair_at + 1 :]
+                return "remove-consecutive", pair_at, None, rule, nxt
         # whatever still stands is blocked: record whether the run at least
         # carries a certification (the pair's successor legitimately belongs
         # to the run's problem only through a least-served tie)
         for run_start, run_len in runs:
-            certified = any(_pair_q_test(cur, p)[1] for p in range(run_start, run_start + run_len - 1))
+            certified = any(_certified(cur, p) for p in range(run_start, run_start + run_len - 1))
             outcomes.append(RunOutcome(run_start, run_len, "certified" if certified else "irreducible"))
         return None
 

@@ -18,7 +18,7 @@ from typing import Callable
 from . import bounds, metrics, transforms
 from .core import Schedule, Contract, critical_times, simulate
 from .generators import ExponentialSpec, acceleration_optimal_base, deficiency_optimal_base, exponential_schedule
-from .makespan import MakespanInstance, exact_makespan, greedy_geometric_makespan, greedy_in_order
+from .makespan import MakespanInstance, exact_makespan, greedy_in_order
 
 GEOMETRIC_GRID = {
     "bases": (1.1, 1.5, 2.0, 3.0),
@@ -150,7 +150,7 @@ def check_greedy_closed_form(config: VerifyConfig) -> tuple[bool, str]:
     ):
         sizes = tuple(b ** (k + i) for i in range(n))
         got = greedy_in_order(MakespanInstance(sizes, m)).makespan
-        want = greedy_geometric_makespan(b, n, m, k)
+        want = bounds.greedy_geometric_makespan(b, n, m, k)
         worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
         count += 1
     return worst <= rtol, f"{count} grid points, worst relative error {worst:.2e} (tol {rtol:g})"
@@ -264,7 +264,7 @@ def check_graham_sandwich(config: VerifyConfig) -> tuple[bool, str]:
         exact = exact_makespan(instance).makespan
         greedy = greedy_in_order(instance).makespan
         kappa = max(1.0 / (2.0 - 1.0 / m), (b**m - 1.0) / b**m)
-        closed = greedy_geometric_makespan(b, n, m, k)
+        closed = bounds.greedy_geometric_makespan(b, n, m, k)
         if not (exact <= greedy * (1 + slack)):
             return False, f"exact > greedy at b={b}, n={n}, m={m}, k={k}"
         if not (greedy <= (2.0 - 1.0 / m) * exact * (1 + slack)):

@@ -3,7 +3,13 @@
 One test per criterion; each prints a single pass/fail line.  The checks
 live in contractsched.verification so the CLI `verify` command and this
 module agree on what is being asserted.
+
+Each check's details string is also pinned by its SHA-256 at seed 0: the
+details print the measured values, so a refactor that moves any of them in
+a printed digit changes a digest.
 """
+
+import hashlib
 
 import pytest
 
@@ -12,16 +18,38 @@ from contractsched.verification import ACCEPTANCE_CHECKS, ALL_CHECKS, VerifyConf
 CONFIG = VerifyConfig(seed=0)
 PROPERTY_CHECKS = [c for c in ALL_CHECKS if c.check_id.startswith("P")]
 
+DETAILS_DIGESTS = {
+    "C01": "a1c0f9585ff57b73f637e775aad5346741ade675d199e5844a26bdf3e9c526ab",
+    "C02": "b3765fb70e9eace3f6f3f8391b6e8b8badd806b89fe10330bdec58a74e93d4b5",
+    "C03": "91fb2fdee25d49cfc9cca20b8d78c2a254a86cdb8b7339cd10d6db45a268e2b1",
+    "C04": "a33346839902a9cd2a83d82c1b1f7685056a585d553aa2f91d9dd256e44de16b",
+    "C05": "be71f144dd1b70a5327758f09cf84f877abf85db8d64ba45e547218860964357",
+    "C06": "3c3025cf95bc5ba9bc1e6c3c94f39d05061945f22212b28c9ede08e2f9110b40",
+    "C07": "b8521abe7930c739ac088c986e15d5d1229673b175ef1ef401c1ad8454ecf09b",
+    "C08": "b721fd22524e47d1a3327208509bfe1b24afd98d79513b9859e6b71c3ce4c63a",
+    "C09": "c0ee33291ef7428051238011bf6cef6f9758fa1291011b75574cfbaaa8819586",
+    "C10": "c271ab3e6155473faac4c29d6f9ec0200bcb5199b59311f8d95b035b4e23966a",
+    "P01": "6565ed53d7f6b8b72dbcba6cb4d0c10846d30d1f1f0cabc2b93bcd6858541c8f",
+    "P02": "0079e87421074f1a477bde5a0e776fe1b35c053e5b7499020cc139045f4c58ef",
+    "P03": "ceb2694f9cec4fee65cab22496c2cb9df1acb23556cfe2c6cd45d7409be97e28",
+    "P04": "00f9144144d1eff02899259eaf92d7bc3e74c7842b176aecd6979b2ff02ccfb1",
+    "P05": "4ee277709d94fc1cde69af32446ca494e8d233a50a34df4313faa53c9dc19d9a",
+}
 
-@pytest.mark.parametrize("check", ACCEPTANCE_CHECKS, ids=[c.check_id for c in ACCEPTANCE_CHECKS])
-def test_acceptance_criterion(check):
+
+def _run_and_assert(check):
     result = check(CONFIG)
     print(f"{result.check_id} {'PASS' if result.passed else 'FAIL'} ({result.seconds:.2f}s): {result.details}")
     assert result.passed, f"{result.check_id} {result.description}: {result.details}"
+    digest = hashlib.sha256(result.details.encode()).hexdigest()
+    assert digest == DETAILS_DIGESTS[result.check_id], f"{result.check_id} details changed: {result.details}"
+
+
+@pytest.mark.parametrize("check", ACCEPTANCE_CHECKS, ids=[c.check_id for c in ACCEPTANCE_CHECKS])
+def test_acceptance_criterion(check):
+    _run_and_assert(check)
 
 
 @pytest.mark.parametrize("check", PROPERTY_CHECKS, ids=[c.check_id for c in PROPERTY_CHECKS])
 def test_property_suite(check):
-    result = check(CONFIG)
-    print(f"{result.check_id} {'PASS' if result.passed else 'FAIL'} ({result.seconds:.2f}s): {result.details}")
-    assert result.passed, f"{result.check_id} {result.description}: {result.details}"
+    _run_and_assert(check)

@@ -17,6 +17,7 @@ from contractsched import (
     figure1_performance_curve,
     figure2_deficiency_surface,
     figure3_single_processor_curves,
+    greedy_geometric_makespan,
     optimize_geometric_functional,
     performance_ratio_closed_form,
     roundrobin_lower_bound,
@@ -64,6 +65,17 @@ def test_functionals_reject_values_beyond_the_float_range(name, kwargs):
         functional(1e200)
     with pytest.raises(ValueError, match="needs a finite a > 1"):
         truncated_functional_sup(name, math.inf, **kwargs)
+
+
+@pytest.mark.parametrize("b, n, m", [(math.inf, 2, 2), (1e200, 3, 2), (2.0, 3000, 1)])
+def test_greedy_closed_form_rejects_values_beyond_the_float_range(b, n, m):
+    with pytest.raises(ValueError):
+        greedy_geometric_makespan(b, n, m)
+
+
+def test_truncated_sup_rejects_sums_beyond_the_float_range():
+    with pytest.raises(ValueError, match="^two-problem truncated sup at a=64.0 overflows the float range$"):
+        truncated_functional_sup("two-problem", 64.0)
 
 
 def test_at_beta_consistent_with_general_bound():
@@ -155,6 +167,18 @@ def test_optimizer_cyclic_matches_closed_form():
         a_star, value = optimize_geometric_functional("cyclic-acceleration", n=n, m=m)
         assert a_star == pytest.approx(acceleration_optimal_base(n, m), abs=1e-6)
         assert value == pytest.approx(cyclic_acceleration_lower_bound(n, m).value, rel=1e-9)
+
+
+@pytest.mark.parametrize("name, kwargs, closed_base, closed_value", [
+    ("round-robin", {"n": 200}, deficiency_optimal_base(200, 1), best_exponential_deficiency_single_processor(200).value),
+    ("cyclic-acceleration", {"n": 150, "m": 30}, acceleration_optimal_base(150, 30),
+     cyclic_acceleration_lower_bound(150, 30).value),
+])
+def test_optimizer_bracket_stays_in_the_float_range(name, kwargs, closed_base, closed_value):
+    # a fixed bracket end of 64 would overflow a**(n+1) and a**(n+m) here
+    a_star, value = optimize_geometric_functional(name, **kwargs)
+    assert abs(a_star - closed_base) <= 1e-6
+    assert abs(value - closed_value) <= 1e-9 * closed_value
 
 
 def test_optimizer_nonconvergence_error():

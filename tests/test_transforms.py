@@ -14,7 +14,8 @@ from contractsched import (
     reduce_consecutive_pairs,
     snapshots_before,
 )
-from contractsched.transforms import _pair_q_test, _runs
+from contractsched import transforms
+from contractsched.transforms import _certified, _pair_q_test, _ratios, _runs
 
 
 def sched(rows, n=None, m=1):
@@ -212,7 +213,7 @@ def test_reduce_irreducible_run_left_intact():
     contracts = list(s.contracts)
     for idx in (2, 3):
         candidate = contracts[:idx] + contracts[idx + 1 :]
-        assert deficiency_value_m1(candidate, 2) > before + 1e-9
+        assert deficiency_value_m1(Schedule(2, 1, tuple(candidate))) > before + 1e-9
     trace = reduce_consecutive_pairs(s)
     assert trace.output == s
     assert len(trace.run_outcomes) == 1
@@ -232,6 +233,27 @@ def test_reduce_with_only_blocked_runs_returns_its_input():
     assert [o.action for o in trace.run_outcomes] in (["certified"], ["irreducible"])
 
 
+@pytest.mark.parametrize("rows, calls", [
+    # blocked run: the state, then one candidate per pair; the direct test
+    # and the certification reuse them
+    ([(0, 0.1984), (1, 7.906), (0, 1.3881), (0, 6.3709), (0, 7.8351)], 3),
+    # the first pair fails, the second passes: the state, two candidates,
+    # and the chosen candidate again as the loop's next state
+    ([(0, 1.0), (1, 10.0), (0, 5.0), (0, 6.0), (0, 7.0)], 4),
+])
+def test_reduce_evaluates_each_candidate_once(monkeypatch, rows, calls):
+    counted = []
+    original = transforms._ratios
+
+    def counting(*args):
+        counted.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(transforms, "_ratios", counting)
+    reduce_consecutive_pairs(sched(rows, n=2))
+    assert len(counted) == calls
+
+
 def test_reduce_dichotomy_under_canonical_windows():
     # at the first pair of a run whose pair-start window has both problems
     # served strictly before it, the local test and the certification cannot
@@ -248,8 +270,9 @@ def test_reduce_dichotomy_under_canonical_windows():
             t = sum(c.length for c in contracts[:start])
             if not min(next(snapshots_before(normalized, [t]))) > 0.0:
                 continue
-            drop_ok, certified = _pair_q_test(contracts, start)
-            assert drop_ok or certified
+            dropped = contracts[:start] + contracts[start + 1 :]
+            ratios, dropped_ratios = _ratios(contracts, 2), _ratios(dropped, 2)
+            assert _pair_q_test(ratios, dropped_ratios, start) or _certified(contracts, start)
             checked += 1
     assert checked > 5
 
