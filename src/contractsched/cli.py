@@ -72,12 +72,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     sched = load_schedule(args.schedule)
+    samples = args.csv is not None
     if args.measure == "acc":
-        report = metrics.acceleration_ratio(sched)
+        report = metrics.acceleration_ratio(sched, samples=samples)
     elif args.measure == "perf":
-        report = metrics.performance_ratio(sched)
+        report = metrics.performance_ratio(sched, samples=samples)
     else:
-        report = metrics.deficiency(sched, solver=args.solver, samples=args.csv is not None)
+        report = metrics.deficiency(sched, solver=args.solver, samples=samples)
     _print_json(
         {
             "measure": report.measure,

@@ -87,12 +87,6 @@ class Snapshot:
     def sorted(self) -> tuple[float, ...]:
         return tuple(sorted(self.longest))
 
-    def value(self, i: int) -> float:
-        """The i-th smallest element, 1-indexed."""
-        if not (1 <= i <= len(self.longest)):
-            raise IndexError(f"rank {i} out of range [1, {len(self.longest)}]")
-        return self.sorted[i - 1]
-
     @property
     def complete(self) -> bool:
         """True if every problem has at least one completed contract."""
@@ -186,8 +180,9 @@ def snapshot_before(schedule: Schedule, t: float) -> Snapshot:
 #
 # {"n": int, "m": int, "contracts": [{"problem": int, "processor": int,
 #  "length": float}, ...]} in global execution order, plus an optional
-# "generator" object.  Round-trips are value-exact (Python's json module
-# serializes floats via repr, which is lossless for binary64).
+# "generator" object, written compact on one line.  Round-trips are
+# value-exact (Python's json module serializes floats via repr, which is
+# lossless for binary64).
 # ---------------------------------------------------------------------------
 
 
@@ -257,7 +252,8 @@ def schedule_from_dict(doc: dict) -> Schedule:
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schedule_to_dict(schedule), indent=2) + "\n", encoding="utf-8")
+    # compact separators keep json on its C encoder; indent= would force the pure-Python one
+    Path(path).write_text(json.dumps(schedule_to_dict(schedule), separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def load_schedule(path: str | Path) -> Schedule:

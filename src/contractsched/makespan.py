@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 EXACT_MAX_JOBS = 24
+
+_OVERFLOW = "a processor load overflows the float range"
 
 
 class InstanceTooLargeError(ValueError):
@@ -49,19 +51,62 @@ class Assignment:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.makespan):
-            raise ValueError("a processor load overflows the float range")
+            raise ValueError(_OVERFLOW)
+
+
+def _place(sizes: Sequence[float], order: Iterable[int], m: int) -> list[int]:
+    """Graham's list scheduling: the processor of each job, placed in ``order`` on a least-loaded processor.
+
+    Ties go to the lowest processor index (only a strictly smaller load
+    displaces the first minimum).  The loads kept here are placement-order
+    sums; callers take the makespan from ``_loads``.
+    """
+    loads = [0.0] * m
+    processor_of = [0] * len(sizes)
+    for job in order:
+        proc, low = 0, loads[0]
+        for p in range(1, m):
+            if loads[p] < low:
+                proc, low = p, loads[p]
+        processor_of[job] = proc
+        loads[proc] = low + sizes[job]
+    return processor_of
+
+
+def _loads(processor_of: Sequence[int], sizes: Sequence[float], m: int) -> list[float]:
+    """Processor loads summed in job-index order, so every solver's makespan is the same float for one map."""
+    loads = [0.0] * m
+    for job, proc in enumerate(processor_of):
+        loads[proc] += sizes[job]
+    return loads
+
+
+def _lpt(sizes: Sequence[float], m: int) -> list[int]:
+    """The LPT placement: ``_place`` on the jobs by decreasing size, ties to the lowest job index."""
+    return _place(sizes, sorted(range(len(sizes)), key=lambda j: (-sizes[j], j)), m)
+
+
+def _lpt_span(sizes: Sequence[float], m: int) -> float:
+    """``lpt_makespan(MakespanInstance(sizes, m)).makespan`` without building either object.
+
+    The sizes must be positive and finite, as ``MakespanInstance`` checks;
+    a makespan that overflows is a ValueError, as in ``Assignment``.
+    """
+    span = max(_loads(_lpt(sizes, m), sizes, m))
+    if not math.isfinite(span):
+        raise ValueError(_OVERFLOW)
+    return span
 
 
 def assignment_from_map(processor_of: Sequence[int], sizes: Sequence[float], m: int, optimal: bool) -> Assignment:
     """The assignment sending job j to processor ``processor_of[j]``.
 
-    Loads are summed in job-index order, so every solver's makespan is the
-    same float for the same map and sizes (``exact_makespan`` on one
-    processor returns the correctly rounded total instead).
+    Loads are summed in job-index order (``_loads``), so every solver's
+    makespan is the same float for the same map and sizes
+    (``exact_makespan`` on one processor returns the correctly rounded
+    total instead).
     """
-    loads = [0.0] * m
-    for job, proc in enumerate(processor_of):
-        loads[proc] += sizes[job]
+    loads = _loads(processor_of, sizes, m)
     return Assignment(
         processor_of=tuple(processor_of),
         loads=tuple(loads),
@@ -78,24 +123,15 @@ def greedy_in_order(instance: MakespanInstance, order: Sequence[int] | None = No
     order lands on processor i mod m).
     """
     n = len(instance.sizes)
-    if order is None:
-        order = range(n)
-    order = list(order)
+    order = range(n) if order is None else list(order)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the job indices")
-    loads = [0.0] * instance.m
-    processor_of = [0] * n
-    for job in order:
-        proc = min(range(instance.m), key=lambda p: loads[p])
-        processor_of[job] = proc
-        loads[proc] += instance.sizes[job]
-    return assignment_from_map(processor_of, instance.sizes, instance.m, optimal=False)
+    return assignment_from_map(_place(instance.sizes, order, instance.m), instance.sizes, instance.m, optimal=False)
 
 
 def lpt_makespan(instance: MakespanInstance) -> Assignment:
     """Greedy on jobs in decreasing size order (the LPT heuristic)."""
-    order = sorted(range(len(instance.sizes)), key=lambda j: (-instance.sizes[j], j))
-    return greedy_in_order(instance, order)
+    return assignment_from_map(_lpt(instance.sizes, instance.m), instance.sizes, instance.m, optimal=False)
 
 
 def lower_bound(sizes: Sequence[float], m: int) -> float:

@@ -23,10 +23,12 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
-# perfbench/traced_cli.py wraps metrics.simulate and metrics.critical_times by name, so both stay imported.
+# perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
+# so all three stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
 from .core import Schedule, critical_times, simulate, snapshots_before  # noqa: F401
-from .makespan import MakespanInstance, assignment_from_map, exact_makespan, lower_bound, lpt_makespan
+from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
+from .makespan import lpt_makespan  # noqa: F401
 
 # Relative distance, entry by entry, within which two normalized snapshots
 # share one optimal partition in ``deficiency`` (see its docstring).
@@ -174,23 +176,31 @@ def _acceleration_limit(schedule: Schedule) -> dict | None:
     return {"kind": "limit", "value": limit(b)}
 
 
-def acceleration_ratio(schedule: Schedule, window: Iterable[float] | None = None) -> MeasureReport:
-    """sup over interruption times t, max over problems, of t / longest completed."""
-    return _evaluate(schedule, window, "acceleration", lambda snap: snap[0], _acceleration_limit(schedule))
+def acceleration_ratio(schedule: Schedule, window: Iterable[float] | None = None, *,
+                       samples: bool = True) -> MeasureReport:
+    """sup over interruption times t, max over problems, of t / longest completed.
+
+    ``samples=False`` asks for the value alone: no per-window row is kept,
+    and every other field is that of the full report.
+    """
+    return _evaluate(schedule, window, "acceleration", lambda snap: snap[0], _acceleration_limit(schedule),
+                     samples=samples)
 
 
-def performance_ratio(schedule: Schedule, window: Iterable[float] | None = None) -> MeasureReport:
+def performance_ratio(schedule: Schedule, window: Iterable[float] | None = None, *,
+                      samples: bool = True) -> MeasureReport:
     """Acceleration ratio scaled down by ceil(n/m), the offline stacking factor.
 
     The worst feasible offline schedule uses equal-length contracts; with m < n
     some processor stacks ceil(n/m) of them, so its contracts have length
     t/ceil(n/m).  For m >= n this coincides with the acceleration ratio.
+    ``samples=False`` keeps no per-window row, as in ``acceleration_ratio``.
     """
     stack = math.ceil(schedule.n_problems / schedule.m_processors)
     analytic = _acceleration_limit(schedule)
     if analytic is not None:
         analytic["value"] /= stack
-    return _evaluate(schedule, window, "performance", lambda snap: stack * snap[0], analytic)
+    return _evaluate(schedule, window, "performance", lambda snap: stack * snap[0], analytic, samples=samples)
 
 
 def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver: str = "exact", *,
@@ -200,7 +210,10 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     ``solver="exact"`` uses the branch-and-bound makespan oracle (guarded at
     24 jobs).  ``solver="lpt"`` substitutes the LPT makespan; since LPT
     over-estimates OPT, each ratio in the series then under-estimates the
-    true deficiency, and the report is flagged non-exact.  On one processor
+    true deficiency, and the report is flagged non-exact.  Its makespan is
+    that of ``lpt_makespan``, taken from the same placement loop without
+    building a ``MakespanInstance`` (a served snapshot of a ``Schedule``
+    holds only positive, finite lengths).  On one processor
     OPT is the snapshot's total, taken with ``math.fsum`` (correctly
     rounded, so independent of summation order) for either solver, and no
     solve runs.
@@ -244,7 +257,7 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
         if m == 1:
             return math.fsum(snap)
         if solver == "lpt":
-            return lpt_makespan(MakespanInstance(sizes=snap, m=m)).makespan
+            return _lpt_span(snap, m)
         top = snap[-1]
         ratios = tuple(v / top for v in snap)
         key = tuple(float(f"{r:.12g}") for r in ratios)

@@ -115,8 +115,8 @@ def deficiency_value_m1(schedule: Schedule) -> float:
 # The rewrite loop
 # ---------------------------------------------------------------------------
 
-# one step: (kind, index, problems, rule, next contract list)
-_Move = tuple[str, int, tuple[int, int] | None, str | None, list[Contract]]
+# one step: (kind, index, problems, rule, next contract list, its ``_ratios`` if the step rule already has them)
+_Move = tuple[str, int, tuple[int, int] | None, str | None, list[Contract], list | None]
 
 
 def _first_dominated(contracts: list[Contract], n: int) -> int | None:
@@ -135,8 +135,9 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
     ``next_move(contracts, n, ratios)`` sees the current state with its
     windows and returns the next move, or None when it has none; ``outcomes``
     holds the run outcomes it records.  The loop holds each state's
-    ``_ratios``, evaluates a new state once and reads both deficiencies of a
-    step from those lists, over the window sets ``TransformStep`` describes.
+    ``_ratios``, evaluates a new state once (not at all when the move carries
+    its windows) and reads both deficiencies of a step from those lists, over
+    the window sets ``TransformStep`` describes.
     """
     n = schedule.n_problems
     cur = list(schedule.contracts)
@@ -145,13 +146,14 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
     while True:
         dom = _first_dominated(cur, n)
         if dom is not None:
-            move = ("remove-dominated", dom, None, None, cur[:dom] + cur[dom + 1 :])
+            move = ("remove-dominated", dom, None, None, cur[:dom] + cur[dom + 1 :], None)
         else:
             move = next_move(cur, n, ratios)
             if move is None:
                 break
-        kind, idx, problems, rule, nxt = move
-        nxt_ratios = _ratios(nxt, n)
+        kind, idx, problems, rule, nxt, nxt_ratios = move
+        if nxt_ratios is None:
+            nxt_ratios = _ratios(nxt, n)
         served = [i for i, (_, ratio) in enumerate(ratios)
                   if ratio is not None and not (kind == "remove-dominated" and i == idx)]
         before = max((ratios[i][1] for i in served), default=math.inf)
@@ -215,7 +217,7 @@ def _suffix_swap_move(contracts: list[Contract], n: int, ratios) -> _Move | None
         return None
     idx, target = violation
     offending = contracts[idx].problem
-    return "swap-assignment", idx, (target, offending), None, _swap_suffix(contracts, idx, target, offending)
+    return "swap-assignment", idx, (target, offending), None, _swap_suffix(contracts, idx, target, offending), None
 
 
 def normalize(schedule: Schedule) -> NormalizationTrace:
@@ -311,16 +313,16 @@ def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
                 dropped = cur[:p] + cur[p + 1 :]
                 dropped_ratios = _ratios(dropped, n)
                 if _pair_q_test(ratios, dropped_ratios, p):
-                    chosen = p, "q-test", dropped
+                    chosen = p, "q-test", dropped, dropped_ratios
                     break
                 candidates.append((p, dropped, dropped_ratios))
             else:
                 limit = _value(ratios) * (1.0 + 1e-12) + 1e-15
-                chosen = next(((p, "direct", d) for p, d, r in candidates if _value(r) <= limit), None)
+                chosen = next(((p, "direct", d, r) for p, d, r in candidates if _value(r) <= limit), None)
             if chosen is not None:
-                pair_at, rule, nxt = chosen
+                pair_at, rule, nxt, nxt_ratios = chosen
                 outcomes.append(RunOutcome(run_start, run_len, "removed"))
-                return "remove-consecutive", pair_at, None, rule, nxt
+                return "remove-consecutive", pair_at, None, rule, nxt, nxt_ratios
         # whatever still stands is blocked: record whether the run at least
         # carries a certification (the pair's successor legitimately belongs
         # to the run's problem only through a least-served tie)

@@ -170,6 +170,21 @@ def test_eval_def_window_counts_match_the_csv(tmp_path, capsys):
     assert (pruned["value"], pruned["argmax_time"]) == (full["value"], full["argmax_time"])
 
 
+@pytest.mark.parametrize("measure", ["acc", "perf"])
+def test_eval_acc_perf_print_the_same_json_with_and_without_csv(tmp_path, capsys, measure):
+    # without --csv both ratios take the value-only route, which keeps no samples
+    rows = [(i % 4, i % 3, float(1 + (5 * i) % 7)) for i in range(30)]
+    sched_path = tmp_path / "sched.json"
+    save_schedule(Schedule(4, 3, tuple(Contract(p, q, length) for p, q, length in rows)), sched_path)
+    args = ["eval", "--schedule", str(sched_path), "--measure", measure]
+    code, value_only, _ = run_cli(args, capsys)
+    assert code == 0
+    code, full, _ = run_cli(args + ["--csv", str(tmp_path / "series.csv")], capsys)
+    assert code == 0
+    assert value_only == full
+    assert json.loads(full)["unserved_windows"] > 0
+
+
 def test_eval_def_guard_error_on_both_routes(tmp_path, capsys):
     # 25 problems exceed the exact solver's guard of 24 jobs
     sched_path = tmp_path / "sched.json"

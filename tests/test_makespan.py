@@ -2,18 +2,25 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractsched import (
+    Contract,
     InstanceTooLargeError,
     MakespanInstance,
+    Schedule,
+    deficiency,
     exact_makespan,
     greedy_geometric_makespan,
     greedy_in_order,
     lpt_makespan,
 )
 from contractsched.cli import main
+from contractsched.makespan import _lpt_span
 
 
 def enumerate_optimum(sizes, m):
@@ -180,6 +187,31 @@ def test_lpt_classic_tight_instance():
 
 def test_lpt_not_flagged_optimal():
     assert not lpt_makespan(MakespanInstance((3.0, 3.0, 2.0, 2.0, 2.0), 2)).optimal
+
+
+# tie-heavy job sizes: small integers, as ints and as floats, a few repeated
+# fractions, and arbitrary floats
+SIZES = st.one_of(st.integers(1, 4), st.integers(1, 4).map(float), st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 2 / 3]),
+                  st.floats(0.05, 100.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(SIZES, min_size=1, max_size=12), st.integers(2, 6))
+def test_lpt_denominator_path_matches_lpt_makespan(sizes, m):
+    assert _lpt_span(sizes, m) == lpt_makespan(MakespanInstance(sizes, m)).makespan
+    # the deficiency's own route: past the last finish time the snapshot is every size, sorted
+    s = Schedule(len(sizes), m, tuple(Contract(j, j % m, size) for j, size in enumerate(sizes)))
+    (sample,) = deficiency(s, window=[sum(sizes) + 1.0], solver="lpt").samples
+    assert sample.denominator == lpt_makespan(MakespanInstance(sorted(sizes), m)).makespan
+
+
+def test_lpt_denominator_path_raises_on_an_overflowing_makespan():
+    big = 0.6 * sys.float_info.max
+    for sizes, m in (((big, big, big), 2), ((big, big), 1), ((1.0, big, big, big, big), 3)):
+        with pytest.raises(ValueError, match="overflows"):
+            lpt_makespan(MakespanInstance(sizes, m))
+        with pytest.raises(ValueError, match="overflows"):
+            _lpt_span(sizes, m)
 
 
 # --- Graham sandwich ----------------------------------------------------------

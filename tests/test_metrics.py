@@ -341,18 +341,25 @@ def test_value_only_routes_build_no_samples(monkeypatch):
     monkeypatch.setattr(metrics, "MeasureSample", CountingSample)
     two = random_sched(random.Random(3), 3, 2, 12)
     one = sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 3.0)])
-    # exact with m >= 2 (the pruned route), exact with m = 1, LPT, an explicit window
-    for s, kwargs in ((two, {}), (one, {}), (two, {"solver": "lpt"}), (two, {"window": critical_times(two)[-3:]})):
-        full = deficiency(s, **kwargs)
+    times = critical_times(two)
+    # every default window starts unserved; the last explicit window mixes unserved and served times
+    windows = ({}, {"window": times[-3:]}, {"window": times[:2] + times[-2:]})
+    # exact with m >= 2 (the pruned route), exact with m = 1, LPT, explicit windows
+    cases = [(deficiency, two, {}), (deficiency, one, {}), (deficiency, two, {"solver": "lpt"})]
+    cases += [(deficiency, two, w) for w in windows[1:]]
+    cases += [(measure, s, w) for measure in (acceleration_ratio, performance_ratio) for s in (two, one) for w in windows]
+    for measure, s, kwargs in cases:
+        full = measure(s, **kwargs)
         assert len(built) == len(full.samples) > 0
         built.clear()
-        pruned = deficiency(s, samples=False, **kwargs)
+        pruned = measure(s, samples=False, **kwargs)
         assert built == []
         same_value(pruned, full)
-        if kwargs or s is one:
-            assert pruned.opt_solves == full.opt_solves and pruned.pruned_windows == 0
-        else:
+        if measure is deficiency and not kwargs and s is two:
             assert pruned.pruned_windows > 0
+        else:
+            assert pruned.opt_solves == full.opt_solves and pruned.pruned_windows == 0
+    assert math.isinf(acceleration_ratio(two, window=windows[2]["window"], samples=False).value)
 
 
 def test_opt_memo_solves_a_beta_exponential_shape_once():

@@ -237,9 +237,9 @@ def test_reduce_with_only_blocked_runs_returns_its_input():
     # blocked run: the state, then one candidate per pair; the direct test
     # and the certification reuse them
     ([(0, 0.1984), (1, 7.906), (0, 1.3881), (0, 6.3709), (0, 7.8351)], 3),
-    # the first pair fails, the second passes: the state, two candidates,
-    # and the chosen candidate again as the loop's next state
-    ([(0, 1.0), (1, 10.0), (0, 5.0), (0, 6.0), (0, 7.0)], 4),
+    # the first pair fails, the second passes: the state and two candidates;
+    # the chosen candidate's windows become the loop's next state
+    ([(0, 1.0), (1, 10.0), (0, 5.0), (0, 6.0), (0, 7.0)], 3),
 ])
 def test_reduce_evaluates_each_candidate_once(monkeypatch, rows, calls):
     counted = []
