@@ -9,7 +9,6 @@ closed-form bound calculators, and deficiency-safe schedule transforms.
 from .core import (
     Contract,
     Schedule,
-    Snapshot,
     critical_times,
     load_schedule,
     save_schedule,
@@ -39,9 +38,7 @@ from .metrics import (
     MeasureSample,
     acceleration_ratio,
     deficiency,
-    deficiency_bruteforce_oracle,
     performance_ratio,
-    scaling_oracle,
 )
 from .bounds import (
     BoundReport,
@@ -60,6 +57,7 @@ from .bounds import (
     truncated_functional_sup,
     two_problem_lower_bound,
 )
+from .verification import deficiency_bruteforce_oracle, scaling_oracle
 from .transforms import (
     NormalizationTrace,
     RunOutcome,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Contract",
     "Schedule",
-    "Snapshot",
     "critical_times",
     "simulate",
     "snapshot",

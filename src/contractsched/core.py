@@ -4,7 +4,10 @@ A schedule interleaves executions of contract algorithms (fixed-duration runs,
 each serving one problem) on ``m`` identical processors.  Every processor runs
 its contracts back-to-back starting at time 0, with no idle time.  The state
 relevant to an interruption at time ``t`` is the snapshot: for each problem,
-the length of the longest contract completed by ``t``.
+the length of the longest contract completed by ``t``, as a tuple in
+problem-index order (0.0 for a problem with nothing completed).
+``simulate`` gives each contract's finish time, in contract order, and
+``snapshots_before`` reads every snapshot a measure needs in one sweep.
 
 Interruptions "right before" a contract finishes are represented exactly, by
 taking the snapshot at the finish time with every contract finishing at that
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -45,10 +49,11 @@ class Schedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "contracts", tuple(self.contracts))
-        if self.n_problems < 1:
-            raise ValueError(f"n_problems must be >= 1, got {self.n_problems}")
-        if self.m_processors < 1:
-            raise ValueError(f"m_processors must be >= 1, got {self.m_processors}")
+        # a per-problem or per-processor list longer than sys.maxsize cannot be indexed
+        if not 1 <= self.n_problems <= sys.maxsize:
+            raise ValueError(f"n_problems must be in [1, {sys.maxsize}], got {self.n_problems}")
+        if not 1 <= self.m_processors <= sys.maxsize:
+            raise ValueError(f"m_processors must be in [1, {sys.maxsize}], got {self.m_processors}")
         for idx, c in enumerate(self.contracts):
             if not (0 <= c.problem < self.n_problems):
                 raise ValueError(f"contract {idx}: problem {c.problem} out of range [0, {self.n_problems})")
@@ -60,51 +65,19 @@ class Schedule:
     def __len__(self) -> int:
         return len(self.contracts)
 
-    def processor_queues(self) -> list[list[int]]:
-        """Contract indices per processor, in execution order."""
-        queues: list[list[int]] = [[] for _ in range(self.m_processors)]
-        for idx, c in enumerate(self.contracts):
-            queues[c.processor].append(idx)
-        return queues
 
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Per-problem longest completed contract lengths at an interruption time.
-
-    ``longest[p]`` is 0.0 when problem ``p`` has no completed contract, in
-    which case the snapshot is incomplete and ratio measures evaluate to
-    +infinity at this time.
-    """
-
-    t: float
-    longest: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "longest", tuple(self.longest))
-
-    @property
-    def sorted(self) -> tuple[float, ...]:
-        return tuple(sorted(self.longest))
-
-    @property
-    def complete(self) -> bool:
-        """True if every problem has at least one completed contract."""
-        return all(v > 0.0 for v in self.longest)
-
-
-def simulate(schedule: Schedule) -> list[tuple[int, float]]:
-    """Finish time of every contract, as (contract index, finish time) pairs.
+def simulate(schedule: Schedule) -> list[float]:
+    """Finish time of every contract: entry i is the finish time of contract i.
 
     Each processor executes its queue back-to-back from time 0, so a
     contract's finish time is the running load of its processor.  Raises
     ValueError if a processor's load overflows the float range.
     """
     loads = [0.0] * schedule.m_processors
-    out: list[tuple[int, float]] = []
-    for idx, c in enumerate(schedule.contracts):
+    out: list[float] = []
+    for c in schedule.contracts:
         loads[c.processor] += c.length
-        out.append((idx, loads[c.processor]))
+        out.append(loads[c.processor])
     # loads only grow, so checking the final ones covers every finish time
     for processor, load in enumerate(loads):
         if not math.isfinite(load):
@@ -119,8 +92,7 @@ def critical_times(schedule: Schedule) -> list[float]:
     ratio measures: between two consecutive finish times the snapshot is
     constant while the numerator grows.
     """
-    fins = sorted(f for _, f in simulate(schedule))
-    return fins[:1] + [f for prev, f in zip(fins, fins[1:]) if f != prev]
+    return sorted(set(simulate(schedule)))
 
 
 def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tuple[float, ...]]:
@@ -137,7 +109,7 @@ def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tup
     100k live tuples for the garbage collector to track.
     """
     events = sorted(
-        ((fin, c.problem, c.length) for c, (_, fin) in zip(schedule.contracts, simulate(schedule))),
+        ((fin, c.problem, c.length) for c, fin in zip(schedule.contracts, simulate(schedule))),
         key=lambda e: e[0],
     )
     longest = [0.0] * schedule.n_problems
@@ -154,17 +126,17 @@ def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tup
         yield tuple(longest)
 
 
-def snapshot(schedule: Schedule, t: float) -> Snapshot:
-    """Snapshot at time t; contracts finishing exactly at t count as completed."""
+def snapshot(schedule: Schedule, t: float) -> tuple[float, ...]:
+    """Per-problem longest lengths at time t; contracts finishing exactly at t count as completed."""
     if not t > 0.0:
         raise ValueError(f"interruption time must be positive, got {t}")
     # a float finishes at or before t exactly when it finishes before the next float above t
     (longest,) = snapshots_before(schedule, [math.nextafter(t, math.inf)])
-    return Snapshot(t=t, longest=longest)
+    return longest
 
 
-def snapshot_before(schedule: Schedule, t: float) -> Snapshot:
-    """Snapshot right before t: contracts finishing at exactly t are excluded.
+def snapshot_before(schedule: Schedule, t: float) -> tuple[float, ...]:
+    """Per-problem longest lengths right before t: contracts finishing at exactly t are excluded.
 
     This realizes interruption "right before" a finish time exactly; all
     contracts tied at t are excluded together.
@@ -172,7 +144,7 @@ def snapshot_before(schedule: Schedule, t: float) -> Snapshot:
     if not t > 0.0:
         raise ValueError(f"interruption time must be positive, got {t}")
     (longest,) = snapshots_before(schedule, [t])
-    return Snapshot(t=t, longest=longest)
+    return longest
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Makespan solvers on identical processors.
 
 The makespan of an assignment is the maximum processor load.  Three solvers
-are provided: list-greedy in a caller-supplied order (each job goes to a
+are provided: list-greedy in job-index order (each job goes to a
 least-loaded processor, ties to the lowest index), LPT (greedy on jobs in
 decreasing size), and an exact branch-and-bound used as the OPT oracle in
 the deficiency measure.
@@ -10,6 +10,7 @@ the deficiency measure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,8 +32,9 @@ class MakespanInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        # a per-processor list longer than sys.maxsize cannot be indexed
+        if not 1 <= self.m <= sys.maxsize:
+            raise ValueError(f"m must be in [1, {sys.maxsize}], got {self.m}")
         if not self.sizes:
             raise ValueError("instance needs at least one job")
         for s in self.sizes:
@@ -115,18 +117,15 @@ def assignment_from_map(processor_of: Sequence[int], sizes: Sequence[float], m: 
     )
 
 
-def greedy_in_order(instance: MakespanInstance, order: Sequence[int] | None = None) -> Assignment:
-    """Graham's list scheduling: jobs in `order`, each to a least-loaded processor.
+def greedy_in_order(instance: MakespanInstance) -> Assignment:
+    """Graham's list scheduling: jobs in index order, each to a least-loaded processor.
 
     Ties are broken by the lowest processor index, which makes the placement
-    deterministic (on geometrically increasing sizes, the i-th job of the
-    order lands on processor i mod m).
+    deterministic (on geometrically increasing sizes, job i lands on
+    processor i mod m).
     """
-    n = len(instance.sizes)
-    order = range(n) if order is None else list(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the job indices")
-    return assignment_from_map(_place(instance.sizes, order, instance.m), instance.sizes, instance.m, optimal=False)
+    sizes, m = instance.sizes, instance.m
+    return assignment_from_map(_place(sizes, range(len(sizes)), m), sizes, m, optimal=False)
 
 
 def lpt_makespan(instance: MakespanInstance) -> Assignment:

@@ -14,6 +14,9 @@ Times where some problem has no completed contract ("unserved" windows) are
 infinitely bad.  With the default window they are reported separately and the
 value is the supremum over the served windows; a window passed explicitly
 that is unserved makes the value +infinity.
+
+This module holds the measures only; the independent oracles that check
+them (scaling bisection, enumeration) live in ``verification``.
 """
 
 from __future__ import annotations
@@ -33,12 +36,6 @@ from .makespan import lpt_makespan  # noqa: F401
 # Relative distance, entry by entry, within which two normalized snapshots
 # share one optimal partition in ``deficiency`` (see its docstring).
 SHAPE_TOLERANCE = 4e-13
-
-# Relative width at which ``scaling_oracle`` stops bisecting, and the largest
-# schedules ``deficiency_bruteforce_oracle`` accepts.
-ORACLE_REL_TOL = 1e-13
-ORACLE_MAX_PROBLEMS = 10
-ORACLE_MAX_PROCESSORS = 3
 
 
 @dataclass(frozen=True)
@@ -280,53 +277,3 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
                        lower=(lambda snap: lower_bound(snap, m)) if prune else None)
     return replace(report, solver=solver, exact=(solver == "exact"), opt_solves=solves)
 
-
-def scaling_oracle(values: Sequence[float], m: int, t: float) -> float:
-    """Largest d such that the d-scaled value set packs into m processors by time t.
-
-    Bisection on d with exact-makespan feasibility.  Because the makespan
-    scales linearly, this equals t / OPT(values); the two routes are kept
-    separate so each can check the other.
-    """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    values = tuple(values)
-    total = sum(values)
-    top = max(values)
-    lo = t / total  # always feasible: OPT(lo * values) <= lo * total = t
-    hi = (t / top) * (1.0 + 1e-6)  # infeasible: the largest scaled job alone exceeds t
-
-    def feasible(d: float) -> bool:
-        span = exact_makespan(MakespanInstance(tuple(d * v for v in values), m)).makespan
-        return span <= t * (1.0 + 1e-12)
-
-    if feasible(hi):  # numerical slack only; hi is infeasible in exact arithmetic
-        return hi
-    for _ in range(200):
-        if hi - lo <= ORACLE_REL_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def deficiency_bruteforce_oracle(schedule: Schedule, t: float) -> float:
-    """Deficiency at time t via the scaling characterization, as an independent check.
-
-    The best offline schedule scales the snapshot uniformly by the largest
-    feasible factor d, so def(X, t) = d; computed by bisection rather than by
-    the t/OPT formula.  Guarded to small instances.
-    """
-    if schedule.n_problems > ORACLE_MAX_PROBLEMS or schedule.m_processors > ORACLE_MAX_PROCESSORS:
-        raise ValueError(
-            f"oracle guard: needs n <= {ORACLE_MAX_PROBLEMS} and m <= {ORACLE_MAX_PROCESSORS}, "
-            f"got n={schedule.n_problems}, m={schedule.m_processors}"
-        )
-    (longest,) = snapshots_before(schedule, [t])
-    snap = tuple(sorted(longest))
-    if snap[0] <= 0.0:
-        return math.inf
-    return scaling_oracle(snap, schedule.m_processors, t)

@@ -90,8 +90,8 @@ def _ratios(contracts: list[Contract], n: int) -> list[tuple[float, float | None
     the finish of contract i, so entry i - 1 is the one at its start.
     """
     schedule = Schedule(n_problems=n, m_processors=1, contracts=tuple(contracts))
-    times = [fin for _, fin in simulate(schedule)]
-    return [(t, ratio if snap[0] > 0.0 else None) for t, snap, _, ratio in window_ratios(schedule, times, math.fsum)]
+    return [(t, ratio if snap[0] > 0.0 else None)
+            for t, snap, _, ratio in window_ratios(schedule, simulate(schedule), math.fsum)]
 
 
 def _value(ratios: list[tuple[float, float | None]]) -> float:

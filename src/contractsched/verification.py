@@ -4,6 +4,10 @@ Each check is a pure function returning a CheckResult; the CLI `verify`
 command and the acceptance test module both run this list, so there is one
 source of truth for what "correct" means.  Randomized suites draw from a
 seeded generator and are reproducible byte for byte.
+
+The independent oracles the checks compare against live here too: the
+scaling bisection (``scaling_oracle``, ``deficiency_bruteforce_oracle``),
+which never evaluates t / OPT, and the exhaustive makespan enumeration.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import bounds, metrics, transforms
-from .core import Schedule, Contract, critical_times, simulate
+from .core import Schedule, Contract, critical_times, simulate, snapshots_before
 from .generators import ExponentialSpec, acceleration_optimal_base, deficiency_optimal_base, exponential_schedule
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order
 
@@ -26,6 +30,12 @@ GEOMETRIC_GRID = {
     "m": range(1, 5),
     "k": range(0, 4),
 }
+
+# Relative width at which ``scaling_oracle`` stops bisecting, and the largest
+# schedules ``deficiency_bruteforce_oracle`` accepts.
+ORACLE_REL_TOL = 1e-13
+ORACLE_MAX_PROBLEMS = 10
+ORACLE_MAX_PROCESSORS = 3
 
 
 @dataclass
@@ -108,6 +118,57 @@ def _enumerated_makespan(sizes: tuple[float, ...], m: int) -> float:
     return best
 
 
+def scaling_oracle(values: Sequence[float], m: int, t: float) -> float:
+    """Largest d such that the d-scaled value set packs into m processors by time t.
+
+    Bisection on d with exact-makespan feasibility.  Because the makespan
+    scales linearly, this equals t / OPT(values); the two routes are kept
+    separate so each can check the other.
+    """
+    if not t > 0.0:
+        raise ValueError("t must be positive")
+    values = tuple(values)
+    total = sum(values)
+    top = max(values)
+    lo = t / total  # always feasible: OPT(lo * values) <= lo * total = t
+    hi = (t / top) * (1.0 + 1e-6)  # infeasible: the largest scaled job alone exceeds t
+
+    def feasible(d: float) -> bool:
+        span = exact_makespan(MakespanInstance(tuple(d * v for v in values), m)).makespan
+        return span <= t * (1.0 + 1e-12)
+
+    if feasible(hi):  # numerical slack only; hi is infeasible in exact arithmetic
+        return hi
+    for _ in range(200):
+        if hi - lo <= ORACLE_REL_TOL * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def deficiency_bruteforce_oracle(schedule: Schedule, t: float) -> float:
+    """Deficiency at time t via the scaling characterization, as an independent check.
+
+    The best offline schedule scales the snapshot uniformly by the largest
+    feasible factor d, so def(X, t) = d; computed by bisection rather than by
+    the t/OPT formula.  Guarded to small instances.
+    """
+    if schedule.n_problems > ORACLE_MAX_PROBLEMS or schedule.m_processors > ORACLE_MAX_PROCESSORS:
+        raise ValueError(
+            f"oracle guard: needs n <= {ORACLE_MAX_PROBLEMS} and m <= {ORACLE_MAX_PROCESSORS}, "
+            f"got n={schedule.n_problems}, m={schedule.m_processors}"
+        )
+    (longest,) = snapshots_before(schedule, [t])
+    snap = tuple(sorted(longest))
+    if snap[0] <= 0.0:
+        return math.inf
+    return scaling_oracle(snap, schedule.m_processors, t)
+
+
 # ---------------------------------------------------------------------------
 # Acceptance criteria
 # ---------------------------------------------------------------------------
@@ -166,8 +227,7 @@ def check_finish_time_closed_form(config: VerifyConfig) -> tuple[bool, str]:
     ):
         k_max = max(n + m, n + k + 1)
         sched = exponential_schedule(ExponentialSpec(n=n, m=m, base=b, k_max=k_max))
-        fins = dict(simulate(sched))
-        got = fins[n + k]
+        got = simulate(sched)[n + k]
         want = (b ** (k + n + m) - b ** ((k + n) % m)) / (b**m - 1)
         worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
         count += 1
@@ -231,7 +291,7 @@ def check_oracles(config: VerifyConfig) -> tuple[bool, str]:
         sched = random_schedule(rng, n, m, rng.randint(max(3, n), 12))
         report = metrics.deficiency(sched)
         for sample in report.samples:
-            oracle = metrics.deficiency_bruteforce_oracle(sched, sample.time)
+            oracle = deficiency_bruteforce_oracle(sched, sample.time)
             worst_def = max(worst_def, abs(sample.ratio - oracle) / max(sample.ratio, 1e-300))
             windows += 1
 
@@ -387,15 +447,15 @@ def check_snapshot_properties(config: VerifyConfig) -> tuple[bool, str]:
         prev = None
         for t in times:
             snap = snapshot(sched, t)
-            if prev is not None and any(a < b for a, b in zip(snap.longest, prev)):
+            if prev is not None and any(a < b for a, b in zip(snap, prev)):
                 return False, f"snapshot not monotone at t={t}"
-            prev = snap.longest
+            prev = snap
         gaps = [b - a for a, b in zip(times, times[1:])]
         eps = (min(gaps) / 2.0) if gaps else times[0] / 2.0
         for t in times:
             left = snapshot_before(sched, t)
             shifted = snapshot(sched, t - eps) if t - eps > 0 else None
-            if shifted is not None and left.longest != shifted.longest:
+            if shifted is not None and left != shifted:
                 return False, f"snapshot_before({t}) differs from snapshot({t - eps})"
     return True, "monotonicity and boundary exactness on 50 random schedules"
 

@@ -255,7 +255,7 @@ def test_performance_rewritten_forms():
 def test_simulated_finish_times_match_closed_form():
     for b, n, m in itertools.product((1.5, 2.0), (1, 2, 4), (1, 2, 3)):
         sched = exponential_schedule(ExponentialSpec(n=n, m=m, base=b))
-        fins = dict(simulate(sched))
+        fins = simulate(sched)
         for k in range(0, len(sched.contracts) - n):
             want = (b ** (k + n + m) - b ** ((k + n) % m)) / (b**m - 1)
             assert fins[n + k] == pytest.approx(want, rel=1e-9)

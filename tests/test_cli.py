@@ -104,7 +104,7 @@ def test_eval_csv_unserved_rows_carry_snapshots(tmp_path, capsys):
     assert lines[1] == "time,s1,s2,s3,denominator,ratio,served"
     unserved = [line.split(",")[:4] for line in lines[2:] if line.endswith(",0")]
     expected = [
-        [f"{t:.12g}"] + [f"{v:.12g}" for v in sorted(snapshot_before(s, t).longest)]
+        [f"{t:.12g}"] + [f"{v:.12g}" for v in sorted(snapshot_before(s, t))]
         for t in acceleration_ratio(s).unserved_times
     ]
     assert unserved == expected
@@ -288,6 +288,20 @@ def test_eval_rejects_a_base_whose_closed_form_overflows(tmp_path, capsys, measu
     assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
 
 
+@pytest.mark.parametrize("field", ["n", "m"])
+@pytest.mark.parametrize("args", [["eval", "--measure", "acc"], ["eval", "--measure", "def"], ["normalize"]],
+                         ids=["eval-acc", "eval-def", "normalize"])
+def test_schedule_rejects_n_and_m_beyond_an_index(tmp_path, capsys, field, args):
+    # a per-problem or per-processor list of 10**20 entries raised an OverflowError traceback
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({**one_contract(), field: 10**20}))
+    code, out, err = run_cli([*args, "--schedule", str(path)], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].endswith(f"must be in [1, {sys.maxsize}], got {10**20}")
+
+
 # --- bounds ----------------------------------------------------------------------
 
 
@@ -356,6 +370,13 @@ def test_makespan_greedy_and_lpt(capsys):
     assert json.loads(out)["makespan"] == 5.0
     _, out, _ = run_cli(["makespan", "--sizes", "3,3,2,2,2", "--m", "2", "--solver", "lpt"], capsys)
     assert json.loads(out)["makespan"] == 7.0
+
+
+def test_makespan_rejects_m_beyond_an_index(capsys):
+    code, out, err = run_cli(["makespan", "--sizes", "1,2", "--m", str(10**20)], capsys)
+    assert code == 1 and out == ""
+    message = f"m must be in [1, {sys.maxsize}], got {10**20}"
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
 
 
 # --- normalize ----------------------------------------------------------------------

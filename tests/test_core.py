@@ -30,19 +30,19 @@ def sched(n, m, rows):
 def test_simulate_two_processor_queues():
     # queues {1,4} and {2,8}: hand-computed finish times
     s = sched(3, 2, [(0, 0, 1.0), (1, 1, 2.0), (2, 0, 4.0), (0, 1, 8.0)])
-    assert simulate(s) == [(0, 1.0), (1, 2.0), (2, 5.0), (3, 10.0)]
+    assert simulate(s) == [1.0, 2.0, 5.0, 10.0]
     b, k, n, m = 2.0, 0, 3, 2
-    assert simulate(s)[3][1] == (b ** (k + n + m) - b ** ((k + n) % m)) / (b**m - 1)
+    assert simulate(s)[3] == (b ** (k + n + m) - b ** ((k + n) % m)) / (b**m - 1)
 
 
 def test_simulate_single_contract():
     s = sched(1, 1, [(0, 0, 5.0)])
-    assert simulate(s) == [(0, 5.0)]
+    assert simulate(s) == [5.0]
 
 
 def test_simulate_prefix_sums():
     s = sched(1, 1, [(0, 0, 1.0), (0, 0, 2.0), (0, 0, 4.0)])
-    assert simulate(s) == [(0, 1.0), (1, 3.0), (2, 7.0)]
+    assert simulate(s) == [1.0, 3.0, 7.0]
 
 
 def test_simulate_per_processor_strictly_increasing():
@@ -54,10 +54,10 @@ def test_simulate_per_processor_strictly_increasing():
             m,
             tuple(Contract(rng.randrange(n), rng.randrange(m), rng.uniform(0.1, 5)) for _ in range(k)),
         )
-        fins = dict(simulate(s))
-        for queue in s.processor_queues():
-            for a, b in zip(queue, queue[1:]):
-                assert fins[a] < fins[b]
+        fins = simulate(s)
+        for proc in range(m):
+            queue = [fin for c, fin in zip(s.contracts, fins) if c.processor == proc]
+            assert all(a < b for a, b in zip(queue, queue[1:]))
 
 
 def test_schedule_validation_errors():
@@ -85,23 +85,18 @@ ALTERNATING = [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 4.0), (1, 0, 8.0)]
 def test_snapshot_right_before_boundary():
     # x_2 finishes exactly at 7: excluded right before 7
     s = sched(2, 1, ALTERNATING)
-    assert snapshot_before(s, 7.0).longest == (1.0, 2.0)
-    assert snapshot(s, 7.0).longest == (4.0, 2.0)
+    assert snapshot_before(s, 7.0) == (1.0, 2.0)
+    assert snapshot(s, 7.0) == (4.0, 2.0)
 
 
 def test_snapshot_before_first_finish_is_incomplete():
     s = sched(2, 1, ALTERNATING)
-    snap = snapshot_before(s, 0.5)
-    assert snap.longest == (0.0, 0.0)
-    assert not snap.complete
+    assert snapshot_before(s, 0.5) == (0.0, 0.0)
 
 
 def test_snapshot_inclusive_at_end():
     s = sched(2, 1, ALTERNATING)
-    snap = snapshot(s, 15.0)
-    assert snap.longest == (4.0, 8.0)
-    assert snap.complete
-    assert snap.sorted == (4.0, 8.0)
+    assert snapshot(s, 15.0) == (4.0, 8.0)
 
 
 def test_snapshot_requires_positive_time():
@@ -119,7 +114,7 @@ def test_snapshot_monotone_in_time():
         )
         prev = None
         for t in critical_times(s):
-            cur = snapshot(s, t).longest
+            cur = snapshot(s, t)
             if prev is not None:
                 assert all(a >= b for a, b in zip(cur, prev))
             prev = cur
@@ -137,14 +132,13 @@ def test_snapshot_before_equals_epsilon_shift():
         eps = min(gaps) / 2 if gaps else times[0] / 2
         for t in times:
             if t - eps > 0:
-                assert snapshot_before(s, t).longest == snapshot(s, t - eps).longest
+                assert snapshot_before(s, t) == snapshot(s, t - eps)
 
 
 def before_by_brute_force(schedule, t):
     """Per-problem longest length among contracts finishing strictly before t."""
     longest = [0.0] * schedule.n_problems
-    for idx, fin in simulate(schedule):
-        c = schedule.contracts[idx]
+    for c, fin in zip(schedule.contracts, simulate(schedule)):
         if fin < t and c.length > longest[c.problem]:
             longest[c.problem] = c.length
     return tuple(longest)
@@ -164,7 +158,7 @@ def test_snapshots_before_matches_brute_force():
                 for _ in range(k)
             ),
         )
-        fins = sorted(fin for _, fin in simulate(s))
+        fins = sorted(simulate(s))
         tied += len(set(fins)) < len(fins)
         gaps = [(a + b) / 2 for a, b in zip(fins, fins[1:]) if a < b]
         near = [fin * (1 + 1e-12) for fin in fins]  # just after a finish time: it counts
@@ -172,7 +166,7 @@ def test_snapshots_before_matches_brute_force():
         times = sorted(fins + fins + gaps + near + edges)  # every finish time is queried at least twice
         assert list(snapshots_before(s, times)) == [before_by_brute_force(s, t) for t in times]
         for t in times:
-            assert [snapshot_before(s, t).longest] == list(snapshots_before(s, [t]))
+            assert [snapshot_before(s, t)] == list(snapshots_before(s, [t]))
     assert tied > 50
 
 
@@ -208,8 +202,8 @@ def test_critical_times_dedupes_ties():
 def test_tied_finishes_all_excluded_right_before():
     # both contracts end at 3: right before 3 neither counts, at 3 both do
     s = sched(2, 2, [(0, 0, 3.0), (1, 1, 3.0)])
-    assert snapshot_before(s, 3.0).longest == (0.0, 0.0)
-    assert snapshot(s, 3.0).longest == (3.0, 3.0)
+    assert snapshot_before(s, 3.0) == (0.0, 0.0)
+    assert snapshot(s, 3.0) == (3.0, 3.0)
 
 
 # --- JSON round-trip ---------------------------------------------------------

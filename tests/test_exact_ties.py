@@ -22,6 +22,7 @@ from contractsched import (
     critical_times,
     deficiency,
     deficiency_value_m1,
+    simulate,
     snapshot,
     snapshots_before,
 )
@@ -86,12 +87,13 @@ def reference_windows(schedule):
 @example(NEAR_TIE)
 def test_sweep_matches_float_reference(s):
     fins = finish_times(s)
-    assert critical_times(s) == sorted(set(fins))
+    assert simulate(s) == fins
+    assert critical_times(s) == sorted(set(simulate(s))) == sorted(set(fins))
     # every finish time, twice, and the floats on either side of it
     times = sorted(fins + fins + [math.nextafter(f, 0.0) for f in fins] + [math.nextafter(f, math.inf) for f in fins])
     assert list(snapshots_before(s, times)) == [longest_before(s, fins, t) for t in times]
     for t in fins:
-        assert snapshot(s, t).longest == longest_before(s, fins, math.nextafter(t, math.inf))
+        assert snapshot(s, t) == longest_before(s, fins, math.nextafter(t, math.inf))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -49,21 +49,11 @@ def test_greedy_single_job():
 
 
 def test_greedy_geometric_placement():
-    # increasing geometric sizes: the i-th job of the order lands on processor i mod m
+    # increasing geometric sizes: job i lands on processor i mod m
     for b, n, m, k in itertools.product((1.5, 2.0), (1, 3, 6), (1, 2, 3), (0, 2)):
         sizes = tuple(b ** (k + i) for i in range(n))
         a = greedy_in_order(MakespanInstance(sizes, m))
         assert all(a.processor_of[i] == i % m for i in range(n))
-
-
-def test_greedy_order_validation():
-    with pytest.raises(ValueError):
-        greedy_in_order(MakespanInstance((1.0, 2.0), 1), order=[0, 0])
-
-
-def test_greedy_custom_order():
-    a = greedy_in_order(MakespanInstance((1.0, 2.0, 4.0), 2), order=[2, 1, 0])
-    assert a.loads == (4.0, 3.0)  # 4 first, then 2 and 1 on the other processor
 
 
 # --- closed form ------------------------------------------------------------
