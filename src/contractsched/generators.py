@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mod
 
-from .core import Contract, Schedule
+from .core import Schedule, contract_of
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,10 @@ def exponential_schedule(spec: ExponentialSpec) -> Schedule:
     b = spec.base
     k = spec.contracts_to_build
     try:
-        contracts = tuple(Contract(problem=i % spec.n, processor=i % spec.m, length=b**i) for i in range(k))
+        # contract i is (i mod n, i mod m, b**i), built in one map with no Python code per contract
+        contracts = tuple(map(contract_of, zip(map(mod, range(k), repeat(spec.n)),
+                                               map(mod, range(k), repeat(spec.m)),
+                                               map(pow, repeat(b), range(k)))))
     except OverflowError:
         raise ValueError(f"base {b!r} with k={k} contracts overflows: {b!r}**{k - 1} exceeds the float range") from None
     return Schedule(

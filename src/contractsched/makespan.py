@@ -89,12 +89,20 @@ def _lpt(sizes: Sequence[float], m: int) -> list[int]:
 
 
 def _lpt_span(sizes: Sequence[float], m: int) -> float:
-    """``lpt_makespan(MakespanInstance(sizes, m)).makespan`` without building either object.
+    """``lpt_makespan(MakespanInstance(sizes, m)).makespan`` for ascending sizes, without a sort or either object.
 
-    The sizes must be positive and finite, as ``MakespanInstance`` checks;
-    a makespan that overflows is a ValueError, as in ``Assignment``.
+    The sizes must be ascending, positive and finite (the deficiency's
+    sorted snapshot of a ``Schedule``); a makespan that overflows is a
+    ValueError, as in ``Assignment``.  Jobs are placed from the last index
+    down, so in decreasing size as LPT places them; only jobs of equal size
+    may come in another order than LPT's lowest-index-first.  Equal sizes
+    are adjacent, and swapping two of them changes no size in the placement
+    sequence, so ``_place`` sends the same sizes to the same processors.
+    ``_loads`` then sums each processor's sizes in job-index order, which is
+    ascending size order for both maps, so every processor sums the same
+    floats in the same order and the makespan is the same float.
     """
-    span = max(_loads(_lpt(sizes, m), sizes, m))
+    span = max(_loads(_place(sizes, range(len(sizes) - 1, -1, -1), m), sizes, m))
     if not math.isfinite(span):
         raise ValueError(_OVERFLOW)
     return span

@@ -210,7 +210,8 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     true deficiency, and the report is flagged non-exact.  Its makespan is
     that of ``lpt_makespan``, taken from the same placement loop without
     building a ``MakespanInstance`` (a served snapshot of a ``Schedule``
-    holds only positive, finite lengths).  On one processor
+    holds only positive, finite lengths) and, since the sorted snapshot is
+    ascending, without LPT's sort (``makespan._lpt_span``).  On one processor
     OPT is the snapshot's total, taken with ``math.fsum`` (correctly
     rounded, so independent of summation order) for either solver, and no
     solve runs.

@@ -227,6 +227,31 @@ def test_eval_rejects_malformed_schedule(tmp_path, capsys, doc, message):
     assert message in error["message"]
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_eval_rejects_a_non_finite_length_in_the_file(tmp_path, capsys, token):
+    # json.loads reads these tokens as floats, so they pass the exact-type check and reach the length check
+    rows = ['{"problem":%d,"processor":0,"length":%s}' % row for row in ((0, "1.0"), (1, token), (0, "4.0"))]
+    path = tmp_path / "sched.json"
+    path.write_text('{"n":2,"m":1,"contracts":[%s]}' % ",".join(rows))
+    code, out, err = run_cli(["eval", "--schedule", str(path), "--measure", "acc"], capsys)
+    assert code == 1 and out == "" and "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == f"contract 1: length must be positive and finite, got {float(token)}"
+
+
+def test_eval_rejects_a_boolean_problem_in_the_file(tmp_path, capsys):
+    path = tmp_path / "sched.json"
+    rows = [{"problem": 0, "processor": 0, "length": 1.0}, {"problem": True, "processor": 0, "length": 2.0},
+            {"problem": 1, "processor": 0, "length": 4.0}]
+    path.write_text(json.dumps({"n": 2, "m": 1, "contracts": rows}))
+    code, out, err = run_cli(["eval", "--schedule", str(path), "--measure", "acc"], capsys)
+    assert code == 1 and out == "" and "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == "contract 1: problem must be an integer, got True"
+
+
 def test_eval_rejects_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "sched.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

@@ -1,9 +1,13 @@
+import collections
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractsched import (
     Contract,
@@ -75,6 +79,68 @@ def test_schedule_validation_errors():
         Schedule(0, 1, ())
     with pytest.raises(ValueError):
         Schedule(1, 0, ())
+
+
+def test_contract_is_a_named_tuple():
+    c = Contract(problem=2, processor=1, length=0.5)
+    assert (c.problem, c.processor, c.length) == (2, 1, 0.5)
+    assert c == Contract(2, 1, 0.5) == (2, 1, 0.5)
+    problem, processor, length = c
+    assert (problem, processor, length) == (2, 1, 0.5)
+    with pytest.raises(AttributeError):
+        c.length = 1.0
+
+
+# (field, bad value, message after "contract i: ") on a schedule with n = 3 and m = 2
+BAD_FIELDS = [
+    ("length", math.nan, "length must be positive and finite, got nan"),
+    ("length", math.inf, "length must be positive and finite, got inf"),
+    ("length", -math.inf, "length must be positive and finite, got -inf"),
+    ("length", 0.0, "length must be positive and finite, got 0.0"),
+    ("length", -1.0, "length must be positive and finite, got -1.0"),
+    ("problem", 3, "problem 3 out of range [0, 3)"),
+    ("problem", -1, "problem -1 out of range [0, 3)"),
+    ("processor", 2, "processor 2 out of range [0, 2)"),
+    ("processor", -1, "processor -1 out of range [0, 2)"),
+]
+
+
+def five_rows(bad):
+    """Five valid rows of a 3-problem, 2-processor schedule; ``bad`` maps an index to one replaced field."""
+    rows = [{"problem": i % 3, "processor": i % 2, "length": float(i + 1)} for i in range(5)]
+    for idx, (field, value) in bad.items():
+        rows[idx][field] = value
+    return rows
+
+
+def both_routes(rows):
+    """Build the rows through Schedule(...) and through schedule_from_dict, each expected to raise."""
+    yield lambda: Schedule(3, 2, tuple(Contract(**row) for row in rows))
+    yield lambda: schedule_from_dict({"n": 3, "m": 2, "contracts": rows})
+
+
+@pytest.mark.parametrize("idx", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("field, value, message", BAD_FIELDS, ids=[f"{f}={v}" for f, v, _ in BAD_FIELDS])
+def test_a_bad_contract_is_named_at_any_position(idx, field, value, message):
+    # a check by min() and max() alone would pass a NaN that does not come first
+    for build in both_routes(five_rows({idx: (field, value)})):
+        with pytest.raises(ValueError, match=re.escape(f"contract {idx}: {message}")):
+            build()
+
+
+def test_the_earlier_of_two_bad_contracts_is_named():
+    # contract 1 comes before contract 3, whichever of their fields is checked first in aggregate
+    for bad in ({1: ("length", math.nan), 3: ("problem", 7)}, {1: ("processor", 5), 3: ("length", -math.inf)}):
+        for build in both_routes(five_rows(bad)):
+            with pytest.raises(ValueError, match="^contract 1: "):
+                build()
+
+
+def test_a_nan_problem_or_processor_is_out_of_range():
+    for field in ("problem", "processor"):
+        rows = five_rows({2: (field, math.nan)})
+        with pytest.raises(ValueError, match=re.escape(f"contract 2: {field} nan out of range")):
+            Schedule(3, 2, tuple(Contract(**row) for row in rows))
 
 
 # --- snapshots ---------------------------------------------------------------
@@ -199,6 +265,21 @@ def test_critical_times_dedupes_ties():
     assert critical_times(s) == [3.0]
 
 
+@st.composite
+def tie_heavy_schedules(draw):
+    # small integer lengths on several processors, so finish times collide
+    n, m = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(1, 3).map(float)),
+                         max_size=16))
+    return Schedule(n, m, tuple(Contract(p, q, length) for p, q, length in rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tie_heavy_schedules())
+def test_critical_times_are_the_distinct_sorted_finish_times(s):
+    assert critical_times(s) == sorted(set(simulate(s)))
+
+
 def test_tied_finishes_all_excluded_right_before():
     # both contracts end at 3: right before 3 neither counts, at 3 both do
     s = sched(2, 2, [(0, 0, 3.0), (1, 1, 3.0)])
@@ -263,6 +344,16 @@ def test_json_document_shape():
     assert set(doc) == {"n", "m", "contracts"}
     assert doc["contracts"][0] == {"problem": 0, "processor": 0, "length": 1.0}
     assert schedule_from_dict(json.loads(json.dumps(doc))) == s
+
+
+def test_loosely_typed_rows_load_as_the_exactly_typed_ones():
+    # an integer length or a dict subclass fails the bulk type check; the per-row loop must build the same contracts
+    rows = [{"problem": 0, "processor": 0, "length": 1.0}, {"problem": 1, "processor": 0, "length": 2.0}]
+    exact = schedule_from_dict({"n": 2, "m": 1, "contracts": rows})
+    for loose in ([rows[0], {**rows[1], "length": 2}], [collections.OrderedDict(rows[0]), rows[1]]):
+        back = schedule_from_dict({"n": 2, "m": 1, "contracts": loose})
+        assert back == exact
+        assert [type(c.length) for c in back.contracts] == [float, float]
 
 
 def test_json_missing_key_raises():

@@ -188,7 +188,9 @@ SIZES = st.one_of(st.integers(1, 4), st.integers(1, 4).map(float), st.sampled_fr
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.lists(SIZES, min_size=1, max_size=12), st.integers(2, 6))
 def test_lpt_denominator_path_matches_lpt_makespan(sizes, m):
-    assert _lpt_span(sizes, m) == lpt_makespan(MakespanInstance(sizes, m)).makespan
+    # the kernel takes ascending sizes, as the deficiency's sorted snapshot gives them
+    ascending = sorted(sizes)
+    assert _lpt_span(ascending, m) == lpt_makespan(MakespanInstance(ascending, m)).makespan
     # the deficiency's own route: past the last finish time the snapshot is every size, sorted
     s = Schedule(len(sizes), m, tuple(Contract(j, j % m, size) for j, size in enumerate(sizes)))
     (sample,) = deficiency(s, window=[sum(sizes) + 1.0], solver="lpt").samples
