@@ -14,12 +14,10 @@ usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-from . import bounds, metrics, transforms
 from .core import load_schedule, save_schedule, schedule_to_dict, snapshots_before
 from .generators import (
     ExponentialSpec,
@@ -28,7 +26,9 @@ from .generators import (
     exponential_schedule,
 )
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order, lpt_makespan
-from .verification import VerifyConfig, run_checks
+
+# Each command imports the other modules it needs (metrics, transforms, bounds,
+# verification, csv) when it runs, so a process loads only what its command uses.
 
 
 def _fmt(x: float) -> str:
@@ -36,6 +36,8 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, comment: str, header: list[str], rows: list[list[str]]) -> None:
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# {comment}\r\n")
         writer = csv.writer(fh)
@@ -71,6 +73,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import metrics
+
     sched = load_schedule(args.schedule)
     samples = args.csv is not None
     if args.measure == "acc":
@@ -115,25 +119,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-# name -> (parameters the bound needs, builder)
+# name -> (parameters the bound needs, the builder in `bounds` that takes them in that order)
 BOUND_BUILDERS = {
-    "def-upper": (("n", "m", "b"), lambda a: bounds.deficiency_upper_bound(a.n, a.m, a.b)),
-    "def-upper-beta": (("n", "m"), lambda a: bounds.deficiency_upper_bound_at_beta(a.n, a.m)),
-    "best-exp-def-m1": (("n",), lambda a: bounds.best_exponential_deficiency_single_processor(a.n)),
-    "def-lower-general": (("n",), lambda a: bounds.deficiency_lower_bound_general(a.n)),
-    "def-lower-roundrobin": (("n",), lambda a: bounds.roundrobin_lower_bound(a.n)),
-    "two-problem-lb": ((), lambda a: bounds.two_problem_lower_bound()),
-    "cyclic-acc-lb": (("n", "m"), lambda a: bounds.cyclic_acceleration_lower_bound(a.n, a.m)),
-    "perf-closed-form": (("n", "m"), lambda a: bounds.performance_ratio_closed_form(a.n, a.m)),
+    "def-upper": (("n", "m", "b"), "deficiency_upper_bound"),
+    "def-upper-beta": (("n", "m"), "deficiency_upper_bound_at_beta"),
+    "best-exp-def-m1": (("n",), "best_exponential_deficiency_single_processor"),
+    "def-lower-general": (("n",), "deficiency_lower_bound_general"),
+    "def-lower-roundrobin": (("n",), "roundrobin_lower_bound"),
+    "two-problem-lb": ((), "two_problem_lower_bound"),
+    "cyclic-acc-lb": (("n", "m"), "cyclic_acceleration_lower_bound"),
+    "perf-closed-form": (("n", "m"), "performance_ratio_closed_form"),
 }
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    needs, build = BOUND_BUILDERS[args.name]
+    from . import bounds
+
+    needs, builder = BOUND_BUILDERS[args.name]
     for field in needs:
         if getattr(args, field) is None:
             raise ValueError(f"bound {args.name!r} requires --{field}")
-    report = build(args)
+    report = getattr(bounds, builder)(*(getattr(args, field) for field in needs))
     _print_json(
         {
             "name": report.name,
@@ -166,7 +172,8 @@ def cmd_makespan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_to_dict(trace: transforms.NormalizationTrace) -> dict:
+def _trace_to_dict(trace) -> dict:
+    """The JSON form of a `transforms.NormalizationTrace`."""
     return {
         "identity": trace.identity,
         "steps": [
@@ -191,6 +198,8 @@ def _trace_to_dict(trace: transforms.NormalizationTrace) -> dict:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
+    from . import transforms
+
     sched = load_schedule(args.schedule)
     trace = transforms.normalize(sched)
     combined = _trace_to_dict(trace)
@@ -209,6 +218,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import bounds
+
     if args.figure == 1:
         rows = [[_fmt(r), _fmt(perf)] for r, perf in bounds.figure1_performance_curve()]
         _write_csv(args.csv, "command=sweep figure=1 ratio=n/m r=1..64", ["ratio", "perf"], rows)
@@ -221,7 +232,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def run_checks(config, ids=None):
+    """Run `verification.run_checks`, importing `verification` only when `verify` runs.
+
+    It stays a name of this module because perfbench/traced_cli.py times the
+    checks by wrapping `contractsched.cli.run_checks`.
+    """
+    from . import verification
+
+    return verification.run_checks(config, ids=ids)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import VerifyConfig
+
     config = VerifyConfig(seed=args.seed, trials_scale=args.trials_scale, tolerance_scale=args.tolerance_scale)
     results = run_checks(config, ids=args.only)
     for r in results:

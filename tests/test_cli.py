@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from contractsched import (
     save_schedule,
     snapshot_before,
 )
+from contractsched import bounds, cli, verification
 from contractsched.cli import BOUND_BUILDERS, main
 
 
@@ -378,6 +380,15 @@ def test_bounds_missing_parameter(capsys, name, missing):
     assert json.loads(err)["error"]["message"] == f"bound {name!r} requires --{missing}"
 
 
+@pytest.mark.parametrize("name", sorted(BOUND_BUILDERS))
+def test_bound_builders_take_their_needs_in_order(name):
+    # cmd_bounds passes the needed fields positionally, in the order they are listed
+    needs, builder = BOUND_BUILDERS[name]
+    params = inspect.signature(getattr(bounds, builder)).parameters.values()
+    assert [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD] == list(needs)
+    assert len(params) == len(needs)
+
+
 # --- makespan ----------------------------------------------------------------------
 
 
@@ -546,6 +557,15 @@ def test_verify_json_report(tmp_path, capsys):
     assert all(r["passed"] for r in doc["results"])
 
 
+def test_cli_run_checks_forwards_to_verification():
+    # the CLI keeps its own run_checks name for the benchmark's traced run; it must be the same run
+    config = verification.VerifyConfig(seed=0)
+    via_cli = cli.run_checks(config, ids=["C01", "C05"])
+    direct = verification.run_checks(config, ids=["C01", "C05"])
+    assert [(r.check_id, r.passed, r.details) for r in via_cli] == [(r.check_id, r.passed, r.details) for r in direct]
+    assert [r.check_id for r in via_cli] == ["C01", "C05"]
+
+
 def test_verify_tolerance_override(capsys):
     # absurdly tight tolerance scale must flip C01 to FAIL and exit nonzero
     code, out, _ = run_cli(["verify", "--only", "C01", "--tolerance-scale", "1e-12"], capsys)
@@ -589,14 +609,41 @@ def test_usage_error_exit_code():
     assert "invalid choice: 'nonsense'" in proc.stderr
 
 
+# prints, as its last stdout line, the package's submodules that a CLI process loaded
+LOADED_SUBMODULES = (
+    "import json, sys, contractsched.cli\n"
+    "code = contractsched.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(json.dumps(sorted(m.split('.')[1] for m in sys.modules if m.startswith('contractsched.'))))\n"
+    "sys.exit(code)\n"
+)
+CLI_IMPORT_MODULES = {"cli", "core", "generators", "makespan"}
+
+
 def test_cli_import_does_not_load_numpy():
     # the package has no third-party runtime dependency, and every CLI process pays for what it imports
-    code = "import sys, contractsched.cli; print(contractsched.__file__); print('numpy' in sys.modules)"
-    proc = run_child(["-c", code])
+    code = "import sys, contractsched.cli; print(contractsched.__file__); print('numpy' in sys.modules)\n"
+    proc = run_child(["-c", code + LOADED_SUBMODULES])
     assert proc.returncode == 0, proc.stderr
-    package_file, numpy_loaded = proc.stdout.splitlines()
+    package_file, numpy_loaded, submodules = proc.stdout.splitlines()
     assert package_file == contractsched.__file__
     assert numpy_loaded == "False"
+    assert set(json.loads(submodules)) == CLI_IMPORT_MODULES
+
+
+@pytest.mark.parametrize("args, extra", [
+    (["gen", "--n", "2", "--m", "1", "--k", "8"], set()),
+    (["bounds", "--name", "def-upper-beta", "--n", "3", "--m", "2"], {"bounds"}),
+    (["eval", "--schedule", "MULTI", "--measure", "def", "--solver", "exact"], {"bounds", "metrics"}),
+    (["normalize", "--schedule", "SINGLE"], {"bounds", "metrics", "transforms"}),
+], ids=["gen", "bounds", "eval", "normalize"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, extra):
+    # one stray top-level import in cli.py would make every command compile every module again
+    paths = {"MULTI": tmp_path / "multi.json", "SINGLE": tmp_path / "single.json"}
+    save_schedule(Schedule(2, 2, [Contract(0, 0, 1.0), Contract(1, 1, 2.0), Contract(0, 1, 4.0)]), paths["MULTI"])
+    save_schedule(Schedule(2, 1, [Contract(0, 0, 1.0), Contract(1, 0, 2.0), Contract(0, 0, 4.0)]), paths["SINGLE"])
+    proc = run_child(["-c", LOADED_SUBMODULES, *(str(paths.get(a, a)) for a in args)])
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout.splitlines()[-1])) == CLI_IMPORT_MODULES | extra
 
 
 # SHA-256 of each demo's stdout, recorded before the measures shared one window loop
