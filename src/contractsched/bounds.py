@@ -95,6 +95,8 @@ def deficiency_bound_at_beta_mrho(m: int, rho: int) -> float:
         raise ValueError("m must be >= 1 and rho >= 0")
     y = m * (rho + 1)
     beta = deficiency_optimal_base(m * rho + 1, m)
+    if not beta > 1.0:
+        raise ValueError(f"the optimal base (y+1)^(1/y) at y={y} rounds to {beta!r}; the bound needs a base > 1")
     return _lambda_factor(m, beta) / (beta**-1 - beta ** (-(y + 1)))
 
 
@@ -224,30 +226,35 @@ def performance_ratio_closed_form(n: int, m: int) -> BoundReport:
 FUNCTIONALS = ("round-robin", "cyclic-acceleration", "two-problem")
 
 
-def geometric_functional(name: str, n: int | None = None, m: int | None = None):
-    """The limit value, as a function of the base a > 1, of the named functional family.
+def _exponents(name: str, n: int | None, m: int | None) -> tuple[int, int]:
+    """The exponents (p, q) of the named functional a^p / (a^q - 1).
 
-    round-robin:          a^(n+1) / (a^n - 1)
-    cyclic-acceleration:  a^(n+m) / (a^m - 1)
-    two-problem:          a^4 / (a^3 - 1)
+    round-robin:          (n+1, n)
+    cyclic-acceleration:  (n+m, m)
+    two-problem:          (4, 3)
     """
     if name == "round-robin":
         if n is None:
             raise ValueError("round-robin functional needs n")
-        return lambda a: _finite(f"{name} functional at a={a!r}", lambda: a ** (n + 1) / (a**n - 1))
+        return n + 1, n
     if name == "cyclic-acceleration":
         if n is None or m is None:
             raise ValueError("cyclic-acceleration functional needs n and m")
-        return lambda a: _finite(f"{name} functional at a={a!r}", lambda: a ** (n + m) / (a**m - 1))
+        return n + m, m
     if name == "two-problem":
-        return lambda a: _finite(f"{name} functional at a={a!r}", lambda: a**4 / (a**3 - 1))
+        return 4, 3
     raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
 
 
-def _assert_unimodal(f, lo: float, hi: float, samples: int = 256) -> None:
-    # sampled finite-difference signs must go down then up, never down again
-    xs = [lo * (hi / lo) ** (i / (samples - 1)) for i in range(samples)]
-    ys = [f(x) for x in xs]
+def geometric_functional(name: str, n: int | None = None, m: int | None = None):
+    """The limit value a^p / (a^q - 1), as a function of the base a > 1, of the named functional family."""
+    p, q = _exponents(name, n, m)
+    return lambda a: _finite(f"{name} functional at a={a!r}", lambda: a**p / (a**q - 1))
+
+
+def _assert_unimodal(f, lo: float, hi: float) -> None:
+    # the finite-difference signs at 256 log-spaced samples must go down then up, never down again
+    ys = [f(lo * (hi / lo) ** (i / 255)) for i in range(256)]
     seen_increase = False
     for y0, y1 in zip(ys, ys[1:]):
         if y1 > y0:
@@ -256,38 +263,29 @@ def _assert_unimodal(f, lo: float, hi: float, samples: int = 256) -> None:
             raise ValueError("sampled functional is not unimodal on the bracket")
 
 
-def optimize_geometric_functional(
-    name: str,
-    n: int | None = None,
-    m: int | None = None,
-    lo: float = 1.0 + 1e-9,
-    hi: float = 64.0,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> tuple[float, float]:
+def optimize_geometric_functional(name: str, n: int | None = None, m: int | None = None) -> tuple[float, float]:
     """Ternary-search minimizer (a*, F(a*)) of a geometric functional over (1, 64].
 
-    The bracket's upper end is lowered to 2**(1020/top), top being the
-    functional's largest exponent, so that a**top stays in the float range.
-    The functional is checked for unimodality on the bracket by sampled
-    monotonicity of the difference signs before searching.  Raises if the
-    bracket has not shrunk below `tol` within `max_iter` iterations.
+    The bracket's upper end is lowered to 2**(1020/p), p being the
+    functional's top exponent, so that a**p stays in the float range.  The
+    functional is checked for unimodality on the bracket by sampled
+    monotonicity of the difference signs before searching.  The search stops
+    once the bracket is at most 1e-10 wide.  Each step keeps two thirds of a
+    bracket at most 63 wide, so it ends within 68 steps: (2/3)**68 * 63 < 1e-10.
     """
+    p, _ = _exponents(name, n, m)
     f = geometric_functional(name, n=n, m=m)
-    top = n + 1 if name == "round-robin" else n + m if name == "cyclic-acceleration" else 4
-    hi = min(hi, 2 ** (1020 / top))
+    lo, hi = 1.0 + 1e-9, min(64.0, 2 ** (1020 / p))
     _assert_unimodal(f, lo, hi)
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            a = 0.5 * (lo + hi)
-            return a, f(a)
+    while hi - lo > 1e-10:
         third = (hi - lo) / 3.0
         m1, m2 = lo + third, hi - third
         if f(m1) < f(m2):
             hi = m2
         else:
             lo = m1
-    raise RuntimeError(f"ternary search did not converge to {tol} within {max_iter} iterations")
+    a = 0.5 * (lo + hi)
+    return a, f(a)
 
 
 def truncated_functional_sup(name: str, a: float, k_max: int = 200, n: int | None = None, m: int | None = None) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .core import load_schedule, save_schedule, schedule_to_dict, snapshots_before
@@ -55,8 +56,6 @@ def _print_json(doc: dict) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family != "exp":
-        raise ValueError(f"unknown schedule family {args.family!r}; only 'exp' is available")
     if args.base == "auto-def":
         base = deficiency_optimal_base(args.n, args.m)
     elif args.base == "auto-acc":
@@ -140,15 +139,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if getattr(args, field) is None:
             raise ValueError(f"bound {args.name!r} requires --{field}")
     report = getattr(bounds, builder)(*(getattr(args, field) for field in needs))
-    _print_json(
-        {
-            "name": report.name,
-            "measure": report.measure,
-            "kind": report.kind,
-            "value": report.value,
-            "params": report.params,
-        }
-    )
+    _print_json(asdict(report))
     return 0
 
 
@@ -176,22 +167,8 @@ def _trace_to_dict(trace) -> dict:
     """The JSON form of a `transforms.NormalizationTrace`."""
     return {
         "identity": trace.identity,
-        "steps": [
-            {
-                "kind": s.kind,
-                "index": s.index,
-                "time": s.time,
-                "problems": list(s.problems) if s.problems else None,
-                "rule": s.rule,
-                "deficiency_before": s.deficiency_before,
-                "deficiency_after": s.deficiency_after,
-            }
-            for s in trace.steps
-        ],
-        "run_outcomes": [
-            {"start_index": o.start_index, "length": o.length, "action": o.action}
-            for o in trace.run_outcomes
-        ],
+        "steps": [asdict(s) for s in trace.steps],
+        "run_outcomes": [asdict(o) for o in trace.run_outcomes],
         "input_contracts": len(trace.input.contracts),
         "output_contracts": len(trace.output.contracts),
     }
@@ -232,7 +209,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_checks(config, ids=None):
+def run_checks(seed, ids=None):
     """Run `verification.run_checks`, importing `verification` only when `verify` runs.
 
     It stays a name of this module because perfbench/traced_cli.py times the
@@ -240,22 +217,17 @@ def run_checks(config, ids=None):
     """
     from . import verification
 
-    return verification.run_checks(config, ids=ids)
+    return verification.run_checks(seed, ids=ids)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verification import VerifyConfig
-
-    config = VerifyConfig(seed=args.seed, trials_scale=args.trials_scale, tolerance_scale=args.tolerance_scale)
-    results = run_checks(config, ids=args.only)
+    results = run_checks(args.seed, ids=args.only)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.check_id} {status} ({r.seconds:.2f}s) {r.description}: {r.details}")
     if args.json:
         doc = {
-            "seed": config.seed,
-            "trials_scale": config.trials_scale,
-            "tolerance_scale": config.tolerance_scale,
+            "seed": args.seed,
             "results": [
                 {
                     "id": r.check_id,
@@ -284,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a schedule prefix")
-    p.add_argument("--family", default="exp", choices=["exp"])
     p.add_argument("--n", type=int, required=True, help="number of problems")
     p.add_argument("--m", type=int, required=True, help="number of processors")
     p.add_argument("--base", default="auto-def", help="'auto-def', 'auto-acc', or a float > 1")
@@ -326,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance criteria and property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials-scale", type=float, default=1.0)
-    p.add_argument("--tolerance-scale", type=float, default=1.0)
     p.add_argument("--only", nargs="*", default=None, help="check ids to run (default: all)")
     p.add_argument("--json", default=None, help="write the result report here")
     p.set_defaults(fn=cmd_verify)
@@ -340,8 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as exc:
-        sys.stderr.write(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
+        # a MemoryError from an allocation the input asks for carries no message of its own
+        message = str(exc) or "the input needs more memory than can be allocated"
+        sys.stderr.write(json.dumps({"error": {"type": type(exc).__name__, "message": message}}) + "\n")
         return 1
 
 

@@ -1,9 +1,10 @@
 """Named verification checks: the acceptance criteria and property suites.
 
-Each check is a pure function returning a CheckResult; the CLI `verify`
-command and the acceptance test module both run this list, so there is one
-source of truth for what "correct" means.  Randomized suites draw from a
-seeded generator and are reproducible byte for byte.
+Each check is a pure function of the seed returning a CheckResult, with its
+trial counts and tolerances written in its body; the CLI `verify` command and
+the acceptance test module both run ``ALL_CHECKS``, so there is one source of
+truth for what "correct" means.  Randomized suites draw from a seeded
+generator and are reproducible byte for byte.
 
 The independent oracles the checks compare against live here too: the
 scaling bisection (``scaling_oracle``, ``deficiency_bruteforce_oracle``),
@@ -24,37 +25,14 @@ from .core import Schedule, Contract, critical_times, simulate, snapshots_before
 from .generators import ExponentialSpec, acceleration_optimal_base, deficiency_optimal_base, exponential_schedule
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order
 
-GEOMETRIC_GRID = {
-    "bases": (1.1, 1.5, 2.0, 3.0),
-    "n": range(1, 9),
-    "m": range(1, 5),
-    "k": range(0, 4),
-}
+# (b, n, m, k): the geometric instances b**k, ..., b**(n+k-1) on m processors
+GEOMETRIC_GRID = tuple(itertools.product((1.1, 1.5, 2.0, 3.0), range(1, 9), range(1, 5), range(0, 4)))
 
 # Relative width at which ``scaling_oracle`` stops bisecting, and the largest
 # schedules ``deficiency_bruteforce_oracle`` accepts.
 ORACLE_REL_TOL = 1e-13
 ORACLE_MAX_PROBLEMS = 10
 ORACLE_MAX_PROCESSORS = 3
-
-
-@dataclass
-class VerifyConfig:
-    seed: int = 0
-    trials_scale: float = 1.0
-    tolerance_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("trials_scale", "tolerance_scale"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name.replace('_', ' ')} must be a finite number > 0, got {value!r}")
-
-    def trials(self, base: int) -> int:
-        return max(1, int(round(base * self.trials_scale)))
-
-    def tol(self, base: float) -> float:
-        return base * self.tolerance_scale
 
 
 @dataclass
@@ -66,11 +44,15 @@ class CheckResult:
     seconds: float
 
 
+# every check in definition order; ``_check`` appends each one
+ALL_CHECKS: list[Callable[[int], CheckResult]] = []
+
+
 def _check(check_id: str, description: str, limit_seconds: float | None = None):
-    def wrap(fn: Callable[[VerifyConfig], tuple[bool, str]]):
-        def run(config: VerifyConfig) -> CheckResult:
+    def wrap(fn: Callable[[int], tuple[bool, str]]):
+        def run(seed: int) -> CheckResult:
             start = time.perf_counter()
-            passed, details = fn(config)
+            passed, details = fn(seed)
             elapsed = time.perf_counter() - start
             if limit_seconds is not None and elapsed > limit_seconds:
                 passed = False
@@ -79,6 +61,7 @@ def _check(check_id: str, description: str, limit_seconds: float | None = None):
 
         run.check_id = check_id
         run.description = description
+        ALL_CHECKS.append(run)
         return run
 
     return wrap
@@ -175,18 +158,18 @@ def deficiency_bruteforce_oracle(schedule: Schedule, t: float) -> float:
 
 
 @_check("C01", "doubling schedule (n=m=1, b=2): deficiency and acceleration ratio reach 4", limit_seconds=1.0)
-def check_doubling_schedule(config: VerifyConfig) -> tuple[bool, str]:
+def check_doubling_schedule(seed: int) -> tuple[bool, str]:
     sched = exponential_schedule(ExponentialSpec(n=1, m=1, base=2.0, k_max=40))
     d = metrics.deficiency(sched).value
     a = metrics.acceleration_ratio(sched).value
-    tol = config.tol(1e-3)
+    tol = 1e-3
     ok = _close(d, 4.0, tol) and _close(a, 4.0, tol)
     return ok, f"deficiency={d:.9f}, acceleration={a:.9f}, target 4 +/- {tol:g}"
 
 
 @_check("C02", "best exponential base on one processor matches (n+1)^((n+1)/n)/n for n=1..6", limit_seconds=10.0)
-def check_best_exponential_m1(config: VerifyConfig) -> tuple[bool, str]:
-    tol = config.tol(1e-4)
+def check_best_exponential_m1(seed: int) -> tuple[bool, str]:
+    tol = 1e-4
     worst = 0.0
     value_n2 = None
     for n in range(1, 7):
@@ -197,49 +180,41 @@ def check_best_exponential_m1(config: VerifyConfig) -> tuple[bool, str]:
         worst = max(worst, abs(emp - closed))
         if n == 2:
             value_n2 = emp
-    ok = worst <= tol and _close(value_n2, 2.598, config.tol(1e-3))
+    ok = worst <= tol and _close(value_n2, 2.598, 1e-3)
     return ok, f"max |empirical-closed| = {worst:.2e} (tol {tol:g}); n=2 value {value_n2:.6f} vs 2.598"
 
 
 @_check("C03", "greedy list scheduling equals its closed form on geometric instances")
-def check_greedy_closed_form(config: VerifyConfig) -> tuple[bool, str]:
-    rtol = config.tol(1e-9)
+def check_greedy_closed_form(seed: int) -> tuple[bool, str]:
+    rtol = 1e-9
     worst = 0.0
-    count = 0
-    for b, n, m, k in itertools.product(
-        GEOMETRIC_GRID["bases"], GEOMETRIC_GRID["n"], GEOMETRIC_GRID["m"], GEOMETRIC_GRID["k"]
-    ):
+    for b, n, m, k in GEOMETRIC_GRID:
         sizes = tuple(b ** (k + i) for i in range(n))
         got = greedy_in_order(MakespanInstance(sizes, m)).makespan
         want = bounds.greedy_geometric_makespan(b, n, m, k)
         worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
-        count += 1
-    return worst <= rtol, f"{count} grid points, worst relative error {worst:.2e} (tol {rtol:g})"
+    return worst <= rtol, f"{len(GEOMETRIC_GRID)} grid points, worst relative error {worst:.2e} (tol {rtol:g})"
 
 
 @_check("C04", "simulated finish times equal the geometric closed form")
-def check_finish_time_closed_form(config: VerifyConfig) -> tuple[bool, str]:
-    rtol = config.tol(1e-9)
+def check_finish_time_closed_form(seed: int) -> tuple[bool, str]:
+    rtol = 1e-9
     worst = 0.0
-    count = 0
-    for b, n, m, k in itertools.product(
-        GEOMETRIC_GRID["bases"], GEOMETRIC_GRID["n"], GEOMETRIC_GRID["m"], GEOMETRIC_GRID["k"]
-    ):
+    for b, n, m, k in GEOMETRIC_GRID:
         k_max = max(n + m, n + k + 1)
         sched = exponential_schedule(ExponentialSpec(n=n, m=m, base=b, k_max=k_max))
         got = simulate(sched)[n + k]
         want = (b ** (k + n + m) - b ** ((k + n) % m)) / (b**m - 1)
         worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
-        count += 1
-    return worst <= rtol, f"{count} grid points, worst relative error {worst:.2e} (tol {rtol:g})"
+    return worst <= rtol, f"{len(GEOMETRIC_GRID)} grid points, worst relative error {worst:.2e} (tol {rtol:g})"
 
 
 @_check("C05", "optimized deficiency bound surface: max 2.803779 at (m=2, rho=1); ceilings 3.74 / 4", limit_seconds=5.0)
-def check_bound_surface(config: VerifyConfig) -> tuple[bool, str]:
+def check_bound_surface(seed: int) -> tuple[bool, str]:
     surface = bounds.figure2_deficiency_surface(64, 64)
     best = max(surface, key=lambda row: row[2])
     target = 0.375 * 5.0**1.25  # 3/8 * 5^(5/4)
-    ok = _close(best[2], target, config.tol(1e-6)) and best[0] == 2 and best[1] == 1
+    ok = _close(best[2], target, 1e-6) and best[0] == 2 and best[1] == 1
     over_ngtm = max(v for _, _, v in surface)
     ok = ok and over_ngtm <= 3.74
     # n <= m: rho = 0, every n in [1, m] collapses to the same value
@@ -252,14 +227,14 @@ def check_bound_surface(config: VerifyConfig) -> tuple[bool, str]:
 
 
 @_check("C06", "lower-bound values and their numeric minimizers")
-def check_lower_bounds(config: VerifyConfig) -> tuple[bool, str]:
+def check_lower_bounds(seed: int) -> tuple[bool, str]:
     notes = []
     ok = True
 
     report = bounds.two_problem_lower_bound()
     a_star, value = bounds.optimize_geometric_functional("two-problem")
-    ok &= _close(report.value, 2.1165, config.tol(1e-3))
-    ok &= _close(a_star, 2.0 ** (2.0 / 3.0), config.tol(1e-6))
+    ok &= _close(report.value, 2.1165, 1e-3)
+    ok &= _close(a_star, 2.0 ** (2.0 / 3.0), 1e-6)
     ok &= _rel_close(value, report.value, 1e-9)
     notes.append(f"two-problem value {report.value:.6f}, minimizer {a_star:.9f} vs 2^(2/3)")
 
@@ -275,17 +250,17 @@ def check_lower_bounds(config: VerifyConfig) -> tuple[bool, str]:
             closed_a = acceleration_optimal_base(n, m)
             worst = max(worst, abs(a_star - closed_a))
             ok &= _rel_close(value, bounds.cyclic_acceleration_lower_bound(n, m).value, 1e-9)
-    ok &= worst <= config.tol(1e-6)
+    ok &= worst <= 1e-6
     notes.append(f"cyclic minimizer worst |a*-closed| = {worst:.2e}")
     return ok, "; ".join(notes)
 
 
 @_check("C07", "oracle equivalence: deficiency vs scaling bisection; exact makespan vs enumeration", limit_seconds=60.0)
-def check_oracles(config: VerifyConfig) -> tuple[bool, str]:
-    rng = random.Random(config.seed)
+def check_oracles(seed: int) -> tuple[bool, str]:
+    rng = random.Random(seed)
     worst_def = 0.0
     windows = 0
-    for _ in range(config.trials(200)):
+    for _ in range(200):
         n = rng.randint(1, 6)
         m = rng.randint(1, 3)
         sched = random_schedule(rng, n, m, rng.randint(max(3, n), 12))
@@ -296,7 +271,7 @@ def check_oracles(config: VerifyConfig) -> tuple[bool, str]:
             windows += 1
 
     worst_ms = 0.0
-    for _ in range(config.trials(200)):
+    for _ in range(200):
         n = rng.randint(1, 8)
         m = rng.randint(1, 3)
         sizes = tuple(rng.uniform(0.1, 10.0) for _ in range(n))
@@ -304,7 +279,7 @@ def check_oracles(config: VerifyConfig) -> tuple[bool, str]:
         want = _enumerated_makespan(sizes, m)
         worst_ms = max(worst_ms, abs(got - want) / max(abs(want), 1e-300))
 
-    tol = config.tol(1e-9)
+    tol = 1e-9
     ok = worst_def <= tol and worst_ms <= 1e-12
     return ok, (
         f"deficiency vs bisection: {windows} windows, worst rel err {worst_def:.2e} (tol {tol:g}); "
@@ -313,12 +288,9 @@ def check_oracles(config: VerifyConfig) -> tuple[bool, str]:
 
 
 @_check("C08", "Graham sandwich: exact <= greedy <= (2-1/m) exact, exact >= kappa * closed form")
-def check_graham_sandwich(config: VerifyConfig) -> tuple[bool, str]:
+def check_graham_sandwich(seed: int) -> tuple[bool, str]:
     slack = 1e-9
-    count = 0
-    for b, n, m, k in itertools.product(
-        GEOMETRIC_GRID["bases"], GEOMETRIC_GRID["n"], GEOMETRIC_GRID["m"], GEOMETRIC_GRID["k"]
-    ):
+    for b, n, m, k in GEOMETRIC_GRID:
         sizes = tuple(b ** (k + i) for i in range(n))
         instance = MakespanInstance(sizes, m)
         exact = exact_makespan(instance).makespan
@@ -331,20 +303,19 @@ def check_graham_sandwich(config: VerifyConfig) -> tuple[bool, str]:
             return False, f"greedy above (2-1/m)*exact at b={b}, n={n}, m={m}, k={k}"
         if not (exact >= kappa * closed * (1 - slack)):
             return False, f"exact below kappa*closed-form at b={b}, n={n}, m={m}, k={k}"
-        count += 1
-    return True, f"{count} geometric instances sandwiched"
+    return True, f"{len(GEOMETRIC_GRID)} geometric instances sandwiched"
 
 
 @_check("C09", "transforms never increase the exact deficiency; normalize is idempotent", limit_seconds=120.0)
-def check_transform_safety(config: VerifyConfig) -> tuple[bool, str]:
-    rng = random.Random(config.seed + 1)
+def check_transform_safety(seed: int) -> tuple[bool, str]:
+    rng = random.Random(seed + 1)
     slack = 0.0  # every deficiency here is one fsum route over bitwise-exact windows
 
     step_violations = 0
     overall_violations = 0
     truncated_out = 0
     idempotency_failures = 0
-    trials = config.trials(500)
+    trials = 500
     for _ in range(trials):
         n = rng.randint(2, 4)
         sched = random_schedule(rng, n, 1, rng.randint(n + 2, 10), permutation_prefix=True)
@@ -392,7 +363,7 @@ def check_transform_safety(config: VerifyConfig) -> tuple[bool, str]:
 
 
 @_check("C10", "figure-data sweeps emit CSVs whose extremes match their anchors")
-def check_figures(config: VerifyConfig) -> tuple[bool, str]:
+def check_figures(seed: int) -> tuple[bool, str]:
     import tempfile
     from pathlib import Path
 
@@ -437,11 +408,11 @@ def check_figures(config: VerifyConfig) -> tuple[bool, str]:
 
 
 @_check("P01", "snapshots are monotone in t and exact at finish-time boundaries")
-def check_snapshot_properties(config: VerifyConfig) -> tuple[bool, str]:
+def check_snapshot_properties(seed: int) -> tuple[bool, str]:
     from .core import snapshot, snapshot_before
 
-    rng = random.Random(config.seed + 2)
-    for _ in range(config.trials(50)):
+    rng = random.Random(seed + 2)
+    for _ in range(50):
         sched = random_schedule(rng, rng.randint(1, 4), rng.randint(1, 3), rng.randint(2, 10))
         times = critical_times(sched)
         prev = None
@@ -461,7 +432,7 @@ def check_snapshot_properties(config: VerifyConfig) -> tuple[bool, str]:
 
 
 @_check("P02", "round-robin structure of exponential schedules")
-def check_roundrobin_structure(config: VerifyConfig) -> tuple[bool, str]:
+def check_roundrobin_structure(seed: int) -> tuple[bool, str]:
     for n, m, b in itertools.product((1, 2, 3, 5), (1, 2, 3), (1.3, 2.0)):
         sched = exponential_schedule(ExponentialSpec(n=n, m=m, base=b))
         for i, c in enumerate(sched.contracts):
@@ -477,9 +448,9 @@ def check_roundrobin_structure(config: VerifyConfig) -> tuple[bool, str]:
 
 
 @_check("P03", "measure consistency: windows, single-problem case, m=1 formula")
-def check_measure_consistency(config: VerifyConfig) -> tuple[bool, str]:
-    rng = random.Random(config.seed + 3)
-    for _ in range(config.trials(50)):
+def check_measure_consistency(seed: int) -> tuple[bool, str]:
+    rng = random.Random(seed + 3)
+    for _ in range(50):
         n = rng.randint(1, 3)
         sched = random_schedule(rng, n, 1, rng.randint(n + 1, 9), permutation_prefix=True)
         report = metrics.deficiency(sched)
@@ -495,7 +466,7 @@ def check_measure_consistency(config: VerifyConfig) -> tuple[bool, str]:
             if left > right + 1e-9 and not math.isinf(right):
                 return False, f"interior time {mid} beats critical time {t1}"
 
-    for _ in range(config.trials(20)):
+    for _ in range(20):
         sched = random_schedule(rng, 1, 1, rng.randint(2, 8))
         acc = metrics.acceleration_ratio(sched).value
         perf = metrics.performance_ratio(sched).value
@@ -506,7 +477,7 @@ def check_measure_consistency(config: VerifyConfig) -> tuple[bool, str]:
 
 
 @_check("P04", "empirical deficiency respects the closed-form bound; beta is the minimizer")
-def check_bound_dominates(config: VerifyConfig) -> tuple[bool, str]:
+def check_bound_dominates(seed: int) -> tuple[bool, str]:
     for n, m, b in itertools.product(range(1, 9), range(1, 4), (1.2, 1.5, 2.0)):
         sched = exponential_schedule(ExponentialSpec(n=n, m=m, base=b))
         emp = metrics.deficiency(sched).value
@@ -545,7 +516,7 @@ def check_bound_dominates(config: VerifyConfig) -> tuple[bool, str]:
 
 
 @_check("P05", "functional suprema: truncated direct sums approach the closed forms")
-def check_functional_sups(config: VerifyConfig) -> tuple[bool, str]:
+def check_functional_sups(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for n in (1, 2, 3):
         a = deficiency_optimal_base(n, 1)
@@ -561,35 +532,13 @@ def check_functional_sups(config: VerifyConfig) -> tuple[bool, str]:
     closed = bounds.geometric_functional("two-problem")(a)
     direct = bounds.truncated_functional_sup("two-problem", a, k_max=200)
     worst = max(worst, abs(direct - closed))
-    return worst <= config.tol(1e-8), f"worst |direct sup - closed form| = {worst:.2e}"
+    return worst <= 1e-8, f"worst |direct sup - closed form| = {worst:.2e}"
 
 
-ALL_CHECKS = [
-    check_doubling_schedule,
-    check_best_exponential_m1,
-    check_greedy_closed_form,
-    check_finish_time_closed_form,
-    check_bound_surface,
-    check_lower_bounds,
-    check_oracles,
-    check_graham_sandwich,
-    check_transform_safety,
-    check_figures,
-    check_snapshot_properties,
-    check_roundrobin_structure,
-    check_measure_consistency,
-    check_bound_dominates,
-    check_functional_sups,
-]
-
-ACCEPTANCE_CHECKS = [c for c in ALL_CHECKS if c.check_id.startswith("C")]
-
-
-def run_checks(config: VerifyConfig | None = None, ids: list[str] | None = None) -> list[CheckResult]:
-    config = config or VerifyConfig()
+def run_checks(seed: int = 0, ids: list[str] | None = None) -> list[CheckResult]:
     selected = ALL_CHECKS if ids is None else [c for c in ALL_CHECKS if c.check_id in ids]
     if ids is not None:
         unknown = sorted(set(ids) - {c.check_id for c in selected})
         if unknown or not ids:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}" if unknown else "no check ids given")
-    return [check(config) for check in selected]
+    return [check(seed) for check in selected]

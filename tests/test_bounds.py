@@ -181,11 +181,6 @@ def test_optimizer_bracket_stays_in_the_float_range(name, kwargs, closed_base, c
     assert abs(value - closed_value) <= 1e-9 * closed_value
 
 
-def test_optimizer_nonconvergence_error():
-    with pytest.raises(RuntimeError):
-        optimize_geometric_functional("two-problem", max_iter=3)
-
-
 def test_optimizer_unknown_functional():
     with pytest.raises(ValueError):
         optimize_geometric_functional("mystery")

@@ -329,6 +329,18 @@ def test_schedule_rejects_n_and_m_beyond_an_index(tmp_path, capsys, field, args)
     assert error["message"].endswith(f"must be in [1, {sys.maxsize}], got {10**20}")
 
 
+@pytest.mark.parametrize("args", [["eval", "--measure", "acc"], ["eval", "--measure", "def"], ["normalize"]],
+                         ids=["eval-acc", "eval-def", "normalize"])
+def test_schedule_with_more_problems_than_memory_is_a_domain_error(tmp_path, capsys, args):
+    # a per-problem list of 10**17 floats needs 800 PB; its MemoryError was a traceback
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({**one_contract(), "n": 10**17}))
+    code, out, err = run_cli([*args, "--schedule", str(path)], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "MemoryError" and error["message"]
+
+
 # --- bounds ----------------------------------------------------------------------
 
 
@@ -362,6 +374,16 @@ def test_bounds_def_upper_rejects_a_bound_beyond_the_float_range(capsys, n, m, b
     code, out, err = run_cli(["bounds", "--name", "def-upper", "--n", n, "--m", m, "--b", b], capsys)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_bounds_def_upper_beta_rejects_a_base_that_rounds_to_one(capsys, m):
+    # at n = 10**18 the optimal base (y+1)^(1/y) is 1.0, and beta^m - 1 = 0 was a ZeroDivisionError traceback
+    code, out, err = run_cli(["bounds", "--name", "def-upper-beta", "--n", str(10**18), "--m", m], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].endswith("rounds to 1.0; the bound needs a base > 1")
 
 
 @pytest.mark.parametrize(
@@ -559,32 +581,45 @@ def test_verify_json_report(tmp_path, capsys):
 
 def test_cli_run_checks_forwards_to_verification():
     # the CLI keeps its own run_checks name for the benchmark's traced run; it must be the same run
-    config = verification.VerifyConfig(seed=0)
-    via_cli = cli.run_checks(config, ids=["C01", "C05"])
-    direct = verification.run_checks(config, ids=["C01", "C05"])
+    via_cli = cli.run_checks(0, ids=["C01", "C05"])
+    direct = verification.run_checks(0, ids=["C01", "C05"])
     assert [(r.check_id, r.passed, r.details) for r in via_cli] == [(r.check_id, r.passed, r.details) for r in direct]
     assert [r.check_id for r in via_cli] == ["C01", "C05"]
 
 
-def test_verify_tolerance_override(capsys):
-    # absurdly tight tolerance scale must flip C01 to FAIL and exit nonzero
-    code, out, _ = run_cli(["verify", "--only", "C01", "--tolerance-scale", "1e-12"], capsys)
+def test_verify_reports_a_failing_check(monkeypatch, capsys):
+    # _check appends to the module's ALL_CHECKS, which is a copy for this test only
+    monkeypatch.setattr(verification, "ALL_CHECKS", list(verification.ALL_CHECKS))
+
+    @verification._check("X01", "a check that always fails")
+    def always_fails(seed):
+        return False, f"failed at seed {seed}"
+
+    code, out, _ = run_cli(["verify", "--only", "C01", "X01", "--seed", "3"], capsys)
     assert code == 1
-    assert "C01 FAIL" in out
+    assert out.splitlines()[0].startswith("C01 PASS")
+    assert out.splitlines()[1].startswith("X01 FAIL")
+    assert out.splitlines()[1].endswith("a check that always fails: failed at seed 3")
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--family", "exp", "--n", "2", "--m", "1"],
+    ["verify", "--only", "C01", "--trials-scale", "1"],
+    ["verify", "--only", "C01", "--tolerance-scale", "1"],
+], ids=["gen-family", "verify-trials-scale", "verify-tolerance-scale"])
+def test_removed_options_are_usage_errors(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--trials-scale", "inf"], "trials scale must be a finite number > 0, got inf"),
-    (["--trials-scale", "0"], "trials scale must be a finite number > 0, got 0.0"),
-    (["--trials-scale", "-1"], "trials scale must be a finite number > 0, got -1.0"),
-    (["--tolerance-scale", "nan"], "tolerance scale must be a finite number > 0, got nan"),
-    (["--tolerance-scale", "inf"], "tolerance scale must be a finite number > 0, got inf"),
-    (["--tolerance-scale", "0"], "tolerance scale must be a finite number > 0, got 0.0"),
     (["--only", "C99"], "unknown check ids: C99"),
     (["--only", "C01", "P77", "C99"], "unknown check ids: C99, P77"),
     (["--only"], "no check ids given"),
 ])
-def test_verify_rejects_hostile_scales_and_ids(capsys, args, message):
+def test_verify_rejects_unknown_check_ids(capsys, args, message):
     code, out, err = run_cli(["verify", *args], capsys)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
