@@ -18,20 +18,26 @@ standard figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from .core import _init_field, _Record
 from .generators import acceleration_optimal_base, deficiency_optimal_base
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A named closed-form bound value with the parameters that produced it."""
+class BoundReport(_Record):
+    """A named closed-form bound value with the parameters that produced it.
 
-    name: str
-    measure: str  # "acceleration" | "performance" | "deficiency"
-    kind: str  # "upper" | "lower"
-    value: float
-    params: dict = field(default_factory=dict)
+    ``measure`` is "acceleration", "performance" or "deficiency", and
+    ``kind`` is "upper" or "lower".  ``params`` defaults to a new empty dict.
+    """
+
+    __slots__ = _fields = ("name", "measure", "kind", "value", "params")
+
+    def __init__(self, name: str, measure: str, kind: str, value: float, params: dict | None = None) -> None:
+        _init_field(self, "name", name)
+        _init_field(self, "measure", measure)
+        _init_field(self, "kind", kind)
+        _init_field(self, "value", value)
+        _init_field(self, "params", {} if params is None else params)
 
 
 def _finite(what: str, closed_form) -> float:

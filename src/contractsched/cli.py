@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .core import load_schedule, save_schedule, schedule_to_dict, snapshots_before
@@ -139,7 +138,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if getattr(args, field) is None:
             raise ValueError(f"bound {args.name!r} requires --{field}")
     report = getattr(bounds, builder)(*(getattr(args, field) for field in needs))
-    _print_json(asdict(report))
+    _print_json(report._asdict())
     return 0
 
 
@@ -167,8 +166,8 @@ def _trace_to_dict(trace) -> dict:
     """The JSON form of a `transforms.NormalizationTrace`."""
     return {
         "identity": trace.identity,
-        "steps": [asdict(s) for s in trace.steps],
-        "run_outcomes": [asdict(o) for o in trace.run_outcomes],
+        "steps": [s._asdict() for s in trace.steps],
+        "run_outcomes": [o._asdict() for o in trace.run_outcomes],
         "input_contracts": len(trace.input.contracts),
         "output_contracts": len(trace.output.contracts),
     }

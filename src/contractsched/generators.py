@@ -8,15 +8,13 @@ deficiency-minimizing base and the acceleration-ratio-minimizing base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mod
 
-from .core import Schedule, contract_of
+from .core import Schedule, _init_field, _Record, contract_of
 
 
-@dataclass(frozen=True)
-class ExponentialSpec:
+class ExponentialSpec(_Record):
     """Parameters of an exponential round-robin schedule prefix.
 
     ``k_max`` is the number of contracts to materialize; it defaults to
@@ -24,18 +22,19 @@ class ExponentialSpec:
     stabilized for any base > 1.
     """
 
-    n: int
-    m: int
-    base: float
-    k_max: int | None = None
+    __slots__ = _fields = ("n", "m", "base", "k_max")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
+    def __init__(self, n: int, m: int, base: float, k_max: int | None = None) -> None:
+        if n < 1 or m < 1:
             raise ValueError("n and m must be >= 1")
-        if not self.base > 1.0:
-            raise ValueError(f"base must be > 1 (the schedule degenerates otherwise), got {self.base}")
-        if self.k_max is not None and self.k_max < self.n + self.m:
-            raise ValueError(f"k_max must be >= n + m = {self.n + self.m} for a full evaluation window")
+        if not base > 1.0:
+            raise ValueError(f"base must be > 1 (the schedule degenerates otherwise), got {base}")
+        if k_max is not None and k_max < n + m:
+            raise ValueError(f"k_max must be >= n + m = {n + m} for a full evaluation window")
+        _init_field(self, "n", n)
+        _init_field(self, "m", m)
+        _init_field(self, "base", base)
+        _init_field(self, "k_max", k_max)
 
     @property
     def contracts_to_build(self) -> int:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .core import _init_field, _Record
 
 EXACT_MAX_JOBS = 24
 
@@ -23,37 +24,38 @@ class InstanceTooLargeError(ValueError):
     """Raised when an instance exceeds the exact solver's job-count guard."""
 
 
-@dataclass(frozen=True)
-class MakespanInstance:
+class MakespanInstance(_Record):
     """A set of job sizes to be scheduled on m identical processors."""
 
-    sizes: tuple[float, ...]
-    m: int
+    __slots__ = _fields = ("sizes", "m")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))
+    def __init__(self, sizes: Iterable[float], m: int) -> None:
+        sizes = tuple(float(s) for s in sizes)
         # a per-processor list longer than sys.maxsize cannot be indexed
-        if not 1 <= self.m <= sys.maxsize:
-            raise ValueError(f"m must be in [1, {sys.maxsize}], got {self.m}")
-        if not self.sizes:
+        if not 1 <= m <= sys.maxsize:
+            raise ValueError(f"m must be in [1, {sys.maxsize}], got {m}")
+        if not sizes:
             raise ValueError("instance needs at least one job")
-        for s in self.sizes:
+        for s in sizes:
             if not (s > 0.0 and math.isfinite(s)):
                 raise ValueError(f"job sizes must be positive and finite, got {s}")
+        _init_field(self, "sizes", sizes)
+        _init_field(self, "m", m)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Record):
     """A job-to-processor map with its loads and makespan; a makespan that overflows is a ValueError."""
 
-    processor_of: tuple[int, ...]
-    loads: tuple[float, ...]
-    makespan: float
-    optimal: bool
+    __slots__ = _fields = ("processor_of", "loads", "makespan", "optimal")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.makespan):
+    def __init__(self, processor_of: tuple[int, ...], loads: tuple[float, ...], makespan: float,
+                 optimal: bool) -> None:
+        if not math.isfinite(makespan):
             raise ValueError(_OVERFLOW)
+        _init_field(self, "processor_of", processor_of)
+        _init_field(self, "loads", loads)
+        _init_field(self, "makespan", makespan)
+        _init_field(self, "optimal", optimal)
 
 
 def _place(sizes: Sequence[float], order: Iterable[int], m: int) -> list[int]:

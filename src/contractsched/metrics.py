@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
 # so all three stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
-from .core import Schedule, critical_times, simulate, snapshots_before  # noqa: F401
+from .core import Schedule, _critical_times, _init_field, _Record, _snapshots_before, simulate
+from .core import critical_times  # noqa: F401
 from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
 from .makespan import lpt_makespan  # noqa: F401
 
@@ -38,19 +38,21 @@ from .makespan import lpt_makespan  # noqa: F401
 SHAPE_TOLERANCE = 4e-13
 
 
-@dataclass(frozen=True)
-class MeasureSample:
-    """One evaluated interruption time: snapshot, divisor of t, and ratio."""
+class MeasureSample(_Record):
+    """One evaluated interruption time: snapshot (sorted, n values), divisor of t, and ratio."""
 
-    time: float
-    snapshot: tuple[float, ...]  # sorted, n values
-    denominator: float
-    ratio: float
-    served: bool
+    __slots__ = _fields = ("time", "snapshot", "denominator", "ratio", "served")
+
+    def __init__(self, time: float, snapshot: tuple[float, ...], denominator: float, ratio: float,
+                 served: bool) -> None:
+        _init_field(self, "time", time)
+        _init_field(self, "snapshot", snapshot)
+        _init_field(self, "denominator", denominator)
+        _init_field(self, "ratio", ratio)
+        _init_field(self, "served", served)
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(_Record):
     """Result of evaluating one measure on a finite schedule prefix.
 
     ``value`` is the supremum of the series (+inf if an unserved window was
@@ -64,30 +66,39 @@ class MeasureReport:
     OPT solve the bound-pruned deficiency skipped.
     """
 
-    measure: str
-    value: float
-    argmax_time: float | None
-    samples: tuple[MeasureSample, ...]
-    unserved_times: tuple[float, ...]
-    incomplete: bool
-    truncation_note: str | None
-    analytic: dict | None = None
-    solver: str | None = None
-    exact: bool = True
-    opt_solves: int = 0
-    windows: int = 0
-    pruned_windows: int = 0
+    __slots__ = _fields = ("measure", "value", "argmax_time", "samples", "unserved_times", "incomplete",
+                           "truncation_note", "analytic", "solver", "exact", "opt_solves", "windows",
+                           "pruned_windows")
+
+    def __init__(self, measure: str, value: float, argmax_time: float | None, samples: tuple[MeasureSample, ...],
+                 unserved_times: tuple[float, ...], incomplete: bool, truncation_note: str | None,
+                 analytic: dict | None = None, solver: str | None = None, exact: bool = True, opt_solves: int = 0,
+                 windows: int = 0, pruned_windows: int = 0) -> None:
+        _init_field(self, "measure", measure)
+        _init_field(self, "value", value)
+        _init_field(self, "argmax_time", argmax_time)
+        _init_field(self, "samples", samples)
+        _init_field(self, "unserved_times", unserved_times)
+        _init_field(self, "incomplete", incomplete)
+        _init_field(self, "truncation_note", truncation_note)
+        _init_field(self, "analytic", analytic)
+        _init_field(self, "solver", solver)
+        _init_field(self, "exact", exact)
+        _init_field(self, "opt_solves", opt_solves)
+        _init_field(self, "windows", windows)
+        _init_field(self, "pruned_windows", pruned_windows)
 
 
-def window_ratios(schedule: Schedule, times: Sequence[float],
+def window_ratios(schedule: Schedule, fins: list[float], times: Sequence[float],
                   denom_of: Callable[[tuple[float, ...]], float]) -> Iterator[tuple]:
     """(t, sorted snapshot, denominator, ratio) right before each ascending t.
 
-    A window where some problem has nothing completed yields denominator 0.0
+    ``fins`` is ``simulate(schedule)``, which the caller already holds.  A
+    window where some problem has nothing completed yields denominator 0.0
     and ratio +inf; ``denom_of`` is called only on served snapshots.  Every
     measure reads its windows from here.
     """
-    for t, longest in zip(times, snapshots_before(schedule, times)):
+    for t, longest in zip(times, _snapshots_before(schedule, fins, times)):
         snap = tuple(sorted(longest))
         if snap[0] <= 0.0:
             yield t, snap, 0.0, math.inf
@@ -100,12 +111,13 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
               samples: bool = True, lower: Callable[[tuple[float, ...]], float] | None = None) -> MeasureReport:
     """The one window loop; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes."""
     explicit = window is not None
-    times = sorted(window) if explicit else critical_times(schedule)
+    fins = simulate(schedule)  # the one simulation: the windows and both passes below read it
+    times = sorted(window) if explicit else _critical_times(fins)
 
     seed, best = -1, -math.inf  # the served window with the largest ceiling t / lower, earliest on ties
     if lower is not None:
         top = -math.inf
-        for i, (t, snap, _, ceiling) in enumerate(window_ratios(schedule, times, lower)):
+        for i, (t, snap, _, ceiling) in enumerate(window_ratios(schedule, fins, times, lower)):
             if snap[0] > 0.0 and ceiling > top:
                 seed, top, seed_snap = i, ceiling, snap
         if seed >= 0:
@@ -117,7 +129,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
     value = -math.inf
     argmax: float | None = None
     pruned = 0
-    for i, (t, snap, denom, ratio) in enumerate(window_ratios(schedule, times, lower or denom_of)):
+    for i, (t, snap, denom, ratio) in enumerate(window_ratios(schedule, fins, times, lower or denom_of)):
         served = snap[0] > 0.0
         if not served:
             unserved.append(t)
@@ -276,5 +288,5 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     prune = not samples and window is None and m > 1 and solver == "exact"
     report = _evaluate(schedule, window, "deficiency", denom_of, analytic, samples=samples,
                        lower=(lambda snap: lower_bound(snap, m)) if prune else None)
-    return replace(report, solver=solver, exact=(solver == "exact"), opt_solves=solves)
+    return report._replace(solver=solver, exact=(solver == "exact"), opt_solves=solves)
 

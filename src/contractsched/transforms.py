@@ -29,15 +29,13 @@ value here is the float ``metrics.deficiency`` reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Contract, Schedule, simulate
+from .core import Contract, Schedule, _init_field, _Record, simulate
 from .metrics import window_ratios
 
 
-@dataclass(frozen=True)
-class TransformStep:
+class TransformStep(_Record):
     """One rewrite with its exact deficiency before and after.
 
     The two deficiencies are taken over comparable window sets: swap steps
@@ -46,32 +44,50 @@ class TransformStep:
     exclude the vanishing window of the removed contract from the "before"
     value, since a finite prefix loses that interruption time entirely.
     Under this accounting deficiency_after <= deficiency_before always holds.
+
+    ``kind`` is "remove-dominated", "swap-assignment" or "remove-consecutive".
+    ``index`` is the contract's index in the schedule state the step was
+    applied to, and ``time`` that contract's start time.  ``problems`` is
+    (target, offending) for swaps, and ``rule`` is "q-test" or "direct" for
+    removals inside runs.
     """
 
-    kind: str  # "remove-dominated" | "swap-assignment" | "remove-consecutive"
-    index: int  # contract index in the schedule state the step was applied to
-    time: float  # start time of that contract
-    problems: tuple[int, int] | None  # (target, offending) for swaps
-    rule: str | None  # for removals inside runs: "q-test" | "direct"
-    deficiency_before: float
-    deficiency_after: float
+    __slots__ = _fields = ("kind", "index", "time", "problems", "rule", "deficiency_before", "deficiency_after")
+
+    def __init__(self, kind: str, index: int, time: float, problems: tuple[int, int] | None, rule: str | None,
+                 deficiency_before: float, deficiency_after: float) -> None:
+        _init_field(self, "kind", kind)
+        _init_field(self, "index", index)
+        _init_field(self, "time", time)
+        _init_field(self, "problems", problems)
+        _init_field(self, "rule", rule)
+        _init_field(self, "deficiency_before", deficiency_before)
+        _init_field(self, "deficiency_after", deficiency_after)
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    """What happened to one run of >= 3 consecutive same-problem contracts."""
+class RunOutcome(_Record):
+    """What happened to one run of >= 3 consecutive same-problem contracts.
 
-    start_index: int
-    length: int
-    action: str  # "removed" | "certified" | "irreducible"
+    ``action`` is "removed", "certified" or "irreducible".
+    """
+
+    __slots__ = _fields = ("start_index", "length", "action")
+
+    def __init__(self, start_index: int, length: int, action: str) -> None:
+        _init_field(self, "start_index", start_index)
+        _init_field(self, "length", length)
+        _init_field(self, "action", action)
 
 
-@dataclass(frozen=True)
-class NormalizationTrace:
-    input: Schedule
-    output: Schedule
-    steps: tuple[TransformStep, ...]
-    run_outcomes: tuple[RunOutcome, ...] = ()
+class NormalizationTrace(_Record):
+    __slots__ = _fields = ("input", "output", "steps", "run_outcomes")
+
+    def __init__(self, input: Schedule, output: Schedule, steps: tuple[TransformStep, ...],
+                 run_outcomes: tuple[RunOutcome, ...] = ()) -> None:
+        _init_field(self, "input", input)
+        _init_field(self, "output", output)
+        _init_field(self, "steps", steps)
+        _init_field(self, "run_outcomes", run_outcomes)
 
     @property
     def identity(self) -> bool:
@@ -89,9 +105,10 @@ def _ratios(contracts: list[Contract], n: int) -> list[tuple[float, float | None
     The ratio is None where a problem is unserved.  Entry i is the window at
     the finish of contract i, so entry i - 1 is the one at its start.
     """
-    schedule = Schedule(n_problems=n, m_processors=1, contracts=tuple(contracts))
+    schedule = Schedule(n_problems=n, m_processors=1, contracts=contracts)
+    fins = simulate(schedule)  # on one processor, ascending: every finish time is a window
     return [(t, ratio if snap[0] > 0.0 else None)
-            for t, snap, _, ratio in window_ratios(schedule, simulate(schedule), math.fsum)]
+            for t, snap, _, ratio in window_ratios(schedule, fins, fins, math.fsum)]
 
 
 def _value(ratios: list[tuple[float, float | None]]) -> float:

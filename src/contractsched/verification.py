@@ -17,11 +17,10 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import bounds, metrics, transforms
-from .core import Schedule, Contract, critical_times, simulate, snapshots_before
+from .core import Schedule, Contract, _init_field, _Record, critical_times, simulate, snapshots_before
 from .generators import ExponentialSpec, acceleration_optimal_base, deficiency_optimal_base, exponential_schedule
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order
 
@@ -35,13 +34,20 @@ ORACLE_MAX_PROBLEMS = 10
 ORACLE_MAX_PROCESSORS = 3
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    description: str
-    passed: bool
-    details: str
-    seconds: float
+class CheckResult(_Record):
+    """The outcome of one check; unlike the other records, its fields can be reassigned."""
+
+    __slots__ = _fields = ("check_id", "description", "passed", "details", "seconds")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # equal by value and mutable, so unhashable
+
+    def __init__(self, check_id: str, description: str, passed: bool, details: str, seconds: float) -> None:
+        _init_field(self, "check_id", check_id)
+        _init_field(self, "description", description)
+        _init_field(self, "passed", passed)
+        _init_field(self, "details", details)
+        _init_field(self, "seconds", seconds)
 
 
 # every check in definition order; ``_check`` appends each one

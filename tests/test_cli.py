@@ -645,40 +645,51 @@ def test_usage_error_exit_code():
 
 
 # prints, as its last stdout line, the package's submodules that a CLI process loaded
+# Prints the package file, the package's loaded submodules, and the modules in HEAVY that the package loaded:
+# `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, about 8 ms of every process's start-up.
 LOADED_SUBMODULES = (
-    "import json, sys, contractsched.cli\n"
+    "import sys\n"
+    "HEAVY = {'dataclasses', 'inspect', 'numpy'}\n"
+    "preloaded = HEAVY & set(sys.modules)\n"
+    "import json, contractsched.cli\n"
     "code = contractsched.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(contractsched.__file__)\n"
     "print(json.dumps(sorted(m.split('.')[1] for m in sys.modules if m.startswith('contractsched.'))))\n"
+    "print(json.dumps(sorted(HEAVY & set(sys.modules) - preloaded)))\n"
     "sys.exit(code)\n"
 )
 CLI_IMPORT_MODULES = {"cli", "core", "generators", "makespan"}
 
 
+def loaded_submodules(args=()) -> set:
+    """The package's submodules a child process loads to run ``args``; it must load nothing in HEAVY."""
+    proc = run_child(["-c", LOADED_SUBMODULES, *args])
+    assert proc.returncode == 0, proc.stderr
+    package_file, submodules, heavy = proc.stdout.splitlines()[-3:]
+    assert package_file == contractsched.__file__
+    assert json.loads(heavy) == []
+    return set(json.loads(submodules))
+
+
 def test_cli_import_does_not_load_numpy():
     # the package has no third-party runtime dependency, and every CLI process pays for what it imports
-    code = "import sys, contractsched.cli; print(contractsched.__file__); print('numpy' in sys.modules)\n"
-    proc = run_child(["-c", code + LOADED_SUBMODULES])
-    assert proc.returncode == 0, proc.stderr
-    package_file, numpy_loaded, submodules = proc.stdout.splitlines()
-    assert package_file == contractsched.__file__
-    assert numpy_loaded == "False"
-    assert set(json.loads(submodules)) == CLI_IMPORT_MODULES
+    assert loaded_submodules() == CLI_IMPORT_MODULES
 
 
 @pytest.mark.parametrize("args, extra", [
     (["gen", "--n", "2", "--m", "1", "--k", "8"], set()),
     (["bounds", "--name", "def-upper-beta", "--n", "3", "--m", "2"], {"bounds"}),
     (["eval", "--schedule", "MULTI", "--measure", "def", "--solver", "exact"], {"bounds", "metrics"}),
+    (["makespan", "--sizes", "3,1,4,1,5", "--m", "2"], set()),
     (["normalize", "--schedule", "SINGLE"], {"bounds", "metrics", "transforms"}),
-], ids=["gen", "bounds", "eval", "normalize"])
+    (["verify", "--only", "C01"], {"bounds", "metrics", "transforms", "verification"}),
+], ids=["gen", "bounds", "eval", "makespan", "normalize", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, extra):
     # one stray top-level import in cli.py would make every command compile every module again
     paths = {"MULTI": tmp_path / "multi.json", "SINGLE": tmp_path / "single.json"}
     save_schedule(Schedule(2, 2, [Contract(0, 0, 1.0), Contract(1, 1, 2.0), Contract(0, 1, 4.0)]), paths["MULTI"])
     save_schedule(Schedule(2, 1, [Contract(0, 0, 1.0), Contract(1, 0, 2.0), Contract(0, 0, 4.0)]), paths["SINGLE"])
-    proc = run_child(["-c", LOADED_SUBMODULES, *(str(paths.get(a, a)) for a in args)])
-    assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout.splitlines()[-1])) == CLI_IMPORT_MODULES | extra
+    assert loaded_submodules([str(paths.get(a, a)) for a in args]) == CLI_IMPORT_MODULES | extra
 
 
 # SHA-256 of each demo's stdout, recorded before the measures shared one window loop

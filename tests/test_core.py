@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from contractsched import (
     Contract,
+    ExponentialSpec,
     Schedule,
     critical_times,
+    deficiency_optimal_base,
+    exponential_schedule,
     load_schedule,
     save_schedule,
     schedule_from_dict,
@@ -318,6 +321,27 @@ def test_schedule_file_is_one_compact_json_line(tmp_path):
         '{"n":2,"m":1,"contracts":[{"problem":0,"processor":0,"length":1.0},'
         '{"problem":1,"processor":0,"length":0.30000000000000004}],"generator":{"family":"custom","k":[1,2]}}\n'
     )
+
+
+def _random_schedule():
+    rng = random.Random(11)
+    n, m = 5, 3
+    # integer lengths and lengths across many magnitudes, where repr and json must agree digit for digit
+    lengths = [rng.randint(1, 10**6) if rng.random() < 0.1 else rng.random() * 10.0 ** rng.randint(-30, 30)
+               for _ in range(500)]
+    return Schedule(n, m, [Contract(rng.randrange(n), rng.randrange(m), x) for x in lengths if x > 0])
+
+
+def _exponential_schedule():
+    return exponential_schedule(ExponentialSpec(n=4, m=2, base=deficiency_optimal_base(4, 2), k_max=400))
+
+
+@pytest.mark.parametrize("make", [_random_schedule, _exponential_schedule], ids=["random", "exponential"])
+def test_schedule_file_is_the_compact_json_dump(tmp_path, make):
+    s = make()
+    path = tmp_path / "s.json"
+    save_schedule(s, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(schedule_to_dict(s), separators=(",", ":")) + "\n"
 
 
 def test_schedule_file_round_trips_every_length_bit_for_bit(tmp_path):

@@ -20,7 +20,7 @@ from contractsched import (
     performance_ratio,
     scaling_oracle,
 )
-from contractsched import metrics
+from contractsched import core, metrics, transforms
 from contractsched.makespan import lower_bound
 from contractsched.transforms import deficiency_value_m1
 
@@ -360,6 +360,29 @@ def test_value_only_routes_build_no_samples(monkeypatch):
         else:
             assert pruned.opt_solves == full.opt_solves and pruned.pruned_windows == 0
     assert math.isinf(acceleration_ratio(two, window=windows[2]["window"], samples=False).value)
+
+
+def test_every_route_simulates_the_schedule_once(monkeypatch):
+    # the windows, the snapshot sweep and the pruned route's two passes all read one simulation
+    calls = []
+    original = core.simulate
+
+    def counting(schedule):
+        calls.append(schedule)
+        return original(schedule)
+
+    for module in (core, metrics, transforms):
+        monkeypatch.setattr(module, "simulate", counting)
+    two = random_sched(random.Random(3), 3, 2, 12)
+    one = sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 3.0)])
+    routes = [lambda: deficiency(two, samples=False), lambda: deficiency(two), lambda: deficiency(two, solver="lpt"),
+              lambda: deficiency(two, window=[3.0, 9.0]), lambda: acceleration_ratio(two),
+              lambda: performance_ratio(one), lambda: deficiency_value_m1(one)]
+    assert deficiency(two, samples=False).pruned_windows > 0
+    for route in routes:
+        calls.clear()
+        route()
+        assert len(calls) == 1
 
 
 def test_opt_memo_solves_a_beta_exponential_shape_once():
