@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _init_field, _Record
+from .core import _count, _init_field, _Record
 from .generators import acceleration_optimal_base, deficiency_optimal_base
 
 
@@ -65,8 +65,7 @@ def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
     """
     if not (b > 1.0 and math.isfinite(b)):
         raise ValueError(f"geometric ratio must be a finite number > 1, got {b}")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    n, m = _count(n, "n"), _count(m, "m")
     return _finite(f"greedy geometric makespan at b={b!r}, n={n}, m={m}, k={k}",
                    lambda: b**k * (b ** (n + m - 1) - b ** ((n - 1) % m)) / (b**m - 1))
 
@@ -75,8 +74,7 @@ def deficiency_upper_bound(n: int, m: int, b: float) -> BoundReport:
     """Deficiency bound of the base-b exponential schedule: lambda * b^(n+m) / (b^(n+m-1) - b^gamma)."""
     if not (b > 1.0 and math.isfinite(b)):
         raise ValueError(f"base must be a finite number > 1, got {b}")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    n, m = _count(n, "n"), _count(m, "m")
     gamma = (n - 1) % m
     what = f"exponential deficiency bound at n={n}, m={m}, b={b!r}"
     lam = _finite(what, lambda: _lambda_factor(m, b))
@@ -97,8 +95,9 @@ def deficiency_bound_at_beta_mrho(m: int, rho: int) -> float:
     min{2-1/m, beta^m/(beta^m-1)} / (beta^-1 - beta^-(y+1)); gamma cancels,
     so the whole surface is parameterized by m and rho.
     """
-    if m < 1 or rho < 0:
-        raise ValueError("m must be >= 1 and rho >= 0")
+    m = _count(m, "m")
+    if rho < 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
     y = m * (rho + 1)
     beta = deficiency_optimal_base(m * rho + 1, m)
     if not beta > 1.0:
@@ -108,8 +107,7 @@ def deficiency_bound_at_beta_mrho(m: int, rho: int) -> float:
 
 def deficiency_upper_bound_at_beta(n: int, m: int) -> BoundReport:
     """The exponential deficiency bound evaluated at its optimal base beta."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    n, m = _count(n, "n"), _count(m, "m")
     gamma = (n - 1) % m
     rho = (n - 1 - gamma) // m
     beta = deficiency_optimal_base(n, m)
@@ -125,8 +123,7 @@ def deficiency_upper_bound_at_beta(n: int, m: int) -> BoundReport:
 
 def best_exponential_deficiency_single_processor(n: int) -> BoundReport:
     """Deficiency of the best exponential schedule on one processor: (n+1)^((n+1)/n) / n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count(n, "n")
     value = math.exp(math.log(n + 1) * (n + 1) / n) / n
     return BoundReport(
         name="best-exponential-deficiency-m1",
@@ -139,8 +136,7 @@ def best_exponential_deficiency_single_processor(n: int) -> BoundReport:
 
 def deficiency_lower_bound_general(n: int) -> BoundReport:
     """Every single-processor schedule for n problems has deficiency >= (n+1)/n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count(n, "n")
     return BoundReport(
         name="deficiency-lower-general",
         measure="deficiency",
@@ -183,8 +179,7 @@ def cyclic_acceleration_lower_bound(n: int, m: int) -> BoundReport:
     Attained by the exponential schedule with base a = ((m+n)/n)^(1/m); it is
     the minimum over a > 1 of a^(n+m)/(a^m - 1).
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    n, m = _count(n, "n"), _count(m, "m")
     a = acceleration_optimal_base(n, m)
     value = (n / m) * ((n + m) / n) ** ((n + m) / m)
     return BoundReport(
@@ -203,8 +198,7 @@ def performance_ratio_closed_form(n: int, m: int) -> BoundReport:
     The report carries the two rewritten forms (1+n/m)(1+m/n)^(n/m) and
     (1+m/n)(1+m/n)^(n/m) that show the <= 4 and <= 2e ceilings.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    n, m = _count(n, "n"), _count(m, "m")
     acceleration = cyclic_acceleration_lower_bound(n, m)
     raw = acceleration.value
     stack = math.ceil(n / m)
@@ -233,7 +227,7 @@ FUNCTIONALS = ("round-robin", "cyclic-acceleration", "two-problem")
 
 
 def _exponents(name: str, n: int | None, m: int | None) -> tuple[int, int]:
-    """The exponents (p, q) of the named functional a^p / (a^q - 1).
+    """The exponents (p, q) of the named functional a^p / (a^q - 1), from counts checked by ``_count``.
 
     round-robin:          (n+1, n)
     cyclic-acceleration:  (n+m, m)
@@ -242,11 +236,11 @@ def _exponents(name: str, n: int | None, m: int | None) -> tuple[int, int]:
     if name == "round-robin":
         if n is None:
             raise ValueError("round-robin functional needs n")
-        return n + 1, n
+        return _count(n, "n") + 1, n
     if name == "cyclic-acceleration":
         if n is None or m is None:
             raise ValueError("cyclic-acceleration functional needs n and m")
-        return n + m, m
+        return _count(n, "n") + _count(m, "m"), m
     if name == "two-problem":
         return 4, 3
     raise ValueError(f"unknown functional {name!r}; expected one of {FUNCTIONALS}")
@@ -255,7 +249,13 @@ def _exponents(name: str, n: int | None, m: int | None) -> tuple[int, int]:
 def geometric_functional(name: str, n: int | None = None, m: int | None = None):
     """The limit value a^p / (a^q - 1), as a function of the base a > 1, of the named functional family."""
     p, q = _exponents(name, n, m)
-    return lambda a: _finite(f"{name} functional at a={a!r}", lambda: a**p / (a**q - 1))
+
+    def functional(a: float) -> float:
+        if not (a > 1.0 and math.isfinite(a)):
+            raise ValueError(f"{name} functional needs a finite a > 1, got {a}")
+        return _finite(f"{name} functional at a={a!r}", lambda: a**p / (a**q - 1))
+
+    return functional
 
 
 def _assert_unimodal(f, lo: float, hi: float) -> None:
@@ -302,7 +302,7 @@ def truncated_functional_sup(name: str, a: float, k_max: int = 200, n: int | Non
     ``geometric_functional`` in the k -> infinity limit (for a > 1).  A sum
     beyond the float range is a ValueError.
     """
-    geometric_functional(name, n=n, m=m)  # rejects an unknown name and a missing n or m
+    _exponents(name, n, m)  # rejects an unknown name, and a missing or out-of-range n or m
     if not (a > 1.0 and math.isfinite(a)):
         raise ValueError(f"direct sup evaluation needs a finite a > 1, got {a}")
     def sup() -> float:

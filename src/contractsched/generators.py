@@ -11,7 +11,7 @@ import math
 from itertools import repeat
 from operator import mod
 
-from .core import Schedule, _init_field, _Record, contract_of
+from .core import Schedule, _count, _init_field, _Record, contract_of
 
 
 class ExponentialSpec(_Record):
@@ -25,8 +25,7 @@ class ExponentialSpec(_Record):
     __slots__ = _fields = ("n", "m", "base", "k_max")
 
     def __init__(self, n: int, m: int, base: float, k_max: int | None = None) -> None:
-        if n < 1 or m < 1:
-            raise ValueError("n and m must be >= 1")
+        n, m = _count(n, "n"), _count(m, "m")
         if not base > 1.0:
             raise ValueError(f"base must be > 1 (the schedule degenerates otherwise), got {base}")
         if k_max is not None and k_max < n + m:
@@ -72,14 +71,12 @@ def deficiency_optimal_base(n: int, m: int) -> float:
     is (n+m-gamma)**(1/(n+m-gamma-1)); writing n-1 = rho*m + gamma this equals
     (m*(rho+1)+1)**(1/(m*(rho+1))).  For m=1 it reduces to (n+1)**(1/n).
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    n, m = _count(n, "n"), _count(m, "m")
     gamma = (n - 1) % m
     return _root(n + m - gamma, n + m - gamma - 1)
 
 
 def acceleration_optimal_base(n: int, m: int) -> float:
     """Base minimizing the acceleration ratio: ((m+n)/n)**(1/m)."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    n, m = _count(n, "n"), _count(m, "m")
     return _root((m + n) / n, m)

@@ -10,10 +10,9 @@ the deficiency measure.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Iterable, Sequence
 
-from .core import _init_field, _Record
+from .core import _count, _init_field, _Record
 
 EXACT_MAX_JOBS = 24
 
@@ -31,9 +30,7 @@ class MakespanInstance(_Record):
 
     def __init__(self, sizes: Iterable[float], m: int) -> None:
         sizes = tuple(float(s) for s in sizes)
-        # a per-processor list longer than sys.maxsize cannot be indexed
-        if not 1 <= m <= sys.maxsize:
-            raise ValueError(f"m must be in [1, {sys.maxsize}], got {m}")
+        _count(m, "m")
         if not sizes:
             raise ValueError("instance needs at least one job")
         for s in sizes:

@@ -35,12 +35,9 @@ ORACLE_MAX_PROCESSORS = 3
 
 
 class CheckResult(_Record):
-    """The outcome of one check; unlike the other records, its fields can be reassigned."""
+    """The outcome of one check."""
 
     __slots__ = _fields = ("check_id", "description", "passed", "details", "seconds")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # equal by value and mutable, so unhashable
 
     def __init__(self, check_id: str, description: str, passed: bool, details: str, seconds: float) -> None:
         _init_field(self, "check_id", check_id)

@@ -67,6 +67,15 @@ def test_functionals_reject_values_beyond_the_float_range(name, kwargs):
         truncated_functional_sup(name, math.inf, **kwargs)
 
 
+@pytest.mark.parametrize("a", [1.0, 0.5, -2.0, math.nan, math.inf], ids=["1", "0.5", "-2", "nan", "inf"])
+@pytest.mark.parametrize("name, kwargs", [("round-robin", {"n": 2}), ("cyclic-acceleration", {"n": 2, "m": 1}),
+                                          ("two-problem", {})])
+def test_functionals_reject_a_base_that_is_not_a_finite_number_above_one(name, kwargs, a):
+    # a = 1 divided by zero, a = 0.5 gave -0.1667 for round-robin at n = 2, and NaN was said to overflow
+    with pytest.raises(ValueError, match=f"^{name} functional needs a finite a > 1, got {a}$"):
+        geometric_functional(name, **kwargs)(a)
+
+
 @pytest.mark.parametrize("b, n, m", [(math.inf, 2, 2), (1e200, 3, 2), (2.0, 3000, 1)])
 def test_greedy_closed_form_rejects_values_beyond_the_float_range(b, n, m):
     with pytest.raises(ValueError):

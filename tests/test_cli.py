@@ -386,6 +386,26 @@ def test_bounds_def_upper_beta_rejects_a_base_that_rounds_to_one(capsys, m):
     assert error["message"].endswith("rounds to 1.0; the bound needs a base > 1")
 
 
+# every command form that takes a count: (the command, the counts it takes, the one given as 10**400)
+OVER_RANGE_COUNTS = [(["bounds", "--name", name], needs, field)
+                     for name, (needs, _) in sorted(BOUND_BUILDERS.items()) for field in needs if field != "b"]
+OVER_RANGE_COUNTS += [(["gen", "--base", base], ("n", "m"), field) for base in ("auto-def", "auto-acc", "2")
+                      for field in ("n", "m")]
+
+
+@pytest.mark.parametrize("command, needs, field", OVER_RANGE_COUNTS,
+                         ids=[f"{command[0]}-{command[2]}-{field}" for command, _, field in OVER_RANGE_COUNTS])
+def test_a_count_beyond_an_index_is_the_error_json(capsys, command, needs, field):
+    # bounds def-upper-beta, cyclic-acc-lb, perf-closed-form, best-exp-def-m1 and def-lower-roundrobin, and
+    # gen with an automatic base, ended in an OverflowError traceback; def-lower-general printed a report
+    huge = 10**400
+    args = command + [arg for need in needs for arg in (f"--{need}", str(huge if need == field else 2))]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    message = f"{field} must be in [1, {sys.maxsize}], got {huge}"
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
 @pytest.mark.parametrize(
     "name, missing",
     [(name, field) for name, (needs, _) in BOUND_BUILDERS.items() for field in needs],

@@ -246,6 +246,15 @@ def test_snapshots_before_requires_ascending_times():
         list(snapshots_before(s, [3.0, 1.0]))
 
 
+@pytest.mark.parametrize("times", [[7.0, math.nan, 3.0], [math.nan], [1.0, math.nan], [1.0, 2.0, math.nan, 8.0]])
+def test_snapshots_before_rejects_a_nan_time(times):
+    # NaN < prev is false, so a NaN passed the ascending check and every later time got a stale snapshot:
+    # [7.0, nan, 3.0] yielded the snapshot at 7.0 three times
+    s = sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 4.0), (1, 0, 8.0)])
+    with pytest.raises(ValueError, match="^interruption times must be ascending, got nan after "):
+        list(snapshots_before(s, times))
+
+
 # --- critical times ----------------------------------------------------------
 
 

@@ -203,6 +203,17 @@ def test_explicit_unserved_window_is_infinite():
     assert report.unserved_times == (1.5, 2.5) and report.windows == 3
 
 
+@pytest.mark.parametrize("measure", [deficiency, acceleration_ratio, performance_ratio])
+@pytest.mark.parametrize("samples", [True, False])
+@pytest.mark.parametrize("window", [[7.0, math.nan, 3.0], [math.nan], [3.0, math.nan]])
+def test_explicit_window_rejects_a_nan_time(measure, samples, window):
+    # the NaN passed the sweep's ascending check: deficiency read 2.333 and the acceleration ratio 7.0
+    # on [7.0, nan, 3.0], though problem 1 is unserved at 3.0 and the value is +inf
+    s = sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 4.0), (1, 0, 8.0)])
+    with pytest.raises(ValueError, match="^interruption times must be ascending, got nan after "):
+        measure(s, window=window, samples=samples)
+
+
 def test_empty_prefix_value_is_infinite():
     s = sched(2, 1, [(0, 0, 1.0)])  # problem 1 never served
     assert math.isinf(deficiency(s).value)
