@@ -96,8 +96,8 @@ def deficiency_bound_at_beta_mrho(m: int, rho: int) -> float:
     so the whole surface is parameterized by m and rho.
     """
     m = _count(m, "m")
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    if type(rho) is not int or rho < 0:
+        raise ValueError(f"rho must be an integer >= 0, got {rho}")
     y = m * (rho + 1)
     beta = deficiency_optimal_base(m * rho + 1, m)
     if not beta > 1.0:
@@ -306,7 +306,10 @@ def truncated_functional_sup(name: str, a: float, k_max: int = 200, n: int | Non
     if not (a > 1.0 and math.isfinite(a)):
         raise ValueError(f"direct sup evaluation needs a finite a > 1, got {a}")
     def sup() -> float:
-        powers = [a**j for j in range(k_max + (n or 0) + 2 * (m or 0) + 3)]
+        # the powers a^0 .. a^(k_max + top - 1) the named functional's windows reach, and no more:
+        # a count it does not use (m for round-robin, say) sizes nothing
+        top = n + 1 if name == "round-robin" else n + 2 * m if name == "cyclic-acceleration" else 2
+        powers = [a**j for j in range(k_max + top)]
         prefix = [0.0]
         for p in powers:
             prefix.append(prefix[-1] + p)  # prefix[i] = sum of a^0 .. a^(i-1)

@@ -111,14 +111,16 @@ def _plain(value):
 
 
 def _count(value: int, what: str) -> int:
-    """``value`` if it is a problem or processor count in [1, sys.maxsize], else a ValueError.
+    """``value`` if it is a problem or processor count, an ``int`` in [1, sys.maxsize], else a ValueError.
 
     The one rule for every n and m the package takes, checked before any
     arithmetic on them: a per-problem list longer than sys.maxsize cannot be
     indexed, and a count in range converts to a float in every closed form.
+    A float or a bool is refused even when its value is in range: 2.5 would
+    size no list and give a bound for no problem count.
     """
-    if not 1 <= value <= sys.maxsize:
-        raise ValueError(f"{what} must be in [1, {sys.maxsize}], got {value}")
+    if type(value) is not int or not 1 <= value <= sys.maxsize:
+        raise ValueError(f"{what} must be an integer in [1, {sys.maxsize}], got {value}")
     return value
 
 

@@ -29,12 +29,12 @@ class MakespanInstance(_Record):
     __slots__ = _fields = ("sizes", "m")
 
     def __init__(self, sizes: Iterable[float], m: int) -> None:
-        sizes = tuple(float(s) for s in sizes)
+        sizes = tuple(map(float, sizes))
         _count(m, "m")
         if not sizes:
             raise ValueError("instance needs at least one job")
         for s in sizes:
-            if not (s > 0.0 and math.isfinite(s)):
+            if not 0.0 < s < math.inf:  # also false for NaN
                 raise ValueError(f"job sizes must be positive and finite, got {s}")
         _init_field(self, "sizes", sizes)
         _init_field(self, "m", m)
@@ -82,9 +82,14 @@ def _loads(processor_of: Sequence[int], sizes: Sequence[float], m: int) -> list[
     return loads
 
 
+def _lpt_order(sizes: Sequence[float]) -> list[int]:
+    """The jobs by decreasing size, ties to the lowest job index (a reversed sort is still stable)."""
+    return sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+
+
 def _lpt(sizes: Sequence[float], m: int) -> list[int]:
-    """The LPT placement: ``_place`` on the jobs by decreasing size, ties to the lowest job index."""
-    return _place(sizes, sorted(range(len(sizes)), key=lambda j: (-sizes[j], j)), m)
+    """The LPT placement: ``_place`` on the jobs in ``_lpt_order``."""
+    return _place(sizes, _lpt_order(sizes), m)
 
 
 def _lpt_span(sizes: Sequence[float], m: int) -> float:
@@ -176,13 +181,15 @@ def exact_makespan(instance: MakespanInstance) -> Assignment:
         return Assignment((0,) * n, (total,), total, optimal=True)
 
     lower = lower_bound(sizes, m)
-    seed = lpt_makespan(instance)
-    if seed.makespan <= lower * (1.0 + 1e-12):
-        return Assignment(seed.processor_of, seed.loads, seed.makespan, optimal=True)
+    order = _lpt_order(sizes)
+    best_assign = _place(sizes, order, m)  # the LPT placement, as ``_lpt`` makes it
+    seed_loads = _loads(best_assign, sizes, m)
+    best_span = max(seed_loads)
+    if not math.isfinite(best_span):
+        raise ValueError(_OVERFLOW)
+    if best_span <= lower * (1.0 + 1e-12):
+        return Assignment(tuple(best_assign), tuple(seed_loads), best_span, optimal=True)
 
-    order = sorted(range(n), key=lambda j: (-sizes[j], j))
-    best_span = seed.makespan
-    best_assign = list(seed.processor_of)
     loads = [0.0] * m
     assign = [0] * n
     done = False

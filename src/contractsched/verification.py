@@ -95,13 +95,33 @@ def random_schedule(rng: random.Random, n: int, m: int, k: int, permutation_pref
 
 
 def _enumerated_makespan(sizes: tuple[float, ...], m: int) -> float:
-    best = math.inf
-    for assign in itertools.product(range(m), repeat=len(sizes)):
-        loads = [0.0] * m
-        for s, p in zip(sizes, assign):
-            loads[p] += s
-        best = min(best, max(loads))
-    return best
+    """OPT by exhaustive enumeration: the least max load over every map of the jobs to m processors.
+
+    The maps are walked depth first with job 0 pinned to processor 0; a
+    relabelling of the processors permutes the loads and leaves their
+    maximum alone, so the m^(n-1) maps left cover every makespan.  Each
+    job's size is added to its processor's load in job-index order and the
+    old load restored on return, so every leaf's loads are the float sums
+    of a plain loop over all m^n maps.  No bound cuts a branch and nothing
+    is shared with ``makespan``, so this stays an independent reference.
+    """
+    n = len(sizes)
+    loads = [0.0] * m
+    loads[0] = sizes[0]
+
+    def walk(job: int) -> float:
+        if job == n:
+            return max(loads)
+        size = sizes[job]
+        best = math.inf
+        for p in range(m):
+            load = loads[p]
+            loads[p] = load + size
+            best = min(best, walk(job + 1))
+            loads[p] = load
+        return best
+
+    return walk(1)
 
 
 def scaling_oracle(values: Sequence[float], m: int, t: float) -> float:
@@ -120,7 +140,7 @@ def scaling_oracle(values: Sequence[float], m: int, t: float) -> float:
     hi = (t / top) * (1.0 + 1e-6)  # infeasible: the largest scaled job alone exceeds t
 
     def feasible(d: float) -> bool:
-        span = exact_makespan(MakespanInstance(tuple(d * v for v in values), m)).makespan
+        span = exact_makespan(MakespanInstance([d * v for v in values], m)).makespan
         return span <= t * (1.0 + 1e-12)
 
     if feasible(hi):  # numerical slack only; hi is infeasible in exact arithmetic

@@ -326,7 +326,7 @@ def test_schedule_rejects_n_and_m_beyond_an_index(tmp_path, capsys, field, args)
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "ValueError"
-    assert error["message"].endswith(f"must be in [1, {sys.maxsize}], got {10**20}")
+    assert error["message"].endswith(f"must be an integer in [1, {sys.maxsize}], got {10**20}")
 
 
 @pytest.mark.parametrize("args", [["eval", "--measure", "acc"], ["eval", "--measure", "def"], ["normalize"]],
@@ -402,7 +402,7 @@ def test_a_count_beyond_an_index_is_the_error_json(capsys, command, needs, field
     args = command + [arg for need in needs for arg in (f"--{need}", str(huge if need == field else 2))]
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
-    message = f"{field} must be in [1, {sys.maxsize}], got {huge}"
+    message = f"{field} must be an integer in [1, {sys.maxsize}], got {huge}"
     assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
 
 
@@ -453,7 +453,7 @@ def test_makespan_greedy_and_lpt(capsys):
 def test_makespan_rejects_m_beyond_an_index(capsys):
     code, out, err = run_cli(["makespan", "--sizes", "1,2", "--m", str(10**20)], capsys)
     assert code == 1 and out == ""
-    message = f"m must be in [1, {sys.maxsize}], got {10**20}"
+    message = f"m must be an integer in [1, {sys.maxsize}], got {10**20}"
     assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
 
 

@@ -1,11 +1,13 @@
 """One rule for every problem count n and processor count m: an integer in [1, sys.maxsize].
 
-Every function or record that takes a count rejects one outside that range
-with the same ValueError, raised before any arithmetic on it, so a huge
-count is never an OverflowError and a zero or negative one never a
-ZeroDivisionError or a nonsense bound.
+Every function or record that takes a count rejects one outside that range,
+or one that is not an ``int``, with the same ValueError, raised before any
+arithmetic on it, so a huge count is never an OverflowError, a zero or
+negative one never a ZeroDivisionError or a nonsense bound, and a float one
+never a TypeError later or a bound for no problem count.
 """
 
+import re
 import sys
 
 import pytest
@@ -27,7 +29,7 @@ from contractsched import (
     roundrobin_lower_bound,
     truncated_functional_sup,
 )
-from contractsched.bounds import deficiency_bound_at_beta_mrho, geometric_functional
+from contractsched.bounds import deficiency_bound_at_beta_mrho, figure2_deficiency_surface, geometric_functional
 from contractsched.core import _count
 
 # name -> (a call that is valid at its default counts, {count parameter: the name its message uses})
@@ -71,13 +73,17 @@ def test_every_count_taker_runs_at_valid_counts(name):
     call()
 
 
-@pytest.mark.parametrize("bad", [0, -1, sys.maxsize + 1, 10**400], ids=["0", "-1", "maxsize+1", "1e400"])
+@pytest.mark.parametrize("bad", [0, -1, sys.maxsize + 1, 10**400, 2.5, 2.0, True, False],
+                         ids=["0", "-1", "maxsize+1", "1e400", "2.5", "2.0", "True", "False"])
 @pytest.mark.parametrize("name, param, what", CASES, ids=[f"{name}-{param}" for name, param, _ in CASES])
 def test_every_count_taker_rejects_a_count_outside_the_range(name, param, what, bad):
     # 0 was a ZeroDivisionError in the geometric functionals, -1 a bound of -2.0, and 10**400 an
-    # OverflowError traceback in the optimal bases and the closed forms built on them
+    # OverflowError traceback in the optimal bases and the closed forms built on them; 2.5 built a
+    # MakespanInstance that died in lpt_makespan with a TypeError, and
+    # deficiency_lower_bound_general(2.5) returned 1.4
     call, _ = COUNT_TAKERS[name]
-    with pytest.raises(ValueError, match=rf"^{what} must be in \[1, {sys.maxsize}\], got {bad}$"):
+    message = rf"^{what} must be an integer in \[1, {sys.maxsize}\], got {re.escape(str(bad))}$"
+    with pytest.raises(ValueError, match=message):
         call(**{param: bad})
 
 
@@ -85,5 +91,23 @@ def test_the_count_rule_takes_both_ends_of_the_range():
     assert _count(1, "n") == 1 and _count(sys.maxsize, "m") == sys.maxsize
     assert Schedule(sys.maxsize, sys.maxsize, ()).n_problems == sys.maxsize
     for bad in (0, sys.maxsize + 1, float("nan")):
-        with pytest.raises(ValueError, match=rf"^m must be in \[1, {sys.maxsize}\], got {bad}$"):
+        with pytest.raises(ValueError, match=rf"^m must be an integer in \[1, {sys.maxsize}\], got {bad}$"):
             _count(bad, "m")
+
+
+def test_rho_is_an_integer_too():
+    # the figure-2 surface and C05 call with rho from range(), deficiency_upper_bound_at_beta with (n - 1) // m
+    assert all(type(rho) is int for _, rho, _ in figure2_deficiency_surface(4, 4))
+    for bad in (-1, 0.5, 1.0, True):
+        with pytest.raises(ValueError, match=rf"^rho must be an integer >= 0, got {re.escape(str(bad))}$"):
+            deficiency_bound_at_beta_mrho(2, bad)
+
+
+@pytest.mark.parametrize("m", [-5, 0, 10**18])
+def test_a_count_the_functional_does_not_use_sizes_nothing(m):
+    # round-robin never reads m: m = -5 sized the powers list too short for an IndexError, and a huge m
+    # would have built a list that long before the overflow check
+    want = truncated_functional_sup("round-robin", 2.0, k_max=20, n=2)
+    assert truncated_functional_sup("round-robin", 2.0, k_max=20, n=2, m=m) == want
+    assert truncated_functional_sup("two-problem", 2.0, k_max=20, n=-1, m=m) == truncated_functional_sup(
+        "two-problem", 2.0, k_max=20)

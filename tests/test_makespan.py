@@ -21,9 +21,11 @@ from contractsched import (
 )
 from contractsched.cli import main
 from contractsched.makespan import _lpt_span
+from contractsched.verification import _enumerated_makespan
 
 
 def enumerate_optimum(sizes, m):
+    """The reference OPT: a plain loop over all m^n maps, loads summed in job-index order."""
     best = math.inf
     for assign in itertools.product(range(m), repeat=len(sizes)):
         loads = [0.0] * m
@@ -110,13 +112,17 @@ def test_exact_assignment_is_consistent():
 
 
 def test_exact_matches_enumeration_randomized():
+    # bit-equal, and so is verification's depth-first enumeration; n <= 8, m <= 4, and half of the
+    # instances have sizes in 1..4, which tie often and sum exactly.  One processor is the one place
+    # exact_makespan sums otherwise: math.fsum, the correctly rounded total
     rng = random.Random(11)
-    for _ in range(60):
+    for trial in range(200):
         n = rng.randint(1, 8)
-        m = rng.randint(1, 3)
-        sizes = tuple(rng.uniform(0.1, 10.0) for _ in range(n))
-        got = exact_makespan(MakespanInstance(sizes, m)).makespan
-        assert got == pytest.approx(enumerate_optimum(sizes, m), rel=1e-12)
+        m = rng.randint(1, 4)
+        sizes = tuple(float(rng.randint(1, 4)) if trial % 2 else rng.uniform(0.1, 10.0) for _ in range(n))
+        want = enumerate_optimum(sizes, m)
+        assert _enumerated_makespan(sizes, m) == want
+        assert exact_makespan(MakespanInstance(sizes, m)).makespan == (math.fsum(sizes) if m == 1 else want)
 
 
 def test_exact_lower_bounds():

@@ -35,17 +35,17 @@ OUTCOME = RunOutcome(start_index=2, length=3, action="certified")
 # (fields overriding the first, message of the ValueError that __init__ raises)
 RECORDS = [
     (Schedule, dict(n_problems=2, m_processors=1, contracts=SCHEDULE.contracts, generator=None), {"generator": None},
-     [({"n_problems": 0}, f"n_problems must be in [1, {sys.maxsize}], got 0"),
-      ({"m_processors": 0}, f"m_processors must be in [1, {sys.maxsize}], got 0"),
+     [({"n_problems": 0}, f"n_problems must be an integer in [1, {sys.maxsize}], got 0"),
+      ({"m_processors": 0}, f"m_processors must be an integer in [1, {sys.maxsize}], got 0"),
       ({"contracts": [Contract(2, 0, 1.0)]}, "contract 0: problem 2 out of range [0, 2)"),
       ({"contracts": [Contract(0, 0, 1.0), Contract(0, 1, 1.0)]}, "contract 1: processor 1 out of range [0, 1)"),
       ({"contracts": [Contract(0, 0, -1.0)]}, "contract 0: length must be positive and finite, got -1.0")]),
     (ExponentialSpec, dict(n=2, m=1, base=2.0, k_max=None), {"k_max": None},
-     [({"n": 0}, f"n must be in [1, {sys.maxsize}], got 0"),
+     [({"n": 0}, f"n must be an integer in [1, {sys.maxsize}], got 0"),
       ({"base": 1.0}, "base must be > 1 (the schedule degenerates otherwise), got 1.0"),
       ({"k_max": 2}, "k_max must be >= n + m = 3 for a full evaluation window")]),
     (MakespanInstance, dict(sizes=(3.0, 1.0, 2.0), m=2), {},
-     [({"m": 0}, f"m must be in [1, {sys.maxsize}], got 0"),
+     [({"m": 0}, f"m must be an integer in [1, {sys.maxsize}], got 0"),
       ({"sizes": ()}, "instance needs at least one job"),
       ({"sizes": (1.0, float("nan"))}, "job sizes must be positive and finite, got nan")]),
     (Assignment, dict(processor_of=(0, 1, 1), loads=(3.0, 3.0), makespan=3.0, optimal=True), {},
