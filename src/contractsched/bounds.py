@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _count, _init_field, _Record
+from .core import _base, _count, _init_field, _Record
 from .generators import acceleration_optimal_base, deficiency_optimal_base
 
 
@@ -63,18 +63,14 @@ def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
     the busiest processor carries the geometric subseries ending at the last
     job:  b**k * (b**(n+m-1) - b**((n-1) mod m)) / (b**m - 1).
     """
-    if not (b > 1.0 and math.isfinite(b)):
-        raise ValueError(f"geometric ratio must be a finite number > 1, got {b}")
-    n, m = _count(n, "n"), _count(m, "m")
+    b, n, m = _base(b, "geometric ratio"), _count(n, "n"), _count(m, "m")
     return _finite(f"greedy geometric makespan at b={b!r}, n={n}, m={m}, k={k}",
                    lambda: b**k * (b ** (n + m - 1) - b ** ((n - 1) % m)) / (b**m - 1))
 
 
 def deficiency_upper_bound(n: int, m: int, b: float) -> BoundReport:
     """Deficiency bound of the base-b exponential schedule: lambda * b^(n+m) / (b^(n+m-1) - b^gamma)."""
-    if not (b > 1.0 and math.isfinite(b)):
-        raise ValueError(f"base must be a finite number > 1, got {b}")
-    n, m = _count(n, "n"), _count(m, "m")
+    b, n, m = _base(b, "base"), _count(n, "n"), _count(m, "m")
     gamma = (n - 1) % m
     what = f"exponential deficiency bound at n={n}, m={m}, b={b!r}"
     lam = _finite(what, lambda: _lambda_factor(m, b))
@@ -249,10 +245,10 @@ def _exponents(name: str, n: int | None, m: int | None) -> tuple[int, int]:
 def geometric_functional(name: str, n: int | None = None, m: int | None = None):
     """The limit value a^p / (a^q - 1), as a function of the base a > 1, of the named functional family."""
     p, q = _exponents(name, n, m)
+    what = f"{name} functional base a"  # built once: the optimizer calls the functional thousands of times
 
     def functional(a: float) -> float:
-        if not (a > 1.0 and math.isfinite(a)):
-            raise ValueError(f"{name} functional needs a finite a > 1, got {a}")
+        a = _base(a, what)
         return _finite(f"{name} functional at a={a!r}", lambda: a**p / (a**q - 1))
 
     return functional
@@ -303,8 +299,9 @@ def truncated_functional_sup(name: str, a: float, k_max: int = 200, n: int | Non
     beyond the float range is a ValueError.
     """
     _exponents(name, n, m)  # rejects an unknown name, and a missing or out-of-range n or m
-    if not (a > 1.0 and math.isfinite(a)):
-        raise ValueError(f"direct sup evaluation needs a finite a > 1, got {a}")
+    a, low = _base(a, f"{name} functional base a"), 2 if name == "two-problem" else 0
+    if type(k_max) is not int or k_max < low:  # below low the sup has no window to take
+        raise ValueError(f"k_max must be an integer >= {low} for a {name} window, got {k_max!r}")
     def sup() -> float:
         # the powers a^0 .. a^(k_max + top - 1) the named functional's windows reach, and no more:
         # a count it does not use (m for round-robin, say) sizes nothing

@@ -124,6 +124,13 @@ def _count(value: int, what: str) -> int:
     return value
 
 
+def _base(value: float, what: str) -> float:
+    """``value``, unchanged, if it is a base: an ``int`` or ``float`` (no bool) in (1, sys.float_info.max]."""
+    if type(value) not in (int, float) or not 1.0 < value <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number > 1, got {value!r}")
+    return value
+
+
 # sets a field from a record's __init__, past the __setattr__ that refuses assignment; one module-level
 # name, since looking up object.__setattr__ again for every field adds measurably to the hot records
 _init_field = object.__setattr__
@@ -241,11 +248,8 @@ def _snapshots_before(schedule: Schedule, fins: list[float], times: Iterable[flo
 
 def snapshot(schedule: Schedule, t: float) -> tuple[float, ...]:
     """Per-problem longest lengths at time t; contracts finishing exactly at t count as completed."""
-    if not t > 0.0:
-        raise ValueError(f"interruption time must be positive, got {t}")
-    # a float finishes at or before t exactly when it finishes before the next float above t
-    (longest,) = snapshots_before(schedule, [math.nextafter(t, math.inf)])
-    return longest
+    # finishing at or before t is finishing before the next float above t; snapshot_before refuses t <= 0
+    return snapshot_before(schedule, math.nextafter(t, math.inf) if t > 0.0 else t)
 
 
 def snapshot_before(schedule: Schedule, t: float) -> tuple[float, ...]:
@@ -322,8 +326,8 @@ def _bulk_rows(rows: list) -> tuple[Contract, ...] | None:
 def schedule_from_dict(doc: dict) -> Schedule:
     """Parse a schedule document, raising ValueError on any malformed field.
 
-    Integer fields (``n``, ``m``, ``problem``, ``processor``) must be JSON
-    integers: floats and booleans are rejected rather than truncated.
+    ``n`` and ``m`` are counts (``_count``); ``problem`` and ``processor`` must be
+    JSON integers: floats and booleans are rejected rather than truncated.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"schedule document must be a JSON object, got {type(doc).__name__}")
@@ -348,8 +352,8 @@ def schedule_from_dict(doc: dict) -> Schedule:
         if generator is not None and not isinstance(generator, dict):
             raise ValueError(f"schedule 'generator' must be a JSON object, got {type(generator).__name__}")
         return Schedule(
-            n_problems=_integer(doc["n"], "n"),
-            m_processors=_integer(doc["m"], "m"),
+            n_problems=_count(doc["n"], "n"),
+            m_processors=_count(doc["m"], "m"),
             contracts=tuple(contracts),
             generator=generator,
         )

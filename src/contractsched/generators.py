@@ -11,7 +11,7 @@ import math
 from itertools import repeat
 from operator import mod
 
-from .core import Schedule, _count, _init_field, _Record, contract_of
+from .core import Schedule, _base, _count, _init_field, _Record, contract_of
 
 
 class ExponentialSpec(_Record):
@@ -25,10 +25,8 @@ class ExponentialSpec(_Record):
     __slots__ = _fields = ("n", "m", "base", "k_max")
 
     def __init__(self, n: int, m: int, base: float, k_max: int | None = None) -> None:
-        n, m = _count(n, "n"), _count(m, "m")
-        if not base > 1.0:
-            raise ValueError(f"base must be > 1 (the schedule degenerates otherwise), got {base}")
-        if k_max is not None and k_max < n + m:
+        n, m, base = _count(n, "n"), _count(m, "m"), _base(base, "base")
+        if k_max is not None and _count(k_max, "k_max") < n + m:
             raise ValueError(f"k_max must be >= n + m = {n + m} for a full evaluation window")
         _init_field(self, "n", n)
         _init_field(self, "m", m)

@@ -22,13 +22,12 @@ them (scaling bisection, enumeration) live in ``verification``.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
 # so all three stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
-from .core import Schedule, _critical_times, _init_field, _Record, _snapshots_before, simulate
+from .core import Schedule, _base, _critical_times, _init_field, _Record, _snapshots_before, simulate
 from .core import critical_times  # noqa: F401
 from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
 from .makespan import lpt_makespan  # noqa: F401
@@ -170,10 +169,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
 def _exponential_base(schedule: Schedule) -> float | None:
     gen = schedule.generator
     if gen is not None and gen.get("family") == "exponential":
-        b = gen.get("base")
-        if type(b) not in (int, float) or not 1.0 < b <= sys.float_info.max:
-            raise ValueError(f"exponential generator base must be a finite number > 1, got {b!r}")
-        return float(b)
+        return float(_base(gen.get("base"), "exponential generator base"))
     return None
 
 

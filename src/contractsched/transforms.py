@@ -289,7 +289,12 @@ def _pair_q_test(ratios: list[tuple[float, float | None]], dropped: list[tuple[f
     shared = [ratios[pair_at - 1]] if pair_at else []
     q = max((v for _, v in shared + ratios[pair_at : pair_at + 2] if v is not None), default=-math.inf)
     qp = max((v for _, v in shared + dropped[pair_at : pair_at + 1] if v is not None), default=-math.inf)
-    return qp <= q * (1.0 + 1e-12) + 1e-15
+    return qp <= _slack(q)
+
+
+def _slack(value: float) -> float:
+    """The largest deficiency the pair rules count as no worse than ``value``."""
+    return value * (1.0 + 1e-12) + 1e-15
 
 
 def _certified(contracts: list[Contract], pair_at: int) -> bool:
@@ -334,7 +339,7 @@ def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
                     break
                 candidates.append((p, dropped, dropped_ratios))
             else:
-                limit = _value(ratios) * (1.0 + 1e-12) + 1e-15
+                limit = _slack(_value(ratios))
                 chosen = next(((p, "direct", d, r) for p, d, r in candidates if _value(r) <= limit), None)
             if chosen is not None:
                 pair_at, rule, nxt, nxt_ratios = chosen

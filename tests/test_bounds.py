@@ -63,7 +63,7 @@ def test_functionals_reject_values_beyond_the_float_range(name, kwargs):
     assert functional(2.0) == {"round-robin": 8 / 3, "cyclic-acceleration": 8.0, "two-problem": 16 / 7}[name]
     with pytest.raises(ValueError, match=f"^{name} functional at a=1e\\+200 overflows the float range$"):
         functional(1e200)
-    with pytest.raises(ValueError, match="needs a finite a > 1"):
+    with pytest.raises(ValueError, match=f"^{name} functional base a must be a finite number > 1, got inf$"):
         truncated_functional_sup(name, math.inf, **kwargs)
 
 
@@ -72,7 +72,7 @@ def test_functionals_reject_values_beyond_the_float_range(name, kwargs):
                                           ("two-problem", {})])
 def test_functionals_reject_a_base_that_is_not_a_finite_number_above_one(name, kwargs, a):
     # a = 1 divided by zero, a = 0.5 gave -0.1667 for round-robin at n = 2, and NaN was said to overflow
-    with pytest.raises(ValueError, match=f"^{name} functional needs a finite a > 1, got {a}$"):
+    with pytest.raises(ValueError, match=f"^{name} functional base a must be a finite number > 1, got {a!r}$"):
         geometric_functional(name, **kwargs)(a)
 
 
@@ -85,6 +85,28 @@ def test_greedy_closed_form_rejects_values_beyond_the_float_range(b, n, m):
 def test_truncated_sup_rejects_sums_beyond_the_float_range():
     with pytest.raises(ValueError, match="^two-problem truncated sup at a=64.0 overflows the float range$"):
         truncated_functional_sup("two-problem", 64.0)
+
+
+@pytest.mark.parametrize("name, k_max, kwargs, message", [
+    # no window: the sup was -inf and read "truncated sup at a=2.0 overflows the float range"
+    ("two-problem", 1, {}, "k_max must be an integer >= 2 for a two-problem window, got 1"),
+    ("round-robin", -3, {"n": 2}, "k_max must be an integer >= 0 for a round-robin window, got -3"),
+    ("cyclic-acceleration", -1, {"n": 2, "m": 1},
+     "k_max must be an integer >= 0 for a cyclic-acceleration window, got -1"),
+    # not an int: 2.5 was a TypeError from range
+    ("round-robin", 2.5, {"n": 2}, "k_max must be an integer >= 0 for a round-robin window, got 2.5"),
+    ("two-problem", 20.0, {}, "k_max must be an integer >= 2 for a two-problem window, got 20.0"),
+    ("two-problem", True, {}, "k_max must be an integer >= 2 for a two-problem window, got True"),
+])
+def test_truncated_sup_rejects_a_k_max_that_leaves_no_window(name, k_max, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        truncated_functional_sup(name, 2.0, k_max=k_max, **kwargs)
+    assert str(info.value) == message
+
+
+def test_truncated_sup_takes_the_least_k_max_with_a_window():
+    assert truncated_functional_sup("two-problem", 2.0, k_max=2) == 15.0 / 7.0
+    assert truncated_functional_sup("round-robin", 2.0, k_max=0, n=2) == 7.0 / 3.0
 
 
 def test_at_beta_consistent_with_general_bound():

@@ -212,8 +212,8 @@ MALFORMED_SCHEDULES = {
     "bool-problem": (one_contract(problem=False), "problem must be an integer, got False"),
     "string-length": (one_contract(length="1"), "length must be a number"),
     "huge-int-length": (one_contract(length=10**400), "contract 0: length is outside the float range"),
-    "float-n": ({**one_contract(), "n": 2.0}, "n must be an integer, got 2.0"),
-    "bool-m": ({**one_contract(), "m": True}, "m must be an integer, got True"),
+    "float-n": ({**one_contract(), "n": 2.0}, f"n must be an integer in [1, {sys.maxsize}], got 2.0"),
+    "bool-m": ({**one_contract(), "m": True}, f"m must be an integer in [1, {sys.maxsize}], got True"),
     "generator-not-an-object": ({**one_contract(), "generator": 5}, "'generator' must be a JSON object"),
 }
 

@@ -125,6 +125,18 @@ def test_exact_matches_enumeration_randomized():
         assert exact_makespan(MakespanInstance(sizes, m)).makespan == (math.fsum(sizes) if m == 1 else want)
 
 
+@pytest.mark.parametrize("sizes, m, optimum", [
+    ((0.2, 0.7, 0.3, 0.1, 0.7, 0.3, 1.1, 0.1), 3, 1.2),  # the LPT seed, above the lower bound 1.1667
+    ((1.1, 1.1, 0.1, 0.3, 0.1, 0.7, 0.1, 0.7), 2, 2.1),  # the 1e-12 stop near the lower bound
+])
+def test_exact_is_at_most_one_ulp_above_the_enumerated_optimum(sizes, m, optimum):
+    # the known error in exact_makespan's docstring: its cuts compare placement-order sums with a
+    # job-index-order incumbent, so it may stop one ulp above the least job-index-order makespan
+    assert _enumerated_makespan(sizes, m) == optimum
+    got = exact_makespan(MakespanInstance(sizes, m))
+    assert got.optimal and optimum <= got.makespan <= math.nextafter(optimum, math.inf)
+
+
 def test_exact_lower_bounds():
     rng = random.Random(12)
     for _ in range(40):

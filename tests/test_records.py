@@ -42,8 +42,11 @@ RECORDS = [
       ({"contracts": [Contract(0, 0, -1.0)]}, "contract 0: length must be positive and finite, got -1.0")]),
     (ExponentialSpec, dict(n=2, m=1, base=2.0, k_max=None), {"k_max": None},
      [({"n": 0}, f"n must be an integer in [1, {sys.maxsize}], got 0"),
-      ({"base": 1.0}, "base must be > 1 (the schedule degenerates otherwise), got 1.0"),
-      ({"k_max": 2}, "k_max must be >= n + m = 3 for a full evaluation window")]),
+      ({"base": 1.0}, "base must be a finite number > 1, got 1.0"),
+      ({"k_max": 2}, "k_max must be >= n + m = 3 for a full evaluation window"),
+      # a float k_max built, and exponential_schedule then raised a TypeError from range
+      ({"k_max": 30.5}, f"k_max must be an integer in [1, {sys.maxsize}], got 30.5"),
+      ({"k_max": True}, f"k_max must be an integer in [1, {sys.maxsize}], got True")]),
     (MakespanInstance, dict(sizes=(3.0, 1.0, 2.0), m=2), {},
      [({"m": 0}, f"m must be an integer in [1, {sys.maxsize}], got 0"),
       ({"sizes": ()}, "instance needs at least one job"),
