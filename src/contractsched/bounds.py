@@ -9,18 +9,20 @@ Every bound is reported with the parameters it was evaluated at:
 * beta is the deficiency-minimizing exponential base, a the minimizer of a
   geometric functional.
 
-The module also carries the greedy makespan's closed form on geometric
-instances, the ternary-search optimizer for the geometric functionals that
-appear in the lower-bound arguments, and the data sets behind the three
-standard figures.
+Every minimized bound is ``generators._geometric_minimum`` of a^p/(a^q - 1) at
+its (p, q).  The module also carries the greedy makespan's closed form on
+geometric instances, the ternary-search optimizer for the geometric
+functionals that appear in the lower-bound arguments, and the data sets
+behind the three standard figures.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
 
 from .core import _base, _count, _init_field, _Record
-from .generators import acceleration_optimal_base, deficiency_optimal_base
+from .generators import _geometric_minimum, deficiency_optimal_base
 
 
 class BoundReport(_Record):
@@ -40,20 +42,28 @@ class BoundReport(_Record):
         _init_field(self, "params", {} if params is None else params)
 
 
-def _finite(what: str, closed_form) -> float:
-    """closed_form(); a value that overflows the float range or is not finite is a ValueError."""
+def _finite(what, closed_form) -> float:
+    """closed_form(); a value that overflows the float range or is not finite is a ValueError.
+
+    ``what`` is a callable that builds the error text, called only when raising.
+    """
     try:
         value = closed_form()
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"{what} overflows the float range")
+        raise ValueError(f"{what()} overflows the float range")
     return value
 
 
 def _lambda_factor(m: int, b: float) -> float:
     """min{2 - 1/m, b^m/(b^m - 1)}: how far greedy can sit above OPT, inverted."""
     return min(2.0 - 1.0 / m, b**m / (b**m - 1.0))
+
+
+def _deficiency_bound(m: int, y: int, b: float) -> float:
+    """lambda * b^(n+m) / (b^(n+m-1) - b^gamma) divided through by b^gamma, with y = n+m-1-gamma."""
+    return _lambda_factor(m, b) * b ** (y + 1) / (b**y - 1)
 
 
 def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
@@ -64,7 +74,7 @@ def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
     job:  b**k * (b**(n+m-1) - b**((n-1) mod m)) / (b**m - 1).
     """
     b, n, m = _base(b, "geometric ratio"), _count(n, "n"), _count(m, "m")
-    return _finite(f"greedy geometric makespan at b={b!r}, n={n}, m={m}, k={k}",
+    return _finite(lambda: f"greedy geometric makespan at b={b!r}, n={n}, m={m}, k={k}",
                    lambda: b**k * (b ** (n + m - 1) - b ** ((n - 1) % m)) / (b**m - 1))
 
 
@@ -72,9 +82,9 @@ def deficiency_upper_bound(n: int, m: int, b: float) -> BoundReport:
     """Deficiency bound of the base-b exponential schedule: lambda * b^(n+m) / (b^(n+m-1) - b^gamma)."""
     b, n, m = _base(b, "base"), _count(n, "n"), _count(m, "m")
     gamma = (n - 1) % m
-    what = f"exponential deficiency bound at n={n}, m={m}, b={b!r}"
-    lam = _finite(what, lambda: _lambda_factor(m, b))
-    value = _finite(what, lambda: lam * b ** (n + m) / (b ** (n + m - 1) - b**gamma))
+    value = _finite(lambda: f"exponential deficiency bound at n={n}, m={m}, b={b!r}",
+                    lambda: _deficiency_bound(m, n + m - 1 - gamma, b))
+    lam = _lambda_factor(m, b)
     return BoundReport(
         name="exponential-deficiency-upper",
         measure="deficiency",
@@ -84,30 +94,16 @@ def deficiency_upper_bound(n: int, m: int, b: float) -> BoundReport:
     )
 
 
-def deficiency_bound_at_beta_mrho(m: int, rho: int) -> float:
-    """The optimized deficiency bound as a function of (m, rho) only.
-
-    With y = m*(rho+1) and beta = (y+1)^(1/y) the bound is
-    min{2-1/m, beta^m/(beta^m-1)} / (beta^-1 - beta^-(y+1)); gamma cancels,
-    so the whole surface is parameterized by m and rho.
-    """
-    m = _count(m, "m")
-    if type(rho) is not int or rho < 0:
-        raise ValueError(f"rho must be an integer >= 0, got {rho}")
-    y = m * (rho + 1)
-    beta = deficiency_optimal_base(m * rho + 1, m)
-    if not beta > 1.0:
-        raise ValueError(f"the optimal base (y+1)^(1/y) at y={y} rounds to {beta!r}; the bound needs a base > 1")
-    return _lambda_factor(m, beta) / (beta**-1 - beta ** (-(y + 1)))
-
-
 def deficiency_upper_bound_at_beta(n: int, m: int) -> BoundReport:
-    """The exponential deficiency bound evaluated at its optimal base beta."""
+    """The exponential deficiency bound at its optimal base beta; it depends on (m, rho) only, n-1 = rho*m + gamma."""
     n, m = _count(n, "n"), _count(m, "m")
     gamma = (n - 1) % m
     rho = (n - 1 - gamma) // m
+    y = m * (rho + 1)
     beta = deficiency_optimal_base(n, m)
-    value = deficiency_bound_at_beta_mrho(m, rho)
+    if not beta > 1.0:
+        raise ValueError(f"the optimal base (y+1)^(1/y) at y={y} rounds to {beta!r}; the bound needs a base > 1")
+    value = _deficiency_bound(m, y, beta)
     return BoundReport(
         name="exponential-deficiency-upper-at-beta",
         measure="deficiency",
@@ -118,15 +114,15 @@ def deficiency_upper_bound_at_beta(n: int, m: int) -> BoundReport:
 
 
 def best_exponential_deficiency_single_processor(n: int) -> BoundReport:
-    """Deficiency of the best exponential schedule on one processor: (n+1)^((n+1)/n) / n."""
+    """Deficiency of the best exponential schedule on one processor (the round-robin minimum): (n+1)^((n+1)/n)/n."""
     n = _count(n, "n")
-    value = math.exp(math.log(n + 1) * (n + 1) / n) / n
+    beta, value = _geometric_minimum(*_exponents("round-robin", n, None))
     return BoundReport(
         name="best-exponential-deficiency-m1",
         measure="deficiency",
         kind="upper",
         value=value,
-        params={"n": n, "m": 1, "beta": deficiency_optimal_base(n, 1)},
+        params={"n": n, "m": 1, "beta": beta},
     )
 
 
@@ -150,7 +146,7 @@ def roundrobin_lower_bound(n: int) -> BoundReport:
         measure="deficiency",
         kind="lower",
         value=best.value,
-        params={"n": n, "m": 1, "a": deficiency_optimal_base(n, 1)},
+        params={"n": n, "m": 1, "a": best.params["beta"]},
     )
 
 
@@ -159,12 +155,12 @@ def two_problem_lower_bound() -> BoundReport:
 
     The bound is min over a > 1 of a^4/(a^3 - 1), attained at a = 2^(2/3).
     """
-    a = 2.0 ** (2.0 / 3.0)
+    a, value = _geometric_minimum(*_exponents("two-problem", None, None))
     return BoundReport(
         name="two-problem-lb",
         measure="deficiency",
         kind="lower",
-        value=2.0 ** (8.0 / 3.0) / 3.0,
+        value=value,
         params={"n": 2, "m": 1, "a": a},
     )
 
@@ -176,8 +172,7 @@ def cyclic_acceleration_lower_bound(n: int, m: int) -> BoundReport:
     the minimum over a > 1 of a^(n+m)/(a^m - 1).
     """
     n, m = _count(n, "n"), _count(m, "m")
-    a = acceleration_optimal_base(n, m)
-    value = (n / m) * ((n + m) / n) ** ((n + m) / m)
+    a, value = _geometric_minimum(*_exponents("cyclic-acceleration", n, m))
     return BoundReport(
         name="cyclic-acceleration-lb",
         measure="acceleration",
@@ -249,7 +244,7 @@ def geometric_functional(name: str, n: int | None = None, m: int | None = None):
 
     def functional(a: float) -> float:
         a = _base(a, what)
-        return _finite(f"{name} functional at a={a!r}", lambda: a**p / (a**q - 1))
+        return _finite(lambda: f"{name} functional at a={a!r}", lambda: a**p / (a**q - 1))
 
     return functional
 
@@ -295,38 +290,23 @@ def truncated_functional_sup(name: str, a: float, k_max: int = 200, n: int | Non
 
     Computed by direct accumulation of the truncated sums, confirming that
     eliminating the supremum over k yields the closed forms of
-    ``geometric_functional`` in the k -> infinity limit (for a > 1).  A sum
-    beyond the float range is a ValueError.
+    ``geometric_functional`` in the k -> infinity limit (for a > 1).  Window j
+    divides a^0 + ... + a^(j+p-1) by a^j + ... + a^(j+q-1), from j = m for the
+    cyclic bound and j = 0 otherwise.  A sum beyond the float range is a ValueError.
     """
-    _exponents(name, n, m)  # rejects an unknown name, and a missing or out-of-range n or m
+    p, q = _exponents(name, n, m)  # rejects an unknown name, and a missing or out-of-range n or m
     a, low = _base(a, f"{name} functional base a"), 2 if name == "two-problem" else 0
     if type(k_max) is not int or k_max < low:  # below low the sup has no window to take
         raise ValueError(f"k_max must be an integer >= {low} for a {name} window, got {k_max!r}")
+    first = q if name == "cyclic-acceleration" else 0
+    windows = range(first, first + k_max + 1 - low)
+
     def sup() -> float:
-        # the powers a^0 .. a^(k_max + top - 1) the named functional's windows reach, and no more:
-        # a count it does not use (m for round-robin, say) sizes nothing
-        top = n + 1 if name == "round-robin" else n + 2 * m if name == "cyclic-acceleration" else 2
-        powers = [a**j for j in range(k_max + top)]
-        prefix = [0.0]
-        for p in powers:
-            prefix.append(prefix[-1] + p)  # prefix[i] = sum of a^0 .. a^(i-1)
+        # prefix[i] = a^0 + ... + a^(i-1), up to the last window's top power a^(j+p-1)
+        prefix = list(accumulate(map(pow, repeat(a), range(windows[-1] + p)), initial=0.0))
+        return max(prefix[j + p] / (prefix[j + q] - prefix[j]) for j in windows)
 
-        def window(lo_idx: int, hi_idx: int) -> float:
-            return prefix[hi_idx + 1] - prefix[lo_idx]
-
-        best = -math.inf
-        if name == "round-robin":
-            for k in range(k_max + 1):
-                best = max(best, window(0, k + n) / window(k, k + n - 1))
-        elif name == "cyclic-acceleration":
-            for k in range(k_max + 1):
-                best = max(best, window(0, k + n + 2 * m - 1) / window(k + m, k + 2 * m - 1))
-        else:
-            for k in range(2, k_max + 1):
-                best = max(best, window(0, k + 1) / (powers[k] + powers[k - 1] + powers[k - 2]))
-        return best
-
-    return _finite(f"{name} truncated sup at a={a!r}", sup)
+    return _finite(lambda: f"{name} truncated sup at a={a!r}", sup)
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +317,22 @@ def truncated_functional_sup(name: str, a: float, k_max: int = 200, n: int | Non
 def figure1_performance_curve(r_max: int = 64) -> list[tuple[float, float]]:
     """Performance ratio against the problem/processor ratio r = n/m (m dividing n).
 
-    (1 + 1/r)(1 + 1/r)^r: equals 4 at r = 1 and decreases toward e.
+    The closed form at (r, 1), (1 + 1/r)(1 + 1/r)^r: equals 4 at r = 1 and decreases toward e.
     """
-    return [(float(r), (1 + 1 / r) * (1 + 1 / r) ** r) for r in range(1, r_max + 1)]
+    return [(float(r), performance_ratio_closed_form(r, 1).value) for r in range(1, r_max + 1)]
 
 
 def figure2_deficiency_surface(m_max: int = 64, rho_max: int = 64) -> list[tuple[int, int, float]]:
-    """The optimized deficiency bound over the (m, rho) grid (the n > m regime)."""
-    return [
-        (m, rho, deficiency_bound_at_beta_mrho(m, rho))
-        for m in range(1, m_max + 1)
-        for rho in range(1, rho_max + 1)
-    ]
+    """The optimized deficiency bound over the (m, rho) grid (the n > m regime).
+
+    Cell (m, rho) is ``deficiency_upper_bound_at_beta(m*rho + 1, m).value``, without building its report.
+    """
+    rows = []
+    for m in range(1, m_max + 1):
+        for rho in range(1, rho_max + 1):
+            y = m * (rho + 1)
+            rows.append((m, rho, _deficiency_bound(m, y, _geometric_minimum(y + 1, y)[0])))
+    return rows
 
 
 def figure3_single_processor_curves(n_max: int = 20) -> list[tuple[int, float, float]]:

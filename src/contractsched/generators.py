@@ -43,10 +43,10 @@ def exponential_schedule(spec: ExponentialSpec) -> Schedule:
     b = spec.base
     k = spec.contracts_to_build
     try:
-        # contract i is (i mod n, i mod m, b**i), built in one map with no Python code per contract
+        # contract i is (i mod n, i mod m, float(b)**i), built in one map with no Python code per contract
         contracts = tuple(map(contract_of, zip(map(mod, range(k), repeat(spec.n)),
                                                map(mod, range(k), repeat(spec.m)),
-                                               map(pow, repeat(b), range(k)))))
+                                               map(pow, repeat(float(b)), range(k)))))
     except OverflowError:
         raise ValueError(f"base {b!r} with k={k} contracts overflows: {b!r}**{k - 1} exceeds the float range") from None
     return Schedule(
@@ -57,24 +57,26 @@ def exponential_schedule(spec: ExponentialSpec) -> Schedule:
     )
 
 
-def _root(value: float, degree: float) -> float:
-    # exp(log(.)/.) avoids overflow of integer powers for large n + m
-    return math.exp(math.log(value) / degree)
+def _geometric_minimum(p: int, q: int) -> tuple[float, float]:
+    """Minimizer and minimum (a*, F(a*)) of F(a) = a^p / (a^q - 1) over a > 1, for p > q >= 1.
+
+    a* = (p/(p-q))^(1/q) and F(a*) = (p-q)/q * (p/(p-q))^(p/q), through exp and log so no power overflows.
+    """
+    log_ratio = math.log(p / (p - q))
+    return math.exp(log_ratio / q), math.exp(log_ratio * p / q) * (p - q) / q
 
 
 def deficiency_optimal_base(n: int, m: int) -> float:
-    """Base minimizing the deficiency bound of the exponential schedule.
+    """Base minimizing the deficiency bound lambda * b^(y+1)/(b^y - 1), y = n+m-1-gamma: (y+1)^(1/y).
 
-    With gamma = (n-1) mod m the minimizer of b**(n+m)/(b**(n+m-1) - b**gamma)
-    is (n+m-gamma)**(1/(n+m-gamma-1)); writing n-1 = rho*m + gamma this equals
-    (m*(rho+1)+1)**(1/(m*(rho+1))).  For m=1 it reduces to (n+1)**(1/n).
+    With n-1 = rho*m + gamma, y = m*(rho+1).  For m=1 it reduces to (n+1)^(1/n).
     """
     n, m = _count(n, "n"), _count(m, "m")
-    gamma = (n - 1) % m
-    return _root(n + m - gamma, n + m - gamma - 1)
+    y = n + m - 1 - (n - 1) % m
+    return _geometric_minimum(y + 1, y)[0]
 
 
 def acceleration_optimal_base(n: int, m: int) -> float:
-    """Base minimizing the acceleration ratio: ((m+n)/n)**(1/m)."""
+    """Base minimizing the acceleration ratio a^(n+m)/(a^m - 1): ((m+n)/n)^(1/m)."""
     n, m = _count(n, "n"), _count(m, "m")
-    return _root((m + n) / n, m)
+    return _geometric_minimum(n + m, m)[0]

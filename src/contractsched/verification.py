@@ -241,7 +241,7 @@ def check_bound_surface(seed: int) -> tuple[bool, str]:
     over_ngtm = max(v for _, _, v in surface)
     ok = ok and over_ngtm <= 3.74
     # n <= m: rho = 0, every n in [1, m] collapses to the same value
-    over_nlem = max(bounds.deficiency_bound_at_beta_mrho(m, 0) for m in range(1, 65))
+    over_nlem = max(bounds.deficiency_upper_bound_at_beta(1, m).value for m in range(1, 65))
     ok = ok and over_nlem <= 4.0 + 1e-12
     return ok, (
         f"surface max {best[2]:.9f} at (m={best[0]}, rho={best[1]}) vs {target:.9f}; "

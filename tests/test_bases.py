@@ -73,6 +73,19 @@ def test_the_base_rule_returns_the_value_unchanged():
     assert [c.length for c in exponential_schedule(ExponentialSpec(1, 1, 2, k_max=4)).contracts] == [1, 2, 4, 8]
 
 
+def test_an_int_base_overflows_like_a_float_one():
+    # the powers of an int base were ints, so 10**300 squared reached Schedule as an int too large for a
+    # float: an OverflowError from math.isfinite, outside the documented errors
+    big = 10**300
+    with pytest.raises(ValueError) as info:
+        exponential_schedule(ExponentialSpec(1, 1, big, k_max=3))
+    assert str(info.value) == f"base {big!r} with k=3 contracts overflows: {big!r}**2 exceeds the float range"
+    sched = exponential_schedule(ExponentialSpec(1, 1, 3, k_max=3))
+    assert [c.length for c in sched.contracts] == [1.0, 3.0, 9.0]
+    assert all(type(c.length) is float for c in sched.contracts)
+    assert type(sched.generator["base"]) is int and sched.generator["base"] == 3
+
+
 @pytest.mark.parametrize("arg, message", [
     ("1", "base must be a finite number > 1, got 1.0"),
     ("0.5", "base must be a finite number > 1, got 0.5"),

@@ -25,7 +25,7 @@ from contractsched import (
     truncated_functional_sup,
     two_problem_lower_bound,
 )
-from contractsched.bounds import deficiency_bound_at_beta_mrho, geometric_functional, _assert_unimodal
+from contractsched.bounds import geometric_functional, _assert_unimodal
 
 
 # --- exponential deficiency bound -----------------------------------------------
@@ -124,7 +124,7 @@ def test_surface_max_location_and_value():
 
 
 def test_surface_n_le_m_stays_under_four():
-    values = [deficiency_bound_at_beta_mrho(m, 0) for m in range(1, 65)]
+    values = [deficiency_upper_bound_at_beta(1, m).value for m in range(1, 65)]
     assert max(values) <= 4.0 + 1e-12
     assert values[0] == pytest.approx(4.0, rel=1e-12)  # n = m = 1
 
@@ -336,4 +336,4 @@ def test_figure2_cells_are_the_scalar_bound():
     rows = figure2_deficiency_surface(12, 13)
     assert [(m, rho) for m, rho, _ in rows] == list(itertools.product(range(1, 13), range(1, 14)))
     for m, rho, value in rows:
-        assert value == deficiency_bound_at_beta_mrho(m, rho)
+        assert value == deficiency_upper_bound_at_beta(m * rho + 1, m).value

@@ -1,0 +1,129 @@
+"""Every closed form in ``bounds`` and ``generators`` against the same formula in 60-digit decimal.
+
+The float routes take powers through exp and log, or divide b^(y+1) by
+b^y - 1; the references below are the paper's formulas written out directly,
+so a reordering that loses accuracy shows as a relative error above 1e-13.
+Each reference takes its float inputs (a base b) exactly, via Decimal(b).
+"""
+
+import decimal
+import functools
+import itertools
+from decimal import Decimal
+
+import pytest
+
+from contractsched import (
+    acceleration_optimal_base,
+    best_exponential_deficiency_single_processor,
+    cyclic_acceleration_lower_bound,
+    deficiency_optimal_base,
+    deficiency_upper_bound,
+    deficiency_upper_bound_at_beta,
+    figure1_performance_curve,
+    figure2_deficiency_surface,
+    performance_ratio_closed_form,
+    roundrobin_lower_bound,
+    two_problem_lower_bound,
+)
+from contractsched.generators import _geometric_minimum
+
+RTOL = Decimal("1e-13")
+GRID = list(itertools.product(range(1, 41), range(1, 41)))
+
+
+@pytest.fixture(autouse=True)
+def sixty_digits():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        yield
+
+
+@functools.cache
+def _root(value, degree) -> Decimal:
+    return Decimal(value) ** (Decimal(1) / Decimal(degree))
+
+
+def _lam(m: int, b: Decimal) -> Decimal:
+    return min(2 - Decimal(1) / m, b**m / (b**m - 1))
+
+
+@functools.cache
+def _at_beta(m: int, y: int) -> Decimal:
+    # lambda * beta^(y+1) / (beta^y - 1) at the exact optimal base beta = (y+1)^(1/y)
+    beta = _root(y + 1, y)
+    return _lam(m, beta) * beta ** (y + 1) / (beta**y - 1)
+
+
+def _cyclic(n: int, m: int) -> Decimal:
+    return Decimal(n) / m * (Decimal(n + m) / n) ** (Decimal(n + m) / m)
+
+
+def _assert_close(got: float, want: Decimal, where) -> None:
+    err = abs(Decimal(got) - want) / want
+    assert err <= RTOL, f"{where}: {got!r} vs {want:.25g}, relative error {err:.2e}"
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (4, 3), (5, 2), (41, 40), (80, 40)])
+def test_the_geometric_minimum_is_the_least_value_of_the_functional(p, q):
+    # F(a) = a^p / (a^q - 1): the returned value is F at the returned base, and F is larger on either side of it
+    a, value = _geometric_minimum(p, q)
+
+    def f(x: Decimal) -> Decimal:
+        return x**p / (x**q - 1)
+
+    least = f(Decimal(a))
+    _assert_close(value, least, ("_geometric_minimum", p, q))
+    step = Decimal("1e-4") * (Decimal(a) - 1)
+    assert f(Decimal(a) - step) > least and f(Decimal(a) + step) > least
+
+
+def test_optimal_bases():
+    for n, m in GRID:
+        y = n + m - 1 - (n - 1) % m
+        _assert_close(deficiency_optimal_base(n, m), _root(y + 1, y), ("deficiency_optimal_base", n, m))
+        _assert_close(acceleration_optimal_base(n, m), _root(Decimal(n + m) / n, m),
+                      ("acceleration_optimal_base", n, m))
+
+
+def test_single_processor_and_two_problem_bounds():
+    for n in range(1, 41):
+        want = Decimal(n + 1) ** (Decimal(n + 1) / n) / n
+        best = best_exponential_deficiency_single_processor(n)
+        _assert_close(best.value, want, ("best_exponential_deficiency_single_processor", n))
+        _assert_close(best.params["beta"], _root(n + 1, n), ("best beta", n))
+        _assert_close(roundrobin_lower_bound(n).value, want, ("roundrobin_lower_bound", n))
+    report = two_problem_lower_bound()
+    _assert_close(report.value, Decimal(2) ** (Decimal(8) / 3) / 3, "two_problem_lower_bound")
+    _assert_close(report.params["a"], Decimal(2) ** (Decimal(2) / 3), "two-problem a")
+
+
+def test_cyclic_and_performance_closed_forms():
+    for n, m in GRID:
+        want = _cyclic(n, m)
+        report = cyclic_acceleration_lower_bound(n, m)
+        _assert_close(report.value, want, ("cyclic_acceleration_lower_bound", n, m))
+        _assert_close(report.params["a"], _root(Decimal(n + m) / n, m), ("cyclic a", n, m))
+        stack = -(-n // m)
+        _assert_close(performance_ratio_closed_form(n, m).value, want / stack, ("performance_ratio_closed_form", n, m))
+    for r, value in figure1_performance_curve(40):
+        r = int(r)
+        _assert_close(value, (1 + Decimal(1) / r) ** (r + 1), ("figure1_performance_curve", r))
+
+
+@pytest.mark.parametrize("b", [1.3, 2.0])
+def test_deficiency_upper_bound(b):
+    exact = Decimal(b)
+    for n, m in GRID:
+        gamma = (n - 1) % m
+        want = _lam(m, exact) * exact ** (n + m) / (exact ** (n + m - 1) - exact**gamma)
+        _assert_close(deficiency_upper_bound(n, m, b).value, want, ("deficiency_upper_bound", n, m, b))
+
+
+def test_deficiency_bound_at_the_optimal_base():
+    for n, m in GRID:
+        gamma = (n - 1) % m
+        _assert_close(deficiency_upper_bound_at_beta(n, m).value, _at_beta(m, n + m - 1 - gamma),
+                      ("deficiency_upper_bound_at_beta", n, m))
+    for m, rho, value in figure2_deficiency_surface(40, 40):
+        _assert_close(value, _at_beta(m, m * (rho + 1)), ("figure2_deficiency_surface", m, rho))

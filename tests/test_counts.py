@@ -29,7 +29,7 @@ from contractsched import (
     roundrobin_lower_bound,
     truncated_functional_sup,
 )
-from contractsched.bounds import deficiency_bound_at_beta_mrho, figure2_deficiency_surface, geometric_functional
+from contractsched.bounds import geometric_functional
 from contractsched.core import _count
 
 # name -> (a call that is valid at its default counts, {count parameter: the name its message uses})
@@ -41,7 +41,6 @@ COUNT_TAKERS = {
     "acceleration_optimal_base": (lambda n=2, m=2: acceleration_optimal_base(n, m), {"n": "n", "m": "m"}),
     "greedy_geometric_makespan": (lambda n=2, m=2: greedy_geometric_makespan(2.0, n, m), {"n": "n", "m": "m"}),
     "deficiency_upper_bound": (lambda n=2, m=2: deficiency_upper_bound(n, m, 2.0), {"n": "n", "m": "m"}),
-    "deficiency_bound_at_beta_mrho": (lambda m=2: deficiency_bound_at_beta_mrho(m, 1), {"m": "m"}),
     "deficiency_upper_bound_at_beta": (lambda n=2, m=2: deficiency_upper_bound_at_beta(n, m), {"n": "n", "m": "m"}),
     "best_exponential_deficiency_single_processor": (
         lambda n=2: best_exponential_deficiency_single_processor(n), {"n": "n"}),
@@ -93,14 +92,6 @@ def test_the_count_rule_takes_both_ends_of_the_range():
     for bad in (0, sys.maxsize + 1, float("nan")):
         with pytest.raises(ValueError, match=rf"^m must be an integer in \[1, {sys.maxsize}\], got {bad}$"):
             _count(bad, "m")
-
-
-def test_rho_is_an_integer_too():
-    # the figure-2 surface and C05 call with rho from range(), deficiency_upper_bound_at_beta with (n - 1) // m
-    assert all(type(rho) is int for _, rho, _ in figure2_deficiency_surface(4, 4))
-    for bad in (-1, 0.5, 1.0, True):
-        with pytest.raises(ValueError, match=rf"^rho must be an integer >= 0, got {re.escape(str(bad))}$"):
-            deficiency_bound_at_beta_mrho(2, bad)
 
 
 @pytest.mark.parametrize("m", [-5, 0, 10**18])
