@@ -131,6 +131,32 @@ def _base(value: float, what: str) -> float:
     return value
 
 
+def _index(value: int, bound: int, what: str) -> int:
+    """``value`` if it is a problem or processor index, an ``int`` (no bool) in [0, bound), else a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value < bound:
+        raise ValueError(f"{what} {value} out of range [0, {bound})")
+    return value
+
+
+def _length(value: float, what: str) -> float:
+    """``value`` as a float if it is a length: an ``int`` or ``float`` (no bool), positive and finite.
+
+    The one rule for contract lengths and job sizes.  Anything else is a
+    ValueError, an integer too large for a float included.
+    """
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is outside the float range") from None
+    if not 0.0 < value < math.inf:  # also false for NaN
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
 # sets a field from a record's __init__, past the __setattr__ that refuses assignment; one module-level
 # name, since looking up object.__setattr__ again for every field adds measurably to the hot records
 _init_field = object.__setattr__
@@ -142,6 +168,9 @@ class Schedule(_Record):
     Contracts are stored in global execution order.  ``generator`` optionally
     records the rule that produced the prefix (e.g. an exponential family),
     which lets evaluators report analytic limits next to empirical suprema.
+    Every contract, whatever built it, is checked here and nowhere else: its
+    problem and processor by ``_index``, its length by ``_length`` (an int
+    length is stored as a float), and a ValueError names the first bad field.
     """
 
     __slots__ = _fields = ("n_problems", "m_processors", "contracts", "generator")
@@ -150,25 +179,22 @@ class Schedule(_Record):
                  generator: dict | None = None) -> None:
         contracts = tuple(contracts)
         n, m = _count(n_problems, "n_problems"), _count(m_processors, "m_processors")
+        # one combined test per contract, exact types included (a NaN fails every comparison); min/max/sum
+        # passes over the fields measured 1.6x slower than a loop, at 180 and at 100k contracts
+        for problem, processor, length in contracts:
+            if not (type(problem) is int and type(processor) is int and type(length) is float
+                    and 0 <= problem < n and 0 <= processor < m and 0.0 < length < math.inf):
+                # a contract is bad or has an int length: check each in order, problem, processor, then
+                # length, so the error names the first bad field of the first bad contract
+                contracts = tuple(contract_of((_index(p, n, f"contract {i}: problem"),
+                                               _index(q, m, f"contract {i}: processor"),
+                                               _length(x, f"contract {i}: length")))
+                                  for i, (p, q, x) in enumerate(contracts))
+                break
         _init_field(self, "n_problems", n)
         _init_field(self, "m_processors", m)
         _init_field(self, "contracts", contracts)
         _init_field(self, "generator", generator)
-        # one combined test per contract (a NaN fails every comparison); min/max/sum passes over
-        # the fields measured 1.6x slower than a loop, at 180 and at 100k contracts
-        for problem, processor, length in contracts:
-            if not (0 <= problem < n and 0 <= processor < m and length > 0.0 and math.isfinite(length)):
-                break
-        else:
-            return
-        # some contract is bad: name the first one
-        for idx, c in enumerate(contracts):
-            if not (0 <= c.problem < n):
-                raise ValueError(f"contract {idx}: problem {c.problem} out of range [0, {n})")
-            if not (0 <= c.processor < m):
-                raise ValueError(f"contract {idx}: processor {c.processor} out of range [0, {m})")
-            if not (c.length > 0.0 and math.isfinite(c.length)):
-                raise ValueError(f"contract {idx}: length must be positive and finite, got {c.length}")
 
     def __len__(self) -> int:
         return len(self.contracts)
@@ -289,45 +315,16 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     return doc
 
 
-def _integer(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} is outside the float range") from None
-
-
 _ROW_FIELDS = itemgetter("problem", "processor", "length")
-
-
-def _bulk_rows(rows: list) -> tuple[Contract, ...] | None:
-    """The contracts of ``rows`` if every row is a dict with exactly typed fields, else None.
-
-    Reads every row with one ``itemgetter`` map and then checks the field
-    types in aggregate, so a well-formed 100k-contract file runs no Python
-    code per contract.  None sends the caller to its per-row loop.
-    """
-    try:
-        contracts = tuple(map(contract_of, map(_ROW_FIELDS, rows)))
-    except (KeyError, TypeError):
-        return None
-    exact = set(map(type, rows)) <= {dict} and all(
-        set(map(type, map(itemgetter(field), contracts))) <= {kind} for field, kind in enumerate((int, int, float)))
-    return contracts if exact else None
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
     """Parse a schedule document, raising ValueError on any malformed field.
 
-    ``n`` and ``m`` are counts (``_count``); ``problem`` and ``processor`` must be
-    JSON integers: floats and booleans are rejected rather than truncated.
+    ``n`` and ``m`` are counts (``_count``), and each contract's fields are
+    checked by ``Schedule``: ``problem`` and ``processor`` must be JSON
+    integers (floats and booleans are rejected rather than truncated) and
+    ``length`` a positive finite number.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"schedule document must be a JSON object, got {type(doc).__name__}")
@@ -335,28 +332,16 @@ def schedule_from_dict(doc: dict) -> Schedule:
         rows = doc["contracts"]
         if not isinstance(rows, list):
             raise ValueError(f"schedule 'contracts' must be a list, got {type(rows).__name__}")
-        contracts = _bulk_rows(rows)
-        if contracts is None:  # some row is malformed or not exactly typed: this loop names the first bad one
-            contracts = []
-            for idx, c in enumerate(rows):
-                if not isinstance(c, dict):
-                    raise ValueError(f"contract {idx} must be a JSON object, got {type(c).__name__}")
-                problem, processor, length = c["problem"], c["processor"], c["length"]
-                # exact-type fast path: calling the helpers on every field made a 100k-contract load 1.6x slower
-                if type(problem) is not int or type(processor) is not int or type(length) is not float:
-                    problem = _integer(problem, f"contract {idx}: problem")
-                    processor = _integer(processor, f"contract {idx}: processor")
-                    length = _number(length, f"contract {idx}: length")
-                contracts.append(Contract(problem, processor, length))
+        try:
+            # one map reads every row, so a well-formed 100k-contract file runs no Python code per contract here
+            contracts = tuple(map(contract_of, map(_ROW_FIELDS, rows)))
+        except TypeError:  # a row that is not a dict cannot be indexed by a field name
+            idx, row = next((idx, row) for idx, row in enumerate(rows) if not isinstance(row, dict))
+            raise ValueError(f"contract {idx} must be a JSON object, got {type(row).__name__}") from None
         generator = doc.get("generator")
         if generator is not None and not isinstance(generator, dict):
             raise ValueError(f"schedule 'generator' must be a JSON object, got {type(generator).__name__}")
-        return Schedule(
-            n_problems=_count(doc["n"], "n"),
-            m_processors=_count(doc["m"], "m"),
-            contracts=tuple(contracts),
-            generator=generator,
-        )
+        return Schedule(_count(doc["n"], "n"), _count(doc["m"], "m"), contracts, generator)
     except KeyError as exc:
         raise ValueError(f"schedule document missing key: {exc}") from exc
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .core import _count, _init_field, _Record
+from .core import _count, _init_field, _length, _Record
 
 EXACT_MAX_JOBS = 24
 
@@ -29,13 +29,16 @@ class MakespanInstance(_Record):
     __slots__ = _fields = ("sizes", "m")
 
     def __init__(self, sizes: Iterable[float], m: int) -> None:
-        sizes = tuple(map(float, sizes))
+        sizes = tuple(sizes)
         _count(m, "m")
         if not sizes:
             raise ValueError("instance needs at least one job")
+        # one fused test per size first, since verify builds tens of thousands of instances; a size that
+        # fails it sends every size through the length rule, which makes an int a float or names the bad one
         for s in sizes:
-            if not 0.0 < s < math.inf:  # also false for NaN
-                raise ValueError(f"job sizes must be positive and finite, got {s}")
+            if not (type(s) is float and 0.0 < s < math.inf):  # also false for NaN
+                sizes = tuple(_length(s, "job sizes") for s in sizes)
+                break
         _init_field(self, "sizes", sizes)
         _init_field(self, "m", m)
 

@@ -22,8 +22,10 @@ from those evaluations.
 On one processor the deficiency at time t is t divided by the sum of the
 per-problem completed lengths, which keeps every step's bookkeeping exact
 and independent of the makespan solver.  Windows are read from
-``metrics.window_ratios`` with ``math.fsum`` as the denominator, so every
-value here is the float ``metrics.deficiency`` reports.
+``core``'s sweep with ``math.fsum`` of the snapshot as the denominator.
+``fsum`` is correctly rounded, so its sum does not depend on the order of
+the lengths, and every value here is the float ``metrics.deficiency``
+reports from its sorted snapshots.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .core import Contract, Schedule, _init_field, _Record, simulate
-from .metrics import window_ratios
+from .core import Contract, Schedule, _init_field, _Record, _snapshots_before, simulate
 
 
 class TransformStep(_Record):
@@ -107,8 +108,9 @@ def _ratios(contracts: list[Contract], n: int) -> list[tuple[float, float | None
     """
     schedule = Schedule(n_problems=n, m_processors=1, contracts=contracts)
     fins = simulate(schedule)  # on one processor, ascending: every finish time is a window
-    return [(t, ratio if snap[0] > 0.0 else None)
-            for t, snap, _, ratio in window_ratios(schedule, fins, fins, math.fsum)]
+    # a problem with nothing completed has longest length 0.0, and every completed length is positive
+    return [(t, t / math.fsum(longest) if 0.0 not in longest else None)
+            for t, longest in zip(fins, _snapshots_before(schedule, fins, fins))]
 
 
 def _value(ratios: list[tuple[float, float | None]]) -> float:

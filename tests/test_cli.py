@@ -212,6 +212,10 @@ MALFORMED_SCHEDULES = {
     "bool-problem": (one_contract(problem=False), "problem must be an integer, got False"),
     "string-length": (one_contract(length="1"), "length must be a number"),
     "huge-int-length": (one_contract(length=10**400), "contract 0: length is outside the float range"),
+    # contract 0 is out of range and contract 1 has a float problem: contract 0 comes first
+    "range-before-type": ({"n": 2, "m": 1, "contracts": [{"problem": 5, "processor": 0, "length": 1.0},
+                                                         {"problem": 1.5, "processor": 0, "length": 2.0}]},
+                          "contract 0: problem 5 out of range [0, 2)"),
     "float-n": ({**one_contract(), "n": 2.0}, f"n must be an integer in [1, {sys.maxsize}], got 2.0"),
     "bool-m": ({**one_contract(), "m": True}, f"m must be an integer in [1, {sys.maxsize}], got True"),
     "generator-not-an-object": ({**one_contract(), "generator": 5}, "'generator' must be a JSON object"),
@@ -701,7 +705,7 @@ def test_cli_import_does_not_load_numpy():
     (["bounds", "--name", "def-upper-beta", "--n", "3", "--m", "2"], {"bounds"}),
     (["eval", "--schedule", "MULTI", "--measure", "def", "--solver", "exact"], {"bounds", "metrics"}),
     (["makespan", "--sizes", "3,1,4,1,5", "--m", "2"], set()),
-    (["normalize", "--schedule", "SINGLE"], {"bounds", "metrics", "transforms"}),
+    (["normalize", "--schedule", "SINGLE"], {"transforms"}),
     (["verify", "--only", "C01"], {"bounds", "metrics", "transforms", "verification"}),
 ], ids=["gen", "bounds", "eval", "makespan", "normalize", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, extra):

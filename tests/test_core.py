@@ -105,7 +105,15 @@ BAD_FIELDS = [
     ("problem", -1, "problem -1 out of range [0, 3)"),
     ("processor", 2, "processor 2 out of range [0, 2)"),
     ("processor", -1, "processor -1 out of range [0, 2)"),
+    # a field of the wrong type is refused, not truncated or read as 0 or 1
+    ("problem", 1.5, "problem must be an integer, got 1.5"),
+    ("problem", True, "problem must be an integer, got True"),
+    ("processor", True, "processor must be an integer, got True"),
+    ("length", True, "length must be a number, got True"),
+    ("length", "3", "length must be a number, got '3'"),
+    ("length", 10**400, "length is outside the float range"),
 ]
+BAD_FIELD_IDS = [f"{f}={'10**400' if v == 10**400 else repr(v)}" for f, v, _ in BAD_FIELDS]
 
 
 def five_rows(bad):
@@ -123,7 +131,7 @@ def both_routes(rows):
 
 
 @pytest.mark.parametrize("idx", [0, 2, 4], ids=["first", "middle", "last"])
-@pytest.mark.parametrize("field, value, message", BAD_FIELDS, ids=[f"{f}={v}" for f, v, _ in BAD_FIELDS])
+@pytest.mark.parametrize("field, value, message", BAD_FIELDS, ids=BAD_FIELD_IDS)
 def test_a_bad_contract_is_named_at_any_position(idx, field, value, message):
     # a check by min() and max() alone would pass a NaN that does not come first
     for build in both_routes(five_rows({idx: (field, value)})):
@@ -132,18 +140,20 @@ def test_a_bad_contract_is_named_at_any_position(idx, field, value, message):
 
 
 def test_the_earlier_of_two_bad_contracts_is_named():
-    # contract 1 comes before contract 3, whichever of their fields is checked first in aggregate
-    for bad in ({1: ("length", math.nan), 3: ("problem", 7)}, {1: ("processor", 5), 3: ("length", -math.inf)}):
+    # the earlier contract is named whatever is wrong with each, a range error before a type error included
+    for bad, first in (({1: ("length", math.nan), 3: ("problem", 7)}, 1),
+                       ({1: ("processor", 5), 3: ("length", -math.inf)}, 1),
+                       ({0: ("problem", 5), 1: ("problem", 1.5)}, 0)):
         for build in both_routes(five_rows(bad)):
-            with pytest.raises(ValueError, match="^contract 1: "):
+            with pytest.raises(ValueError, match=f"^contract {first}: "):
                 build()
 
 
-def test_a_nan_problem_or_processor_is_out_of_range():
+def test_a_nan_problem_or_processor_is_not_an_integer():
     for field in ("problem", "processor"):
-        rows = five_rows({2: (field, math.nan)})
-        with pytest.raises(ValueError, match=re.escape(f"contract 2: {field} nan out of range")):
-            Schedule(3, 2, tuple(Contract(**row) for row in rows))
+        for build in both_routes(five_rows({2: (field, math.nan)})):
+            with pytest.raises(ValueError, match=re.escape(f"contract 2: {field} must be an integer, got nan")):
+                build()
 
 
 # --- snapshots ---------------------------------------------------------------
@@ -380,13 +390,16 @@ def test_json_document_shape():
 
 
 def test_loosely_typed_rows_load_as_the_exactly_typed_ones():
-    # an integer length or a dict subclass fails the bulk type check; the per-row loop must build the same contracts
+    # an integer length is made a float by Schedule's length rule, and a dict subclass reads as a dict
     rows = [{"problem": 0, "processor": 0, "length": 1.0}, {"problem": 1, "processor": 0, "length": 2.0}]
     exact = schedule_from_dict({"n": 2, "m": 1, "contracts": rows})
     for loose in ([rows[0], {**rows[1], "length": 2}], [collections.OrderedDict(rows[0]), rows[1]]):
         back = schedule_from_dict({"n": 2, "m": 1, "contracts": loose})
         assert back == exact
         assert [type(c.length) for c in back.contracts] == [float, float]
+    built = Schedule(2, 1, [Contract(0, 0, 1), (1, 0, 2.0)])
+    assert built == exact and [type(c) for c in built.contracts] == [Contract, Contract]
+    assert [type(c.length) for c in built.contracts] == [float, float]
 
 
 def test_json_missing_key_raises():

@@ -50,7 +50,11 @@ RECORDS = [
     (MakespanInstance, dict(sizes=(3.0, 1.0, 2.0), m=2), {},
      [({"m": 0}, f"m must be an integer in [1, {sys.maxsize}], got 0"),
       ({"sizes": ()}, "instance needs at least one job"),
-      ({"sizes": (1.0, float("nan"))}, "job sizes must be positive and finite, got nan")]),
+      ({"sizes": (1.0, float("nan"))}, "job sizes must be positive and finite, got nan"),
+      # a bool, a string and an int past the float range were read as 1.0, read as 2.0 and an OverflowError
+      ({"sizes": (True, 2.0)}, "job sizes must be a number, got True"),
+      ({"sizes": ("2", 1.0)}, "job sizes must be a number, got '2'"),
+      ({"sizes": (1.0, 10**400)}, "job sizes is outside the float range")]),
     (Assignment, dict(processor_of=(0, 1, 1), loads=(3.0, 3.0), makespan=3.0, optimal=True), {},
      [({"makespan": float("inf")}, "a processor load overflows the float range")]),
     (MeasureSample, dict(time=3.0, snapshot=(1.0, 2.0), denominator=3.0, ratio=1.0, served=True), {}, []),
