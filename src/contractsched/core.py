@@ -143,8 +143,8 @@ def _index(value: int, bound: int, what: str) -> int:
 def _length(value: float, what: str) -> float:
     """``value`` as a float if it is a length: an ``int`` or ``float`` (no bool), positive and finite.
 
-    The one rule for contract lengths and job sizes.  Anything else is a
-    ValueError, an integer too large for a float included.
+    The one rule for contract lengths, job sizes and interruption times.
+    Anything else is a ValueError, an integer too large for a float included.
     """
     if type(value) not in (int, float):
         raise ValueError(f"{what} must be a number, got {value!r}")
@@ -171,6 +171,8 @@ class Schedule(_Record):
     Every contract, whatever built it, is checked here and nowhere else: its
     problem and processor by ``_index``, its length by ``_length`` (an int
     length is stored as a float), and a ValueError names the first bad field.
+    So is the generator: ``None``, or a dict whose ``"family"`` is a ``str``,
+    with a ``"base"`` that obeys ``_base`` if the family is ``"exponential"``.
     """
 
     __slots__ = _fields = ("n_problems", "m_processors", "contracts", "generator")
@@ -191,6 +193,14 @@ class Schedule(_Record):
                                                _length(x, f"contract {i}: length")))
                                   for i, (p, q, x) in enumerate(contracts))
                 break
+        if generator is not None:
+            if not isinstance(generator, dict):
+                raise ValueError(f"schedule 'generator' must be a JSON object, got {type(generator).__name__}")
+            family = generator.get("family")
+            if type(family) is not str:
+                raise ValueError(f"schedule 'generator' family must be a string, got {family!r}")
+            if family == "exponential":
+                _base(generator.get("base"), "exponential generator base")
         _init_field(self, "n_problems", n)
         _init_field(self, "m_processors", m)
         _init_field(self, "contracts", contracts)
@@ -241,7 +251,8 @@ def _critical_times(fins: list[float]) -> list[float]:
 def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tuple[float, ...]]:
     """Per-problem longest lengths completed strictly before each t, by one sweep.
 
-    ``times`` must be ascending (repeats allowed).  Yields one tuple per t,
+    Each t obeys ``_length`` (an int is read as a float), and ``times`` must
+    be ascending (repeats allowed).  Yields one tuple per t,
     in problem-index order.  A contract counts for t when its simulated
     finish time is a float below t, so all contracts finishing at exactly t
     are excluded together.  The schedule is simulated once and its contract
@@ -251,17 +262,17 @@ def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tup
     sorted copy, a sum) never holds them all; on a 100k-contract prefix a
     list would add 100k live tuples for the garbage collector to track.
     """
-    return _snapshots_before(schedule, simulate(schedule), times)
+    return _snapshots_before(schedule, simulate(schedule), (_length(t, "interruption time") for t in times))
 
 
 def _snapshots_before(schedule: Schedule, fins: list[float], times: Iterable[float]) -> Iterator[tuple[float, ...]]:
-    """``snapshots_before`` from the finish times ``simulate(schedule)`` already gave."""
+    """``snapshots_before`` from the finish times ``simulate(schedule)`` already gave, at checked times."""
     contracts = schedule.contracts
     order = sorted(range(len(fins)), key=fins.__getitem__)
     longest = [0.0] * schedule.n_problems
     pos, end, prev = 0, len(order), -math.inf
     for t in times:
-        if not t >= prev:  # a NaN is not ascending either
+        if not t >= prev:
             raise ValueError(f"interruption times must be ascending, got {t} after {prev}")
         prev = t
         while pos < end and fins[order[pos]] < t:
@@ -274,8 +285,10 @@ def _snapshots_before(schedule: Schedule, fins: list[float], times: Iterable[flo
 
 def snapshot(schedule: Schedule, t: float) -> tuple[float, ...]:
     """Per-problem longest lengths at time t; contracts finishing exactly at t count as completed."""
-    # finishing at or before t is finishing before the next float above t; snapshot_before refuses t <= 0
-    return snapshot_before(schedule, math.nextafter(t, math.inf) if t > 0.0 else t)
+    # finishing at or before t is finishing before the next float above t: inf after sys.float_info.max,
+    # which snapshots_before would refuse, so the sweep is read directly
+    t = math.nextafter(_length(t, "interruption time"), math.inf)
+    return next(_snapshots_before(schedule, simulate(schedule), [t]))
 
 
 def snapshot_before(schedule: Schedule, t: float) -> tuple[float, ...]:
@@ -284,8 +297,6 @@ def snapshot_before(schedule: Schedule, t: float) -> tuple[float, ...]:
     This realizes interruption "right before" a finish time exactly; all
     contracts tied at t are excluded together.
     """
-    if not t > 0.0:
-        raise ValueError(f"interruption time must be positive, got {t}")
     (longest,) = snapshots_before(schedule, [t])
     return longest
 
@@ -338,10 +349,7 @@ def schedule_from_dict(doc: dict) -> Schedule:
         except TypeError:  # a row that is not a dict cannot be indexed by a field name
             idx, row = next((idx, row) for idx, row in enumerate(rows) if not isinstance(row, dict))
             raise ValueError(f"contract {idx} must be a JSON object, got {type(row).__name__}") from None
-        generator = doc.get("generator")
-        if generator is not None and not isinstance(generator, dict):
-            raise ValueError(f"schedule 'generator' must be a JSON object, got {type(generator).__name__}")
-        return Schedule(_count(doc["n"], "n"), _count(doc["m"], "m"), contracts, generator)
+        return Schedule(_count(doc["n"], "n"), _count(doc["m"], "m"), contracts, doc.get("generator"))
     except KeyError as exc:
         raise ValueError(f"schedule document missing key: {exc}") from exc
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
 # so all three stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
-from .core import Schedule, _base, _critical_times, _init_field, _Record, _snapshots_before, simulate
+from .core import Schedule, _critical_times, _init_field, _length, _Record, _snapshots_before, simulate
 from .core import critical_times  # noqa: F401
 from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
 from .makespan import lpt_makespan  # noqa: F401
@@ -111,7 +111,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
     """The one window loop; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes."""
     explicit = window is not None
     fins = simulate(schedule)  # the one simulation: the windows and both passes below read it
-    times = sorted(window) if explicit else _critical_times(fins)
+    times = sorted(_length(t, "interruption time") for t in window) if explicit else _critical_times(fins)
 
     seed, best = -1, -math.inf  # the served window with the largest ceiling t / lower, earliest on ties
     if lower is not None:
@@ -151,7 +151,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
 
     note = None
     if schedule.generator is not None:
-        note = f"finite prefix of {len(schedule)} contracts from an infinite {schedule.generator.get('family')} schedule"
+        note = f"finite prefix of {len(schedule)} contracts from an infinite {schedule.generator['family']} schedule"
     return MeasureReport(
         measure=measure,
         value=value,
@@ -168,8 +168,8 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
 
 def _exponential_base(schedule: Schedule) -> float | None:
     gen = schedule.generator
-    if gen is not None and gen.get("family") == "exponential":
-        return float(_base(gen.get("base"), "exponential generator base"))
+    if gen is not None and gen["family"] == "exponential":
+        return float(gen["base"])
     return None
 
 

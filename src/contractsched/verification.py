@@ -20,7 +20,7 @@ import time
 from typing import Callable, Sequence
 
 from . import bounds, metrics, transforms
-from .core import Schedule, Contract, _init_field, _Record, critical_times, simulate, snapshots_before
+from .core import Schedule, Contract, _init_field, _length, _Record, critical_times, simulate, snapshots_before
 from .generators import ExponentialSpec, acceleration_optimal_base, deficiency_optimal_base, exponential_schedule
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order
 
@@ -131,8 +131,7 @@ def scaling_oracle(values: Sequence[float], m: int, t: float) -> float:
     scales linearly, this equals t / OPT(values); the two routes are kept
     separate so each can check the other.
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+    t = _length(t, "interruption time")
     values = tuple(values)
     total = sum(values)
     top = max(values)
@@ -528,13 +527,11 @@ def check_bound_dominates(seed: int) -> tuple[bool, str]:
         return False, f"acceleration-optimal schedule worst-case bound {worst:.4f} not near 4.24"
 
     for n in range(1, 17):
-        for m in range(1, 17):
-            upper = bounds.deficiency_upper_bound_at_beta(n, m).value
-            if m == 1:
-                if upper < bounds.roundrobin_lower_bound(n).value * (1 - 1e-12):
-                    return False, f"upper bound below round-robin lower bound at n={n}"
-            if upper < bounds.deficiency_lower_bound_general(n).value * (1 - 1e-12) and m == 1:
-                return False, f"upper bound below general lower bound at n={n}"
+        upper = bounds.deficiency_upper_bound_at_beta(n, 1).value
+        if upper < bounds.roundrobin_lower_bound(n).value * (1 - 1e-12):
+            return False, f"upper bound below round-robin lower bound at n={n}"
+        if upper < bounds.deficiency_lower_bound_general(n).value * (1 - 1e-12):
+            return False, f"upper bound below general lower bound at n={n}"
     return True, f"bounds dominate empirical values; beta minimizes; acc-optimal worst case {worst:.4f}"
 
 

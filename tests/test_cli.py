@@ -303,6 +303,17 @@ def test_eval_rejects_a_bad_generator_base(tmp_path, capsys, measure, base):
     assert error["message"] == f"exponential generator base must be a finite number > 1, got {base!r}"
 
 
+@pytest.mark.parametrize("base", ["2", 1])
+def test_normalize_rejects_a_bad_generator_base(tmp_path, capsys, base):
+    # the transforms never read the generator, so normalize exited 0 and wrote the bad base back
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({**one_contract(), "generator": {"family": "exponential", "base": base}}))
+    code, out, err = run_cli(["normalize", "--schedule", str(path)], capsys)
+    assert code == 1 and out == ""
+    message = f"exponential generator base must be a finite number > 1, got {base!r}"
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
 @pytest.mark.parametrize("measure, message", [
     ("acc", "cyclic-acceleration functional at a=1e+300 overflows the float range"),
     ("perf", "cyclic-acceleration functional at a=1e+300 overflows the float range"),

@@ -13,11 +13,16 @@ from contractsched import (
     Contract,
     ExponentialSpec,
     Schedule,
+    acceleration_ratio,
     critical_times,
+    deficiency,
+    deficiency_bruteforce_oracle,
     deficiency_optimal_base,
     exponential_schedule,
     load_schedule,
+    performance_ratio,
     save_schedule,
+    scaling_oracle,
     schedule_from_dict,
     schedule_to_dict,
     simulate,
@@ -261,8 +266,62 @@ def test_snapshots_before_rejects_a_nan_time(times):
     # NaN < prev is false, so a NaN passed the ascending check and every later time got a stale snapshot:
     # [7.0, nan, 3.0] yielded the snapshot at 7.0 three times
     s = sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 4.0), (1, 0, 8.0)])
-    with pytest.raises(ValueError, match="^interruption times must be ascending, got nan after "):
+    with pytest.raises(ValueError, match="^interruption time must be positive and finite, got nan$"):
         list(snapshots_before(s, times))
+
+
+def _on_alternating(call):
+    return lambda t: call(sched(2, 1, ALTERNATING), t)
+
+
+# name -> a call taking one interruption time
+TIME_TAKERS = {
+    "snapshot": _on_alternating(snapshot),
+    "snapshot_before": _on_alternating(snapshot_before),
+    "snapshots_before": _on_alternating(lambda s, t: list(snapshots_before(s, [t]))),
+    **{f"{measure.__name__}-samples-{samples}": _on_alternating(
+        lambda s, t, measure=measure, samples=samples: measure(s, window=[t], samples=samples))
+       for measure in (acceleration_ratio, performance_ratio, deficiency) for samples in (True, False)},
+    "scaling_oracle": lambda t: scaling_oracle((1.0, 2.0), 2, t),
+    "deficiency_bruteforce_oracle": _on_alternating(deficiency_bruteforce_oracle),
+}
+
+BAD_TIMES = {
+    "0": (0, "interruption time must be positive and finite, got 0.0"),
+    "0.0": (0.0, "interruption time must be positive and finite, got 0.0"),
+    "-1.0": (-1.0, "interruption time must be positive and finite, got -1.0"),
+    "nan": (math.nan, "interruption time must be positive and finite, got nan"),
+    "inf": (math.inf, "interruption time must be positive and finite, got inf"),
+    "-inf": (-math.inf, "interruption time must be positive and finite, got -inf"),
+    "1e400": (10**400, "interruption time is outside the float range"),
+    "True": (True, "interruption time must be a number, got True"),
+    "str": ("3", "interruption time must be a number, got '3'"),
+    "None": (None, "interruption time must be a number, got None"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIME_TAKERS))
+def test_every_time_taker_runs_at_valid_times(name):
+    for t in (5, 7.0, 1e-300):
+        TIME_TAKERS[name](t)
+
+
+@pytest.mark.parametrize("bad, message", BAD_TIMES.values(), ids=BAD_TIMES.keys())
+@pytest.mark.parametrize("name", sorted(TIME_TAKERS))
+def test_every_time_taker_refuses_a_time_outside_the_rule(name, bad, message):
+    # at the parent, "3" was a TypeError, 10**400 an OverflowError, True a time of 1 (the bruteforce
+    # oracle returned inf on it), and the measures gave +inf at 0, -1.0 and inf
+    with pytest.raises(ValueError) as info:
+        TIME_TAKERS[name](bad)
+    assert str(info.value) == message
+
+
+def test_an_int_time_is_a_float_and_the_largest_float_is_a_time():
+    s = sched(2, 1, ALTERNATING)
+    argmax = deficiency(s, window=[5]).argmax_time
+    assert argmax == 5.0 and type(argmax) is float
+    # the next float above it is inf, which is not a time, yet every contract finishes by then
+    assert snapshot(s, sys.float_info.max) == (4.0, 8.0)
 
 
 # --- critical times ----------------------------------------------------------
@@ -379,6 +438,28 @@ def test_schedule_file_round_trips_every_length_bit_for_bit(tmp_path):
     back = load_schedule(path)
     assert back == s and back.generator == s.generator
     assert [c.length.hex() for c in back.contracts] == [x.hex() for x in lengths]
+
+
+BAD_GENERATORS = {
+    "int": (5, "schedule 'generator' must be a JSON object, got int"),
+    "list": ([], "schedule 'generator' must be a JSON object, got list"),
+    "empty": ({}, "schedule 'generator' family must be a string, got None"),
+    "int-family": ({"family": 3}, "schedule 'generator' family must be a string, got 3"),
+    "no-base": ({"family": "exponential"}, "exponential generator base must be a finite number > 1, got None"),
+    "str-base": ({"family": "exponential", "base": "2"},
+                 "exponential generator base must be a finite number > 1, got '2'"),
+}
+
+
+@pytest.mark.parametrize("generator, message", BAD_GENERATORS.values(), ids=BAD_GENERATORS.keys())
+def test_schedule_and_the_loader_refuse_a_bad_generator_alike(generator, message):
+    # at the parent, Schedule built all six and the loader refused only 5 and []; deficiency then died with
+    # an AttributeError on 5, and a report's note read "from an infinite None schedule" on {}
+    with pytest.raises(ValueError) as built:
+        Schedule(2, 1, tuple(Contract(*row) for row in ALTERNATING), generator)
+    with pytest.raises(ValueError) as loaded:
+        schedule_from_dict({**schedule_to_dict(sched(2, 1, ALTERNATING)), "generator": generator})
+    assert str(built.value) == str(loaded.value) == message
 
 
 def test_json_document_shape():
