@@ -28,7 +28,7 @@ def main() -> None:
         print(f"{n}  {m}  {base:.6f}  {emp:.6f}   {bound:.6f}")
     print()
 
-    surface = figure2_deficiency_surface(64, 64)
+    surface = figure2_deficiency_surface()
     peak_m, peak_rho, peak = max(surface, key=lambda row: row[2])
     print(f"bound surface over m, rho in 1..64:")
     print(f"  max {peak:.9f} at m={peak_m}, rho={peak_rho}")

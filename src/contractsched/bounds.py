@@ -19,9 +19,10 @@ behind the three standard figures.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import accumulate, repeat
 
-from .core import _base, _count, _init_field, _Record
+from .core import _base, _count, _index, _init_field, _Record
 from .generators import _geometric_minimum, deficiency_optimal_base
 
 
@@ -67,13 +68,13 @@ def _deficiency_bound(m: int, y: int, b: float) -> float:
 
 
 def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
-    """Closed form of the greedy makespan on jobs b**k, ..., b**(n+k-1).
+    """Closed form of the greedy makespan on jobs b**k, ..., b**(n+k-1), k an index (``core._index``).
 
     Greedy in increasing order places the i-th job on processor i mod m, so
     the busiest processor carries the geometric subseries ending at the last
     job:  b**k * (b**(n+m-1) - b**((n-1) mod m)) / (b**m - 1).
     """
-    b, n, m = _base(b, "geometric ratio"), _count(n, "n"), _count(m, "m")
+    b, n, m, k = _base(b, "geometric ratio"), _count(n, "n"), _count(m, "m"), _index(k, sys.maxsize, "k")
     return _finite(lambda: f"greedy geometric makespan at b={b!r}, n={n}, m={m}, k={k}",
                    lambda: b**k * (b ** (n + m - 1) - b ** ((n - 1) % m)) / (b**m - 1))
 
@@ -314,30 +315,30 @@ def truncated_functional_sup(name: str, a: float, k_max: int = 200, n: int | Non
 # ---------------------------------------------------------------------------
 
 
-def figure1_performance_curve(r_max: int = 64) -> list[tuple[float, float]]:
-    """Performance ratio against the problem/processor ratio r = n/m (m dividing n).
+def figure1_performance_curve() -> list[tuple[float, float]]:
+    """Performance ratio against the problem/processor ratio r = n/m (m dividing n), for r = 1..64.
 
     The closed form at (r, 1), (1 + 1/r)(1 + 1/r)^r: equals 4 at r = 1 and decreases toward e.
     """
-    return [(float(r), performance_ratio_closed_form(r, 1).value) for r in range(1, r_max + 1)]
+    return [(float(r), performance_ratio_closed_form(r, 1).value) for r in range(1, 65)]
 
 
-def figure2_deficiency_surface(m_max: int = 64, rho_max: int = 64) -> list[tuple[int, int, float]]:
-    """The optimized deficiency bound over the (m, rho) grid (the n > m regime).
+def figure2_deficiency_surface() -> list[tuple[int, int, float]]:
+    """The optimized deficiency bound over the (m, rho) grid [1, 64]^2 (the n > m regime), m-major.
 
     Cell (m, rho) is ``deficiency_upper_bound_at_beta(m*rho + 1, m).value``, without building its report.
     """
     rows = []
-    for m in range(1, m_max + 1):
-        for rho in range(1, rho_max + 1):
+    for m in range(1, 65):
+        for rho in range(1, 65):
             y = m * (rho + 1)
             rows.append((m, rho, _deficiency_bound(m, y, _geometric_minimum(y + 1, y)[0])))
     return rows
 
 
-def figure3_single_processor_curves(n_max: int = 20) -> list[tuple[int, float, float]]:
-    """General lower bound (n+1)/n vs best exponential value (n+1)^((n+1)/n)/n."""
+def figure3_single_processor_curves() -> list[tuple[int, float, float]]:
+    """General lower bound (n+1)/n vs best exponential value (n+1)^((n+1)/n)/n, for n = 1..20."""
     return [
         (n, deficiency_lower_bound_general(n).value, best_exponential_deficiency_single_processor(n).value)
-        for n in range(1, n_max + 1)
+        for n in range(1, 21)
     ]

@@ -50,15 +50,15 @@ class _Record:
 
     A subclass names its fields, in order, in ``__slots__ = _fields = (...)``
     and sets each once in its own ``__init__`` through ``_init_field``.  The
-    base gives what a frozen dataclass gives, without importing
-    ``dataclasses`` (which loads ``inspect`` and ``ast`` into every process)
-    or generating methods when the class is defined: assigning or deleting a
-    field raises AttributeError, two records are equal when they are of the
-    same class with equal fields, the hash is that of the field tuple, and
-    the repr is ``Name(field=value, ...)``.  Each ``__init__`` is written out
-    rather than one generic loop over ``_fields``: ``verify`` builds tens of
-    thousands of ``MakespanInstance``, ``Assignment`` and ``Schedule``
-    records, and such a loop measured slower than the dataclass ``__init__``.
+    base gives what a frozen dataclass gives, without importing ``dataclasses``
+    (which loads ``inspect`` and ``ast`` into every process) or generating
+    methods when the class is defined: assigning or deleting a field raises
+    AttributeError, two records are equal when they are of the same class with
+    equal fields, the repr is ``Name(field=value, ...)``, and the hash is that
+    of the field tuple (a record with a dict field, such as ``Schedule.generator``
+    or ``BoundReport.params``, cannot be hashed, and the dict is not frozen).
+    Each ``__init__`` is written out: a loop over ``_fields`` measured slower
+    on the tens of thousands of records ``verify`` builds.
     """
 
     __slots__ = ()
@@ -196,6 +196,7 @@ class Schedule(_Record):
         if generator is not None:
             if not isinstance(generator, dict):
                 raise ValueError(f"schedule 'generator' must be a JSON object, got {type(generator).__name__}")
+            generator = _plain(generator)  # a deep copy: the caller's dict may change after this check
             family = generator.get("family")
             if type(family) is not str:
                 raise ValueError(f"schedule 'generator' family must be a string, got {family!r}")

@@ -10,6 +10,7 @@ the deficiency measure.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Sequence
 
 from .core import _count, _init_field, _length, _Record
@@ -155,7 +156,9 @@ def exact_makespan(instance: MakespanInstance) -> Assignment:
     """Provably optimal makespan by branch and bound.
 
     The LPT assignment seeds the incumbent, and is returned at once if it is
-    within a relative 1e-12 of ``lower_bound``.  Otherwise jobs are assigned
+    within a relative 1e-12 of ``lower_bound``, a stop capped at the largest
+    float.  A bound that overflows is a ValueError (OPT is at least the bound),
+    and an LPT seed that overflows only starts the search.  Otherwise jobs are assigned
     depth first in decreasing size order, and processors with identical
     current loads are only branched once (processor symmetry).  A placement
     is cut when it would bring its processor's load to the incumbent or
@@ -183,13 +186,14 @@ def exact_makespan(instance: MakespanInstance) -> Assignment:
             total = math.inf
         return Assignment((0,) * n, (total,), total, optimal=True)
 
-    stop = lower_bound(sizes, m) * (1.0 + 1e-12)
+    bound = lower_bound(sizes, m)
+    if bound == math.inf:
+        raise ValueError(_OVERFLOW)
+    stop = min(bound * (1.0 + 1e-12), sys.float_info.max)
     order = _lpt_order(sizes)
     best_assign = _place(sizes, order, m)  # the LPT placement, as ``lpt_makespan`` makes it
     seed_loads = _loads(best_assign, sizes, m)
     best_span = max(seed_loads)
-    if not math.isfinite(best_span):
-        raise ValueError(_OVERFLOW)
     if best_span <= stop:
         return Assignment(tuple(best_assign), tuple(seed_loads), best_span, optimal=True)
 

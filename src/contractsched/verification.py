@@ -129,14 +129,13 @@ def scaling_oracle(values: Sequence[float], m: int, t: float) -> float:
 
     Bisection on d with exact-makespan feasibility.  Because the makespan
     scales linearly, this equals t / OPT(values); the two routes are kept
-    separate so each can check the other.
+    separate so each can check the other.  ``MakespanInstance`` checks the
+    values by the job-size rule and m by the count rule once, before it.
     """
     t = _length(t, "interruption time")
-    values = tuple(values)
-    total = sum(values)
-    top = max(values)
-    lo = t / total  # always feasible: OPT(lo * values) <= lo * total = t
-    hi = (t / top) * (1.0 + 1e-6)  # infeasible: the largest scaled job alone exceeds t
+    values = MakespanInstance(values, m).sizes
+    lo = t / sum(values)  # always feasible: OPT(lo * values) <= lo * sum(values) = t
+    hi = (t / max(values)) * (1.0 + 1e-6)  # infeasible: the largest scaled job alone exceeds t
 
     def feasible(d: float) -> bool:
         span = exact_makespan(MakespanInstance([d * v for v in values], m)).makespan
@@ -233,7 +232,7 @@ def check_finish_time_closed_form(seed: int) -> tuple[bool, str]:
 
 @_check("C05", "optimized deficiency bound surface: max 2.803779 at (m=2, rho=1); ceilings 3.74 / 4", limit_seconds=5.0)
 def check_bound_surface(seed: int) -> tuple[bool, str]:
-    surface = bounds.figure2_deficiency_surface(64, 64)
+    surface = bounds.figure2_deficiency_surface()
     best = max(surface, key=lambda row: row[2])
     target = 0.375 * 5.0**1.25  # 3/8 * 5^(5/4)
     ok = _close(best[2], target, 1e-6) and best[0] == 2 and best[1] == 1

@@ -116,7 +116,7 @@ def test_at_beta_consistent_with_general_bound():
 
 
 def test_surface_max_location_and_value():
-    surface = figure2_deficiency_surface(64, 64)
+    surface = figure2_deficiency_surface()
     value, m, rho = max((v, m, r) for m, r, v in surface)
     assert (m, rho) == (2, 1)
     assert value == pytest.approx(0.375 * 5.0**1.25, abs=1e-6)
@@ -309,7 +309,7 @@ def test_acceleration_optimal_base_deficiency_worst_case():
 
 
 def test_figure1_anchors():
-    curve = figure1_performance_curve(64)
+    curve = figure1_performance_curve()
     values = [v for _, v in curve]
     assert values[0] == pytest.approx(4.0, rel=1e-12)
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -318,7 +318,7 @@ def test_figure1_anchors():
 
 
 def test_figure3_rows():
-    rows = figure3_single_processor_curves(20)
+    rows = figure3_single_processor_curves()
     assert len(rows) == 20
     for n, lower, exp_value in rows:
         assert lower == pytest.approx((n + 1) / n, rel=1e-12)
@@ -327,13 +327,14 @@ def test_figure3_rows():
 
 
 def test_figure2_grid_shape():
-    rows = figure2_deficiency_surface(8, 8)
-    assert len(rows) == 64
-    assert rows[0][:2] == (1, 1)
+    # the fixed grid (m, rho) in [1, 64]^2, m-major
+    rows = figure2_deficiency_surface()
+    assert len(rows) == 64 * 64
+    assert [(m, rho) for m, rho, _ in rows] == list(itertools.product(range(1, 65), range(1, 65)))
 
 
 def test_figure2_cells_are_the_scalar_bound():
-    rows = figure2_deficiency_surface(12, 13)
+    rows = [row for row in figure2_deficiency_surface() if row[0] <= 12 and row[1] <= 13]
     assert [(m, rho) for m, rho, _ in rows] == list(itertools.product(range(1, 13), range(1, 14)))
     for m, rho, value in rows:
         assert value == deficiency_upper_bound_at_beta(m * rho + 1, m).value

@@ -106,7 +106,7 @@ def test_cyclic_and_performance_closed_forms():
         _assert_close(report.params["a"], _root(Decimal(n + m) / n, m), ("cyclic a", n, m))
         stack = -(-n // m)
         _assert_close(performance_ratio_closed_form(n, m).value, want / stack, ("performance_ratio_closed_form", n, m))
-    for r, value in figure1_performance_curve(40):
+    for r, value in (row for row in figure1_performance_curve() if row[0] <= 40):
         r = int(r)
         _assert_close(value, (1 + Decimal(1) / r) ** (r + 1), ("figure1_performance_curve", r))
 
@@ -125,5 +125,5 @@ def test_deficiency_bound_at_the_optimal_base():
         gamma = (n - 1) % m
         _assert_close(deficiency_upper_bound_at_beta(n, m).value, _at_beta(m, n + m - 1 - gamma),
                       ("deficiency_upper_bound_at_beta", n, m))
-    for m, rho, value in figure2_deficiency_surface(40, 40):
+    for m, rho, value in (row for row in figure2_deficiency_surface() if row[0] <= 40 and row[1] <= 40):
         _assert_close(value, _at_beta(m, m * (rho + 1)), ("figure2_deficiency_surface", m, rho))

@@ -462,6 +462,16 @@ def test_schedule_and_the_loader_refuse_a_bad_generator_alike(generator, message
     assert str(built.value) == str(loaded.value) == message
 
 
+def test_schedule_keeps_a_copy_of_the_generator_it_checked():
+    # at the parent the record kept the caller's dict, so deficiency read a base edited to "2" after the
+    # check as float("2")
+    generator = {"family": "exponential", "base": 2.0, "note": {"tags": ["a"]}}
+    s = Schedule(2, 1, tuple(Contract(*row) for row in ALTERNATING), generator)
+    generator["base"] = "2"
+    generator["note"]["tags"].append("b")
+    assert s.generator == {"family": "exponential", "base": 2.0, "note": {"tags": ["a"]}}
+
+
 def test_json_document_shape():
     s = sched(2, 1, ALTERNATING)
     doc = schedule_to_dict(s)

@@ -27,6 +27,7 @@ from contractsched import (
     optimize_geometric_functional,
     performance_ratio_closed_form,
     roundrobin_lower_bound,
+    scaling_oracle,
     truncated_functional_sup,
 )
 from contractsched.bounds import geometric_functional
@@ -37,6 +38,7 @@ COUNT_TAKERS = {
     "Schedule": (lambda n=2, m=2: Schedule(n, m, ()), {"n": "n_problems", "m": "m_processors"}),
     "ExponentialSpec": (lambda n=2, m=2: ExponentialSpec(n, m, 2.0), {"n": "n", "m": "m"}),
     "MakespanInstance": (lambda m=2: MakespanInstance((1.0,), m), {"m": "m"}),
+    "scaling_oracle": (lambda m=2: scaling_oracle((1.0, 2.0), m, 3.0), {"m": "m"}),
     "deficiency_optimal_base": (lambda n=2, m=2: deficiency_optimal_base(n, m), {"n": "n", "m": "m"}),
     "acceleration_optimal_base": (lambda n=2, m=2: acceleration_optimal_base(n, m), {"n": "n", "m": "m"}),
     "greedy_geometric_makespan": (lambda n=2, m=2: greedy_geometric_makespan(2.0, n, m), {"n": "n", "m": "m"}),

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,10 @@ from contractsched import (
     greedy_geometric_makespan,
     greedy_in_order,
     lpt_makespan,
+    scaling_oracle,
 )
 from contractsched.cli import main
-from contractsched.makespan import _lpt_span
+from contractsched.makespan import _lpt_span, lower_bound
 from contractsched.verification import _enumerated_makespan
 
 
@@ -77,6 +79,25 @@ def test_geometric_closed_form_matches_greedy_on_grid():
 def test_geometric_closed_form_rejects_base():
     with pytest.raises(ValueError):
         greedy_geometric_makespan(1.0, 2, 1)
+
+
+BAD_KS = {
+    "str": ("x", "k must be an integer, got 'x'"),
+    "None": (None, "k must be an integer, got None"),
+    "True": (True, "k must be an integer, got True"),
+    "2.5": (2.5, "k must be an integer, got 2.5"),
+    "-1": (-1, f"k -1 out of range [0, {sys.maxsize})"),
+    "1e400": (10**400, f"k {10**400} out of range [0, {sys.maxsize})"),
+}
+
+
+@pytest.mark.parametrize("bad, message", BAD_KS.values(), ids=BAD_KS.keys())
+def test_geometric_closed_form_takes_k_by_the_index_rule(bad, message):
+    # at the parent, "x" and None were a TypeError, True, 2.5 and -1 gave a makespan, and 10**400 was the
+    # closed form's overflow error
+    with pytest.raises(ValueError) as info:
+        greedy_geometric_makespan(2.0, 3, 2, bad)
+    assert str(info.value) == message
 
 
 # --- exact solver ------------------------------------------------------------
@@ -169,6 +190,51 @@ def test_exact_solves_when_only_the_total_overflows():
     assert got.makespan < lpt_makespan(MakespanInstance(sizes, 2)).makespan
 
 
+def test_exact_solves_where_only_the_lpt_seed_overflows(capsys):
+    # LPT stacks 8.297e307 + 5.531e307 + 5.531e307 = 1.9359e308 past the float range, while OPT pairs the
+    # two large jobs; the parent raised the overflow error from the seed, and the CLI exited 1
+    sizes = (8.297e307, 8.297e307, 5.531e307, 5.531e307, 5.531e307)
+    got = exact_makespan(MakespanInstance(sizes, 2))
+    assert got.optimal and got.makespan == 1.6594e308 == _enumerated_makespan(sizes, 2)
+    assert main(["makespan", "--sizes", ",".join(map(repr, sizes)), "--m", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["optimal"] is True and out["makespan"] == 1.6594e308
+
+
+def test_exact_caps_its_stop_at_the_largest_float():
+    # the lower bound is finite but 1e-12 above it is not, so an uncapped stop was inf, and the infinite
+    # LPT seed passed as "within the stop" (the parent's seed check refused the instance first)
+    x = sys.float_info.max / 6 * (1 - 1e-13)
+    sizes = (3 * x, 3 * x, 2 * x, 2 * x, 2 * x)
+    assert lower_bound(sizes, 2) * (1.0 + 1e-12) == math.inf
+    got = exact_makespan(MakespanInstance(sizes, 2))
+    assert got.makespan == 1.7976931348621359e308 == _enumerated_makespan(sizes, 2)
+
+
+def test_exact_refuses_an_optimum_beyond_the_float_range_at_once():
+    # the lower bound, 1.5e308, is finite, so the search runs; every map overflows
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^a processor load overflows the float range$"):
+        exact_makespan(MakespanInstance((1e308, 1e308, 1e308), 2))
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(1.0, 100.0), min_size=1, max_size=8), st.integers(1, 3),
+       st.floats(0.9, 1.0, exclude_max=True))
+def test_exact_matches_enumeration_near_the_float_range(raw, m, fraction):
+    # scaled so that the lower bound is about fraction * sys.float_info.max: the optimum is finite or not,
+    # and the LPT seed may overflow where the optimum does not
+    scale = fraction * sys.float_info.max / max(max(raw), sum(raw) / m)
+    sizes = tuple(s * scale for s in raw)
+    want = _enumerated_makespan(sizes, m)
+    if want == math.inf:
+        with pytest.raises(ValueError, match="^a processor load overflows the float range$"):
+            exact_makespan(MakespanInstance(sizes, m))
+    else:
+        assert exact_makespan(MakespanInstance(sizes, m)).makespan == pytest.approx(want, rel=1e-12)
+
+
 def test_exact_guard():
     with pytest.raises(InstanceTooLargeError):
         exact_makespan(MakespanInstance(tuple(float(i + 1) for i in range(25)), 2))
@@ -246,3 +312,40 @@ def test_instance_validation():
         MakespanInstance((1.0,), 0)
     with pytest.raises(ValueError):
         MakespanInstance((0.0,), 1)
+
+
+# name -> a call taking a list of job sizes
+SIZE_TAKERS = {
+    "MakespanInstance": lambda sizes: MakespanInstance(sizes, 2),
+    "scaling_oracle": lambda sizes: scaling_oracle(sizes, 2, 3.0),
+}
+
+BAD_SIZES = {
+    "empty": ([], "instance needs at least one job"),
+    "negative": ([1.0, -1.0], "job sizes must be positive and finite, got -1.0"),
+    "str": (["1"], "job sizes must be a number, got '1'"),
+    "True": ([True], "job sizes must be a number, got True"),
+    "nan": ([math.nan], "job sizes must be positive and finite, got nan"),
+    "1e400": ([10**400], "job sizes is outside the float range"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_TAKERS))
+def test_every_size_taker_runs_at_valid_sizes(name):
+    for sizes in ([1.0], (1, 2.5, 3), [0.5, 1e-300]):
+        SIZE_TAKERS[name](sizes)
+
+
+def test_scaling_oracle_reads_an_int_size_as_the_float():
+    # the job-size rule makes an int a float, as dividing by it already did
+    assert scaling_oracle([1, 2, 4], 2, 8.0) == scaling_oracle([1.0, 2.0, 4.0], 2, 8.0)
+
+
+@pytest.mark.parametrize("bad, message", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+@pytest.mark.parametrize("name", sorted(SIZE_TAKERS))
+def test_every_size_taker_refuses_a_job_list_outside_the_rule(name, bad, message):
+    # at the parent, scaling_oracle died on [] with "max() arg is an empty sequence", on [1.0, -1.0]
+    # with a ZeroDivisionError, on ["1"] with a TypeError and on [10**400] with an OverflowError
+    with pytest.raises(ValueError) as info:
+        SIZE_TAKERS[name](bad)
+    assert str(info.value) == message
