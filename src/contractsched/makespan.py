@@ -45,18 +45,20 @@ class MakespanInstance(_Record):
 
 
 class Assignment(_Record):
-    """A job-to-processor map with its loads and makespan; a makespan that overflows is a ValueError."""
+    """A job-to-processor map and its loads; ``makespan`` is the largest load, and one that overflows is refused."""
 
-    __slots__ = _fields = ("processor_of", "loads", "makespan", "optimal")
+    __slots__ = _fields = ("processor_of", "loads", "optimal")
 
-    def __init__(self, processor_of: tuple[int, ...], loads: tuple[float, ...], makespan: float,
-                 optimal: bool) -> None:
-        if not math.isfinite(makespan):
+    def __init__(self, processor_of: tuple[int, ...], loads: tuple[float, ...], optimal: bool) -> None:
+        if not math.isfinite(max(loads)):
             raise ValueError(_OVERFLOW)
         _init_field(self, "processor_of", processor_of)
         _init_field(self, "loads", loads)
-        _init_field(self, "makespan", makespan)
         _init_field(self, "optimal", optimal)
+
+    @property
+    def makespan(self) -> float:
+        return max(self.loads)
 
 
 def _place(sizes: Sequence[float], order: Iterable[int], m: int) -> list[int]:
@@ -119,13 +121,7 @@ def assignment_from_map(processor_of: Sequence[int], sizes: Sequence[float], m: 
     (``exact_makespan`` on one processor returns the correctly rounded
     total instead).
     """
-    loads = _loads(processor_of, sizes, m)
-    return Assignment(
-        processor_of=tuple(processor_of),
-        loads=tuple(loads),
-        makespan=max(loads),
-        optimal=optimal,
-    )
+    return Assignment(processor_of=tuple(processor_of), loads=tuple(_loads(processor_of, sizes, m)), optimal=optimal)
 
 
 def greedy_in_order(instance: MakespanInstance) -> Assignment:
@@ -164,10 +160,11 @@ def exact_makespan(instance: MakespanInstance) -> Assignment:
     is cut when it would bring its processor's load to the incumbent or
     above, and a branch when its current makespan has reached an incumbent
     improved below it.  The search stops at the first assignment within the
-    same 1e-12 of the lower bound.  On one processor the optimum is the
-    total, taken with ``math.fsum`` (correctly rounded, so independent of
-    the job order).  Guarded at ``EXACT_MAX_JOBS`` jobs; callers needing
-    larger instances can opt into the flagged LPT heuristic.
+    same 1e-12 of the lower bound; from there every level of the descent
+    returns at once.  The makespan is the largest load of the returned map;
+    on one processor it is the total, taken with ``math.fsum`` (correctly
+    rounded, so independent of the job order).  Guarded at ``EXACT_MAX_JOBS``
+    jobs; callers needing larger instances can opt into the flagged LPT heuristic.
 
     Known error: the cuts compare placement-order sums with a job-index-order
     incumbent, so the result can be one ulp high (1.2000000000000002, not 1.2,
@@ -184,7 +181,7 @@ def exact_makespan(instance: MakespanInstance) -> Assignment:
             total = math.fsum(sizes)
         except OverflowError:
             total = math.inf
-        return Assignment((0,) * n, (total,), total, optimal=True)
+        return Assignment((0,) * n, (total,), optimal=True)
 
     bound = lower_bound(sizes, m)
     if bound == math.inf:
@@ -195,25 +192,21 @@ def exact_makespan(instance: MakespanInstance) -> Assignment:
     seed_loads = _loads(best_assign, sizes, m)
     best_span = max(seed_loads)
     if best_span <= stop:
-        return Assignment(tuple(best_assign), tuple(seed_loads), best_span, optimal=True)
+        return Assignment(tuple(best_assign), tuple(seed_loads), optimal=True)
 
     loads = [0.0] * m
     assign = [0] * n
-    done = False
 
-    def descend(pos: int, cur_max: float) -> None:
-        nonlocal best_span, best_assign, done
-        if done:
-            return
+    def descend(pos: int, cur_max: float) -> bool:
+        """Search below ``pos``; True once an assignment within the stop is found, which ends the search."""
+        nonlocal best_span, best_assign
         if pos == n:
             # strictly better than the incumbent by construction
             best_span = cur_max
             best_assign = assign.copy()
-            if best_span <= stop:
-                done = True
-            return
+            return best_span <= stop
         if cur_max >= best_span:  # incumbent improved below this branch
-            return
+            return False
         job = order[pos]
         size = sizes[job]
         tried: set[float] = set()
@@ -227,10 +220,10 @@ def exact_makespan(instance: MakespanInstance) -> Assignment:
                 continue
             loads[proc] = new_load
             assign[job] = proc
-            descend(pos + 1, max(cur_max, new_load))
+            if descend(pos + 1, max(cur_max, new_load)):
+                return True
             loads[proc] = load
-            if done:
-                return
+        return False
 
     descend(0, 0.0)
     return assignment_from_map(best_assign, sizes, m, optimal=True)

@@ -31,9 +31,11 @@ reports from its sorted snapshots.
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Sequence
 
-from .core import Contract, Schedule, _init_field, _Record, _snapshots_before, simulate
+from .core import Contract, Schedule, _init_field, _Record, _snapshots_before, contract_of, simulate
 
 
 class TransformStep(_Record):
@@ -203,9 +205,9 @@ def _first_violation(contracts: list[Contract], n: int) -> tuple[int, int] | Non
     """
     longest = [0.0] * n
     for idx, c in enumerate(contracts):
-        low = min(range(n), key=lambda p: (longest[p], p))
-        if longest[c.problem] > longest[low]:
-            return idx, low
+        least = min(longest)
+        if longest[c.problem] > least:
+            return idx, longest.index(least)
         if c.length > longest[c.problem]:
             longest[c.problem] = c.length
     return None
@@ -219,15 +221,9 @@ def is_normalized(schedule: Schedule) -> bool:
 
 
 def _swap_suffix(contracts: list[Contract], start: int, a: int, b: int) -> list[Contract]:
-    out = list(contracts[:start])
-    for c in contracts[start:]:
-        if c.problem == a:
-            out.append(Contract(b, c.processor, c.length))
-        elif c.problem == b:
-            out.append(Contract(a, c.processor, c.length))
-        else:
-            out.append(c)
-    return out
+    relabel = {a: b, b: a}
+    return contracts[:start] + [contract_of((relabel.get(p, p), proc, length))
+                                for p, proc, length in contracts[start:]]
 
 
 def _suffix_swap_move(contracts: list[Contract], n: int, ratios) -> _Move | None:
@@ -262,19 +258,17 @@ def normalize(schedule: Schedule) -> NormalizationTrace:
 def _runs(contracts: list[Contract]) -> list[tuple[int, int]]:
     """Maximal (start, length) runs of consecutive contracts for one problem."""
     runs = []
-    i = 0
-    while i < len(contracts):
-        j = i
-        while j + 1 < len(contracts) and contracts[j + 1].problem == contracts[i].problem:
-            j += 1
-        runs.append((i, j - i + 1))
-        i = j + 1
+    start = 0
+    for _, run in groupby(contracts, itemgetter(0)):  # field 0 is the problem
+        length = len(list(run))
+        runs.append((start, length))
+        start += length
     return runs
 
 
 def _pair_q_test(ratios: list[tuple[float, float | None]], dropped: list[tuple[float, float | None]],
                  pair_at: int) -> bool:
-    """Whether the first contract of the pair at `pair_at` may be dropped.
+    """Whether the first contract of the pair at `pair_at` may be dropped: Q' <= Q, compared exactly.
 
     ``ratios`` are the schedule's windows and ``dropped`` those of the
     schedule without that contract.  Compares the local suprema Q and Q'
@@ -291,22 +285,17 @@ def _pair_q_test(ratios: list[tuple[float, float | None]], dropped: list[tuple[f
     shared = [ratios[pair_at - 1]] if pair_at else []
     q = max((v for _, v in shared + ratios[pair_at : pair_at + 2] if v is not None), default=-math.inf)
     qp = max((v for _, v in shared + dropped[pair_at : pair_at + 1] if v is not None), default=-math.inf)
-    return qp <= _slack(q)
-
-
-def _slack(value: float) -> float:
-    """The largest deficiency the pair rules count as no worse than ``value``."""
-    return value * (1.0 + 1e-12) + 1e-15
+    return qp <= q
 
 
 def _certified(contracts: list[Contract], pair_at: int) -> bool:
     """Whether ``x_next >= l_other``: the contract following the pair must serve the other problem.
 
-    The run then legitimately ends there.  Reads the contract lengths only.
+    The run then legitimately ends there.  Reads the contract lengths only and compares them exactly.
     """
     other = 1 - contracts[pair_at].problem
     l_other = max((c.length for c in contracts[:pair_at] if c.problem == other), default=0.0)
-    return contracts[pair_at + 1].length >= l_other * (1.0 - 1e-12)
+    return contracts[pair_at + 1].length >= l_other
 
 
 def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
@@ -341,7 +330,7 @@ def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
                     break
                 candidates.append((p, dropped, dropped_ratios))
             else:
-                limit = _slack(_value(ratios))
+                limit = _value(ratios)
                 chosen = next(((p, "direct", d, r) for p, d, r in candidates if _value(r) <= limit), None)
             if chosen is not None:
                 pair_at, rule, nxt, nxt_ratios = chosen

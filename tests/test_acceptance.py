@@ -10,9 +10,11 @@ moves any of them in a printed digit changes a digest.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
+from contractsched import verification
 from contractsched.verification import ALL_CHECKS
 
 ACCEPTANCE_CHECKS = [c for c in ALL_CHECKS if c.check_id.startswith("C")]
@@ -73,3 +75,12 @@ def test_property_suite(check):
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=[c.check_id for c in ALL_CHECKS])
 def test_details_at_more_seeds(check, seed):
     _run_and_assert(check, seed)
+
+
+def test_a_check_past_its_runtime_limit_fails(monkeypatch):
+    # a fake clock that reads 5 s across C01, whose limit is 1 s
+    clock = iter((0.0, 5.0))
+    monkeypatch.setattr(verification, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    result = next(c for c in ALL_CHECKS if c.check_id == "C01")(0)
+    assert not result.passed and result.seconds == 5.0
+    assert result.details.endswith("; exceeded runtime limit of 1s (5.00s)")

@@ -76,6 +76,16 @@ def test_functionals_reject_a_base_that_is_not_a_finite_number_above_one(name, k
         geometric_functional(name, **kwargs)(a)
 
 
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("round-robin", {}, "round-robin functional needs n"),
+    ("cyclic-acceleration", {"n": 2}, "cyclic-acceleration functional needs n and m"),
+    ("cyclic-acceleration", {"m": 2}, "cyclic-acceleration functional needs n and m"),
+], ids=["round-robin", "cyclic-no-m", "cyclic-no-n"])
+def test_functionals_name_the_counts_they_need(name, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        geometric_functional(name, **kwargs)
+
+
 @pytest.mark.parametrize("b, n, m", [(math.inf, 2, 2), (1e200, 3, 2), (2.0, 3000, 1)])
 def test_greedy_closed_form_rejects_values_beyond_the_float_range(b, n, m):
     with pytest.raises(ValueError):

@@ -503,6 +503,17 @@ def test_normalize_cli(tmp_path, capsys):
     assert trace["identity"] is False
 
 
+def test_normalize_cli_prints_the_trace_without_out_or_trace(tmp_path, capsys):
+    sched_path = tmp_path / "in.json"
+    save_schedule(Schedule(2, 1, [Contract(0, 0, 1.0), Contract(0, 0, 2.0), Contract(1, 0, 4.0)]), sched_path)
+    code, out, err = run_cli(["normalize", "--schedule", str(sched_path)], capsys)
+    assert code == 0 and err == ""
+    assert sorted(tmp_path.iterdir()) == [sched_path]
+    trace = json.loads(out)
+    assert trace["identity"] is False and trace["steps"][0]["kind"] == "swap-assignment"
+    assert (trace["input_contracts"], trace["output_contracts"]) == (3, 3)
+
+
 def test_normalize_cli_with_reduction(tmp_path, capsys):
     sched_path = tmp_path / "in.json"
     sched_path.write_text(

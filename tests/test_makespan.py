@@ -219,6 +219,18 @@ def test_exact_refuses_an_optimum_beyond_the_float_range_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_exact_refuses_a_lower_bound_beyond_the_float_range(capsys):
+    # the total and the sum of s / m both overflow, so the bound is inf and no map can be finite
+    sizes = (1.7e308, 1.7e308, 1.7e308)
+    assert lower_bound(sizes, 2) == math.inf
+    with pytest.raises(ValueError, match="^a processor load overflows the float range$"):
+        exact_makespan(MakespanInstance(sizes, 2))
+    assert main(["makespan", "--sizes", ",".join(map(repr, sizes)), "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": "a processor load overflows the float range"}}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.floats(1.0, 100.0), min_size=1, max_size=8), st.integers(1, 3),
        st.floats(0.9, 1.0, exclude_max=True))

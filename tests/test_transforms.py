@@ -71,6 +71,15 @@ def test_normalize_requires_single_processor():
         normalize(s)
 
 
+@pytest.mark.parametrize("route, message", [
+    (deficiency_value_m1, "this deficiency route is only valid on a single processor"),
+    (is_normalized, "normalization is defined on a single processor"),
+], ids=["deficiency_value_m1", "is_normalized"])
+def test_single_processor_routes_refuse_two_processors(route, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        route(Schedule(2, 2, (Contract(0, 0, 1.0), Contract(1, 1, 2.0))))
+
+
 def test_normalize_output_satisfies_least_served_rule():
     rng = random.Random(21)
     for _ in range(100):
@@ -275,6 +284,21 @@ def test_reduce_dichotomy_under_canonical_windows():
             assert _pair_q_test(ratios, dropped_ratios, start) or _certified(contracts, start)
             checked += 1
     assert checked > 5
+
+
+def test_pair_q_test_compares_exactly():
+    # a drop whose local supremum Q' is one ulp above Q raises the deficiency and must not pass
+    q = 2.5
+    ratios = [(1.0, q), (2.0, 2.0)]
+    assert _pair_q_test(ratios, [(2.0, q)], 0)
+    assert not _pair_q_test(ratios, [(2.0, math.nextafter(q, math.inf))], 0)
+
+
+def test_certified_compares_exactly():
+    # the successor must be at least the other problem's longest length, not within a relative tolerance of it
+    head = [Contract(1, 0, 3.0), Contract(0, 0, 1.0)]
+    assert _certified(head + [Contract(0, 0, 3.0)], 1)
+    assert not _certified(head + [Contract(0, 0, 3.0 * (1 - 1e-13))], 1)
 
 
 def test_reduce_never_increases_deficiency_randomized():
