@@ -225,8 +225,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.check_id} {status} ({r.seconds:.2f}s) {r.description}: {r.details}")
     if args.json:
+        from . import verification
+
+        # the checks ran side by side, so their seconds need not add up to the command's wall time
         doc = {
             "seed": args.seed,
+            "processes": verification.worker_count(len(results)),
             "results": [
                 {
                     "id": r.check_id,

@@ -45,12 +45,18 @@ class MakespanInstance(_Record):
 
 
 class Assignment(_Record):
-    """A job-to-processor map and its loads; ``makespan`` is the largest load, and one that overflows is refused."""
+    """A job-to-processor map and its loads; ``makespan`` is the largest load.
+
+    The loads must be at least one, and a load that is not finite (one that
+    overflowed, or a NaN) is refused wherever it stands.
+    """
 
     __slots__ = _fields = ("processor_of", "loads", "optimal")
 
     def __init__(self, processor_of: tuple[int, ...], loads: tuple[float, ...], optimal: bool) -> None:
-        if not math.isfinite(max(loads)):
+        if not loads:
+            raise ValueError("assignment needs at least one processor load")
+        if not all(map(math.isfinite, loads)):  # one C-level pass: verify builds tens of thousands of these
             raise ValueError(_OVERFLOW)
         _init_field(self, "processor_of", processor_of)
         _init_field(self, "loads", loads)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
 from typing import Callable, Sequence
@@ -555,9 +556,36 @@ def check_functional_sups(seed: int) -> tuple[bool, str]:
 
 
 def run_checks(seed: int = 0, ids: list[str] | None = None) -> list[CheckResult]:
-    selected = ALL_CHECKS if ids is None else [c for c in ALL_CHECKS if c.check_id in ids]
+    """Run the checks named in ``ids`` (default: all) and return their results in definition order.
+
+    Each check is a pure function of the seed, so the checks run side by side
+    on a pool of ``worker_count`` forked workers, which is closed and joined
+    before this returns, also when a check raises.  A worker inherits this
+    process's ``ALL_CHECKS`` and looks each check up there by its index, so no
+    function is pickled; each check's ``seconds`` is its own wall time in its
+    worker.  The workers are forked, not spawned: a spawned worker would
+    import the package again and see none of the caller's changes to
+    ``ALL_CHECKS``, and the CLI process starts no thread before it forks.
+    """
+    indices = [i for i, c in enumerate(ALL_CHECKS) if ids is None or c.check_id in ids]
     if ids is not None:
-        unknown = sorted(set(ids) - {c.check_id for c in selected})
+        unknown = sorted(set(ids) - {ALL_CHECKS[i].check_id for i in indices})
         if unknown or not ids:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}" if unknown else "no check ids given")
-    return [check(seed) for check in selected]
+    import multiprocessing  # here, so a library caller of the oracles above never loads it
+
+    pool = multiprocessing.get_context("fork").Pool(worker_count(len(indices)))
+    try:
+        return pool.starmap(_run_check, [(i, seed) for i in indices], chunksize=1)
+    finally:
+        pool.close()
+        pool.join()
+
+
+def worker_count(checks: int) -> int:
+    """The worker processes ``run_checks`` starts for this many checks: one per CPU, never more than the checks."""
+    return min(checks, os.cpu_count() or 1)
+
+
+def _run_check(index: int, seed: int) -> CheckResult:
+    return ALL_CHECKS[index](seed)

@@ -10,6 +10,7 @@ moves any of them in a printed digit changes a digest.
 """
 
 import hashlib
+import multiprocessing
 from types import SimpleNamespace
 
 import pytest
@@ -84,3 +85,25 @@ def test_a_check_past_its_runtime_limit_fails(monkeypatch):
     result = next(c for c in ALL_CHECKS if c.check_id == "C01")(0)
     assert not result.passed and result.seconds == 5.0
     assert result.details.endswith("; exceeded runtime limit of 1s (5.00s)")
+
+
+def test_run_checks_returns_every_check_in_definition_order():
+    # the checks run on a pool of workers; the results come back in ALL_CHECKS order with the pinned details
+    results = verification.run_checks(0)
+    assert [r.check_id for r in results] == [c.check_id for c in ALL_CHECKS] == list(DETAILS_DIGESTS)
+    assert [hashlib.sha256(r.details.encode()).hexdigest() for r in results] == list(DETAILS_DIGESTS.values())
+    assert all(r.passed for r in results)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_checks_leaves_no_worker_when_a_check_raises(monkeypatch):
+    # _check appends to the module's ALL_CHECKS, which is a copy for this test only; a forked worker sees the copy
+    monkeypatch.setattr(verification, "ALL_CHECKS", list(verification.ALL_CHECKS))
+
+    @verification._check("X01", "a check that raises")
+    def raises(seed):
+        raise ValueError(f"raised at seed {seed}")
+
+    with pytest.raises(ValueError, match="^raised at seed 4$"):
+        verification.run_checks(4, ids=["C01", "X01", "C05"])
+    assert multiprocessing.active_children() == []

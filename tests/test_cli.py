@@ -623,6 +623,8 @@ def test_verify_json_report(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert [r["id"] for r in doc["results"]] == ["C01", "C05"]
     assert all(r["passed"] for r in doc["results"])
+    # the checks ran side by side: one worker per CPU, never more than the two checks
+    assert doc["processes"] == min(2, os.cpu_count() or 1)
 
 
 def test_cli_run_checks_forwards_to_verification():
@@ -646,6 +648,19 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
     assert out.splitlines()[0].startswith("C01 PASS")
     assert out.splitlines()[1].startswith("X01 FAIL")
     assert out.splitlines()[1].endswith("a check that always fails: failed at seed 3")
+
+
+def test_verify_reports_a_raising_check_as_the_error_json(monkeypatch, capsys):
+    # the check raises in a pool worker; the ValueError reaches main as if the check had run here
+    monkeypatch.setattr(verification, "ALL_CHECKS", list(verification.ALL_CHECKS))
+
+    @verification._check("X01", "a check that raises")
+    def raises(seed):
+        raise ValueError(f"raised at seed {seed}")
+
+    code, out, err = run_cli(["verify", "--only", "C01", "X01", "--seed", "3"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": "raised at seed 3"}}
 
 
 @pytest.mark.parametrize("args", [

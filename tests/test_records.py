@@ -56,7 +56,11 @@ RECORDS = [
       ({"sizes": ("2", 1.0)}, "job sizes must be a number, got '2'"),
       ({"sizes": (1.0, 10**400)}, "job sizes is outside the float range")]),
     (Assignment, dict(processor_of=(0, 1, 1), loads=(3.0, 3.0), optimal=True), {},
-     [({"loads": (float("inf"), 3.0)}, "a processor load overflows the float range")]),
+     [({"loads": (float("inf"), 3.0)}, "a processor load overflows the float range"),
+      # a NaN after the first load built with makespan 3.0, and no loads raised max()'s own error
+      ({"loads": (3.0, float("nan"))}, "a processor load overflows the float range"),
+      ({"loads": (float("nan"), 3.0)}, "a processor load overflows the float range"),
+      ({"loads": ()}, "assignment needs at least one processor load")]),
     (MeasureSample, dict(time=3.0, snapshot=(1.0, 2.0), denominator=3.0, ratio=1.0, served=True), {}, []),
     (MeasureReport, dict(measure="deficiency", value=1.5, argmax_time=3.0, samples=(), unserved_times=(1.0,),
                          incomplete=True, truncation_note=None, analytic=None, solver=None, exact=True, opt_solves=0,
