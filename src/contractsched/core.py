@@ -17,6 +17,7 @@ finish times tie only when they are the same float.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from functools import partial
 from itertools import chain, compress
 from operator import itemgetter, ne
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class Contract(NamedTuple):
@@ -218,11 +219,21 @@ def simulate(schedule: Schedule) -> list[float]:
     contract's finish time is the running load of its processor.  Raises
     ValueError if a processor's load overflows the float range.
     """
-    loads = [0.0] * schedule.m_processors
+    return _finish_times(schedule.contracts, [0.0] * schedule.m_processors)
+
+
+def _finish_times(contracts: Iterable[Contract], loads: list[float]) -> list[float]:
+    """The one finish-time loop: ``simulate`` for contracts run after the per-processor ``loads``.
+
+    Entry i is the finish time of the i-th contract, each added to its
+    processor's running load in order; ``loads`` is updated in place.  From
+    all-zero loads this is ``simulate``.  Raises ValueError if a load
+    overflows the float range.
+    """
     out: list[float] = []
-    for c in schedule.contracts:
-        p = c.processor  # a named tuple's field is a descriptor read, so read it once
-        loads[p] += c.length
+    for c in contracts:
+        p = c[1]  # read by index, which is faster than by field name and takes a plain tuple too
+        loads[p] += c[2]
         out.append(loads[p])
     # loads only grow, so checking the final ones covers every finish time
     for processor, load in enumerate(loads):
@@ -263,14 +274,21 @@ def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tup
     sorted copy, a sum) never holds them all; on a 100k-contract prefix a
     list would add 100k live tuples for the garbage collector to track.
     """
-    return _snapshots_before(schedule, simulate(schedule), (_length(t, "interruption time") for t in times))
+    return _sweep(schedule.contracts, schedule.n_problems, simulate(schedule),
+                  (_length(t, "interruption time") for t in times))
 
 
-def _snapshots_before(schedule: Schedule, fins: list[float], times: Iterable[float]) -> Iterator[tuple[float, ...]]:
-    """``snapshots_before`` from the finish times ``simulate(schedule)`` already gave, at checked times."""
-    contracts = schedule.contracts
+def _sweep(contracts: Sequence[Contract], n: int, fins: Sequence[float],
+           times: Iterable[float]) -> Iterator[tuple[float, ...]]:
+    """The one sweep: ``snapshots_before`` of a contract sequence, at checked times.
+
+    ``contracts`` need not be a ``Schedule``'s: ``fins[i]`` is the finish
+    time of ``contracts[i]`` and ``n`` the number of problems, so a caller
+    holding a contract list and its finish times (from ``_finish_times``)
+    sweeps it without building a schedule.
+    """
     order = sorted(range(len(fins)), key=fins.__getitem__)
-    longest = [0.0] * schedule.n_problems
+    longest = [0.0] * n
     pos, end, prev = 0, len(order), -math.inf
     for t in times:
         if not t >= prev:
@@ -289,7 +307,7 @@ def snapshot(schedule: Schedule, t: float) -> tuple[float, ...]:
     # finishing at or before t is finishing before the next float above t: inf after sys.float_info.max,
     # which snapshots_before would refuse, so the sweep is read directly
     t = math.nextafter(_length(t, "interruption time"), math.inf)
-    return next(_snapshots_before(schedule, simulate(schedule), [t]))
+    return next(_sweep(schedule.contracts, schedule.n_problems, simulate(schedule), [t]))
 
 
 def snapshot_before(schedule: Schedule, t: float) -> tuple[float, ...]:
@@ -374,9 +392,23 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
 
 
 def load_schedule(path: str | Path) -> Schedule:
+    """Read a schedule file written by ``save_schedule`` (or by hand), checked as ``schedule_from_dict`` checks it.
+
+    The cyclic garbage collector is paused while the JSON is parsed and the
+    contracts are built: the dicts, lists and tuples made there form no
+    cycle, yet on a 100k-contract file the collections they trigger take
+    about a fifth of the load.  The caller's collector state is restored
+    however the load ends, and a collector the caller disabled stays so.
+    """
     text = Path(path).read_text(encoding="utf-8")
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise ValueError(f"schedule file {path} nests too deeply to parse") from None
-    return schedule_from_dict(doc)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"schedule file {path} nests too deeply to parse") from None
+        return schedule_from_dict(doc)
+    finally:
+        if collecting:
+            gc.enable()

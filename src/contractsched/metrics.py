@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
 # so all three stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
-from .core import Schedule, _critical_times, _init_field, _length, _Record, _snapshots_before, simulate
+from .core import Schedule, _critical_times, _init_field, _length, _Record, _sweep, simulate
 from .core import critical_times  # noqa: F401
 from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
 from .makespan import lpt_makespan  # noqa: F401
@@ -97,7 +97,7 @@ def window_ratios(schedule: Schedule, fins: list[float], times: Sequence[float],
     and ratio +inf; ``denom_of`` is called only on served snapshots.  Every
     measure reads its windows from here.
     """
-    for t, longest in zip(times, _snapshots_before(schedule, fins, times)):
+    for t, longest in zip(times, _sweep(schedule.contracts, schedule.n_problems, fins, times)):
         snap = tuple(sorted(longest))
         if snap[0] <= 0.0:
             yield t, snap, 0.0, math.inf

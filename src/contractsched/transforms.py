@@ -15,9 +15,19 @@ deficiency before and after:
 Both are one rewrite loop with a different step rule.  Before each step the
 loop removes a dominated contract if there is one: a contract no longer than
 an earlier contract for the same problem never contributes to any snapshot,
-and removing it only shortens later interruption times.  The loop evaluates
-every schedule state it reaches once and reads both deficiencies of a step
-from those evaluations.
+and removing it only shortens later interruption times.  The loop holds
+each state it reaches as a contract list with its finish times and one
+ratio per window, and reads both deficiencies of a step from those.
+
+A step at index i sweeps only the windows it can change.  The windows
+before i are the held floats, since no contract from i on finishes before
+contract i - 1 does.  A removal sweeps every window from i: each later
+finish time moves.  A swap keeps every finish time and sweeps only until
+both swapped problems' suffix contracts reach every length either problem
+completed before i, at a window not tied with the one before it; from there
+on each snapshot is the held one with the two problems' entries exchanged,
+and ``math.fsum`` gives the same float for it.  ``_rewrite`` states each
+case in full.
 
 On one processor the deficiency at time t is t divided by the sum of the
 per-problem completed lengths, which keeps every step's bookkeeping exact
@@ -31,11 +41,11 @@ reports from its sorted snapshots.
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .core import Contract, Schedule, _init_field, _Record, _snapshots_before, contract_of, simulate
+from .core import Schedule, _finish_times, _init_field, _Record, _sweep, contract_of, simulate
 
 
 class TransformStep(_Record):
@@ -101,23 +111,42 @@ class NormalizationTrace(_Record):
 # Single-processor deficiency bookkeeping
 # ---------------------------------------------------------------------------
 
+# A contract as the rewrite loop holds it: a ``Contract`` or a plain (problem, processor, length) tuple, which
+# compares equal to it.  A swap builds each relabelled contract as a plain tuple, about three times faster than
+# through ``Contract``'s constructor, and the output is converted once.
+_Row = tuple[int, int, float]
 
-def _ratios(contracts: list[Contract], n: int) -> list[tuple[float, float | None]]:
-    """(t, deficiency ratio right before t) per contract finish time t, in contract order.
 
-    The ratio is None where a problem is unserved.  Entry i is the window at
-    the finish of contract i, so entry i - 1 is the one at its start.
+def _ratios(contracts: Sequence[_Row], n: int, fins: list[float], held: list[float | None] | None = None,
+            start: int = 0, stop: int | None = None) -> list[float | None]:
+    """Deficiency ratio right before each finish time in ``fins``, in contract order; None where a problem is unserved.
+
+    ``fins[i]`` is the finish time of ``contracts[i]``: on one processor
+    they ascend, and every one is a window.  Windows ``start`` to ``stop``
+    (the end by default) are swept from the contracts; the others are read
+    from ``held``, the ratios of a state the caller knows to agree with
+    ``contracts`` there (see ``_rewrite``).
     """
-    schedule = Schedule(n_problems=n, m_processors=1, contracts=contracts)
-    fins = simulate(schedule)  # on one processor, ascending: every finish time is a window
+    times = fins[start:stop]
     # a problem with nothing completed has longest length 0.0, and every completed length is positive
-    return [(t, t / math.fsum(longest) if 0.0 not in longest else None)
-            for t, longest in zip(fins, _snapshots_before(schedule, fins, fins))]
+    swept = [t / math.fsum(longest) if 0.0 not in longest else None
+             for t, longest in zip(times, _sweep(contracts, n, fins, times))]
+    if start:
+        swept = held[:start] + swept
+    if stop is not None:
+        swept += held[stop:]
+    return swept
 
 
-def _value(ratios: list[tuple[float, float | None]]) -> float:
-    """Supremum over the served windows (+inf if none is)."""
-    return max((ratio for _, ratio in ratios if ratio is not None), default=math.inf)
+def _value(ratios: list[float | None]) -> float:
+    """Supremum over the served windows (+inf if none is).
+
+    ``filter(None, ...)`` keeps exactly the served ratios, with no Python
+    call per window: None is false, and a served ratio is never 0.0, since
+    t is the running load over every contract counted before t, so at least
+    about the sum of the longest lengths.
+    """
+    return max(filter(None, ratios), default=math.inf)
 
 
 def deficiency_value_m1(schedule: Schedule) -> float:
@@ -129,23 +158,41 @@ def deficiency_value_m1(schedule: Schedule) -> float:
     """
     if schedule.m_processors != 1:
         raise ValueError("this deficiency route is only valid on a single processor")
-    return _value(_ratios(list(schedule.contracts), schedule.n_problems))
+    return _value(_ratios(schedule.contracts, schedule.n_problems, simulate(schedule)))
 
 
 # ---------------------------------------------------------------------------
 # The rewrite loop
 # ---------------------------------------------------------------------------
 
-# one step: (kind, index, problems, rule, next contract list, its ``_ratios`` if the step rule already has them)
-_Move = tuple[str, int, tuple[int, int] | None, str | None, list[Contract], list | None]
+# a state: (contract list, its finish times, its ``_ratios``)
+_State = tuple[list[_Row], list[float], list[float | None]]
+# a step: (kind, index, problems, rule, next state, and for a swap the (clean, longest) the scans resume from)
+_Move = tuple[str, int, tuple[int, int] | None, str | None, _State, tuple[int, list[float]] | None]
 
 
-def _first_dominated(contracts: list[Contract], n: int) -> int | None:
-    longest = [0.0] * n
-    for idx, c in enumerate(contracts):
-        if c.length <= longest[c.problem]:
+def _removal(contracts: list[_Row], n: int, fins: list[float], ratios: list[float | None], idx: int) -> _State:
+    """The state without contract ``idx``.
+
+    Windows before ``idx`` are kept; every later finish time moves, so every
+    later window is swept again.
+    """
+    nxt = contracts[:idx] + contracts[idx + 1 :]
+    nxt_fins = fins[:idx] + _finish_times(nxt[idx:], [fins[idx - 1] if idx else 0.0])
+    return nxt, nxt_fins, _ratios(nxt, n, nxt_fins, ratios, idx)
+
+
+def _first_dominated(contracts: list[_Row], start: int, longest: list[float]) -> int | None:
+    """First index from ``start`` of a contract no longer than an earlier one of its problem.
+
+    ``longest`` holds each problem's longest length before ``start`` and is
+    advanced in place, to the found contract or the end.
+    """
+    for idx in range(start, len(contracts)):
+        problem, _, length = contracts[idx]
+        if length <= longest[problem]:
             return idx
-        longest[c.problem] = c.length
+        longest[problem] = length
     return None
 
 
@@ -153,41 +200,62 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
              outcomes: Sequence[RunOutcome] = ()) -> NormalizationTrace:
     """Apply steps until none applies: a dominated-contract removal, else ``next_move``.
 
-    ``next_move(contracts, n, ratios)`` sees the current state with its
-    windows and returns the next move, or None when it has none; ``outcomes``
-    holds the run outcomes it records.  The loop holds each state's
-    ``_ratios``, evaluates a new state once (not at all when the move carries
-    its windows) and reads both deficiencies of a step from those lists, over
-    the window sets ``TransformStep`` describes.
+    ``next_move(contracts, n, fins, ratios, clean, longest)`` sees the
+    current state with its finish times and windows, and where its scan may
+    resume (see below), and returns the next move, or None when it has none;
+    ``outcomes`` holds the run outcomes it records.  The input is simulated
+    once; every later state is held as a contract list with its finish times
+    and ``_ratios``, and no ``Schedule`` is built until the output.  A move
+    at index i sweeps only the windows it can change:
+
+    * windows before i are the held floats: every contract from i on
+      finishes no earlier than contract i - 1 (lengths are positive), so it
+      counts at no window before i, ties included;
+    * a removal (a dominated contract or a pair's first contract) sweeps
+      every window from i, since each later finish time moves and shifted
+      times can create or break ties between absorbed lengths;
+    * a swap keeps every finish time, so every tie, and ``_swap_move``
+      sweeps only up to its stop window, after which each window's ratio is
+      the held float.
+
+    A step at index i also leaves contracts 0..i-1 alone, so the scans for
+    the next step need not read them again.  The loop holds ``clean``, an
+    index below which the state has no dominated contract and no violation
+    of the least-served rule, with ``longest``, each problem's longest
+    length below it; the dominated-contract scan and the swap rule's scan
+    start there.  A swap at i moves ``clean`` to i, since its violation was
+    the first and no contract was dominated.  Every other step is at or
+    above ``clean`` (a removed dominated contract is found from there, and
+    the pair rule, which makes no swap, leaves it at 0), so it stays valid.
+
+    Both deficiencies of a step are read from the held ratios, over the
+    window sets ``TransformStep`` describes.
     """
     n = schedule.n_problems
+    fins = simulate(schedule)
     cur = list(schedule.contracts)
-    ratios = _ratios(cur, n)
+    ratios = _ratios(cur, n, fins)
+    clean, longest = 0, [0.0] * n
     steps: list[TransformStep] = []
     while True:
-        dom = _first_dominated(cur, n)
+        dom = _first_dominated(cur, clean, longest.copy())
         if dom is not None:
-            move = ("remove-dominated", dom, None, None, cur[:dom] + cur[dom + 1 :], None)
+            move = "remove-dominated", dom, None, None, _removal(cur, n, fins, ratios, dom), None
         else:
-            move = next_move(cur, n, ratios)
+            move = next_move(cur, n, fins, ratios, clean, longest.copy())
             if move is None:
                 break
-        kind, idx, problems, rule, nxt, nxt_ratios = move
-        if nxt_ratios is None:
-            nxt_ratios = _ratios(nxt, n)
-        served = [i for i, (_, ratio) in enumerate(ratios)
-                  if ratio is not None and not (kind == "remove-dominated" and i == idx)]
-        before = max((ratios[i][1] for i in served), default=math.inf)
-        if kind == "swap-assignment":  # same finish times: windows match index by index
-            after = max((math.inf if nxt_ratios[i][1] is None else nxt_ratios[i][1] for i in served),
-                        default=math.inf)
-        else:
-            after = _value(nxt_ratios)
-        start = ratios[idx - 1][0] if idx else 0.0
-        steps.append(TransformStep(kind, idx, start, problems, rule, before, after))
-        cur, ratios = nxt, nxt_ratios
+        kind, idx, problems, rule, (nxt, nxt_fins, nxt_ratios), resume = move
+        # over the windows the state serves (true exactly where a ratio is served, see ``_value``), except the
+        # removed contract's own window; a swap keeps each of them served (see ``_swap_move``)
+        before = _value(ratios[:idx] + ratios[idx + 1 :] if kind == "remove-dominated" else ratios)
+        after = max(compress(nxt_ratios, ratios), default=math.inf) if kind == "swap-assignment" else _value(nxt_ratios)
+        steps.append(TransformStep(kind, idx, fins[idx - 1] if idx else 0.0, problems, rule, before, after))
+        cur, fins, ratios = nxt, nxt_fins, nxt_ratios
+        if resume is not None:
+            clean, longest = resume
 
-    output = Schedule(n_problems=n, m_processors=1, contracts=tuple(cur)) if steps else schedule
+    output = Schedule(n, 1, map(contract_of, cur)) if steps else schedule
     return NormalizationTrace(input=schedule, output=output, steps=tuple(steps), run_outcomes=tuple(outcomes))
 
 
@@ -196,20 +264,22 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
 # ---------------------------------------------------------------------------
 
 
-def _first_violation(contracts: list[Contract], n: int) -> tuple[int, int] | None:
-    """First contract start where the assigned problem is not least-served.
+def _first_violation(contracts: Sequence[_Row], start: int, longest: list[float]) -> tuple[int, int] | None:
+    """First contract start from ``start`` where the assigned problem is not least-served.
 
-    Returns (index, target problem), the target being the lowest-index
-    minimizer of the completed length at that start.  Equal lengths are not
-    violations: the rule only demands some minimizer.
+    ``longest`` holds each problem's completed length at ``start``, and the
+    contracts before it must hold no violation.  Returns (index, target
+    problem), the target being the lowest-index minimizer of the completed
+    length at that start, and leaves ``longest`` at that start.  Equal
+    lengths are not violations: the rule only demands some minimizer.
     """
-    longest = [0.0] * n
-    for idx, c in enumerate(contracts):
+    for idx in range(start, len(contracts)):
+        problem, _, length = contracts[idx]
         least = min(longest)
-        if longest[c.problem] > least:
+        if longest[problem] > least:
             return idx, longest.index(least)
-        if c.length > longest[c.problem]:
-            longest[c.problem] = c.length
+        if length > longest[problem]:
+            longest[problem] = length
     return None
 
 
@@ -217,22 +287,62 @@ def is_normalized(schedule: Schedule) -> bool:
     """True if every contract start picks a problem with minimal completed length."""
     if schedule.m_processors != 1:
         raise ValueError("normalization is defined on a single processor")
-    return _first_violation(list(schedule.contracts), schedule.n_problems) is None
+    return _first_violation(schedule.contracts, 0, [0.0] * schedule.n_problems) is None
 
 
-def _swap_suffix(contracts: list[Contract], start: int, a: int, b: int) -> list[Contract]:
+def _swap_suffix(contracts: list[_Row], start: int, a: int, b: int) -> list[_Row]:
     relabel = {a: b, b: a}
-    return contracts[:start] + [contract_of((relabel.get(p, p), proc, length))
-                                for p, proc, length in contracts[start:]]
+    return contracts[:start] + [(relabel.get(p, p), proc, length) for p, proc, length in contracts[start:]]
 
 
-def _suffix_swap_move(contracts: list[Contract], n: int, ratios) -> _Move | None:
-    violation = _first_violation(contracts, n)
+def _stop_window(contracts: list[_Row], fins: list[float], start: int, a: int, b: int, reach: float) -> int:
+    """First window from ``start`` past which swapping ``a`` and ``b`` on the suffix leaves every ratio alone.
+
+    That is the first window j >= start not tied with its predecessor's
+    finish time at which the suffix contracts start..j-1 of each problem,
+    a and b, include one of length at least ``reach``, the longest length
+    either problem completes before ``start``; ``len(contracts)`` if there
+    is none.  An untied window j counts exactly contracts 0..j-1, and every
+    later window counts them too, so from j on the swapped schedule's
+    longest length for a is the held one for b and the other way round
+    (the suffix's own longest length of each problem is reached in both).
+    The snapshot is the held one with two entries exchanged: it is served
+    exactly when the held one is, and ``math.fsum``, correctly rounded,
+    returns the same float for it, so the ratio is the held float.
+    """
+    reached_a = reached_b = 0.0
+    for j in range(start, len(contracts)):
+        if (not j or fins[j] != fins[j - 1]) and min(reached_a, reached_b) >= reach:
+            return j
+        problem, _, length = contracts[j]
+        if problem == a and length > reached_a:
+            reached_a = length
+        elif problem == b and length > reached_b:
+            reached_b = length
+    return len(contracts)
+
+
+def _swap_move(contracts: list[_Row], n: int, fins: list[float], ratios: list[float | None], clean: int,
+               longest: list[float]) -> _Move | None:
+    """The suffix swap at the first violation, with its windows.
+
+    The swap keeps every finish time.  Windows before the violation and
+    from ``_stop_window`` on are the held ratios; the ones between are
+    swept.  A window the held state serves stays served, since each of the
+    two problems keeps a contract finishing before it: the target receives
+    the offending contract, which finishes no later than any suffix
+    contract it had, and the offending problem keeps its contracts from
+    before the violation.  The next scans resume at the violation.
+    """
+    violation = _first_violation(contracts, clean, longest)
     if violation is None:
         return None
     idx, target = violation
-    offending = contracts[idx].problem
-    return "swap-assignment", idx, (target, offending), None, _swap_suffix(contracts, idx, target, offending), None
+    offending = contracts[idx][0]
+    nxt = _swap_suffix(contracts, idx, target, offending)
+    stop = _stop_window(contracts, fins, idx, target, offending, max(longest[target], longest[offending]))
+    return ("swap-assignment", idx, (target, offending), None, (nxt, fins, _ratios(nxt, n, fins, ratios, idx, stop)),
+            (idx, longest))
 
 
 def normalize(schedule: Schedule) -> NormalizationTrace:
@@ -247,7 +357,7 @@ def normalize(schedule: Schedule) -> NormalizationTrace:
     """
     if schedule.m_processors != 1:
         raise ValueError("normalize requires m = 1")
-    return _rewrite(schedule, _suffix_swap_move)
+    return _rewrite(schedule, _swap_move)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +365,7 @@ def normalize(schedule: Schedule) -> NormalizationTrace:
 # ---------------------------------------------------------------------------
 
 
-def _runs(contracts: list[Contract]) -> list[tuple[int, int]]:
+def _runs(contracts: list[_Row]) -> list[tuple[int, int]]:
     """Maximal (start, length) runs of consecutive contracts for one problem."""
     runs = []
     start = 0
@@ -266,11 +376,10 @@ def _runs(contracts: list[Contract]) -> list[tuple[int, int]]:
     return runs
 
 
-def _pair_q_test(ratios: list[tuple[float, float | None]], dropped: list[tuple[float, float | None]],
-                 pair_at: int) -> bool:
+def _pair_q_test(ratios: list[float | None], dropped: list[float | None], pair_at: int) -> bool:
     """Whether the first contract of the pair at `pair_at` may be dropped: Q' <= Q, compared exactly.
 
-    ``ratios`` are the schedule's windows and ``dropped`` those of the
+    ``ratios`` are the schedule's ``_ratios`` and ``dropped`` those of the
     schedule without that contract.  Compares the local suprema Q and Q'
     with and without it: Q covers the interruptions right before the pair
     starts and right before each pair contract finishes, Q' the pair-start
@@ -282,20 +391,20 @@ def _pair_q_test(ratios: list[tuple[float, float | None]], dropped: list[tuple[f
     neither side, matching how such windows are excluded from the deficiency
     itself; at index 0 the pair-start window is time 0, where nothing is.
     """
-    shared = [ratios[pair_at - 1]] if pair_at else []
-    q = max((v for _, v in shared + ratios[pair_at : pair_at + 2] if v is not None), default=-math.inf)
-    qp = max((v for _, v in shared + dropped[pair_at : pair_at + 1] if v is not None), default=-math.inf)
+    shared = ratios[pair_at - 1 : pair_at] if pair_at else []
+    q = max(filter(None, shared + ratios[pair_at : pair_at + 2]), default=-math.inf)  # served ones, see ``_value``
+    qp = max(filter(None, shared + dropped[pair_at : pair_at + 1]), default=-math.inf)
     return qp <= q
 
 
-def _certified(contracts: list[Contract], pair_at: int) -> bool:
+def _certified(contracts: list[_Row], pair_at: int) -> bool:
     """Whether ``x_next >= l_other``: the contract following the pair must serve the other problem.
 
     The run then legitimately ends there.  Reads the contract lengths only and compares them exactly.
     """
-    other = 1 - contracts[pair_at].problem
-    l_other = max((c.length for c in contracts[:pair_at] if c.problem == other), default=0.0)
-    return contracts[pair_at + 1].length >= l_other
+    other = 1 - contracts[pair_at][0]
+    l_other = max((length for problem, _, length in contracts[:pair_at] if problem == other), default=0.0)
+    return contracts[pair_at + 1][2] >= l_other
 
 
 def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
@@ -318,24 +427,24 @@ def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
 
     outcomes: list[RunOutcome] = []
 
-    def drop_pair(cur: list[Contract], n: int, ratios) -> _Move | None:
+    def drop_pair(cur: list[_Row], n: int, fins: list[float], ratios: list[float | None], clean: int,
+                  longest: list[float]) -> _Move | None:
         runs = [(start, length) for start, length in _runs(cur) if length >= 3]
         for run_start, run_len in runs:
-            candidates = []  # (pair index, contracts, windows) of the pairs that failed the q-test
+            candidates = []  # (pair index, state without the pair's first contract) of the pairs that failed the q-test
             for p in range(run_start, run_start + run_len - 1):
-                dropped = cur[:p] + cur[p + 1 :]
-                dropped_ratios = _ratios(dropped, n)
-                if _pair_q_test(ratios, dropped_ratios, p):
-                    chosen = p, "q-test", dropped, dropped_ratios
+                dropped = _removal(cur, n, fins, ratios, p)
+                if _pair_q_test(ratios, dropped[2], p):
+                    chosen = p, "q-test", dropped
                     break
-                candidates.append((p, dropped, dropped_ratios))
+                candidates.append((p, dropped))
             else:
                 limit = _value(ratios)
-                chosen = next(((p, "direct", d, r) for p, d, r in candidates if _value(r) <= limit), None)
+                chosen = next(((p, "direct", d) for p, d in candidates if _value(d[2]) <= limit), None)
             if chosen is not None:
-                pair_at, rule, nxt, nxt_ratios = chosen
+                pair_at, rule, dropped = chosen
                 outcomes.append(RunOutcome(run_start, run_len, "removed"))
-                return "remove-consecutive", pair_at, None, rule, nxt, nxt_ratios
+                return "remove-consecutive", pair_at, None, rule, dropped, None
         # whatever still stands is blocked: record whether the run at least
         # carries a certification (the pair's successor legitimately belongs
         # to the run's problem only through a least-served tie)

@@ -1,4 +1,5 @@
 import collections
+import gc
 import json
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contractsched import core
 from contractsched import (
     Contract,
     ExponentialSpec,
@@ -438,6 +440,40 @@ def test_schedule_file_round_trips_every_length_bit_for_bit(tmp_path):
     back = load_schedule(path)
     assert back == s and back.generator == s.generator
     assert [c.length.hex() for c in back.contracts] == [x.hex() for x in lengths]
+
+
+GOOD_FILE = '{"n":1,"m":1,"contracts":[{"problem":0,"processor":0,"length":1.0}]}'
+BAD_CONTRACT_FILE = '{"n":1,"m":1,"contracts":[{"problem":3,"processor":0,"length":1.0}]}'
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("text, error", [(GOOD_FILE, None),
+                                         (BAD_CONTRACT_FILE, "contract 0: problem 3 out of range [0, 1)")],
+                         ids=["good-file", "bad-contract"])
+def test_load_schedule_pauses_the_collector_and_restores_the_callers_state(tmp_path, monkeypatch, caller_collects,
+                                                                           text, error):
+    path = tmp_path / "s.json"
+    path.write_text(text, encoding="utf-8")
+    during = []
+    parse = core.schedule_from_dict
+
+    def recording(doc):
+        during.append(gc.isenabled())
+        return parse(doc)
+
+    monkeypatch.setattr(core, "schedule_from_dict", recording)
+    was = gc.isenabled()
+    try:
+        gc.enable() if caller_collects else gc.disable()
+        if error is None:
+            assert load_schedule(path) == sched(1, 1, [(0, 0, 1.0)])
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                load_schedule(path)
+        assert gc.isenabled() is caller_collects
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during == [False]
 
 
 BAD_GENERATORS = {

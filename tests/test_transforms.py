@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contractsched import (
     Contract,
@@ -12,6 +14,7 @@ from contractsched import (
     is_normalized,
     normalize,
     reduce_consecutive_pairs,
+    simulate,
     snapshots_before,
 )
 from contractsched import transforms
@@ -280,7 +283,8 @@ def test_reduce_dichotomy_under_canonical_windows():
             if not min(next(snapshots_before(normalized, [t]))) > 0.0:
                 continue
             dropped = contracts[:start] + contracts[start + 1 :]
-            ratios, dropped_ratios = _ratios(contracts, 2), _ratios(dropped, 2)
+            ratios = _ratios(contracts, 2, simulate(normalized))
+            dropped_ratios = _ratios(dropped, 2, simulate(Schedule(2, 1, dropped)))
             assert _pair_q_test(ratios, dropped_ratios, start) or _certified(contracts, start)
             checked += 1
     assert checked > 5
@@ -289,9 +293,9 @@ def test_reduce_dichotomy_under_canonical_windows():
 def test_pair_q_test_compares_exactly():
     # a drop whose local supremum Q' is one ulp above Q raises the deficiency and must not pass
     q = 2.5
-    ratios = [(1.0, q), (2.0, 2.0)]
-    assert _pair_q_test(ratios, [(2.0, q)], 0)
-    assert not _pair_q_test(ratios, [(2.0, math.nextafter(q, math.inf))], 0)
+    ratios = [q, 2.0]
+    assert _pair_q_test(ratios, [q], 0)
+    assert not _pair_q_test(ratios, [math.nextafter(q, math.inf)], 0)
 
 
 def test_certified_compares_exactly():
@@ -327,3 +331,63 @@ def test_reduce_output_stays_normalized():
         normalized = normalize(s).output
         out = reduce_consecutive_pairs(normalized).output
         assert is_normalized(out)
+
+
+# --- replay of every recorded step through metrics -------------------------------
+
+# after a 1e20 or 3e20 contract the running load absorbs a 2.0, a 1.0 or a 0.5 whole, so finish times repeat
+REPLAY_LENGTHS = st.one_of(st.floats(0.1, 10.0), st.sampled_from((1e20, 3e20, 1.0, 0.5, 2.0)))
+
+
+@st.composite
+def absorbed_schedules(draw):
+    n = draw(st.sampled_from((2, 2, 3, 4)))
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), REPLAY_LENGTHS), min_size=1, max_size=16))
+    return sched(rows, n=n)
+
+
+def served_windows(schedule):
+    """(index, finish time) of every contract whose finish time is a served window, tied times kept."""
+    fins = simulate(schedule)
+    return [(i, t) for i, (t, snap) in enumerate(zip(fins, snapshots_before(schedule, fins))) if min(snap) > 0.0]
+
+
+def replay(trace):
+    """Apply each step to the contract list and recompute its deficiencies with ``metrics.deficiency``.
+
+    Every state is evaluated from scratch over the window set ``TransformStep``
+    documents, so no window of an earlier state is reused.
+    """
+    n = trace.input.n_problems
+    state = list(trace.input.contracts)
+    for step in trace.steps:
+        pre = Schedule(n, 1, state)
+        fins = simulate(pre)
+        idx = step.index
+        if step.kind == "swap-assignment":
+            relabel = {step.problems[0]: step.problems[1], step.problems[1]: step.problems[0]}
+            state = state[:idx] + [Contract(relabel.get(c.problem, c.problem), 0, c.length) for c in state[idx:]]
+        else:
+            state = state[:idx] + state[idx + 1 :]
+        post = Schedule(n, 1, state)
+        served = served_windows(pre)
+        if step.kind == "swap-assignment":  # both schedules at the windows the pre-step schedule serves
+            before_window = after_window = [t for _, t in served]
+        else:  # a removed dominated contract's own window drops out; a time tied with it stays
+            before_window = [t for i, t in served if not (step.kind == "remove-dominated" and i == idx)]
+            after_window = [t for _, t in served_windows(post)]
+        assert step.time == (fins[idx - 1] if idx else 0.0)
+        assert deficiency(pre, window=before_window).value.hex() == step.deficiency_before.hex()
+        assert deficiency(post, window=after_window).value.hex() == step.deficiency_after.hex()
+    assert tuple(state) == trace.output.contracts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(absorbed_schedules())
+# the 4.0 finishes at the 1e20's time, which absorbed it: a swap's windows may stop only at an untied finish time
+@example(sched([(0, 2.0), (0, 3.0), (1, 3.0), (2, 1.0), (2, 1e20), (0, 4.0)], n=3))
+def test_every_step_replays_bit_for_bit_through_metrics(schedule):
+    trace = normalize(schedule)
+    replay(trace)
+    if schedule.n_problems == 2:
+        replay(reduce_consecutive_pairs(trace.output))
