@@ -22,7 +22,7 @@ them (scaling bisection, enumeration) live in ``verification``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
 # so all three stay imported.
@@ -88,56 +88,48 @@ class MeasureReport(_Record):
         _init_field(self, "pruned_windows", pruned_windows)
 
 
-def window_ratios(schedule: Schedule, fins: list[float], times: Sequence[float],
-                  denom_of: Callable[[tuple[float, ...]], float]) -> Iterator[tuple]:
-    """(t, sorted snapshot, denominator, ratio) right before each ascending t.
-
-    ``fins`` is ``simulate(schedule)``, which the caller already holds.  A
-    window where some problem has nothing completed yields denominator 0.0
-    and ratio +inf; ``denom_of`` is called only on served snapshots.  Every
-    measure reads its windows from here.
-    """
-    for t, longest in zip(times, _sweep(schedule.contracts, schedule.n_problems, fins, times)):
-        snap = tuple(sorted(longest))
-        if snap[0] <= 0.0:
-            yield t, snap, 0.0, math.inf
-        else:
-            denom = denom_of(snap)
-            yield t, snap, denom, t / denom
-
-
 def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None, *,
               samples: bool = True, lower: Callable[[tuple[float, ...]], float] | None = None) -> MeasureReport:
-    """The one window loop; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes."""
-    explicit = window is not None
-    fins = simulate(schedule)  # the one simulation: the windows and both passes below read it
-    times = sorted(_length(t, "interruption time") for t in window) if explicit else _critical_times(fins)
+    """The one window loop; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes.
 
-    seed, best = -1, -math.inf  # the served window with the largest ceiling t / lower, earliest on ties
+    One ``core._sweep`` gives each window its snapshot, sorted once.  Only the
+    pruned route lists its windows, to rank their ceilings t / ``lower``; the
+    others stream them, so a long prefix never holds them all.
+    """
+    explicit = window is not None
+    fins = simulate(schedule)  # the one simulation: the windows and the sweep read it
+    times = sorted(_length(t, "interruption time") for t in window) if explicit else _critical_times(fins)
+    windows = zip(times, (tuple(sorted(longest))
+                          for longest in _sweep(schedule.contracts, schedule.n_problems, fins, times)))
+
+    seed, best = -1, -math.inf  # the served window with the largest ceiling, earliest on ties
     if lower is not None:
-        top = -math.inf
-        for i, (t, snap, _, ceiling) in enumerate(window_ratios(schedule, fins, times, lower)):
-            if snap[0] > 0.0 and ceiling > top:
-                seed, top, seed_snap = i, ceiling, snap
-        if seed >= 0:
-            seed_denom = denom_of(seed_snap)
-            best = times[seed] / seed_denom
+        windows = list(windows)
+        # a served window's ceiling is positive, so 0.0 never ranks an unserved one first
+        ceilings = [t / lower(snap) if snap[0] > 0.0 else 0.0 for t, snap in windows]
+        top = max(ceilings, default=0.0)
+        if top > 0.0:
+            seed = ceilings.index(top)
+            t, snap = windows[seed]
+            seed_denom = denom_of(snap)
+            best = t / seed_denom
 
     rows: list[MeasureSample] = []
     unserved: list[float] = []
     value = -math.inf
     argmax: float | None = None
     pruned = 0
-    for i, (t, snap, denom, ratio) in enumerate(window_ratios(schedule, fins, times, lower or denom_of)):
+    for i, (t, snap) in enumerate(windows):
         served = snap[0] > 0.0
         if not served:
             unserved.append(t)
             if not explicit:
                 continue
-        elif lower is not None:  # denom and ratio are the lower bound and the ceiling
-            if i != seed and ratio < max(best, value) * (1.0 - 1e-12):
-                pruned += 1
-                continue
+            denom, ratio = 0.0, math.inf
+        elif lower is not None and i != seed and ceilings[i] < max(best, value) * (1.0 - 1e-12):
+            pruned += 1
+            continue
+        else:
             denom = seed_denom if i == seed else denom_of(snap)
             ratio = t / denom
         if samples:
@@ -244,13 +236,15 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     kept.  With the default window, the exact solver and m >= 2 it then
     solves only the windows that can reach the supremum: a window's ratio is
     at most its ceiling t / LB, with LB = ``makespan.lower_bound`` <= OPT.
-    The window with the largest ceiling (earliest on ties) is solved first;
-    then, in time order, a window is solved only if its ceiling is at least
-    the best ratio so far times 1 - 1e-12, a margin that covers the few ulps
-    by which a float LB may exceed a computed load.  A skipped window's
-    ratio is therefore strictly below the best one, so ``value`` and
-    ``argmax_time`` (the earliest solved window attaining it) are those of
-    the full series.  Every other case evaluates every window.
+    This route alone lists its windows from the one sweep, with their
+    ceilings.  The window with the largest ceiling (earliest on ties) is
+    solved first; then, in time order over the same list, a window is solved
+    only if its ceiling is at least the best ratio so far times 1 - 1e-12,
+    a margin that covers the few ulps by which a float LB may exceed a
+    computed load.  A skipped window's ratio is therefore strictly below the
+    best one, so ``value`` and ``argmax_time`` (the earliest solved window
+    attaining it) are those of the full series.  Every other case evaluates
+    every window.
     """
     if solver not in ("exact", "lpt"):
         raise ValueError(f"solver must be 'exact' or 'lpt', got {solver!r}")

@@ -138,6 +138,12 @@ def _ratios(contracts: Sequence[_Row], n: int, fins: list[float], held: list[flo
     return swept
 
 
+def _single_processor(schedule: Schedule, what: str) -> None:
+    """The one-processor rule of every public route here; ``what`` names the route in its error."""
+    if schedule.m_processors != 1:
+        raise ValueError(f"{what} requires m = 1")
+
+
 def _value(ratios: list[float | None]) -> float:
     """Supremum over the served windows (+inf if none is).
 
@@ -156,8 +162,7 @@ def deficiency_value_m1(schedule: Schedule) -> float:
     which every problem is served (+inf if none is).  To evaluate an
     explicit list of times, use ``metrics.deficiency(window=...)``.
     """
-    if schedule.m_processors != 1:
-        raise ValueError("this deficiency route is only valid on a single processor")
+    _single_processor(schedule, "deficiency_value_m1")
     return _value(_ratios(schedule.contracts, schedule.n_problems, simulate(schedule)))
 
 
@@ -285,8 +290,7 @@ def _first_violation(contracts: Sequence[_Row], start: int, longest: list[float]
 
 def is_normalized(schedule: Schedule) -> bool:
     """True if every contract start picks a problem with minimal completed length."""
-    if schedule.m_processors != 1:
-        raise ValueError("normalization is defined on a single processor")
+    _single_processor(schedule, "is_normalized")
     return _first_violation(schedule.contracts, 0, [0.0] * schedule.n_problems) is None
 
 
@@ -355,8 +359,7 @@ def normalize(schedule: Schedule) -> NormalizationTrace:
     served by the pre-step schedule, so the recorded pair is comparable.
     The result is idempotent: normalizing it again yields an identity trace.
     """
-    if schedule.m_processors != 1:
-        raise ValueError("normalize requires m = 1")
+    _single_processor(schedule, "normalize")
     return _rewrite(schedule, _swap_move)
 
 
@@ -418,8 +421,7 @@ def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
     shortening it would provably increase the deficiency, which only happens
     through ties in the least-served rule.
     """
-    if schedule.m_processors != 1:
-        raise ValueError("reduce_consecutive_pairs requires m = 1")
+    _single_processor(schedule, "reduce_consecutive_pairs")
     if schedule.n_problems != 2:
         raise ValueError("reduce_consecutive_pairs requires exactly two problems")
     if not is_normalized(schedule):

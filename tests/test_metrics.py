@@ -374,16 +374,22 @@ def test_value_only_routes_build_no_samples(monkeypatch):
 
 
 def test_every_route_simulates_the_schedule_once(monkeypatch):
-    # the windows, the snapshot sweep and the pruned route's two passes all read one simulation
-    calls = []
-    original = core.simulate
+    # the windows and the one snapshot sweep read one simulation; the pruned route ranks its
+    # ceilings and solves in time order over the windows of that one sweep
+    calls, sweeps = [], []
+    original, original_sweep = core.simulate, core._sweep
 
     def counting(schedule):
         calls.append(schedule)
         return original(schedule)
 
+    def counting_sweep(*args):
+        sweeps.append(args)
+        return original_sweep(*args)
+
     for module in (core, metrics, transforms):
         monkeypatch.setattr(module, "simulate", counting)
+        monkeypatch.setattr(module, "_sweep", counting_sweep)
     two = random_sched(random.Random(3), 3, 2, 12)
     one = sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 3.0)])
     routes = [lambda: deficiency(two, samples=False), lambda: deficiency(two), lambda: deficiency(two, solver="lpt"),
@@ -392,8 +398,9 @@ def test_every_route_simulates_the_schedule_once(monkeypatch):
     assert deficiency(two, samples=False).pruned_windows > 0
     for route in routes:
         calls.clear()
+        sweeps.clear()
         route()
-        assert len(calls) == 1
+        assert len(calls) == len(sweeps) == 1
 
 
 def test_opt_memo_solves_a_beta_exponential_shape_once():

@@ -75,8 +75,8 @@ def test_normalize_requires_single_processor():
 
 
 @pytest.mark.parametrize("route, message", [
-    (deficiency_value_m1, "this deficiency route is only valid on a single processor"),
-    (is_normalized, "normalization is defined on a single processor"),
+    (deficiency_value_m1, "deficiency_value_m1 requires m = 1"),
+    (is_normalized, "is_normalized requires m = 1"),
 ], ids=["deficiency_value_m1", "is_normalized"])
 def test_single_processor_routes_refuse_two_processors(route, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
