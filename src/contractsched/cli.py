@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import load_schedule, save_schedule, schedule_to_dict, snapshots_before
+from .core import _workers, load_schedule, save_schedule, schedule_to_dict, snapshots_before
 from .generators import (
     ExponentialSpec,
     acceleration_optimal_base,
@@ -225,12 +225,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.check_id} {status} ({r.seconds:.2f}s) {r.description}: {r.details}")
     if args.json:
-        from . import verification
-
         # the checks ran side by side, so their seconds need not add up to the command's wall time
         doc = {
             "seed": args.seed,
-            "processes": verification.worker_count(len(results)),
+            "processes": _workers(len(results)),
             "results": [
                 {
                     "id": r.check_id,

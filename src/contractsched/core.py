@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import sys
 from functools import partial
 from itertools import chain, compress
@@ -156,6 +157,17 @@ def _length(value: float, what: str) -> float:
     if not 0.0 < value < math.inf:  # also false for NaN
         raise ValueError(f"{what} must be positive and finite, got {value}")
     return value
+
+
+def _workers(tasks: int) -> int:
+    """The processes the package runs this many independent tasks on: one per usable CPU, never more than the tasks.
+
+    The one rule for ``verify``'s pool and the measures' split windows.  A
+    usable CPU is one this process may run on (its affinity mask, where the
+    platform has one).
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(tasks, cpus)
 
 
 # sets a field from a record's __init__, past the __setattr__ that refuses assignment; one module-level
@@ -376,19 +388,28 @@ def schedule_from_dict(doc: dict) -> Schedule:
 # one contract row as json.dumps writes it (json writes a float by its repr)
 _ROW = '{"problem":%d,"processor":%d,"length":%r}'
 
+# Contract rows ``save_schedule`` joins into one string before writing them.
+_BLOCK = 1024
+
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
     """Write ``schedule_to_dict(schedule)`` as compact JSON on one line.
 
     The bytes are those of ``json.dumps(..., separators=(",", ":"))``; the
     contract rows go through one format string instead of a dict each,
-    which takes about a fifth less time on a 100k-contract prefix.
+    which takes about a fifth less time on a 100k-contract prefix.  They are
+    written ``_BLOCK`` rows at a time, so the text of the whole file is
+    never held: on that prefix it is 5.9 MB.
     """
     compact = (",", ":")
     head = json.dumps({"n": schedule.n_problems, "m": schedule.m_processors}, separators=compact)[:-1]
     tail = "" if schedule.generator is None else ',"generator":' + json.dumps(schedule.generator, separators=compact)
-    rows = ",".join(map(_ROW.__mod__, schedule.contracts))
-    Path(path).write_text(f'{head},"contracts":[{rows}]{tail}}}\n', encoding="utf-8")
+    contracts = schedule.contracts
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f'{head},"contracts":[')
+        for start in range(0, len(contracts), _BLOCK):
+            out.write(("," if start else "") + ",".join(map(_ROW.__mod__, contracts[start:start + _BLOCK])))
+        out.write(f"]{tail}}}\n")
 
 
 def load_schedule(path: str | Path) -> Schedule:
@@ -399,15 +420,17 @@ def load_schedule(path: str | Path) -> Schedule:
     cycle, yet on a 100k-contract file the collections they trigger take
     about a fifth of the load.  The caller's collector state is restored
     however the load ends, and a collector the caller disabled stays so.
+    The file's text is released as soon as it is parsed, before the
+    contracts are built.
     """
-    text = Path(path).read_text(encoding="utf-8")
     collecting = gc.isenabled()
     gc.disable()
     try:
-        try:
-            doc = json.loads(text)
-        except RecursionError:
-            raise ValueError(f"schedule file {path} nests too deeply to parse") from None
+        with open(path, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"schedule file {path} nests too deeply to parse") from None
         return schedule_from_dict(doc)
     finally:
         if collecting:

@@ -21,13 +21,17 @@ them (scaling bisection, enumeration) live in ``verification``.
 
 from __future__ import annotations
 
+import gc
+import marshal
 import math
+import os
+import threading
 from typing import Callable, Iterable
 
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
 # so all three stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
-from .core import Schedule, _critical_times, _init_field, _length, _Record, _sweep, simulate
+from .core import Schedule, _critical_times, _init_field, _length, _Record, _sweep, _workers, simulate
 from .core import critical_times  # noqa: F401
 from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
 from .makespan import lpt_makespan  # noqa: F401
@@ -35,6 +39,12 @@ from .makespan import lpt_makespan  # noqa: F401
 # Relative distance, entry by entry, within which two normalized snapshots
 # share one optimal partition in ``deficiency`` (see its docstring).
 SHAPE_TOLERANCE = 4e-13
+
+# Fewest windows a value-only loop gives one process when it splits them (``_part_count``).  Forking a
+# child, its marshal round trip and its reap took 1.7 ms in a process holding a 100k-contract prefix, and
+# a window 0.43 us (acceleration ratio) to 2.2 us (LPT deficiency) on a 2-vCPU Xeon, Python 3.11, so a
+# range this long pays for its child at least 2.5 times over.
+_PART_MIN = 10_000
 
 
 class MeasureSample(_Record):
@@ -89,54 +99,81 @@ class MeasureReport(_Record):
 
 
 def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None, *,
-              samples: bool = True, lower: Callable[[tuple[float, ...]], float] | None = None) -> MeasureReport:
+              samples: bool = True, lower: Callable[[tuple[float, ...]], float] | None = None,
+              shared: bool = False) -> MeasureReport:
     """The one window loop; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes.
 
     One ``core._sweep`` gives each window its snapshot, sorted once.  Only the
     pruned route lists its windows, to rank their ceilings t / ``lower``; the
-    others stream them, so a long prefix never holds them all.
+    others stream them, so a long prefix never holds them all.  When no
+    sample is kept and ``denom_of`` keeps no state between windows
+    (``shared`` is false), each window's ratio depends on its snapshot alone,
+    so ``_in_parts`` may run contiguous ranges of the windows side by side,
+    each through this same loop; the parts merge into the serial report.
     """
     explicit = window is not None
     fins = simulate(schedule)  # the one simulation: the windows and the sweep read it
     times = sorted(_length(t, "interruption time") for t in window) if explicit else _critical_times(fins)
-    windows = zip(times, (tuple(sorted(longest))
-                          for longest in _sweep(schedule.contracts, schedule.n_problems, fins, times)))
+
+    def windows(lo: int, hi: int):
+        part = times[lo:hi]
+        return zip(part, (tuple(sorted(longest))
+                          for longest in _sweep(schedule.contracts, schedule.n_problems, fins, part)))
 
     seed, best = -1, -math.inf  # the served window with the largest ceiling, earliest on ties
+
+    def scan(part) -> tuple[list[MeasureSample], list[float], float, float | None, int]:
+        rows: list[MeasureSample] = []
+        unserved: list[float] = []
+        value = -math.inf
+        argmax: float | None = None
+        pruned = 0
+        for i, (t, snap) in enumerate(part):
+            served = snap[0] > 0.0
+            if not served:
+                unserved.append(t)
+                if not explicit:
+                    continue
+                denom, ratio = 0.0, math.inf
+            elif lower is not None and i != seed and ceilings[i] < max(best, value) * (1.0 - 1e-12):
+                pruned += 1
+                continue
+            else:
+                denom = seed_denom if i == seed else denom_of(snap)
+                ratio = t / denom
+            if samples:
+                rows.append(MeasureSample(t, snap, denom, ratio, served))
+            if ratio > value:
+                value = ratio
+                argmax = t
+        return rows, unserved, value, argmax, pruned
+
     if lower is not None:
-        windows = list(windows)
+        listed = list(windows(0, len(times)))
         # a served window's ceiling is positive, so 0.0 never ranks an unserved one first
-        ceilings = [t / lower(snap) if snap[0] > 0.0 else 0.0 for t, snap in windows]
+        ceilings = [t / lower(snap) if snap[0] > 0.0 else 0.0 for t, snap in listed]
         top = max(ceilings, default=0.0)
         if top > 0.0:
             seed = ceilings.index(top)
-            t, snap = windows[seed]
+            t, snap = listed[seed]
             seed_denom = denom_of(snap)
             best = t / seed_denom
-
-    rows: list[MeasureSample] = []
-    unserved: list[float] = []
-    value = -math.inf
-    argmax: float | None = None
-    pruned = 0
-    for i, (t, snap) in enumerate(windows):
-        served = snap[0] > 0.0
-        if not served:
-            unserved.append(t)
-            if not explicit:
-                continue
-            denom, ratio = 0.0, math.inf
-        elif lower is not None and i != seed and ceilings[i] < max(best, value) * (1.0 - 1e-12):
-            pruned += 1
-            continue
+        parts = [scan(listed)]
+    else:
+        count = 1 if samples or shared else _part_count(len(times))
+        if count == 1:
+            parts = [scan(windows(0, len(times)))]
         else:
-            denom = seed_denom if i == seed else denom_of(snap)
-            ratio = t / denom
-        if samples:
-            rows.append(MeasureSample(t, snap, denom, ratio, served))
-        if ratio > value:
-            value = ratio
-            argmax = t
+            bounds = [len(times) * j // count for j in range(count + 1)]
+            parts = _in_parts(lambda lo, hi: scan(windows(lo, hi)), list(zip(bounds, bounds[1:])))
+
+    rows, unserved, value, argmax, pruned = parts[0]
+    for part_rows, part_unserved, part_value, part_argmax, part_pruned in parts[1:]:
+        rows += part_rows
+        unserved += part_unserved
+        if part_value > value:  # strictly: the earliest part attaining the maximum keeps its window
+            value, argmax = part_value, part_argmax
+        pruned += part_pruned
     if value == -math.inf:
         value = math.inf  # nothing served: any interruption is infinitely bad
         argmax = None
@@ -156,6 +193,91 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
         windows=len(times) if explicit else len(times) - len(unserved),
         pruned_windows=pruned,
     )
+
+
+def _part_count(windows: int) -> int:
+    """The ranges a value-only loop over this many stateless windows runs in: one unless forking pays.
+
+    Forking pays when each range gets at least ``_PART_MIN`` windows, more
+    than one CPU is usable (``core._workers``), ``os.fork`` exists and this
+    process runs a single thread, since a fork copies only the calling
+    thread and may leave another's locks held in the child.
+    """
+    if windows < 2 * _PART_MIN or not hasattr(os, "fork"):
+        return 1
+    count = _workers(windows // _PART_MIN)
+    return count if count > 1 and threading.active_count() == 1 else 1
+
+
+def _in_parts(run: Callable[[int, int], tuple], ranges: list[tuple[int, int]]) -> list[tuple]:
+    """``run(lo, hi)`` for each range, in order: the first in this process, every other in a forked child.
+
+    Each child evaluates its range while this process evaluates the first,
+    and sends its part back through a pipe, ``marshal``-encoded (it holds
+    lists, floats, ints and None).  A child writes nothing else and always
+    ends with ``os._exit``, so it runs no exit handler and flushes no buffer
+    it inherited.  A range whose child was never forked, or sent no complete
+    part (it raised, or was killed), is run here instead, in range order, so
+    an exception is raised with the type and message the serial loop gives,
+    the earliest range first.  Every child forked is killed if still running
+    and reaped before this returns or raises, a KeyboardInterrupt included.
+    """
+    import signal  # here, so a report that never splits never loads it
+
+    children: list[tuple[int, int] | None] = []  # (pid, read end of its pipe) per later range
+    try:
+        for lo, hi in ranges[1:]:
+            children.append(_fork(run, lo, hi))
+        parts = [run(*ranges[0])]
+        for child, (lo, hi) in zip(children, ranges[1:]):
+            part = None if child is None else _receive(child[1])
+            parts.append(run(lo, hi) if part is None else part)
+        return parts
+    finally:
+        for child in children:
+            if child is not None:
+                pid, read = child
+                os.close(read)
+                os.kill(pid, signal.SIGKILL)  # a child not yet reaped keeps its pid, so no other process is hit
+                os.waitpid(pid, 0)
+
+
+def _fork(run: Callable[[int, int], tuple], lo: int, hi: int) -> tuple[int, int] | None:
+    """A child running ``run(lo, hi)`` into a pipe: (its pid, the pipe's read end), or None if none was forked."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            # the range makes no reference cycle, and collecting the parent's garbage here would run its
+            # finalizers a second time
+            gc.disable()
+            os.close(read)
+            data = marshal.dumps(run(lo, hi))
+            with open(write, "wb") as out:
+                out.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _receive(read: int) -> tuple | None:
+    """The part a child wrote to the pipe ``read``, or None if it wrote none, or only some of it."""
+    data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
+    try:
+        return marshal.loads(data)
+    except (EOFError, ValueError):  # nothing written, or cut short
+        return None
 
 
 def _exponential_base(schedule: Schedule) -> float | None:
@@ -244,7 +366,9 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     computed load.  A skipped window's ratio is therefore strictly below the
     best one, so ``value`` and ``argmax_time`` (the earliest solved window
     attaining it) are those of the full series.  Every other case evaluates
-    every window.
+    every window; the value-only LPT and one-processor routes, which share
+    nothing between windows, may split them across forked processes with
+    the same report (``_evaluate``).
     """
     if solver not in ("exact", "lpt"):
         raise ValueError(f"solver must be 'exact' or 'lpt', got {solver!r}")
@@ -277,6 +401,7 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
         analytic = {"kind": "limit" if m == 1 else "upper_bound", "value": bound}
     prune = not samples and window is None and m > 1 and solver == "exact"
     report = _evaluate(schedule, window, "deficiency", denom_of, analytic, samples=samples,
-                       lower=(lambda snap: lower_bound(snap, m)) if prune else None)
+                       lower=(lambda snap: lower_bound(snap, m)) if prune else None,
+                       shared=(m > 1 and solver == "exact"))
     return report._replace(solver=solver, exact=(solver == "exact"), opt_solves=solves)
 

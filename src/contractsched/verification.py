@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 import time
 from typing import Callable, Sequence
 
 from . import bounds, metrics, transforms
-from .core import Schedule, Contract, _init_field, _length, _Record, critical_times, simulate, snapshots_before
+from .core import Schedule, Contract, _init_field, _length, _Record, _workers, critical_times, simulate, snapshots_before
 from .generators import ExponentialSpec, acceleration_optimal_base, deficiency_optimal_base, exponential_schedule
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order
 
@@ -558,7 +557,7 @@ def run_checks(seed: int = 0, ids: list[str] | None = None) -> list[CheckResult]
     """Run the checks named in ``ids`` (default: all) and return their results in definition order.
 
     Each check is a pure function of the seed, so the checks run side by side
-    on a pool of ``worker_count`` forked workers, which is closed and joined
+    on a pool of ``core._workers`` forked workers, which is closed and joined
     before this returns, also when a check raises.  A worker inherits this
     process's ``ALL_CHECKS`` and looks each check up there by its index, so no
     function is pickled; each check's ``seconds`` is its own wall time in its
@@ -573,17 +572,12 @@ def run_checks(seed: int = 0, ids: list[str] | None = None) -> list[CheckResult]
             raise ValueError(f"unknown check ids: {', '.join(unknown)}" if unknown else "no check ids given")
     import multiprocessing  # here, so a library caller of the oracles above never loads it
 
-    pool = multiprocessing.get_context("fork").Pool(worker_count(len(indices)))
+    pool = multiprocessing.get_context("fork").Pool(_workers(len(indices)))
     try:
         return pool.starmap(_run_check, [(i, seed) for i in indices], chunksize=1)
     finally:
         pool.close()
         pool.join()
-
-
-def worker_count(checks: int) -> int:
-    """The worker processes ``run_checks`` starts for this many checks: one per CPU, never more than the checks."""
-    return min(checks, os.cpu_count() or 1)
 
 
 def _run_check(index: int, seed: int) -> CheckResult:

@@ -623,8 +623,9 @@ def test_verify_json_report(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert [r["id"] for r in doc["results"]] == ["C01", "C05"]
     assert all(r["passed"] for r in doc["results"])
-    # the checks ran side by side: one worker per CPU, never more than the two checks
-    assert doc["processes"] == min(2, os.cpu_count() or 1)
+    # the checks ran side by side: one worker per usable CPU, never more than the two checks
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert doc["processes"] == min(2, usable)
 
 
 def test_cli_run_checks_forwards_to_verification():

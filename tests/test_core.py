@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -422,6 +423,47 @@ def test_schedule_file_is_the_compact_json_dump(tmp_path, make):
     path = tmp_path / "s.json"
     save_schedule(s, path)
     assert path.read_text(encoding="utf-8") == json.dumps(schedule_to_dict(s), separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("generator", [None, {"family": "exponential", "base": 1.5}], ids=["plain", "generator"])
+@pytest.mark.parametrize("k", [0, 1, core._BLOCK - 1, core._BLOCK, core._BLOCK + 1, 2 * core._BLOCK + 1])
+def test_schedule_file_is_the_compact_json_dump_at_every_block_boundary(tmp_path, k, generator):
+    # rows are written a block at a time: the commas between blocks and the empty list must come out as json's
+    rng = random.Random(k)
+    s = Schedule(3, 2, [Contract(rng.randrange(3), rng.randrange(2), rng.random() + 0.5) for _ in range(k)],
+                 generator=generator)
+    path = tmp_path / "s.json"
+    save_schedule(s, path)
+    assert path.read_bytes() == (json.dumps(schedule_to_dict(s), separators=(",", ":")) + "\n").encode()
+
+
+def test_schedule_file_is_written_and_read_without_a_second_copy_of_its_text(tmp_path):
+    # save never holds the whole file's text, and load releases the text before it builds the contracts
+    s = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=20_000))
+    path = tmp_path / "s.json"
+    tracemalloc.start()
+    try:
+        save_schedule(s, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        size = path.stat().st_size
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        parsed = tracemalloc.get_traced_memory()[0] - base  # the parsed document alone
+        back = schedule_from_dict(doc)
+        del doc
+        built = tracemalloc.get_traced_memory()[0] - base  # the schedule alone
+        del back
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert load_schedule(path) == s
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert save_peak < size / 2
+    # holding the text while the contracts are built peaks near the text, the document and the schedule
+    # together (at 20k contracts, 7.1 MB against a bound of 6.7 MB); releasing it peaks at 6.0 MB
+    assert load_peak < parsed + built + size / 4
 
 
 def test_schedule_file_round_trips_every_length_bit_for_bit(tmp_path):
