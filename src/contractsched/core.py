@@ -399,7 +399,9 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
     contract rows go through one format string instead of a dict each,
     which takes about a fifth less time on a 100k-contract prefix.  They are
     written ``_BLOCK`` rows at a time, so the text of the whole file is
-    never held: on that prefix it is 5.9 MB.
+    never held: on that prefix it is 5.9 MB.  The file is truncated before
+    the first row is formatted, so a save interrupted or failing part way
+    leaves a partial file at ``path``, not the one that was there before.
     """
     compact = (",", ":")
     head = json.dumps({"n": schedule.n_problems, "m": schedule.m_processors}, separators=compact)[:-1]

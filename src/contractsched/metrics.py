@@ -26,6 +26,7 @@ import marshal
 import math
 import os
 import threading
+import time
 from typing import Callable, Iterable
 
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
@@ -40,11 +41,17 @@ from .makespan import lpt_makespan  # noqa: F401
 # share one optimal partition in ``deficiency`` (see its docstring).
 SHAPE_TOLERANCE = 4e-13
 
-# Fewest windows a value-only loop gives one process when it splits them (``_part_count``).  Forking a
-# child, its marshal round trip and its reap took 1.7 ms in a process holding a 100k-contract prefix, and
-# a window 0.43 us (acceleration ratio) to 2.2 us (LPT deficiency) on a 2-vCPU Xeon, Python 3.11, so a
-# range this long pays for its child at least 2.5 times over.
-_PART_MIN = 10_000
+# Fewest windows the value-only LPT deficiency gives one process when it splits them (``_part_count``).
+# Measured on whole calls, so with the child's fork, its sort of every finish time, its walk over the
+# contracts before its range, both processes' copy-on-write faults, the marshal round trip and the reap:
+# on a 4/2 exponential prefix (base 1.004), in a fresh process, serial against split in two (medians of
+# 9, 2-vCPU Xeon, Python 3.11) took 4.2 -> 4.7 ms over 2,000 windows, 10.6 -> 8.5 ms over 5,000,
+# 21.1 -> 15.1 ms over 10,000 and 211 -> 136 ms over 100,000.
+_PART_MIN = 5_000
+
+# A child that has not reported this many times the caller's own range later, plus _WAIT_S seconds, is
+# taken for hung (``_in_parts``); its range is as long as the caller's.
+_WAIT_FACTOR, _WAIT_S = 10, 1.0
 
 
 class MeasureSample(_Record):
@@ -100,16 +107,17 @@ class MeasureReport(_Record):
 
 def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None, *,
               samples: bool = True, lower: Callable[[tuple[float, ...]], float] | None = None,
-              shared: bool = False) -> MeasureReport:
+              split: bool = False) -> MeasureReport:
     """The one window loop; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes.
 
     One ``core._sweep`` gives each window its snapshot, sorted once.  Only the
     pruned route lists its windows, to rank their ceilings t / ``lower``; the
-    others stream them, so a long prefix never holds them all.  When no
-    sample is kept and ``denom_of`` keeps no state between windows
-    (``shared`` is false), each window's ratio depends on its snapshot alone,
-    so ``_in_parts`` may run contiguous ranges of the windows side by side,
-    each through this same loop; the parts merge into the serial report.
+    others stream them, so a long prefix never holds them all.  ``split``
+    says that ``denom_of`` keeps no state between windows and costs enough
+    per window to pay for a child (the LPT deficiency alone).  Then, when no
+    sample is kept, each window's ratio depends on its snapshot alone, so
+    ``_in_parts`` may run contiguous ranges of the windows side by side, each
+    through this same loop; the parts merge into the serial report.
     """
     explicit = window is not None
     fins = simulate(schedule)  # the one simulation: the windows and the sweep read it
@@ -160,7 +168,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
             best = t / seed_denom
         parts = [scan(listed)]
     else:
-        count = 1 if samples or shared else _part_count(len(times))
+        count = _part_count(len(times)) if split and not samples else 1
         if count == 1:
             parts = [scan(windows(0, len(times)))]
         else:
@@ -196,12 +204,14 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
 
 
 def _part_count(windows: int) -> int:
-    """The ranges a value-only loop over this many stateless windows runs in: one unless forking pays.
+    """The ranges a value-only LPT loop over this many windows runs in: one unless forking pays.
 
     Forking pays when each range gets at least ``_PART_MIN`` windows, more
     than one CPU is usable (``core._workers``), ``os.fork`` exists and this
     process runs a single thread, since a fork copies only the calling
-    thread and may leave another's locks held in the child.
+    thread and may leave another's locks held in the child.  Threads that
+    Python did not start (a native library's pool) are not counted; a child
+    that deadlocks on one of their locks is caught by ``_in_parts``'s wait.
     """
     if windows < 2 * _PART_MIN or not hasattr(os, "fork"):
         return 1
@@ -217,10 +227,12 @@ def _in_parts(run: Callable[[int, int], tuple], ranges: list[tuple[int, int]]) -
     lists, floats, ints and None).  A child writes nothing else and always
     ends with ``os._exit``, so it runs no exit handler and flushes no buffer
     it inherited.  A range whose child was never forked, or sent no complete
-    part (it raised, or was killed), is run here instead, in range order, so
-    an exception is raised with the type and message the serial loop gives,
-    the earliest range first.  Every child forked is killed if still running
-    and reaped before this returns or raises, a KeyboardInterrupt included.
+    part (it raised, was killed, or had not finished ``_WAIT_FACTOR`` times
+    the first range's time plus ``_WAIT_S`` seconds after it), is run here
+    instead, in range order, so an exception is raised with the type and
+    message the serial loop gives, the earliest range first.  Every child
+    forked is killed if still running and reaped before this returns or
+    raises, a KeyboardInterrupt included.
     """
     import signal  # here, so a report that never splits never loads it
 
@@ -228,9 +240,12 @@ def _in_parts(run: Callable[[int, int], tuple], ranges: list[tuple[int, int]]) -
     try:
         for lo, hi in ranges[1:]:
             children.append(_fork(run, lo, hi))
+        start = time.monotonic()
         parts = [run(*ranges[0])]
+        now = time.monotonic()
+        deadline = now + _WAIT_FACTOR * (now - start) + _WAIT_S
         for child, (lo, hi) in zip(children, ranges[1:]):
-            part = None if child is None else _receive(child[1])
+            part = None if child is None else _receive(child[1], deadline)
             parts.append(run(lo, hi) if part is None else part)
         return parts
     finally:
@@ -271,13 +286,25 @@ def _fork(run: Callable[[int, int], tuple], lo: int, hi: int) -> tuple[int, int]
     return pid, read
 
 
-def _receive(read: int) -> tuple | None:
-    """The part a child wrote to the pipe ``read``, or None if it wrote none, or only some of it."""
-    data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
-    try:
-        return marshal.loads(data)
-    except (EOFError, ValueError):  # nothing written, or cut short
-        return None
+def _receive(read: int, deadline: float) -> tuple | None:
+    """The part a child wrote to the pipe ``read``: None if it wrote none, only some, or had not ended by ``deadline``.
+
+    ``deadline`` is a ``time.monotonic`` time.
+    """
+    import select
+
+    poll = select.poll()
+    poll.register(read, select.POLLIN)
+    chunks = []
+    while poll.poll(max(0.0, deadline - time.monotonic()) * 1000):
+        chunk = os.read(read, 1 << 16)
+        if not chunk:
+            try:
+                return marshal.loads(b"".join(chunks))
+            except (EOFError, ValueError):  # nothing written, or cut short
+                return None
+        chunks.append(chunk)
+    return None
 
 
 def _exponential_base(schedule: Schedule) -> float | None:
@@ -366,9 +393,9 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     computed load.  A skipped window's ratio is therefore strictly below the
     best one, so ``value`` and ``argmax_time`` (the earliest solved window
     attaining it) are those of the full series.  Every other case evaluates
-    every window; the value-only LPT and one-processor routes, which share
-    nothing between windows, may split them across forked processes with
-    the same report (``_evaluate``).
+    every window; the value-only LPT route on m >= 2, which shares nothing
+    between windows, may split them across forked processes with the same
+    report (``_evaluate``).
     """
     if solver not in ("exact", "lpt"):
         raise ValueError(f"solver must be 'exact' or 'lpt', got {solver!r}")
@@ -402,6 +429,6 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     prune = not samples and window is None and m > 1 and solver == "exact"
     report = _evaluate(schedule, window, "deficiency", denom_of, analytic, samples=samples,
                        lower=(lambda snap: lower_bound(snap, m)) if prune else None,
-                       shared=(m > 1 and solver == "exact"))
+                       split=(m > 1 and solver == "lpt"))
     return report._replace(solver=solver, exact=(solver == "exact"), opt_solves=solves)
 

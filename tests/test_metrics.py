@@ -406,11 +406,11 @@ def test_every_route_simulates_the_schedule_once(monkeypatch):
         assert len(calls) == len(sweeps) == 1
 
 
-# --- value-only windows split across forked children --------------------------
+# --- value-only LPT windows split across forked children ----------------------
 
 
 def forced_split(monkeypatch):
-    """Split every value-only loop of at least 4 stateless windows into up to three ranges, whatever the host.
+    """Split every value-only LPT loop of at least 4 windows into up to three ranges, whatever the host.
 
     Returns the list that records each range given to a child.
     """
@@ -432,18 +432,14 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-SPLIT_ROUTES = {
-    "acc": lambda s, window: acceleration_ratio(s, window=window, samples=False),
-    "perf": lambda s, window: performance_ratio(s, window=window, samples=False),
-    "def-lpt": lambda s, window: deficiency(s, window=window, solver="lpt", samples=False),
-    "def-m1": lambda s, window: deficiency(s, window=window, samples=False),
-}
+def lpt_value(s, window=None):
+    return deficiency(s, window=window, solver="lpt", samples=False)
 
 
-def split_cases(route):
+def split_cases():
     rng = random.Random(31)
     for _ in range(25):
-        n, m = rng.randint(1, 4), 1 if route == "def-m1" else rng.randint(1, 3)
+        n, m = rng.randint(1, 4), rng.randint(2, 3)
         s = random_sched(rng, n, m, rng.randint(4, 60), serve_all_first=rng.random() < 0.5)
         times = critical_times(s)
         # unsorted, repeated, before the first finish and between finishes: served and unserved windows alike
@@ -453,24 +449,23 @@ def split_cases(route):
 
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["default-window", "explicit-window"])
-@pytest.mark.parametrize("route", SPLIT_ROUTES)
-def test_split_reports_equal_the_serial_ones(monkeypatch, route, explicit):
-    cases = [(s, window if explicit else None) for s, window in split_cases(route)]
-    serial = [repr(SPLIT_ROUTES[route](s, window)) for s, window in cases]
+def test_split_reports_equal_the_serial_ones(monkeypatch, explicit):
+    cases = [(s, window if explicit else None) for s, window in split_cases()]
+    serial = [repr(lpt_value(s, window)) for s, window in cases]
     forked = forced_split(monkeypatch)
-    assert [repr(SPLIT_ROUTES[route](s, window)) for s, window in cases] == serial
+    assert [repr(lpt_value(s, window)) for s, window in cases] == serial
     assert len(forked) > len(cases)
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("route", SPLIT_ROUTES)
-def test_split_argmax_is_the_earliest_window_of_a_maximum_tied_across_ranges(monkeypatch, route):
+def test_split_argmax_is_the_earliest_window_of_a_maximum_tied_across_ranges(monkeypatch):
     # the window 3 * 2^i sees the contract 2^i as the longest completed, after 2^(i+1) - 1 and before
-    # 2^(i+2) - 1, so every one of the 30 ratios is exactly 3, in each of the three ranges
-    s = sched(1, 1, [(0, 0, 2.0**i) for i in range(40)])
+    # 2^(i+2) - 1, and one job's LPT makespan is its size, so every one of the 30 ratios is exactly 3, in
+    # each of the three ranges
+    s = sched(1, 2, [(0, 0, 2.0**i) for i in range(40)])
     window = [3 * 2.0**i for i in range(1, 31)]
     forked = forced_split(monkeypatch)
-    report = SPLIT_ROUTES[route](s, window)
+    report = lpt_value(s, window)
     assert forked == [(10, 20), (20, 30)]
     assert (report.value, report.argmax_time, report.windows) == (3.0, 6.0, 30)
     assert_no_child_left()
@@ -479,10 +474,10 @@ def test_split_argmax_is_the_earliest_window_of_a_maximum_tied_across_ranges(mon
 def test_split_concatenates_unserved_windows_across_ranges(monkeypatch):
     # problem 1 completes its first contract at 12.0: the windows 1.0 ... 12.0 are unserved, the ten of the
     # first range and the first two of the second
-    s = sched(2, 1, [(0, 0, 1.0)] * 11 + [(1, 0, 1.0)] + [((i + 1) % 2, 0, 1.0 + i / 8) for i in range(18)])
-    serial = acceleration_ratio(s, samples=False)
+    s = sched(2, 2, [(0, 0, 1.0)] * 11 + [(1, 0, 1.0)] + [((i + 1) % 2, 0, 1.0 + i / 8) for i in range(18)])
+    serial = lpt_value(s)
     forked = forced_split(monkeypatch)
-    report = acceleration_ratio(s, samples=False)
+    report = lpt_value(s)
     assert forked == [(10, 20), (20, 30)]
     assert report.unserved_times == tuple(float(t) for t in range(1, 13))
     assert report.windows == 18
@@ -497,21 +492,22 @@ def test_split_raises_the_serial_overflow_of_a_later_range(monkeypatch):
     s = sched(5, 2, [(0, 0, 3 * size), (2, 1, 2 * size), (1, 0, 3 * size), (3, 1, 2 * size), (4, 1, 2 * size),
                      (0, 0, 1e307)])
     with pytest.raises(ValueError) as serial:
-        deficiency(s, solver="lpt", samples=False)
+        lpt_value(s)
     forked = forced_split(monkeypatch)
     with pytest.raises(ValueError) as split:
-        deficiency(s, solver="lpt", samples=False)
+        lpt_value(s)
     assert forked == [(2, 5)]
     assert (split.type, str(split.value)) == (serial.type, str(serial.value))
     assert str(split.value).startswith("a processor load overflows")
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("failure", ["fork-refused", "child-raises", "child-killed"])
+@pytest.mark.parametrize("failure", ["fork-refused", "child-raises", "child-killed", "child-hangs"])
 def test_split_runs_here_every_range_no_child_reported(monkeypatch, failure):
     s = random_sched(random.Random(8), 3, 2, 40)
-    serial = repr(deficiency(s, solver="lpt", samples=False))
+    serial = repr(lpt_value(s))
     forked = forced_split(monkeypatch)
+    monkeypatch.setattr(metrics, "_WAIT_S", 0.2)
     parent, sweep = os.getpid(), metrics._sweep
 
     def refused():
@@ -521,6 +517,8 @@ def test_split_runs_here_every_range_no_child_reported(monkeypatch, failure):
         if os.getpid() != parent:
             if failure == "child-killed":
                 os.kill(os.getpid(), signal.SIGKILL)
+            if failure == "child-hangs":
+                threading.Event().wait()  # as on a lock a thread of the parent held when it forked
             raise RuntimeError("only a child fails")
         return sweep(*args)
 
@@ -528,7 +526,7 @@ def test_split_runs_here_every_range_no_child_reported(monkeypatch, failure):
         monkeypatch.setattr(os, "fork", refused)
     else:
         monkeypatch.setattr(metrics, "_sweep", failing)
-    assert repr(deficiency(s, solver="lpt", samples=False)) == serial
+    assert repr(lpt_value(s)) == serial
     assert len(forked) == 2
     assert_no_child_left()
 
@@ -545,17 +543,23 @@ def test_split_reaps_every_child_when_the_first_range_is_interrupted(monkeypatch
 
     monkeypatch.setattr(metrics, "_sweep", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        acceleration_ratio(s, samples=False)
+        lpt_value(s)
     assert len(forked) == 2
     assert_no_child_left()
 
 
 def test_nothing_forks_where_a_split_is_not_allowed(monkeypatch):
     s = random_sched(random.Random(10), 3, 2, 40)
+    one = random_sched(random.Random(10), 3, 1, 40)
     forked = forced_split(monkeypatch)
-    # samples kept; the exact solver's shape memo on m >= 2, pruned or over an explicit window
+    # samples kept; windows too cheap to pay for a child: the acceleration and performance ratios and the
+    # deficiency on one processor, LPT or not; the exact solver's shape memo on m >= 2, pruned or over an
+    # explicit window
     deficiency(s, solver="lpt")
-    acceleration_ratio(s)
+    acceleration_ratio(s, samples=False)
+    performance_ratio(s, samples=False)
+    deficiency(one, samples=False)
+    deficiency(one, solver="lpt", samples=False)
     deficiency(s, samples=False)
     deficiency(s, window=critical_times(s), samples=False)
     assert forked == []
@@ -564,19 +568,19 @@ def test_nothing_forks_where_a_split_is_not_allowed(monkeypatch):
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        acceleration_ratio(s, samples=False)
+        lpt_value(s)
     finally:
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive() and forked == []
     # fewer than 2 * _PART_MIN windows
     monkeypatch.setattr(metrics, "_PART_MIN", 10_000)
-    acceleration_ratio(s, samples=False)
+    lpt_value(s)
     assert forked == []
     # and at 2 * _PART_MIN windows it splits
     big = exponential_schedule(ExponentialSpec(n=2, m=2, base=1.004, k_max=20_000))
     assert len(critical_times(big)) == 20_000
-    acceleration_ratio(big, samples=False)
+    lpt_value(big)
     assert forked == [(10_000, 20_000)]
     assert_no_child_left()
 
