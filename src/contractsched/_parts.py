@@ -1,0 +1,216 @@
+"""Contiguous parts of one task run side by side: the first in this process, every other in a forked child.
+
+The value-only LPT deficiency (``metrics``) splits its windows this way, and
+``core.load_schedule`` the contract rows of a long schedule file
+(``_parse_in_pieces``).  Each imports this module only once its input is
+long enough to split, so a command that never splits never compiles it.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import marshal
+import os
+import threading
+import time
+from functools import partial
+from itertools import chain
+from typing import Callable, Iterable
+
+from .core import _ROW_FIELDS, _workers
+
+# A child that has not reported this many times the caller's own part later, plus _WAIT_S seconds, is
+# taken for hung (``_in_parts``); its part is no longer than the caller's.
+_WAIT_FACTOR, _WAIT_S = 10, 1.0
+
+# How many times as many characters the caller's own piece of a schedule file takes as each child's, since
+# a child also forks, copies its piece and marshals its rows: on two CPUs the caller's piece holds 55% of
+# the rows.  On the 5.9 MB ``long-prefix-cli`` prefix, in fresh processes (medians of 11, 2-vCPU Xeon), a
+# lead of 1.0, 1.1, 1.2 and 1.3 loaded it in 70.8, 68.4, 68.4 and 69.6 ms.
+_PARSE_LEAD = 1.2
+
+_CONTRACTS = '"contracts":['
+_WHITESPACE = " \t\n\r"  # JSON's whitespace (RFC 8259); str.strip would strip more
+
+
+def _part_count(items: int, least: int) -> int:
+    """The parts a task of this many items runs in, each of at least ``least`` items: one unless forking is allowed.
+
+    Forking is allowed when there are at least two parts' worth of items,
+    more than one CPU is usable (``core._workers``), ``os.fork`` exists and
+    this process runs a single thread, since a fork copies only the calling
+    thread and may leave another's locks held in the child.  Threads that
+    Python did not start (a native library's pool) are not counted; a child
+    that deadlocks on one of their locks is caught by ``_in_parts``'s wait.
+    """
+    if items < 2 * least or not hasattr(os, "fork"):
+        return 1
+    count = _workers(items // max(least, 1))
+    return count if count > 1 and threading.active_count() == 1 else 1
+
+
+def _in_parts(run: Callable[[int, int], tuple], ranges: list[tuple[int, int]]) -> list[tuple]:
+    """``run(lo, hi)`` for each range, in order: the first in this process, every other in a forked child.
+
+    Each child evaluates its range while this process evaluates the first,
+    and sends its part back through a pipe, ``marshal``-encoded (so a part
+    holds only lists, tuples, dicts, strings, numbers and None).  A child
+    writes nothing else and always ends with ``os._exit``, so it runs no exit
+    handler and flushes no buffer it inherited.  A range whose child was
+    never forked, or sent no complete part (it raised, was killed, or had
+    not finished ``_WAIT_FACTOR`` times the first range's time plus
+    ``_WAIT_S`` seconds after it), is run here instead, in range order, so an
+    exception is raised with the type and message a serial run gives, the
+    earliest range first.  Every child forked is killed if still running and
+    reaped before this returns or raises, a KeyboardInterrupt included.
+    """
+    import signal  # here, so a caller that never splits never loads it
+
+    children: list[tuple[int, int] | None] = []  # (pid, read end of its pipe) per later range
+    try:
+        for lo, hi in ranges[1:]:
+            children.append(_fork(run, lo, hi))
+        start = time.monotonic()
+        parts = [run(*ranges[0])]
+        now = time.monotonic()
+        deadline = now + _WAIT_FACTOR * (now - start) + _WAIT_S
+        for child, (lo, hi) in zip(children, ranges[1:]):
+            part = None if child is None else _receive(child[1], deadline)
+            parts.append(run(lo, hi) if part is None else part)
+        return parts
+    finally:
+        for child in children:
+            if child is not None:
+                pid, read = child
+                os.close(read)
+                os.kill(pid, signal.SIGKILL)  # a child not yet reaped keeps its pid, so no other process is hit
+                os.waitpid(pid, 0)
+
+
+def _fork(run: Callable[[int, int], tuple], lo: int, hi: int) -> tuple[int, int] | None:
+    """A child running ``run(lo, hi)`` into a pipe: (its pid, the pipe's read end), or None if none was forked."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            # a part makes no reference cycle, and collecting the parent's garbage here would run its
+            # finalizers a second time
+            gc.disable()
+            os.close(read)
+            data = marshal.dumps(run(lo, hi))
+            with open(write, "wb") as out:
+                out.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _receive(read: int, deadline: float) -> tuple | None:
+    """The part a child wrote to the pipe ``read``: None if it wrote none, only some, or had not ended by ``deadline``.
+
+    ``deadline`` is a ``time.monotonic`` time.
+    """
+    import select
+
+    poll = select.poll()
+    poll.register(read, select.POLLIN)
+    chunks = []
+    while poll.poll(max(0.0, deadline - time.monotonic()) * 1000):
+        chunk = os.read(read, 1 << 16)
+        if not chunk:
+            try:
+                return marshal.loads(b"".join(chunks))
+            except (EOFError, ValueError):  # nothing written, or cut short
+                return None
+        chunks.append(chunk)
+    return None
+
+
+def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple] | None] | None:
+    """``core._parse`` in ``count`` pieces: (document, contract rows), or None where the text is laid out otherwise.
+
+    The caller parses the first piece of the ``"contracts"`` array and a
+    forked child each other one (``_in_parts``); each child sends its rows
+    back by ``marshal``.  The rows are ``core._ROW_FIELDS`` tuples, and
+    the document's own ``"contracts"`` is not to be read unless they are
+    None.  The pieces joined are what one ``json.loads(text)`` gives,
+    because:
+
+    * the head: with ``a`` the index just past the first ``"contracts":[``,
+      ``json.loads(text[:a] + "]}")`` parses, into a dict, so that ``[``
+      opens the value of a top-level ``"contracts"`` key outside every
+      string (inside a string, ``]}`` would leave the string unterminated);
+    * the cuts: each is the ``},{`` that ``text.find`` gives at or after a
+      target, and they strictly increase.  Each piece between cuts parses
+      as ``"[" + piece + "]"`` into a non-empty list (an empty one would
+      hide a ``,,``).  JSON is read left to right, so a piece that starts
+      where a row may start and parses whole ends where a row ends, outside
+      every string, and the ``,`` after it is the array's own;
+    * the last piece is read by ``JSONDecoder.raw_decode`` from ``"["`` and
+      the text after the last cut's comma, to the array's ``]``.  After it
+      comes JSON whitespace and then either the document's ``}`` and
+      nothing but whitespace, or a ``,`` and at least one more member, all
+      parsed as ``json.loads("{" + ...)``;
+    * the document is the head updated by the members after the array, so
+      the last of a repeated key wins, as in json; a second ``"contracts"``
+      after the array is then the document's, and no rows are given.
+
+    A piece that does not parse raises here (``_piece``), also when its
+    child failed or outlived the bounded wait, since ``_in_parts`` then
+    parses it here; ``core._parse`` then falls back to one ``json.loads``.
+    """
+    start = text.find(_CONTRACTS)
+    if start < 0:
+        return None
+    a = start + len(_CONTRACTS)
+    doc = json.loads(text[:a] + "]}")  # a text that parses and ends in "}" is an object
+    span, weight = len(text) - a, _PARSE_LEAD + count - 1
+    cuts: list[int] = []  # index of each cut's "}"
+    for j in range(1, count):
+        cut = text.find("},{", a + int(span * (_PARSE_LEAD + j - 1) / weight))
+        if cut < 0 or (cuts and cut <= cuts[-1]):
+            return None
+        cuts.append(cut)
+    ranges = list(zip([a] + [cut + 2 for cut in cuts], [cut + 1 for cut in cuts] + [len(text)]))
+    parts = _in_parts(partial(_piece, text), ranges)
+    rest = parts[-1][1]
+    doc.update(rest)
+    return doc, (None if "contracts" in rest else chain.from_iterable(part[0] for part in parts))
+
+
+def _piece(text: str, lo: int, hi: int) -> tuple[list[tuple], dict | None]:
+    """The rows of ``text[lo:hi]``, a piece of the contracts array, as ``_ROW_FIELDS`` tuples, and the members after it.
+
+    The members after the array are read for the last piece alone (``hi``
+    is the text's end), and None stands for them otherwise.  Raises
+    ValueError where ``core._parse`` must fall back.
+    """
+    rest = None
+    if hi < len(text):
+        rows = json.loads(f"[{text[lo:hi]}]")
+    else:
+        rows, end = json.JSONDecoder().raw_decode("[" + text[lo:])
+        tail = text[lo + end - 1:].lstrip(_WHITESPACE)
+        if tail[:1] == "}":
+            rest = json.loads("{" + tail)  # {}, unless something follows the document
+        elif tail[:1] == ",":
+            rest = json.loads("{" + tail[1:])
+            if not rest:
+                raise ValueError("a comma after the contracts and no member")
+        else:
+            raise ValueError("the contracts are followed by neither a member nor the document's end")
+    if not rows:
+        raise ValueError("an empty piece of the contracts")
+    return list(map(_ROW_FIELDS, rows)), rest

@@ -84,7 +84,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _print_json(
         {
             "measure": report.measure,
-            "value": report.value,
+            # +inf when no window is served; JSON has no infinity, so it prints as null, like its argmax_time
+            "value": None if report.value == float("inf") else report.value,
             "argmax_time": report.argmax_time,
             "windows": report.windows,
             "unserved_windows": len(report.unserved_times),

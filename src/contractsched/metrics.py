@@ -21,18 +21,13 @@ them (scaling bisection, enumeration) live in ``verification``.
 
 from __future__ import annotations
 
-import gc
-import marshal
 import math
-import os
-import threading
-import time
 from typing import Callable, Iterable
 
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
 # so all three stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
-from .core import Schedule, _critical_times, _init_field, _length, _Record, _sweep, _workers, simulate
+from .core import Schedule, _critical_times, _init_field, _length, _ranked, _Record, _sweep, simulate
 from .core import critical_times  # noqa: F401
 from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
 from .makespan import lpt_makespan  # noqa: F401
@@ -42,16 +37,12 @@ from .makespan import lpt_makespan  # noqa: F401
 SHAPE_TOLERANCE = 4e-13
 
 # Fewest windows the value-only LPT deficiency gives one process when it splits them (``_part_count``).
-# Measured on whole calls, so with the child's fork, its sort of every finish time, its walk over the
-# contracts before its range, both processes' copy-on-write faults, the marshal round trip and the reap:
-# on a 4/2 exponential prefix (base 1.004), in a fresh process, serial against split in two (medians of
-# 9, 2-vCPU Xeon, Python 3.11) took 4.2 -> 4.7 ms over 2,000 windows, 10.6 -> 8.5 ms over 5,000,
-# 21.1 -> 15.1 ms over 10,000 and 211 -> 136 ms over 100,000.
+# Measured on whole calls, so with the child's fork, its sort of every finish time (which a child no
+# longer repeats), its walk over the contracts before its range, both processes' copy-on-write faults,
+# the marshal round trip and the reap: on a 4/2 exponential prefix (base 1.004), in a fresh process,
+# serial against split in two (medians of 9, 2-vCPU Xeon, Python 3.11) took 4.2 -> 4.7 ms over 2,000
+# windows, 10.6 -> 8.5 ms over 5,000, 21.1 -> 15.1 ms over 10,000 and 211 -> 136 ms over 100,000.
 _PART_MIN = 5_000
-
-# A child that has not reported this many times the caller's own range later, plus _WAIT_S seconds, is
-# taken for hung (``_in_parts``); its range is as long as the caller's.
-_WAIT_FACTOR, _WAIT_S = 10, 1.0
 
 
 class MeasureSample(_Record):
@@ -110,23 +101,30 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
               split: bool = False) -> MeasureReport:
     """The one window loop; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes.
 
-    One ``core._sweep`` gives each window its snapshot, sorted once.  Only the
-    pruned route lists its windows, to rank their ceilings t / ``lower``; the
-    others stream them, so a long prefix never holds them all.  ``split``
-    says that ``denom_of`` keeps no state between windows and costs enough
-    per window to pay for a child (the LPT deficiency alone).  Then, when no
-    sample is kept, each window's ratio depends on its snapshot alone, so
-    ``_in_parts`` may run contiguous ranges of the windows side by side, each
-    through this same loop; the parts merge into the serial report.
+    The finish times are ranked once (``core._ranked``): the default
+    windows are read from that ranking, and one ``core._sweep`` over it gives
+    each window its snapshot, sorted once.  Only the pruned route lists its
+    windows, to rank their ceilings t / ``lower``; the others stream them, so
+    a long prefix never holds them all.  ``split`` says that ``denom_of``
+    keeps no state between windows and costs enough per window to pay for a
+    child (the LPT deficiency alone).  Then, when no sample is kept, each
+    window's ratio depends on its snapshot alone, so ``_parts._in_parts`` may
+    run contiguous ranges of the windows side by side, each through this
+    same loop and the same ranking, which a child inherits rather than
+    sorting again; the parts merge into the serial report.
     """
     explicit = window is not None
     fins = simulate(schedule)  # the one simulation: the windows and the sweep read it
-    times = sorted(_length(t, "interruption time") for t in window) if explicit else _critical_times(fins)
+    order = _ranked(fins)  # the one sort of the finish times, which every range of the windows shares
+    if explicit:
+        times = sorted(_length(t, "interruption time") for t in window)
+    else:
+        times = _critical_times(list(map(fins.__getitem__, order)))
 
     def windows(lo: int, hi: int):
         part = times[lo:hi]
         return zip(part, (tuple(sorted(longest))
-                          for longest in _sweep(schedule.contracts, schedule.n_problems, fins, part)))
+                          for longest in _sweep(schedule.contracts, schedule.n_problems, fins, part, order)))
 
     seed, best = -1, -math.inf  # the served window with the largest ceiling, earliest on ties
 
@@ -173,6 +171,8 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
             parts = [scan(windows(0, len(times)))]
         else:
             bounds = [len(times) * j // count for j in range(count + 1)]
+            from ._parts import _in_parts
+
             parts = _in_parts(lambda lo, hi: scan(windows(lo, hi)), list(zip(bounds, bounds[1:])))
 
     rows, unserved, value, argmax, pruned = parts[0]
@@ -206,105 +206,16 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
 def _part_count(windows: int) -> int:
     """The ranges a value-only LPT loop over this many windows runs in: one unless forking pays.
 
-    Forking pays when each range gets at least ``_PART_MIN`` windows, more
-    than one CPU is usable (``core._workers``), ``os.fork`` exists and this
-    process runs a single thread, since a fork copies only the calling
-    thread and may leave another's locks held in the child.  Threads that
-    Python did not start (a native library's pool) are not counted; a child
-    that deadlocks on one of their locks is caught by ``_in_parts``'s wait.
+    Forking pays when each range gets at least ``_PART_MIN`` windows and
+    ``_parts._part_count`` allows a fork (more than one usable CPU, ``os.fork``
+    and a single running thread).  ``_parts`` is imported only past the
+    window count, so a short loop never loads it.
     """
-    if windows < 2 * _PART_MIN or not hasattr(os, "fork"):
+    if windows < 2 * _PART_MIN:
         return 1
-    count = _workers(windows // _PART_MIN)
-    return count if count > 1 and threading.active_count() == 1 else 1
+    from . import _parts
 
-
-def _in_parts(run: Callable[[int, int], tuple], ranges: list[tuple[int, int]]) -> list[tuple]:
-    """``run(lo, hi)`` for each range, in order: the first in this process, every other in a forked child.
-
-    Each child evaluates its range while this process evaluates the first,
-    and sends its part back through a pipe, ``marshal``-encoded (it holds
-    lists, floats, ints and None).  A child writes nothing else and always
-    ends with ``os._exit``, so it runs no exit handler and flushes no buffer
-    it inherited.  A range whose child was never forked, or sent no complete
-    part (it raised, was killed, or had not finished ``_WAIT_FACTOR`` times
-    the first range's time plus ``_WAIT_S`` seconds after it), is run here
-    instead, in range order, so an exception is raised with the type and
-    message the serial loop gives, the earliest range first.  Every child
-    forked is killed if still running and reaped before this returns or
-    raises, a KeyboardInterrupt included.
-    """
-    import signal  # here, so a report that never splits never loads it
-
-    children: list[tuple[int, int] | None] = []  # (pid, read end of its pipe) per later range
-    try:
-        for lo, hi in ranges[1:]:
-            children.append(_fork(run, lo, hi))
-        start = time.monotonic()
-        parts = [run(*ranges[0])]
-        now = time.monotonic()
-        deadline = now + _WAIT_FACTOR * (now - start) + _WAIT_S
-        for child, (lo, hi) in zip(children, ranges[1:]):
-            part = None if child is None else _receive(child[1], deadline)
-            parts.append(run(lo, hi) if part is None else part)
-        return parts
-    finally:
-        for child in children:
-            if child is not None:
-                pid, read = child
-                os.close(read)
-                os.kill(pid, signal.SIGKILL)  # a child not yet reaped keeps its pid, so no other process is hit
-                os.waitpid(pid, 0)
-
-
-def _fork(run: Callable[[int, int], tuple], lo: int, hi: int) -> tuple[int, int] | None:
-    """A child running ``run(lo, hi)`` into a pipe: (its pid, the pipe's read end), or None if none was forked."""
-    try:
-        read, write = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            # the range makes no reference cycle, and collecting the parent's garbage here would run its
-            # finalizers a second time
-            gc.disable()
-            os.close(read)
-            data = marshal.dumps(run(lo, hi))
-            with open(write, "wb") as out:
-                out.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
-def _receive(read: int, deadline: float) -> tuple | None:
-    """The part a child wrote to the pipe ``read``: None if it wrote none, only some, or had not ended by ``deadline``.
-
-    ``deadline`` is a ``time.monotonic`` time.
-    """
-    import select
-
-    poll = select.poll()
-    poll.register(read, select.POLLIN)
-    chunks = []
-    while poll.poll(max(0.0, deadline - time.monotonic()) * 1000):
-        chunk = os.read(read, 1 << 16)
-        if not chunk:
-            try:
-                return marshal.loads(b"".join(chunks))
-            except (EOFError, ValueError):  # nothing written, or cut short
-                return None
-        chunks.append(chunk)
-    return None
+    return _parts._part_count(windows, _PART_MIN)
 
 
 def _exponential_base(schedule: Schedule) -> float | None:

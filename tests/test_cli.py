@@ -141,6 +141,22 @@ def test_eval_acc_and_perf(tmp_path, capsys):
     assert abs(json.loads(out)["value"] - 3.375) <= 1e-6
 
 
+@pytest.mark.parametrize("args", [["acc"], ["perf"], ["def"], ["def", "--solver", "lpt"]], ids=lambda a: "-".join(a))
+def test_eval_prints_null_when_no_window_is_served(tmp_path, capsys, args):
+    # problem 1 never completes, so every interruption is infinitely bad: the value is +inf, which JSON
+    # cannot spell, and a strict parser must read the output
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text('{"n":2,"m":1,"contracts":[{"problem":0,"processor":0,"length":1.0}]}', encoding="utf-8")
+    code, out, _ = run_cli(["eval", "--schedule", str(sched_path), "--measure", *args], capsys)
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    doc = json.loads(out, parse_constant=refuse)
+    assert (doc["value"], doc["argmax_time"], doc["windows"], doc["unserved_windows"]) == (None, None, 0, 1)
+
+
 def test_eval_lpt_solver_flag(tmp_path, capsys):
     sched_path = tmp_path / "sched.json"
     run_cli(["gen", "--n", "3", "--m", "2", "--base", "1.4", "--k", "20", "--out", str(sched_path)], capsys)

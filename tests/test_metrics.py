@@ -23,7 +23,7 @@ from contractsched import (
     performance_ratio,
     scaling_oracle,
 )
-from contractsched import core, metrics, transforms
+from contractsched import _parts, core, metrics, transforms
 from contractsched.makespan import lower_bound
 from contractsched.transforms import deficiency_value_m1
 
@@ -415,15 +415,15 @@ def forced_split(monkeypatch):
     Returns the list that records each range given to a child.
     """
     forked = []
-    fork = metrics._fork
+    fork = _parts._fork
 
     def recording(run, lo, hi):
         forked.append((lo, hi))
         return fork(run, lo, hi)
 
     monkeypatch.setattr(metrics, "_PART_MIN", 2)
-    monkeypatch.setattr(metrics, "_workers", lambda tasks: min(tasks, 3))
-    monkeypatch.setattr(metrics, "_fork", recording)
+    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 3))
+    monkeypatch.setattr(_parts, "_fork", recording)
     return forked
 
 
@@ -507,7 +507,7 @@ def test_split_runs_here_every_range_no_child_reported(monkeypatch, failure):
     s = random_sched(random.Random(8), 3, 2, 40)
     serial = repr(lpt_value(s))
     forked = forced_split(monkeypatch)
-    monkeypatch.setattr(metrics, "_WAIT_S", 0.2)
+    monkeypatch.setattr(_parts, "_WAIT_S", 0.2)
     parent, sweep = os.getpid(), metrics._sweep
 
     def refused():

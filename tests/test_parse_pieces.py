@@ -1,0 +1,292 @@
+"""``core.load_schedule`` parsing a long file in pieces, in forked children after the first, against one parse."""
+
+import json
+import os
+import signal
+import threading
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contractsched import Contract, ExponentialSpec, Schedule, exponential_schedule, load_schedule, save_schedule
+from contractsched import _parts, core
+
+
+def forced_pieces(monkeypatch):
+    """Parse every file in up to three pieces, whatever its length and the host: returns the list of pieces forked."""
+    forked = []
+    fork = _parts._fork
+
+    def recording(run, lo, hi):
+        forked.append((lo, hi))
+        return fork(run, lo, hi)
+
+    monkeypatch.setattr(core, "_PARSE_MIN", 0)
+    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 3))
+    monkeypatch.setattr(_parts, "_fork", recording)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def outcome(path):
+    """What loading ``path`` gives: the schedule's repr (its generator included), or the error's type and message."""
+    try:
+        return repr(load_schedule(path))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def serial_outcome(path):
+    saved = core._PARSE_MIN
+    core._PARSE_MIN = float("inf")
+    try:
+        return outcome(path)
+    finally:
+        core._PARSE_MIN = saved
+
+
+def saved_text(s):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "s.json")
+        save_schedule(s, path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def write(tmp_path, text):
+    path = tmp_path / "s.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+ROW = '{"problem":%d,"processor":%d,"length":%s}'
+
+
+def rows(k, extra=""):
+    return ",".join(ROW % (i % 3, i % 2, repr(1.0 + i / 7)) for i in range(k)).replace("}", extra + "}")
+
+
+def exponential_text(k=60, generator=True):
+    s = exponential_schedule(ExponentialSpec(n=3, m=2, base=1.5, k_max=k))
+    return saved_text(s if generator else Schedule(3, 2, s.contracts))
+
+
+def test_a_saved_file_loads_in_pieces_as_one_parse(tmp_path, monkeypatch):
+    s = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=3_000))
+    path = tmp_path / "s.json"
+    save_schedule(s, path)
+    forked = forced_pieces(monkeypatch)
+    doc, parsed = core._parse(path.read_text(encoding="utf-8"))
+    assert parsed is not None and len(forked) == 2
+    assert [tuple(row) for row in parsed] == [tuple(c) for c in s.contracts]
+    assert (doc["n"], doc["m"], doc["generator"]) == (4, 2, s.generator)
+    assert repr(load_schedule(path)) == repr(s)
+    assert len(forked) == 4
+    assert_no_child_left()
+
+
+# name: (how ``_parse_in_pieces`` takes the text in three pieces, the text); "pieces" gives the rows, "second" the
+# document alone (a second "contracts" wins), "layout" None, and "raises" an error; all but "pieces" fall back
+NAMED = {
+    # a cut lands inside a string that reads "},{": that piece does not parse
+    "string-with-a-cut": ("raises", '{"n":3,"m":2,"contracts":[%s]}' % rows(40, ',"note":"},{"')),
+    "generator-with-a-cut": ("pieces", '{"n":3,"m":2,"contracts":[%s],"generator":{"family":"x},{y","k":[1,{}]}}'
+                             % rows(40)),
+    "contracts-before": ("raises", '{"contracts":[%s],"n":3,"m":2,"contracts":[%s]}' % (rows(5), rows(40))),
+    "contracts-after": ("second", '{"n":3,"m":2,"contracts":[%s],"contracts":[%s]}' % (rows(40), rows(5))),
+    "contracts-after-not-a-list": ("second", '{"n":3,"m":2,"contracts":[%s],"contracts":5}' % rows(40)),
+    "n-repeated-after": ("pieces", '{"n":1,"m":2,"contracts":[%s],"n":3}' % rows(40)),
+    "contracts-in-a-nested-object": ("raises", '{"n":3,"m":2,"generator":{"family":"x","contracts":[%s]},'
+                                     '"contracts":[%s]}' % (rows(5), rows(40))),
+    "escaped-contracts-in-a-string": ("pieces", '{"n":3,"m":2,"generator":{"family":"\\"contracts\\":["},'
+                                      '"contracts":[%s]}' % rows(40)),
+    "indented": ("layout", json.dumps(json.loads(exponential_text()), indent=2)),
+    "indented-rows": ("layout", exponential_text().replace("},{", "},\n  {")),
+    "spaced-key": ("layout", exponential_text().replace('"contracts":[', '"contracts": [')),
+    "space-after-the-array": ("pieces", exponential_text().replace("],", "] ,")),
+    "whitespace-at-the-end": ("pieces", exponential_text(generator=False).replace("]}", "]\t\r\n }") + "\r\n"),
+    "form-feed-at-the-end": ("raises", exponential_text(generator=False).replace("]}", "]\f}")),
+    "bom": ("raises", "\ufeff" + exponential_text()),
+    "nan-length": ("pieces", exponential_text().replace('"length":1.5}', '"length":NaN}', 1)),
+    "infinite-length": ("pieces", exponential_text()[::-1].replace('}0.1:"htgnel"', '}ytinifnI-:"htgnel"', 1)[::-1]),
+    "truncated": ("raises", exponential_text()[:-40]),
+    "truncated-in-a-row": ("raises", exponential_text()[:len(exponential_text()) // 2]),
+    "no-end": ("raises", exponential_text(generator=False).rstrip()[:-1]),
+    "extra-data": ("raises", exponential_text() + "{}"),
+    "comma-before-the-end": ("raises", exponential_text(generator=False).replace("]}", "],}")),
+    "double-comma": ("raises", '{"n":3,"m":2,"contracts":[%s,,%s]}' % (rows(20), rows(20))),
+    "empty-contracts": ("layout", '{"n":3,"m":2,"contracts":[]}'),
+    "one-row": ("layout", '{"n":3,"m":2,"contracts":[%s]}' % rows(1)),
+    # nested past the recursion limit: a piece raises RecursionError, and so does the whole parse
+    "deeply-nested-row": ("raises", '{"n":3,"m":2,"contracts":[%s,{"problem":0,"processor":0,"length":%s1%s},%s]}'
+                          % (rows(300), "[" * 5_000, "]" * 5_000, rows(300))),
+    "nested-field": ("pieces", '{"n":3,"m":2,"contracts":[%s,{"problem":0,"processor":0,"length":1.0,"x":%s1%s},%s]}'
+                     % (rows(20), "[" * 500, "]" * 500, rows(20))),
+    "row-not-an-object": ("raises", '{"n":3,"m":2,"contracts":[%s,[1,2,3],%s]}' % (rows(20), rows(20))),
+    "row-missing-a-field": ("raises", '{"n":3,"m":2,"contracts":[%s,{"problem":0,"length":1.0},%s]}'
+                            % (rows(20), rows(20))),
+    "bad-problem-late": ("pieces", '{"n":3,"m":2,"contracts":[%s,{"problem":7,"processor":0,"length":1.0}]}'
+                         % rows(40)),
+    "missing-m": ("pieces", '{"n":3,"contracts":[%s]}' % rows(40)),
+    "not-an-object": ("raises", '[{"contracts":[%s]}]' % rows(40)),
+    # a long row among short ones: two targets find the same "},{", so the cuts do not increase
+    "adjacent-cuts": ("layout", '{"n":3,"m":2,"contracts":[%s,%s,%s]}'
+                      % (rows(1), ROW.replace("}", ',"pad":"%s"}') % (0, 0, "2.0", "x" * 5_000), rows(1))),
+    "two-rows": ("layout", '{"n":3,"m":2,"contracts":[%s]}' % rows(2)),
+}
+
+
+def route(text):
+    try:
+        pieces = _parts._parse_in_pieces(text, 3)
+    except (ValueError, RecursionError, KeyError, TypeError):
+        return "raises"
+    return "layout" if pieces is None else "second" if pieces[1] is None else "pieces"
+
+
+@pytest.mark.parametrize("expected, text", NAMED.values(), ids=NAMED.keys())
+def test_every_named_file_loads_or_fails_as_one_parse(tmp_path, monkeypatch, expected, text):
+    path = write(tmp_path, text)
+    serial = serial_outcome(path)
+    forked = forced_pieces(monkeypatch)
+    assert route(text) == expected
+    assert outcome(path) == serial
+    if expected != "raises":  # a text may raise before its pieces are forked, in the head
+        assert (len(forked) > 0) == (expected != "layout")
+    assert_no_child_left()
+
+
+# characters that change how JSON reads what follows them
+MUTANTS = list('{}[],:"\\ \t\n0123456789.-+eE') + ["NaN", "Infinity", "true", "null", "},{", "]", "\ufeff", "\u00e9"]
+
+
+@st.composite
+def mutated_texts(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    k = draw(st.integers(0, 30))
+    lengths = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+    contracts = [Contract(draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)), draw(lengths)) for _ in range(k)]
+    generator = draw(st.sampled_from([None, {"family": "exponential", "base": 1.5}, {"family": "x", "k": [1, 2]}]))
+    text = saved_text(Schedule(n, m, contracts, generator))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "duplicate", "truncate"]))
+        if kind == "truncate":
+            text = text[:at]
+        elif kind == "duplicate":
+            end = draw(st.integers(at, min(len(text), at + 80)))
+            text = text[:end] + text[at:end] + text[end:]
+        else:
+            cut = at + (kind != "insert")
+            text = text[:at] + ("" if kind == "delete" else draw(st.sampled_from(MUTANTS))) + text[cut:]
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutated_texts())
+def test_mutated_files_load_or_fail_as_one_parse(text):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "s.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        serial = serial_outcome(path)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            forced_pieces(monkeypatch)
+            assert outcome(path) == serial
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("text", ["good", "bad-late"], ids=["loads", "raises"])
+@pytest.mark.parametrize("failure", ["fork-refused", "child-raises", "child-killed", "child-hangs"])
+def test_a_failed_child_leaves_the_load_as_one_parse(tmp_path, monkeypatch, failure, text):
+    text = exponential_text() if text == "good" else NAMED["bad-problem-late"][1]
+    path = write(tmp_path, text)
+    serial = serial_outcome(path)
+    forked = forced_pieces(monkeypatch)
+    monkeypatch.setattr(_parts, "_WAIT_S", 0.2)
+    parent, piece = os.getpid(), _parts._piece
+
+    def refused():
+        raise OSError("fork refused")
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if failure == "child-killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if failure == "child-hangs":
+                threading.Event().wait()  # as on a lock a thread of the parent held when it forked
+            raise RuntimeError("only a child fails")
+        return piece(*args)
+
+    if failure == "fork-refused":
+        monkeypatch.setattr(os, "fork", refused)
+    else:
+        monkeypatch.setattr(_parts, "_piece", failing)
+    assert outcome(path) == serial
+    assert len(forked) == 2
+    assert_no_child_left()
+
+
+def test_an_interrupted_first_piece_reaps_every_child(tmp_path, monkeypatch):
+    path = write(tmp_path, exponential_text())
+    forked = forced_pieces(monkeypatch)
+    parent, piece = os.getpid(), _parts._piece
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return piece(*args)
+
+    monkeypatch.setattr(_parts, "_piece", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        load_schedule(path)
+    assert len(forked) == 2
+    assert_no_child_left()
+
+
+def test_nothing_forks_where_pieces_are_not_allowed(tmp_path, monkeypatch):
+    text = exponential_text()
+    path = write(tmp_path, text)
+    expected = serial_outcome(path)
+    forked = forced_pieces(monkeypatch)
+    # a file shorter than _PARSE_MIN
+    monkeypatch.setattr(core, "_PARSE_MIN", len(text) + 1)
+    assert outcome(path) == expected and forked == []
+    # a second thread running
+    monkeypatch.setattr(core, "_PARSE_MIN", 0)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert outcome(path) == expected
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive() and forked == []
+    # one usable CPU
+    monkeypatch.setattr(_parts, "_workers", lambda tasks: 1)
+    assert outcome(path) == expected and forked == []
+    # and a file of exactly _PARSE_MIN characters on two CPUs splits in two
+    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
+    monkeypatch.setattr(core, "_PARSE_MIN", len(text))
+    assert outcome(path) == expected and len(forked) == 1
+    assert_no_child_left()
+
+
+def test_a_long_prefix_is_parsed_in_pieces_by_default_on_more_than_one_cpu(tmp_path):
+    # 20,000 contracts take 1.16 MB, above _PARSE_MIN
+    s = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=20_000))
+    path = tmp_path / "s.json"
+    save_schedule(s, path)
+    text = path.read_text(encoding="utf-8")
+    assert len(text) >= core._PARSE_MIN
+    doc, parsed = core._parse(text)
+    assert (parsed is not None) == (core._workers(2) > 1)
+    assert load_schedule(path) == s == core.schedule_from_dict(json.loads(text))
+    assert_no_child_left()
