@@ -1,9 +1,10 @@
 """Contiguous parts of one task run side by side: the first in this process, every other in a forked child.
 
-The value-only LPT deficiency (``metrics``) splits its windows this way, and
-``core.load_schedule`` the contract rows of a long schedule file
-(``_parse_in_pieces``).  Each imports this module only once its input is
-long enough to split, so a command that never splits never compiles it.
+Three tasks split this way: the value-only LPT deficiency (``metrics``) its
+windows, ``core.load_schedule`` the contract rows of a long schedule file
+(``_parse_in_pieces``), and ``verification.run_checks`` its checks.  Each
+imports this module only once its input is long enough to split
+(``core._split_count``), so a command that never splits never compiles it.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def _fork(run: Callable[[int, int], tuple], lo: int, hi: int) -> tuple[int, int]
     if pid == 0:
         status = 1
         try:
-            # a part makes no reference cycle, and collecting the parent's garbage here would run its
-            # finalizers a second time
+            # a child's garbage dies with it (one running verify's checks peaks at about 17 MB), and
+            # collecting the parent's garbage here would run its finalizers a second time
             gc.disable()
             os.close(read)
             data = marshal.dumps(run(lo, hi))

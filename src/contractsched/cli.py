@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import _workers, load_schedule, save_schedule, schedule_to_dict, snapshots_before
+from .core import _split_count, load_schedule, save_schedule, schedule_to_dict, snapshots_before
 from .generators import (
     ExponentialSpec,
     acceleration_optimal_base,
@@ -229,7 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # the checks ran side by side, so their seconds need not add up to the command's wall time
         doc = {
             "seed": args.seed,
-            "processes": _workers(len(results)),
+            "processes": _split_count(len(results), 1),
             "results": [
                 {
                     "id": r.check_id,

@@ -162,12 +162,25 @@ def _length(value: float, what: str) -> float:
 def _workers(tasks: int) -> int:
     """The processes the package runs this many independent tasks on: one per usable CPU, never more than the tasks.
 
-    The one rule for ``verify``'s pool and the measures' split windows.  A
-    usable CPU is one this process may run on (its affinity mask, where the
-    platform has one).
+    The one rule for every task the package splits across processes
+    (``_parts``).  A usable CPU is one this process may run on (its affinity
+    mask, where the platform has one).
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(tasks, cpus)
+
+
+def _split_count(items: int, least: int) -> int:
+    """The parts a task of this many items runs in, each of at least ``least``: ``_parts._part_count``.
+
+    Below two parts' worth of items it is one, and ``_parts`` is not
+    imported, so a task too short to split never compiles it.
+    """
+    if items < 2 * least:
+        return 1
+    from . import _parts
+
+    return _parts._part_count(items, least)
 
 
 # sets a field from a record's __init__, past the __setattr__ that refuses assignment; one module-level

@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
 # so all three stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
-from .core import Schedule, _critical_times, _init_field, _length, _ranked, _Record, _sweep, simulate
+from .core import Schedule, _critical_times, _init_field, _length, _ranked, _Record, _split_count, _sweep, simulate
 from .core import critical_times  # noqa: F401
 from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
 from .makespan import lpt_makespan  # noqa: F401
@@ -36,7 +36,7 @@ from .makespan import lpt_makespan  # noqa: F401
 # share one optimal partition in ``deficiency`` (see its docstring).
 SHAPE_TOLERANCE = 4e-13
 
-# Fewest windows the value-only LPT deficiency gives one process when it splits them (``_part_count``).
+# Fewest windows the value-only LPT deficiency gives one process when it splits them (``core._split_count``).
 # Measured on whole calls, so with the child's fork, its sort of every finish time (which a child no
 # longer repeats), its walk over the contracts before its range, both processes' copy-on-write faults,
 # the marshal round trip and the reap: on a 4/2 exponential prefix (base 1.004), in a fresh process,
@@ -166,7 +166,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
             best = t / seed_denom
         parts = [scan(listed)]
     else:
-        count = _part_count(len(times)) if split and not samples else 1
+        count = _split_count(len(times), _PART_MIN) if split and not samples else 1
         if count == 1:
             parts = [scan(windows(0, len(times)))]
         else:
@@ -201,21 +201,6 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
         windows=len(times) if explicit else len(times) - len(unserved),
         pruned_windows=pruned,
     )
-
-
-def _part_count(windows: int) -> int:
-    """The ranges a value-only LPT loop over this many windows runs in: one unless forking pays.
-
-    Forking pays when each range gets at least ``_PART_MIN`` windows and
-    ``_parts._part_count`` allows a fork (more than one usable CPU, ``os.fork``
-    and a single running thread).  ``_parts`` is imported only past the
-    window count, so a short loop never loads it.
-    """
-    if windows < 2 * _PART_MIN:
-        return 1
-    from . import _parts
-
-    return _parts._part_count(windows, _PART_MIN)
 
 
 def _exponential_base(schedule: Schedule) -> float | None:

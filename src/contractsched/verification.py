@@ -17,10 +17,11 @@ import itertools
 import math
 import random
 import time
+from functools import partial
 from typing import Callable, Sequence
 
 from . import bounds, metrics, transforms
-from .core import Schedule, Contract, _init_field, _length, _Record, _workers, critical_times, simulate, snapshots_before
+from .core import Schedule, Contract, _init_field, _length, _Record, _split_count, critical_times, simulate, snapshots_before
 from .generators import ExponentialSpec, acceleration_optimal_base, deficiency_optimal_base, exponential_schedule
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order
 
@@ -556,29 +557,29 @@ def check_functional_sups(seed: int) -> tuple[bool, str]:
 def run_checks(seed: int = 0, ids: list[str] | None = None) -> list[CheckResult]:
     """Run the checks named in ``ids`` (default: all) and return their results in definition order.
 
-    Each check is a pure function of the seed, so the checks run side by side
-    on a pool of ``core._workers`` forked workers, which is closed and joined
-    before this returns, also when a check raises.  A worker inherits this
-    process's ``ALL_CHECKS`` and looks each check up there by its index, so no
-    function is pickled; each check's ``seconds`` is its own wall time in its
-    worker.  The workers are forked, not spawned: a spawned worker would
-    import the package again and see none of the caller's changes to
-    ``ALL_CHECKS``, and the CLI process starts no thread before it forks.
+    Each check is a pure function of the seed, so contiguous ranges of equal
+    count (``core._split_count``: one for a single check, on one usable CPU
+    or beside a second thread) run side by side: the first here, every other
+    in a forked child (``_parts._in_parts``) that runs this process's
+    ``ALL_CHECKS`` and sends each result's fields back.  A range whose child
+    raised, died or outlived the bounded wait runs here again, so a raising
+    check raises here with its own type and message.  Each check's
+    ``seconds`` is its own wall time in the process that ran it.
     """
     indices = [i for i, c in enumerate(ALL_CHECKS) if ids is None or c.check_id in ids]
     if ids is not None:
         unknown = sorted(set(ids) - {ALL_CHECKS[i].check_id for i in indices})
         if unknown or not ids:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}" if unknown else "no check ids given")
-    import multiprocessing  # here, so a library caller of the oracles above never loads it
+    count = _split_count(len(indices), 1)
+    if count == 1:
+        return [ALL_CHECKS[i](seed) for i in indices]
+    from ._parts import _in_parts
 
-    pool = multiprocessing.get_context("fork").Pool(_workers(len(indices)))
-    try:
-        return pool.starmap(_run_check, [(i, seed) for i in indices], chunksize=1)
-    finally:
-        pool.close()
-        pool.join()
+    cuts = [len(indices) * j // count for j in range(count + 1)]
+    parts = _in_parts(partial(_run_checks, indices, seed), list(zip(cuts, cuts[1:])))
+    return [CheckResult(*values) for part in parts for values in part]
 
 
-def _run_check(index: int, seed: int) -> CheckResult:
-    return ALL_CHECKS[index](seed)
+def _run_checks(indices: list[int], seed: int, lo: int, hi: int) -> tuple[tuple, ...]:
+    return tuple(ALL_CHECKS[i](seed)._values() for i in indices[lo:hi])

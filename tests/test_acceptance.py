@@ -10,12 +10,16 @@ moves any of them in a printed digit changes a digest.
 """
 
 import hashlib
+import json
 import multiprocessing
+import os
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
-from contractsched import verification
+from contractsched import _parts, cli, verification
 from contractsched.verification import ALL_CHECKS
 
 ACCEPTANCE_CHECKS = [c for c in ALL_CHECKS if c.check_id.startswith("C")]
@@ -87,17 +91,43 @@ def test_a_check_past_its_runtime_limit_fails(monkeypatch):
     assert result.details.endswith("; exceeded runtime limit of 1s (5.00s)")
 
 
+def assert_no_child_left():
+    # multiprocessing.active_children() sees only its own processes; waitpid sees every child
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def forced_ranges(monkeypatch):
+    """Run the checks in up to two ranges, whatever the host: returns the list of ranges given to a child."""
+    forked = []
+    fork = _parts._fork
+
+    def recording(run, lo, hi):
+        forked.append((lo, hi))
+        return fork(run, lo, hi)
+
+    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
+    monkeypatch.setattr(_parts, "_fork", recording)
+    return forked
+
+
+def digests(results):
+    return [hashlib.sha256(r.details.encode()).hexdigest() for r in results]
+
+
 def test_run_checks_returns_every_check_in_definition_order():
-    # the checks run on a pool of workers; the results come back in ALL_CHECKS order with the pinned details
+    # the checks run in contiguous ranges, the first here; the results come back in ALL_CHECKS order with the
+    # pinned details
     results = verification.run_checks(0)
     assert [r.check_id for r in results] == [c.check_id for c in ALL_CHECKS] == list(DETAILS_DIGESTS)
-    assert [hashlib.sha256(r.details.encode()).hexdigest() for r in results] == list(DETAILS_DIGESTS.values())
+    assert digests(results) == list(DETAILS_DIGESTS.values())
     assert all(r.passed for r in results)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_run_checks_leaves_no_worker_when_a_check_raises(monkeypatch):
-    # _check appends to the module's ALL_CHECKS, which is a copy for this test only; a forked worker sees the copy
+    # _check appends to the module's ALL_CHECKS, which is a copy for this test only; a forked child sees the copy
     monkeypatch.setattr(verification, "ALL_CHECKS", list(verification.ALL_CHECKS))
 
     @verification._check("X01", "a check that raises")
@@ -106,4 +136,66 @@ def test_run_checks_leaves_no_worker_when_a_check_raises(monkeypatch):
 
     with pytest.raises(ValueError, match="^raised at seed 4$"):
         verification.run_checks(4, ids=["C01", "X01", "C05"])
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_run_checks_splits_into_contiguous_ranges_of_equal_count(monkeypatch):
+    forked = forced_ranges(monkeypatch)
+    results = verification.run_checks(0)
+    assert forked == [(7, 15)]  # C01-C07 here, C08-P05 in the child
+    assert digests(results) == list(DETAILS_DIGESTS.values())
+    assert_no_child_left()
+
+
+def test_a_check_that_hangs_in_a_child_runs_here_instead(monkeypatch):
+    monkeypatch.setattr(verification, "ALL_CHECKS", list(verification.ALL_CHECKS))
+    forked = forced_ranges(monkeypatch)
+    monkeypatch.setattr(_parts, "_WAIT_FACTOR", 1)
+    monkeypatch.setattr(_parts, "_WAIT_S", 0.2)
+    parent = os.getpid()
+
+    @verification._check("X01", "a check that hangs in a child")
+    def hangs(seed):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return True, f"ran in the caller at seed {seed}"
+
+    start = time.monotonic()
+    results = verification.run_checks(3, ids=["C01", "C03", "X01"])
+    assert time.monotonic() - start < 30
+    assert forked == [(1, 3)]
+    assert [r.check_id for r in results] == ["C01", "C03", "X01"]
+    assert all(r.passed for r in results)
+    assert results[2].details == "ran in the caller at seed 3"
+    assert digests(results[:2]) == [DETAILS_DIGESTS["C01"], DETAILS_DIGESTS["C03"]]
+    assert_no_child_left()
+
+
+def test_with_no_child_forked_every_range_runs_here(monkeypatch):
+    forced_ranges(monkeypatch)
+    monkeypatch.setattr(_parts, "_fork", lambda run, lo, hi: None)
+    results = verification.run_checks(0)
+    assert [r.check_id for r in results] == list(DETAILS_DIGESTS)
+    assert digests(results) == list(DETAILS_DIGESTS.values())
+    assert_no_child_left()
+
+
+def test_a_second_thread_keeps_every_check_here(monkeypatch, tmp_path, capsys):
+    forked = forced_ranges(monkeypatch)
+    path = tmp_path / "report.json"
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        results = verification.run_checks(0)
+        code = cli.main(["verify", "--json", str(path)])
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    capsys.readouterr()
+    assert not waiter.is_alive() and forked == [] and code == 0
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["processes"] == 1
+    assert digests(results) == list(DETAILS_DIGESTS.values())
+    assert [hashlib.sha256(r["details"].encode()).hexdigest() for r in doc["results"]] == list(DETAILS_DIGESTS.values())
+    assert_no_child_left()

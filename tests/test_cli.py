@@ -639,7 +639,7 @@ def test_verify_json_report(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert [r["id"] for r in doc["results"]] == ["C01", "C05"]
     assert all(r["passed"] for r in doc["results"])
-    # the checks ran side by side: one worker per usable CPU, never more than the two checks
+    # the checks ran side by side: one range per usable CPU, never more than the two checks
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert doc["processes"] == min(2, usable)
 
@@ -668,7 +668,7 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
 
 
 def test_verify_reports_a_raising_check_as_the_error_json(monkeypatch, capsys):
-    # the check raises in a pool worker; the ValueError reaches main as if the check had run here
+    # X01 raises in its range, forked or not; the ValueError reaches main as if the check had run here
     monkeypatch.setattr(verification, "ALL_CHECKS", list(verification.ALL_CHECKS))
 
     @verification._check("X01", "a check that raises")

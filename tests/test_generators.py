@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -7,12 +8,41 @@ from contractsched import (
     acceleration_optimal_base,
     deficiency_optimal_base,
     exponential_schedule,
+    generators,
 )
 
 
 def test_doubling_lengths():
     s = exponential_schedule(ExponentialSpec(n=1, m=1, base=2.0, k_max=4))
     assert [c.length for c in s.contracts] == [1.0, 2.0, 4.0, 8.0]
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("base, error", [(2.0, None), (1e10, "base 10000000000.0 with k=40 contracts overflows")],
+                         ids=["builds", "overflows"])
+def test_exponential_schedule_pauses_the_collector_and_restores_the_callers_state(monkeypatch, caller_collects,
+                                                                                  base, error):
+    during = []
+    contract_of = generators.contract_of
+
+    def recording(row):
+        during.append(gc.isenabled())
+        return contract_of(row)
+
+    monkeypatch.setattr(generators, "contract_of", recording)
+    spec = ExponentialSpec(n=2, m=1, base=base, k_max=40)
+    was = gc.isenabled()
+    try:
+        gc.enable() if caller_collects else gc.disable()
+        if error is None:
+            assert [c.length for c in exponential_schedule(spec).contracts] == [2.0**i for i in range(40)]
+        else:
+            with pytest.raises(ValueError, match=f"^{error}: "):
+                exponential_schedule(spec)
+        assert gc.isenabled() is caller_collects
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during and not any(during)
 
 
 def test_round_robin_assignment():
