@@ -1,10 +1,11 @@
 """Contiguous parts of one task run side by side: the first in this process, every other in a forked child.
 
-Three tasks split this way: the value-only LPT deficiency (``metrics``) its
-windows, ``core.load_schedule`` the contract rows of a long schedule file
-(``_parse_in_pieces``), and ``verification.run_checks`` its checks.  Each
-imports this module only once its input is long enough to split
-(``core._split_count``), so a command that never splits never compiles it.
+Three tasks split this way, each through ``core._split_count``: the
+value-only LPT deficiency (``metrics``) and ``verification.run_checks``
+cut their windows and checks with ``core._split``, and ``core._parse`` the
+contract rows of a long ``save_schedule`` file (``_parse_in_pieces``).  A
+task imports this module only once it is long enough to split, so a command
+that never splits never compiles it.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import gc
 import json
 import marshal
 import os
+import re
 import threading
 import time
 from functools import partial
 from itertools import chain
 from typing import Callable, Iterable
 
-from .core import _ROW_FIELDS, _workers
+from .core import _ROW_FIELDS
 
 # A child that has not reported this many times the caller's own part later, plus _WAIT_S seconds, is
 # taken for hung (``_in_parts``); its part is no longer than the caller's.
@@ -31,21 +33,28 @@ _WAIT_FACTOR, _WAIT_S = 10, 1.0
 # lead of 1.0, 1.1, 1.2 and 1.3 loaded it in 70.8, 68.4, 68.4 and 69.6 ms.
 _PARSE_LEAD = 1.2
 
-_CONTRACTS = '"contracts":['
-_WHITESPACE = " \t\n\r"  # JSON's whitespace (RFC 8259); str.strip would strip more
+# The head ``save_schedule`` writes, up to the "[" that opens the contracts; n and m are JSON integers.
+_HEAD = re.compile(r'\{"n":(-?(?:0|[1-9][0-9]*)),"m":(-?(?:0|[1-9][0-9]*)),"contracts":\[')
+
+
+def _workers(tasks: int) -> int:
+    """One process per usable CPU (its affinity mask, where the platform has one), never more than ``tasks``."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(tasks, cpus)
 
 
 def _part_count(items: int, least: int) -> int:
     """The parts a task of this many items runs in, each of at least ``least`` items: one unless forking is allowed.
 
-    Forking is allowed when there are at least two parts' worth of items,
-    more than one CPU is usable (``core._workers``), ``os.fork`` exists and
-    this process runs a single thread, since a fork copies only the calling
-    thread and may leave another's locks held in the child.  Threads that
-    Python did not start (a native library's pool) are not counted; a child
-    that deadlocks on one of their locks is caught by ``_in_parts``'s wait.
+    ``core._split_count`` asks only past two parts' worth of items.  Forking
+    is allowed when more than one CPU is usable (``_workers``), ``os.fork``
+    exists and this process runs a single thread, since a fork copies only
+    the calling thread and may leave another's locks held in the child.
+    Threads that Python did not start (a native library's pool) are not
+    counted; a child that deadlocks on one of their locks is caught by
+    ``_in_parts``'s wait.
     """
-    if items < 2 * least or not hasattr(os, "fork"):
+    if not hasattr(os, "fork"):
         return 1
     count = _workers(items // max(least, 1))
     return count if count > 1 and threading.active_count() == 1 else 1
@@ -139,20 +148,18 @@ def _receive(read: int, deadline: float) -> tuple | None:
     return None
 
 
-def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple] | None] | None:
-    """``core._parse`` in ``count`` pieces: (document, contract rows), or None where the text is laid out otherwise.
+def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple]] | None:
+    """``core._parse`` in ``count`` pieces: (document, contract rows), or None where ``_HEAD`` does not start the text.
 
     The caller parses the first piece of the ``"contracts"`` array and a
     forked child each other one (``_in_parts``); each child sends its rows
-    back by ``marshal``.  The rows are ``core._ROW_FIELDS`` tuples, and
-    the document's own ``"contracts"`` is not to be read unless they are
-    None.  The pieces joined are what one ``json.loads(text)`` gives,
-    because:
+    back by ``marshal``.  The rows are ``core._ROW_FIELDS`` tuples, and the
+    document has no ``"contracts"``.  The pieces joined are what one
+    ``json.loads(text)`` gives, because:
 
-    * the head: with ``a`` the index just past the first ``"contracts":[``,
-      ``json.loads(text[:a] + "]}")`` parses, into a dict, so that ``[``
-      opens the value of a top-level ``"contracts"`` key outside every
-      string (inside a string, ``]}`` would leave the string unterminated);
+    * the head: ``_HEAD`` matches the text from its first character, so its
+      ``[`` opens the value of the top-level ``"contracts"``, outside every
+      string, after the members ``"n"`` and ``"m"``, read as json reads them;
     * the cuts: each is the ``},{`` that ``text.find`` gives at or after a
       target, and they strictly increase.  Each piece between cuts parses
       as ``"[" + piece + "]"`` into a non-empty list (an empty one would
@@ -160,23 +167,22 @@ def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple] | Non
       where a row may start and parses whole ends where a row ends, outside
       every string, and the ``,`` after it is the array's own;
     * the last piece is read by ``JSONDecoder.raw_decode`` from ``"["`` and
-      the text after the last cut's comma, to the array's ``]``.  After it
-      comes JSON whitespace and then either the document's ``}`` and
-      nothing but whitespace, or a ``,`` and at least one more member, all
-      parsed as ``json.loads("{" + ...)``;
-    * the document is the head updated by the members after the array, so
-      the last of a repeated key wins, as in json; a second ``"contracts"``
-      after the array is then the document's, and no rows are given.
+      the text after the last cut's comma, to the array's ``]``.  Right
+      after it comes either the document's ``}`` and nothing but
+      whitespace, or a ``,`` and at least one more member, none of them a
+      second ``"contracts"``, all parsed as ``json.loads("{" + ...)``;
+    * the document is the head's n and m updated by the members after the
+      array, so the last of a repeated key wins, as in json.
 
     A piece that does not parse raises here (``_piece``), also when its
     child failed or outlived the bounded wait, since ``_in_parts`` then
     parses it here; ``core._parse`` then falls back to one ``json.loads``.
     """
-    start = text.find(_CONTRACTS)
-    if start < 0:
+    head = _HEAD.match(text)
+    if head is None:
         return None
-    a = start + len(_CONTRACTS)
-    doc = json.loads(text[:a] + "]}")  # a text that parses and ends in "}" is an object
+    doc = {"n": int(head[1]), "m": int(head[2])}
+    a = head.end()
     span, weight = len(text) - a, _PARSE_LEAD + count - 1
     cuts: list[int] = []  # index of each cut's "}"
     for j in range(1, count):
@@ -186,9 +192,8 @@ def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple] | Non
         cuts.append(cut)
     ranges = list(zip([a] + [cut + 2 for cut in cuts], [cut + 1 for cut in cuts] + [len(text)]))
     parts = _in_parts(partial(_piece, text), ranges)
-    rest = parts[-1][1]
-    doc.update(rest)
-    return doc, (None if "contracts" in rest else chain.from_iterable(part[0] for part in parts))
+    doc.update(parts[-1][1])
+    return doc, chain.from_iterable(part[0] for part in parts)
 
 
 def _piece(text: str, lo: int, hi: int) -> tuple[list[tuple], dict | None]:
@@ -203,13 +208,13 @@ def _piece(text: str, lo: int, hi: int) -> tuple[list[tuple], dict | None]:
         rows = json.loads(f"[{text[lo:hi]}]")
     else:
         rows, end = json.JSONDecoder().raw_decode("[" + text[lo:])
-        tail = text[lo + end - 1:].lstrip(_WHITESPACE)
+        tail = text[lo + end - 1:]
         if tail[:1] == "}":
             rest = json.loads("{" + tail)  # {}, unless something follows the document
         elif tail[:1] == ",":
             rest = json.loads("{" + tail[1:])
-            if not rest:
-                raise ValueError("a comma after the contracts and no member")
+            if not rest or "contracts" in rest:
+                raise ValueError("the contracts are followed by no member, or by a second contracts")
         else:
             raise ValueError("the contracts are followed by neither a member nor the document's end")
     if not rows:

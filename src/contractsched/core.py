@@ -20,13 +20,12 @@ from __future__ import annotations
 import gc
 import json
 import math
-import os
 import sys
 from functools import partial
 from itertools import chain, compress
 from operator import itemgetter, ne
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class Contract(NamedTuple):
@@ -159,28 +158,34 @@ def _length(value: float, what: str) -> float:
     return value
 
 
-def _workers(tasks: int) -> int:
-    """The processes the package runs this many independent tasks on: one per usable CPU, never more than the tasks.
-
-    The one rule for every task the package splits across processes
-    (``_parts``).  A usable CPU is one this process may run on (its affinity
-    mask, where the platform has one).
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(tasks, cpus)
-
-
 def _split_count(items: int, least: int) -> int:
-    """The parts a task of this many items runs in, each of at least ``least``: ``_parts._part_count``.
+    """The parts a task of this many items runs in, each of about ``least`` or more: the one rule for every split.
 
     Below two parts' worth of items it is one, and ``_parts`` is not
-    imported, so a task too short to split never compiles it.
+    imported, so a task too short to split never compiles it; past that,
+    ``_parts._part_count`` says how many.
     """
     if items < 2 * least:
         return 1
     from . import _parts
 
     return _parts._part_count(items, least)
+
+
+def _split(run: Callable[[int, int], tuple], items: int, least: int) -> list[tuple]:
+    """``run(lo, hi)`` for each of ``_split_count(items, least)`` contiguous ranges of ``range(items)``, in order.
+
+    The ranges are of equal count and run side by side through
+    ``_parts._in_parts``, so each part must be ``marshal``-able; a single
+    range runs here, and ``_parts`` is not imported.
+    """
+    count = _split_count(items, least)
+    if count == 1:
+        return [run(0, items)]
+    from ._parts import _in_parts
+
+    cuts = [items * j // count for j in range(count + 1)]
+    return _in_parts(run, list(zip(cuts, cuts[1:])))
 
 
 # sets a field from a record's __init__, past the __setattr__ that refuses assignment; one module-level
@@ -445,14 +450,14 @@ def load_schedule(path: str | Path) -> Schedule:
     """Read a schedule file written by ``save_schedule`` (or by hand), checked as ``schedule_from_dict`` checks it.
 
     The text is parsed by ``_parse``: in pieces, side by side, when the file
-    is long enough and more than one CPU is usable, into what ``json.loads``
-    gives.  The cyclic garbage collector is paused while the JSON is parsed
-    and the contracts are built: the dicts, lists and tuples made there form
-    no cycle, yet on a 100k-contract file the collections they trigger take
-    about a fifth of the load.  The caller's collector state is restored
-    however the load ends, and a collector the caller disabled stays so.
-    The file's text is released as soon as it is parsed, before the
-    contracts are built.
+    is laid out as ``save_schedule`` writes it, long enough and more than
+    one CPU is usable, into what ``json.loads`` gives.  The cyclic garbage
+    collector is paused while the JSON is parsed and the contracts are
+    built: the dicts, lists and tuples made there form no cycle, yet on a
+    100k-contract file the collections they trigger take about a fifth of
+    the load.  The caller's collector state is restored however the load
+    ends, and a collector the caller disabled stays so.  The file's text is
+    released as soon as it is parsed, before the contracts are built.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -472,37 +477,36 @@ def load_schedule(path: str | Path) -> Schedule:
             gc.enable()
 
 
-# Fewest characters of a schedule file that ``_parse`` tries to parse in pieces.  Measured on whole loads
-# in fresh processes that imported the CLI and the measures, on 4/2 exponential prefixes at base 1.004
-# (medians of 11, 2-vCPU Xeon, Python 3.11), serial against two pieces: 8.9 -> 9.0 ms at 0.56 MB,
-# 11.4 -> 11.1 ms at 0.74 MB, 15.0 -> 13.7 ms at 0.97 MB and 92.8 -> 68.4 ms at 5.9 MB (100k contracts).
-_PARSE_MIN = 1_000_000
+# Fewest characters of a schedule file each piece of ``_parse`` holds, so a file splits from 1,000,000 on.
+# Measured on whole loads in fresh processes that imported the CLI and the measures, on 4/2 exponential
+# prefixes at base 1.004 (medians of 11, 2-vCPU Xeon, Python 3.11), serial against two pieces: 8.9 -> 9.0
+# ms at 0.56 MB, 11.4 -> 11.1 ms at 0.74 MB, 15.0 -> 13.7 ms at 0.97 MB and 92.8 -> 68.4 ms at 5.9 MB.
+_PARSE_MIN = 500_000
 
 
 def _parse(text: str) -> tuple[object, Iterable[tuple] | None]:
     """``json.loads(text)`` as (document, None), or, parsed in pieces, as (document, contract rows).
 
     The rows are the (problem, processor, length) tuples ``_ROW_FIELDS``
-    reads from the document's ``"contracts"``, which is not to be read then.
-    A text of at least ``_PARSE_MIN`` characters is parsed in pieces of at
-    least ``_PARSE_MIN / 2`` characters, one per usable CPU, when
-    ``_parts._part_count`` allows a fork; ``_parts._parse_in_pieces`` says
-    why the pieces joined are one parse.  Any ``ValueError``,
-    ``RecursionError``, ``KeyError`` (a row missing a field) or ``TypeError``
-    (a row that is not an object) from a piece, or a text laid out
-    otherwise, falls back to the one serial ``json.loads(text)``, so every
-    text gives the same ``Schedule``, or raises the same error, as a serial
-    parse.  Every child is reaped before this returns or raises.
+    reads from the document's ``"contracts"``, which the document then
+    lacks.  A text of ``save_schedule``'s layout is parsed in
+    ``_split_count(len(text), _PARSE_MIN)`` pieces when that is more than
+    one; ``_parts._parse_in_pieces`` says why the pieces joined are one
+    parse.  Any ``ValueError``, ``RecursionError``, ``KeyError`` (a row
+    missing a field) or ``TypeError`` (a row that is not an object) from a
+    piece, or a text laid out otherwise, falls back to the one serial
+    ``json.loads(text)``, so every text gives the same ``Schedule``, or
+    raises the same error, as a serial parse.  Every child is reaped
+    before this returns or raises.
     """
-    if len(text) >= _PARSE_MIN:
-        from ._parts import _parse_in_pieces, _part_count
+    count = _split_count(len(text), _PARSE_MIN)
+    if count > 1:
+        from ._parts import _parse_in_pieces
 
-        count = _part_count(len(text), _PARSE_MIN // 2)
-        if count > 1:
-            try:
-                parsed = _parse_in_pieces(text, count)
-            except (ValueError, RecursionError, KeyError, TypeError):
-                parsed = None
-            if parsed is not None:
-                return parsed
+        try:
+            parsed = _parse_in_pieces(text, count)
+        except (ValueError, RecursionError, KeyError, TypeError):
+            parsed = None
+        if parsed is not None:
+            return parsed
     return json.loads(text), None

@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
 # so all three stay imported.
 from .bounds import deficiency_upper_bound, geometric_functional
-from .core import Schedule, _critical_times, _init_field, _length, _ranked, _Record, _split_count, _sweep, simulate
+from .core import Schedule, _critical_times, _init_field, _length, _ranked, _Record, _split, _sweep, simulate
 from .core import critical_times  # noqa: F401
 from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
 from .makespan import lpt_makespan  # noqa: F401
@@ -36,12 +36,12 @@ from .makespan import lpt_makespan  # noqa: F401
 # share one optimal partition in ``deficiency`` (see its docstring).
 SHAPE_TOLERANCE = 4e-13
 
-# Fewest windows the value-only LPT deficiency gives one process when it splits them (``core._split_count``).
-# Measured on whole calls, so with the child's fork, its sort of every finish time (which a child no
-# longer repeats), its walk over the contracts before its range, both processes' copy-on-write faults,
-# the marshal round trip and the reap: on a 4/2 exponential prefix (base 1.004), in a fresh process,
-# serial against split in two (medians of 9, 2-vCPU Xeon, Python 3.11) took 4.2 -> 4.7 ms over 2,000
-# windows, 10.6 -> 8.5 ms over 5,000, 21.1 -> 15.1 ms over 10,000 and 211 -> 136 ms over 100,000.
+# Fewest windows the value-only LPT deficiency gives one process when it splits them (``core._split``).
+# Measured on whole calls, so with the child's fork, its walk over the contracts before its range, both
+# processes' copy-on-write faults, the marshal round trip and the reap: on a 4/2 exponential prefix (base
+# 1.004), in a fresh process, serial against split in two (medians of 9, 2-vCPU Xeon, Python 3.11) took
+# 4.2 -> 4.7 ms over 2,000 windows, 10.6 -> 8.5 ms over 5,000, 21.1 -> 15.1 ms over 10,000 and 211 -> 136 ms
+# over 100,000.
 _PART_MIN = 5_000
 
 
@@ -108,7 +108,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
     a long prefix never holds them all.  ``split`` says that ``denom_of``
     keeps no state between windows and costs enough per window to pay for a
     child (the LPT deficiency alone).  Then, when no sample is kept, each
-    window's ratio depends on its snapshot alone, so ``_parts._in_parts`` may
+    window's ratio depends on its snapshot alone, so ``core._split`` may
     run contiguous ranges of the windows side by side, each through this
     same loop and the same ranking, which a child inherits rather than
     sorting again; the parts merge into the serial report.
@@ -165,15 +165,10 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
             seed_denom = denom_of(snap)
             best = t / seed_denom
         parts = [scan(listed)]
+    elif split and not samples:
+        parts = _split(lambda lo, hi: scan(windows(lo, hi)), len(times), _PART_MIN)
     else:
-        count = _split_count(len(times), _PART_MIN) if split and not samples else 1
-        if count == 1:
-            parts = [scan(windows(0, len(times)))]
-        else:
-            bounds = [len(times) * j // count for j in range(count + 1)]
-            from ._parts import _in_parts
-
-            parts = _in_parts(lambda lo, hi: scan(windows(lo, hi)), list(zip(bounds, bounds[1:])))
+        parts = [scan(windows(0, len(times)))]
 
     rows, unserved, value, argmax, pruned = parts[0]
     for part_rows, part_unserved, part_value, part_argmax, part_pruned in parts[1:]:

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from . import bounds, metrics, transforms
-from .core import Schedule, Contract, _init_field, _length, _Record, _split_count, critical_times, simulate, snapshots_before
+from .core import Schedule, Contract, _init_field, _length, _Record, _split, critical_times, simulate, snapshots_before
 from .generators import ExponentialSpec, acceleration_optimal_base, deficiency_optimal_base, exponential_schedule
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order
 
@@ -558,12 +558,12 @@ def run_checks(seed: int = 0, ids: list[str] | None = None) -> list[CheckResult]
     """Run the checks named in ``ids`` (default: all) and return their results in definition order.
 
     Each check is a pure function of the seed, so contiguous ranges of equal
-    count (``core._split_count``: one for a single check, on one usable CPU
-    or beside a second thread) run side by side: the first here, every other
-    in a forked child (``_parts._in_parts``) that runs this process's
-    ``ALL_CHECKS`` and sends each result's fields back.  A range whose child
-    raised, died or outlived the bounded wait runs here again, so a raising
-    check raises here with its own type and message.  Each check's
+    count (``core._split``: one for a single check, on one usable CPU or
+    beside a second thread) run side by side: the first here, every other
+    in a forked child that runs this process's ``ALL_CHECKS`` and sends each
+    result's fields back.  A range whose child raised, died or outlived the
+    bounded wait runs here again, so a raising check raises here with its
+    own type and message.  Each check's
     ``seconds`` is its own wall time in the process that ran it.
     """
     indices = [i for i, c in enumerate(ALL_CHECKS) if ids is None or c.check_id in ids]
@@ -571,13 +571,7 @@ def run_checks(seed: int = 0, ids: list[str] | None = None) -> list[CheckResult]
         unknown = sorted(set(ids) - {ALL_CHECKS[i].check_id for i in indices})
         if unknown or not ids:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}" if unknown else "no check ids given")
-    count = _split_count(len(indices), 1)
-    if count == 1:
-        return [ALL_CHECKS[i](seed) for i in indices]
-    from ._parts import _in_parts
-
-    cuts = [len(indices) * j // count for j in range(count + 1)]
-    parts = _in_parts(partial(_run_checks, indices, seed), list(zip(cuts, cuts[1:])))
+    parts = _split(partial(_run_checks, indices, seed), len(indices), 1)
     return [CheckResult(*values) for part in parts for values in part]
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import sys
 import threading
 import tempfile
 
@@ -65,11 +66,23 @@ def write(tmp_path, text):
     return path
 
 
+def load_both_ways(text):
+    """(the serial outcome of loading ``text``, the outcome with every file forced into pieces)."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "s.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        serial = serial_outcome(path)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            forced_pieces(monkeypatch)
+            return serial, outcome(path)
+
+
 ROW = '{"problem":%d,"processor":%d,"length":%s}'
 
 
-def rows(k, extra=""):
-    return ",".join(ROW % (i % 3, i % 2, repr(1.0 + i / 7)) for i in range(k)).replace("}", extra + "}")
+def rows(k, extra="", n=3, m=2):
+    return ",".join(ROW % (i % n, i % m, repr(1.0 + i / 7)) for i in range(k)).replace("}", extra + "}")
 
 
 def exponential_text(k=60, generator=True):
@@ -91,28 +104,28 @@ def test_a_saved_file_loads_in_pieces_as_one_parse(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
-# name: (how ``_parse_in_pieces`` takes the text in three pieces, the text); "pieces" gives the rows, "second" the
-# document alone (a second "contracts" wins), "layout" None, and "raises" an error; all but "pieces" fall back
+# name: (how ``_parse_in_pieces`` takes the text in three pieces, the text); "pieces" gives the rows, "layout" None
+# (no save_schedule head, or no cuts), and "raises" an error; all but "pieces" fall back
 NAMED = {
     # a cut lands inside a string that reads "},{": that piece does not parse
     "string-with-a-cut": ("raises", '{"n":3,"m":2,"contracts":[%s]}' % rows(40, ',"note":"},{"')),
     "generator-with-a-cut": ("pieces", '{"n":3,"m":2,"contracts":[%s],"generator":{"family":"x},{y","k":[1,{}]}}'
                              % rows(40)),
-    "contracts-before": ("raises", '{"contracts":[%s],"n":3,"m":2,"contracts":[%s]}' % (rows(5), rows(40))),
-    "contracts-after": ("second", '{"n":3,"m":2,"contracts":[%s],"contracts":[%s]}' % (rows(40), rows(5))),
-    "contracts-after-not-a-list": ("second", '{"n":3,"m":2,"contracts":[%s],"contracts":5}' % rows(40)),
+    "contracts-before": ("layout", '{"contracts":[%s],"n":3,"m":2,"contracts":[%s]}' % (rows(5), rows(40))),
+    "contracts-after": ("raises", '{"n":3,"m":2,"contracts":[%s],"contracts":[%s]}' % (rows(40), rows(5))),
+    "contracts-after-not-a-list": ("raises", '{"n":3,"m":2,"contracts":[%s],"contracts":5}' % rows(40)),
     "n-repeated-after": ("pieces", '{"n":1,"m":2,"contracts":[%s],"n":3}' % rows(40)),
-    "contracts-in-a-nested-object": ("raises", '{"n":3,"m":2,"generator":{"family":"x","contracts":[%s]},'
+    "contracts-in-a-nested-object": ("layout", '{"n":3,"m":2,"generator":{"family":"x","contracts":[%s]},'
                                      '"contracts":[%s]}' % (rows(5), rows(40))),
-    "escaped-contracts-in-a-string": ("pieces", '{"n":3,"m":2,"generator":{"family":"\\"contracts\\":["},'
+    "escaped-contracts-in-a-string": ("layout", '{"n":3,"m":2,"generator":{"family":"\\"contracts\\":["},'
                                       '"contracts":[%s]}' % rows(40)),
     "indented": ("layout", json.dumps(json.loads(exponential_text()), indent=2)),
     "indented-rows": ("layout", exponential_text().replace("},{", "},\n  {")),
     "spaced-key": ("layout", exponential_text().replace('"contracts":[', '"contracts": [')),
-    "space-after-the-array": ("pieces", exponential_text().replace("],", "] ,")),
-    "whitespace-at-the-end": ("pieces", exponential_text(generator=False).replace("]}", "]\t\r\n }") + "\r\n"),
+    "space-after-the-array": ("raises", exponential_text().replace("],", "] ,")),
+    "whitespace-at-the-end": ("raises", exponential_text(generator=False).replace("]}", "]\t\r\n }") + "\r\n"),
     "form-feed-at-the-end": ("raises", exponential_text(generator=False).replace("]}", "]\f}")),
-    "bom": ("raises", "\ufeff" + exponential_text()),
+    "bom": ("layout", "\ufeff" + exponential_text()),
     "nan-length": ("pieces", exponential_text().replace('"length":1.5}', '"length":NaN}', 1)),
     "infinite-length": ("pieces", exponential_text()[::-1].replace('}0.1:"htgnel"', '}ytinifnI-:"htgnel"', 1)[::-1]),
     "truncated": ("raises", exponential_text()[:-40]),
@@ -133,12 +146,17 @@ NAMED = {
                             % (rows(20), rows(20))),
     "bad-problem-late": ("pieces", '{"n":3,"m":2,"contracts":[%s,{"problem":7,"processor":0,"length":1.0}]}'
                          % rows(40)),
-    "missing-m": ("pieces", '{"n":3,"contracts":[%s]}' % rows(40)),
-    "not-an-object": ("raises", '[{"contracts":[%s]}]' % rows(40)),
+    "missing-m": ("layout", '{"n":3,"contracts":[%s]}' % rows(40)),
+    "not-an-object": ("layout", '[{"contracts":[%s]}]' % rows(40)),
     # a long row among short ones: two targets find the same "},{", so the cuts do not increase
     "adjacent-cuts": ("layout", '{"n":3,"m":2,"contracts":[%s,%s,%s]}'
                       % (rows(1), ROW.replace("}", ',"pad":"%s"}') % (0, 0, "2.0", "x" * 5_000), rows(1))),
     "two-rows": ("layout", '{"n":3,"m":2,"contracts":[%s]}' % rows(2)),
+    # the only '"contracts":[' ends the key a\"contracts, whose opening quote is escaped: one contract, and a
+    # missing key
+    "escaped-key-after-contracts": ("layout", '{"n":1,"m":1,"contracts" : [%s],"a\\"contracts":[%s]}'
+                                    % (rows(1, n=1, m=1), rows(40, n=1, m=1))),
+    "escaped-key-only": ("layout", '{"n":1,"m":1,"a\\"contracts":[%s]}' % rows(40, n=1, m=1)),
 }
 
 
@@ -147,7 +165,7 @@ def route(text):
         pieces = _parts._parse_in_pieces(text, 3)
     except (ValueError, RecursionError, KeyError, TypeError):
         return "raises"
-    return "layout" if pieces is None else "second" if pieces[1] is None else "pieces"
+    return "layout" if pieces is None else "pieces"
 
 
 @pytest.mark.parametrize("expected, text", NAMED.values(), ids=NAMED.keys())
@@ -191,14 +209,48 @@ def mutated_texts(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(mutated_texts())
 def test_mutated_files_load_or_fail_as_one_parse(text):
-    with tempfile.TemporaryDirectory() as work:
-        path = os.path.join(work, "s.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        serial = serial_outcome(path)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            forced_pieces(monkeypatch)
-            assert outcome(path) == serial
+    serial, forced = load_both_ways(text)
+    assert forced == serial
+    assert_no_child_left()
+
+
+# top-level members, each "%s" a run of contract rows: the key "contracts" spaced, escaped or inside another
+# value, and n and m with other values
+MEMBERS = ['"contracts":[%s]', '"contracts" : [%s]', '"a\\"contracts":[%s]', '"\\u0063ontracts":[%s]',
+           '"generator":{"family":"x","contracts":[%s]}', '"generator":{"family":"\\"contracts\\":["}',
+           '"n":3', '"n":1', '"m":2', '"m":1']
+
+
+@st.composite
+def member_texts(draw):
+    members = draw(st.lists(st.sampled_from(MEMBERS), max_size=5))
+    if draw(st.booleans()):  # save_schedule's head first, so a later "contracts" is a second one
+        members = ['"n":3', '"m":2', MEMBERS[0]] + members
+    return "{%s}" % ",".join(member.replace("%s", rows(draw(st.integers(0, 12)))) for member in members)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(member_texts())
+def test_documents_of_any_members_load_or_fail_as_one_parse(text):
+    serial, forced = load_both_ways(text)
+    assert forced == serial
+    assert_no_child_left()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, sys.maxsize), st.integers(1, sys.maxsize), st.integers(10, 30), st.data(),
+       st.sampled_from([None, {"family": "exponential", "base": 1.5}, {"family": "x", "k": [1, {"contracts": []}]}]))
+def test_every_saved_file_takes_the_pieces_route(n, m, k, data, generator):
+    lengths = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+    s = Schedule(n, m, [Contract(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1)), data.draw(lengths))
+                        for _ in range(k)], generator)
+    text = saved_text(s)
+    assert _parts._HEAD.match(text)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        forked = forced_pieces(monkeypatch)
+        doc, parsed = core._parse(text)
+    assert parsed is not None and forked
+    assert core._schedule_of(doc, tuple(map(core.contract_of, parsed))) == s
     assert_no_child_left()
 
 
@@ -255,8 +307,8 @@ def test_nothing_forks_where_pieces_are_not_allowed(tmp_path, monkeypatch):
     path = write(tmp_path, text)
     expected = serial_outcome(path)
     forked = forced_pieces(monkeypatch)
-    # a file shorter than _PARSE_MIN
-    monkeypatch.setattr(core, "_PARSE_MIN", len(text) + 1)
+    # a file shorter than two pieces of _PARSE_MIN
+    monkeypatch.setattr(core, "_PARSE_MIN", len(text) // 2 + 1)
     assert outcome(path) == expected and forked == []
     # a second thread running
     monkeypatch.setattr(core, "_PARSE_MIN", 0)
@@ -272,21 +324,21 @@ def test_nothing_forks_where_pieces_are_not_allowed(tmp_path, monkeypatch):
     # one usable CPU
     monkeypatch.setattr(_parts, "_workers", lambda tasks: 1)
     assert outcome(path) == expected and forked == []
-    # and a file of exactly _PARSE_MIN characters on two CPUs splits in two
+    # and a file of two pieces of _PARSE_MIN characters on two CPUs splits in two
     monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
-    monkeypatch.setattr(core, "_PARSE_MIN", len(text))
+    monkeypatch.setattr(core, "_PARSE_MIN", len(text) // 2)
     assert outcome(path) == expected and len(forked) == 1
     assert_no_child_left()
 
 
 def test_a_long_prefix_is_parsed_in_pieces_by_default_on_more_than_one_cpu(tmp_path):
-    # 20,000 contracts take 1.16 MB, above _PARSE_MIN
+    # 20,000 contracts take 1.16 MB, above two pieces of _PARSE_MIN
     s = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=20_000))
     path = tmp_path / "s.json"
     save_schedule(s, path)
     text = path.read_text(encoding="utf-8")
-    assert len(text) >= core._PARSE_MIN
+    assert len(text) >= 2 * core._PARSE_MIN
     doc, parsed = core._parse(text)
-    assert (parsed is not None) == (core._workers(2) > 1)
+    assert (parsed is not None) == (_parts._workers(2) > 1)
     assert load_schedule(path) == s == core.schedule_from_dict(json.loads(text))
     assert_no_child_left()
