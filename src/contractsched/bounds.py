@@ -250,31 +250,22 @@ def geometric_functional(name: str, n: int | None = None, m: int | None = None):
     return functional
 
 
-def _assert_unimodal(f, lo: float, hi: float) -> None:
-    # the finite-difference signs at 256 log-spaced samples must go down then up, never down again
-    ys = [f(lo * (hi / lo) ** (i / 255)) for i in range(256)]
-    seen_increase = False
-    for y0, y1 in zip(ys, ys[1:]):
-        if y1 > y0:
-            seen_increase = True
-        elif y1 < y0 and seen_increase:
-            raise ValueError("sampled functional is not unimodal on the bracket")
-
-
 def optimize_geometric_functional(name: str, n: int | None = None, m: int | None = None) -> tuple[float, float]:
     """Ternary-search minimizer (a*, F(a*)) of a geometric functional over (1, 64].
 
     The bracket's upper end is lowered to 2**(1020/p), p being the
-    functional's top exponent, so that a**p stays in the float range.  The
-    functional is checked for unimodality on the bracket by sampled
-    monotonicity of the difference signs before searching.  The search stops
+    functional's top exponent, so that a**p stays in the float range.
+    Ternary search is valid because each functional is unimodal on any
+    bracket in (1, inf): F'(a) has the sign of (p - q) a^q - p, and since
+    p > q >= 1 for all three, (n+1, n), (n+m, m) and (4, 3), that sign
+    changes once, from - to +, at a* = (p / (p - q))^(1/q), the closed-form
+    base the search is checked against (``verify``'s C06).  The search stops
     once the bracket is at most 1e-10 wide.  Each step keeps two thirds of a
     bracket at most 63 wide, so it ends within 68 steps: (2/3)**68 * 63 < 1e-10.
     """
     p, _ = _exponents(name, n, m)
     f = geometric_functional(name, n=n, m=m)
     lo, hi = 1.0 + 1e-9, min(64.0, 2 ** (1020 / p))
-    _assert_unimodal(f, lo, hi)
     while hi - lo > 1e-10:
         third = (hi - lo) / 3.0
         m1, m2 = lo + third, hi - third

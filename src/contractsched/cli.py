@@ -81,23 +81,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = metrics.performance_ratio(sched, samples=samples)
     else:
         report = metrics.deficiency(sched, solver=args.solver, samples=samples)
-    _print_json(
-        {
-            "measure": report.measure,
-            # +inf when no window is served; JSON has no infinity, so it prints as null, like its argmax_time
-            "value": None if report.value == float("inf") else report.value,
-            "argmax_time": report.argmax_time,
-            "windows": report.windows,
-            "unserved_windows": len(report.unserved_times),
-            "incomplete": report.incomplete,
-            "truncation_note": report.truncation_note,
-            "analytic": report.analytic,
-            "solver": report.solver,
-            "exact": report.exact,
-            "opt_solves": report.opt_solves,
-            "pruned_windows": report.pruned_windows,
-        }
-    )
+    doc = {
+        "measure": report.measure,
+        # +inf when no window is served; JSON has no infinity, so it prints as null, like its argmax_time
+        "value": None if report.value == float("inf") else report.value,
+        "argmax_time": report.argmax_time,
+        "windows": report.windows,
+        "unserved_windows": len(report.unserved_times),
+        "incomplete": report.incomplete,
+        "truncation_note": report.truncation_note,
+        "analytic": report.analytic,
+        "solver": report.solver,
+        "exact": report.exact,
+        "opt_solves": report.opt_solves,
+        "pruned_windows": report.pruned_windows,
+    }
+    # the file is written before anything is printed, so a failed write prints only the error JSON
     if args.csv:
         n = sched.n_problems
         denom_name = "opt" if args.measure == "def" else "denominator"
@@ -115,6 +114,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         comment = f"command=eval measure={args.measure} solver={args.solver} schedule={args.schedule} n={n} m={sched.m_processors}"
         _write_csv(args.csv, comment, header, rows)
+    _print_json(doc)
     return 0
 
 
@@ -222,10 +222,7 @@ def run_checks(seed, ids=None):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = run_checks(args.seed, ids=args.only)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.check_id} {status} ({r.seconds:.2f}s) {r.description}: {r.details}")
-    if args.json:
+    if args.json:  # written before anything is printed, so a failed write prints only the error JSON
         # the checks ran side by side, so their seconds need not add up to the command's wall time
         doc = {
             "seed": args.seed,
@@ -242,6 +239,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ],
         }
         Path(args.json).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        print(f"{r.check_id} {status} ({r.seconds:.2f}s) {r.description}: {r.details}")
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -302,28 +302,28 @@ def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tup
     in problem-index order.  A contract counts for t when its simulated
     finish time is a float below t, so all contracts finishing at exactly t
     are excluded together.  The schedule is simulated once and its contract
-    indices sorted by finish time once, so k contracts cost O(k log k + k n)
+    indices ranked once (``_ranked``), so k contracts cost O(k log k + k n)
     for any number of times.  The results are yielded rather than listed so
     that a caller keeping only something derived from each snapshot (a
     sorted copy, a sum) never holds them all; on a 100k-contract prefix a
     list would add 100k live tuples for the garbage collector to track.
     """
-    return _sweep(schedule.contracts, schedule.n_problems, simulate(schedule),
-                  (_length(t, "interruption time") for t in times))
+    fins = simulate(schedule)
+    return _sweep(schedule.contracts, schedule.n_problems, fins, (_length(t, "interruption time") for t in times),
+                  _ranked(fins))
 
 
 def _sweep(contracts: Sequence[Contract], n: int, fins: Sequence[float], times: Iterable[float],
-           order: Sequence[int] | None = None) -> Iterator[tuple[float, ...]]:
+           order: Sequence[int]) -> Iterator[tuple[float, ...]]:
     """The one sweep: ``snapshots_before`` of a contract sequence, at checked times.
 
     ``contracts`` need not be a ``Schedule``'s: ``fins[i]`` is the finish
     time of ``contracts[i]`` and ``n`` the number of problems, so a caller
     holding a contract list and its finish times (from ``_finish_times``)
     sweeps it without building a schedule.  ``order`` is ``_ranked(fins)``,
-    for a caller that has ranked them already; it is ranked here otherwise.
+    which every caller supplies; on one processor, whose finish times never
+    decrease, it is the contract order.
     """
-    if order is None:
-        order = _ranked(fins)
     longest = [0.0] * n
     pos, end, prev = 0, len(order), -math.inf
     for t in times:
@@ -343,7 +343,8 @@ def snapshot(schedule: Schedule, t: float) -> tuple[float, ...]:
     # finishing at or before t is finishing before the next float above t: inf after sys.float_info.max,
     # which snapshots_before would refuse, so the sweep is read directly
     t = math.nextafter(_length(t, "interruption time"), math.inf)
-    return next(_sweep(schedule.contracts, schedule.n_problems, simulate(schedule), [t]))
+    fins = simulate(schedule)
+    return next(_sweep(schedule.contracts, schedule.n_problems, fins, [t], _ranked(fins)))
 
 
 def snapshot_before(schedule: Schedule, t: float) -> tuple[float, ...]:

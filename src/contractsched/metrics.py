@@ -105,13 +105,14 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
     windows are read from that ranking, and one ``core._sweep`` over it gives
     each window its snapshot, sorted once.  Only the pruned route lists its
     windows, to rank their ceilings t / ``lower``; the others stream them, so
-    a long prefix never holds them all.  ``split`` says that ``denom_of``
-    keeps no state between windows and costs enough per window to pay for a
-    child (the LPT deficiency alone).  Then, when no sample is kept, each
-    window's ratio depends on its snapshot alone, so ``core._split`` may
-    run contiguous ranges of the windows side by side, each through this
-    same loop and the same ranking, which a child inherits rather than
-    sorting again; the parts merge into the serial report.
+    a long prefix never holds them all; the one with the largest ceiling
+    sets the first floor, then is read again in the pass.  ``split`` says
+    that ``denom_of`` keeps no state between windows and costs enough per
+    window to pay for a child (the LPT deficiency alone).  Then, when no
+    sample is kept, each window's ratio depends on its snapshot alone, so
+    ``core._split`` may run contiguous ranges of the windows side by side,
+    each through this same loop and the same ranking, which a child inherits
+    rather than sorting again; the parts merge into the serial report.
     """
     explicit = window is not None
     fins = simulate(schedule)  # the one simulation: the windows and the sweep read it
@@ -126,7 +127,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
         return zip(part, (tuple(sorted(longest))
                           for longest in _sweep(schedule.contracts, schedule.n_problems, fins, part, order)))
 
-    seed, best = -1, -math.inf  # the served window with the largest ceiling, earliest on ties
+    floor = -math.inf  # the pruned route's first floor: the ratio of the window with the largest ceiling
 
     def scan(part) -> tuple[list[MeasureSample], list[float], float, float | None, int]:
         rows: list[MeasureSample] = []
@@ -141,11 +142,11 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
                 if not explicit:
                     continue
                 denom, ratio = 0.0, math.inf
-            elif lower is not None and i != seed and ceilings[i] < max(best, value) * (1.0 - 1e-12):
+            elif lower is not None and ceilings[i] < max(floor, value) * (1.0 - 1e-12):
                 pruned += 1
                 continue
             else:
-                denom = seed_denom if i == seed else denom_of(snap)
+                denom = denom_of(snap)
                 ratio = t / denom
             if samples:
                 rows.append(MeasureSample(t, snap, denom, ratio, served))
@@ -160,10 +161,8 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
         ceilings = [t / lower(snap) if snap[0] > 0.0 else 0.0 for t, snap in listed]
         top = max(ceilings, default=0.0)
         if top > 0.0:
-            seed = ceilings.index(top)
-            t, snap = listed[seed]
-            seed_denom = denom_of(snap)
-            best = t / seed_denom
+            t, snap = listed[ceilings.index(top)]
+            floor = t / denom_of(snap)
         parts = [scan(listed)]
     elif split and not samples:
         parts = _split(lambda lo, hi: scan(windows(lo, hi)), len(times), _PART_MIN)
@@ -278,12 +277,14 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     at most its ceiling t / LB, with LB = ``makespan.lower_bound`` <= OPT.
     This route alone lists its windows from the one sweep, with their
     ceilings.  The window with the largest ceiling (earliest on ties) is
-    solved first; then, in time order over the same list, a window is solved
-    only if its ceiling is at least the best ratio so far times 1 - 1e-12,
-    a margin that covers the few ulps by which a float LB may exceed a
-    computed load.  A skipped window's ratio is therefore strictly below the
-    best one, so ``value`` and ``argmax_time`` (the earliest solved window
-    attaining it) are those of the full series.  Every other case evaluates
+    solved first, and its ratio is the first floor; then, in time order over
+    the same list, a window is solved only if its ceiling is at least the
+    larger of the floor and the best ratio so far, times 1 - 1e-12, a margin
+    that covers the few ulps by which a float LB may exceed a computed load.
+    A skipped window's ratio is therefore strictly below the best one, so
+    ``value`` and ``argmax_time`` (the earliest solved window attaining it)
+    are those of the full series.  By that margin the first window is never
+    skipped, and solving it again is a memo hit.  Every other case evaluates
     every window; the value-only LPT route on m >= 2, which shares nothing
     between windows, may split them across forked processes with the same
     report (``_evaluate``).

@@ -122,15 +122,16 @@ def _ratios(contracts: Sequence[_Row], n: int, fins: list[float], held: list[flo
     """Deficiency ratio right before each finish time in ``fins``, in contract order; None where a problem is unserved.
 
     ``fins[i]`` is the finish time of ``contracts[i]``: on one processor
-    they ascend, and every one is a window.  Windows ``start`` to ``stop``
-    (the end by default) are swept from the contracts; the others are read
-    from ``held``, the ratios of a state the caller knows to agree with
-    ``contracts`` there (see ``_rewrite``).
+    they never decrease, so contract order is the sweep's ranking
+    (``core._ranked``, ties in contract order), and every one is a window.
+    Windows ``start`` to ``stop`` (the end by default) are swept from the
+    contracts; the others are read from ``held``, the ratios of a state the
+    caller knows to agree with ``contracts`` there (see ``_rewrite``).
     """
     times = fins[start:stop]
     # a problem with nothing completed has longest length 0.0, and every completed length is positive
     swept = [t / math.fsum(longest) if 0.0 not in longest else None
-             for t, longest in zip(times, _sweep(contracts, n, fins, times))]
+             for t, longest in zip(times, _sweep(contracts, n, fins, times, list(range(len(fins)))))]
     if start:
         swept = held[:start] + swept
     if stop is not None:

@@ -11,7 +11,6 @@ moves any of them in a printed digit changes a digest.
 
 import hashlib
 import json
-import multiprocessing
 import os
 import threading
 import time
@@ -92,8 +91,7 @@ def test_a_check_past_its_runtime_limit_fails(monkeypatch):
 
 
 def assert_no_child_left():
-    # multiprocessing.active_children() sees only its own processes; waitpid sees every child
-    assert multiprocessing.active_children() == []
+    # waitpid sees every child, whichever way it was started
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -6,6 +6,7 @@ import pytest
 from contractsched import (
     ExponentialSpec,
     acceleration_optimal_base,
+    acceleration_ratio,
     best_exponential_deficiency_single_processor,
     cyclic_acceleration_lower_bound,
     deficiency,
@@ -19,13 +20,14 @@ from contractsched import (
     figure3_single_processor_curves,
     greedy_geometric_makespan,
     optimize_geometric_functional,
+    performance_ratio,
     performance_ratio_closed_form,
     roundrobin_lower_bound,
     simulate,
     truncated_functional_sup,
     two_problem_lower_bound,
 )
-from contractsched.bounds import geometric_functional, _assert_unimodal
+from contractsched.bounds import geometric_functional
 
 
 # --- exponential deficiency bound -----------------------------------------------
@@ -227,11 +229,6 @@ def test_optimizer_unknown_functional():
         optimize_geometric_functional("mystery")
 
 
-def test_unimodality_check_rejects_wiggles():
-    with pytest.raises(ValueError):
-        _assert_unimodal(lambda a: math.sin(5.0 * a), 1.0 + 1e-9, 10.0)
-
-
 def test_truncated_sups_approach_closed_forms():
     for n in (1, 2, 4):
         a = (n + 1) ** (1.0 / n)
@@ -301,6 +298,18 @@ def test_empirical_deficiency_below_bound():
     for n, m, b in itertools.product((1, 2, 4), (1, 2), (1.3, 2.0)):
         sched = exponential_schedule(ExponentialSpec(n=n, m=m, base=b))
         assert deficiency(sched).value <= deficiency_upper_bound(n, m, b).value + 1e-6
+
+
+def test_acceleration_optimal_prefix_meets_the_cyclic_bound_and_the_performance_closed_form():
+    # the prefix's acceleration and performance ratios approach the closed forms from below as k grows; the
+    # closed forms are evaluated through exp and log, so a prefix exactly at its limit may read a few ulps above
+    for n, m in itertools.product(range(1, 17), range(1, 17)):
+        sched = exponential_schedule(ExponentialSpec(n=n, m=m, base=acceleration_optimal_base(n, m)))
+        for measured, closed in ((acceleration_ratio(sched, samples=False).value,
+                                  cyclic_acceleration_lower_bound(n, m).value),
+                                 (performance_ratio(sched, samples=False).value,
+                                  performance_ratio_closed_form(n, m).value)):
+            assert closed * (1 - 3e-4) <= measured <= closed * (1 + 1e-12)
 
 
 def test_acceleration_optimal_base_deficiency_worst_case():

@@ -215,6 +215,17 @@ def test_eval_def_guard_error_on_both_routes(tmp_path, capsys):
         assert error["type"] == "InstanceTooLargeError" and "guard of 24" in error["message"]
 
 
+def test_eval_csv_into_a_missing_directory_prints_only_the_error(tmp_path, capsys):
+    # the CSV is written before the report is printed, so nothing reaches stdout when the write fails
+    sched_path = tmp_path / "sched.json"
+    save_schedule(Schedule(2, 1, (Contract(0, 0, 1.0), Contract(1, 0, 2.0), Contract(0, 0, 3.0))), sched_path)
+    csv_path = tmp_path / "missing" / "series.csv"
+    code, out, err = run_cli(["eval", "--schedule", str(sched_path), "--measure", "acc", "--csv", str(csv_path)],
+                             capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+
 def one_contract(**fields):
     return {"n": 2, "m": 1, "contracts": [{"problem": 0, "processor": 0, "length": 1.0, **fields}]}
 
@@ -642,6 +653,13 @@ def test_verify_json_report(tmp_path, capsys):
     # the checks ran side by side: one range per usable CPU, never more than the two checks
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert doc["processes"] == min(2, usable)
+
+
+def test_verify_json_into_a_missing_directory_prints_only_the_error(tmp_path, capsys):
+    # the report is written before any check's line is printed, so nothing reaches stdout when the write fails
+    code, out, err = run_cli(["verify", "--only", "C01", "--json", str(tmp_path / "missing" / "v.json")], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "FileNotFoundError"
 
 
 def test_cli_run_checks_forwards_to_verification():

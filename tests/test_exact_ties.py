@@ -26,12 +26,16 @@ from contractsched import (
     snapshot,
     snapshots_before,
 )
+from contractsched.core import _ranked
 
 # one processor's finish times 1e6, 1e6 + 1 and 1e6 + 1 + 1e-4 lie within a
 # relative 1e-9 of each other, yet are three distinct interruption times
 NEAR_TIE = Schedule(1, 1, (Contract(0, 0, 1e6), Contract(0, 0, 1.0), Contract(0, 0, 1e-4)))
 # the last window's snapshot sums to 0.6 exactly rounded, but to 0.6000000000000001 left to right
 ORDER_DEPENDENT = Schedule(3, 1, (Contract(0, 0, 0.1), Contract(1, 0, 0.2), Contract(2, 0, 0.3), Contract(0, 0, 0.7)))
+# the 1e20 contract absorbs the 0.5 and the 4.0 after it, so its finish time repeats three times (CI's absorbed.json)
+ABSORBED = Schedule(2, 1, (Contract(1, 0, 1e20), Contract(0, 0, 0.5), Contract(0, 0, 4.0), Contract(1, 0, 2e20),
+                           Contract(1, 0, 2e20)))
 
 LENGTHS = (
     st.integers(1, 4).map(float),  # finish times tie exactly across processors
@@ -42,8 +46,8 @@ LENGTHS = (
 
 
 @st.composite
-def schedules(draw):
-    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+def schedules(draw, processors=st.integers(1, 3)):
+    n, m = draw(st.integers(1, 4)), draw(processors)
     lengths = draw(st.sampled_from(LENGTHS + (st.one_of(LENGTHS),)))
     rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), lengths), max_size=10))
     return Schedule(n, m, tuple(Contract(p, q, length) for p, q, length in rows))
@@ -94,6 +98,17 @@ def test_sweep_matches_float_reference(s):
     assert list(snapshots_before(s, times)) == [longest_before(s, fins, t) for t in times]
     for t in fins:
         assert snapshot(s, t) == longest_before(s, fins, math.nextafter(t, math.inf))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(schedules(processors=st.just(1)))
+@example(ABSORBED)
+@example(NEAR_TIE)
+def test_one_processor_ranking_is_contract_order(s):
+    # the transforms sweep one-processor contracts in contract order, without ranking them: finish times never
+    # decrease there, and the ranking keeps ties in contract order
+    fins = simulate(s)
+    assert _ranked(fins) == list(range(len(fins)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
