@@ -1,16 +1,18 @@
 """Contiguous parts of one task run side by side: the first in this process, every other in a forked child.
 
-Three tasks split this way, each through ``core._split_count``: the
-value-only LPT deficiency (``metrics``) and ``verification.run_checks``
-cut their windows and checks with ``core._split``, and ``core._parse`` the
-contract rows of a long ``save_schedule`` file (``_parse_in_pieces``).  A
-task imports this module only once it is long enough to split, so a command
-that never splits never compiles it.
+Five tasks split this way, each through ``core._split_count``: the
+value-only acceleration and performance ratios and LPT deficiency
+(``metrics``) and ``verification.run_checks`` cut their windows and checks
+with ``core._split``, ``core.save_schedule`` its contract rows, and
+``core._parse`` the contract rows of a long ``save_schedule`` file
+(``_parse_in_pieces``).  A task imports this module only once it is long
+enough to split, so a command that never splits never compiles it.
 """
 
 from __future__ import annotations
 
 import gc
+import io
 import json
 import marshal
 import os
@@ -19,7 +21,7 @@ import threading
 import time
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterable
+from typing import BinaryIO, Callable, Iterable
 
 from .core import _ROW_FIELDS
 
@@ -27,11 +29,14 @@ from .core import _ROW_FIELDS
 # taken for hung (``_in_parts``); its part is no longer than the caller's.
 _WAIT_FACTOR, _WAIT_S = 10, 1.0
 
-# How many times as many characters the caller's own piece of a schedule file takes as each child's, since
-# a child also forks, copies its piece and marshals its rows: on two CPUs the caller's piece holds 55% of
-# the rows.  On the 5.9 MB ``long-prefix-cli`` prefix, in fresh processes (medians of 11, 2-vCPU Xeon), a
-# lead of 1.0, 1.1, 1.2 and 1.3 loaded it in 70.8, 68.4, 68.4 and 69.6 ms.
-_PARSE_LEAD = 1.2
+# How many times as many items the caller's own range takes as each child's, where the items are of one
+# kind (``_cuts``): windows, contract rows or a file's characters.  A child also forks, finds where its range
+# starts and sends its part back, so on two CPUs the caller's range holds 55% of the items.  On the 100k
+# ``long-prefix-cli`` prefix, in fresh processes (medians of 11, 2-vCPU Xeon), a lead of 1.0, 1.1, 1.2, 1.3,
+# 1.4 and 1.6 took 140.0, 137.4, 135.0, 133.1, 134.2 and 137.9 ms for gen; 164.9, 161.4, 160.8, 162.5, 162.4
+# and 163.0 ms for the acceleration ratio's eval (its 5.9 MB file loads in pieces too); and 238.6, 232.1,
+# 235.6, 240.9, 244.6 and 254.0 ms for the LPT deficiency's: 711, 695, 694, 700, 705 and 719 ms with perf's.
+_LEAD = 1.2
 
 # The head ``save_schedule`` writes, up to the "[" that opens the contracts; n and m are JSON integers.
 _HEAD = re.compile(r'\{"n":(-?(?:0|[1-9][0-9]*)),"m":(-?(?:0|[1-9][0-9]*)),"contracts":\[')
@@ -41,6 +46,16 @@ def _workers(tasks: int) -> int:
     """One process per usable CPU (its affinity mask, where the platform has one), never more than ``tasks``."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(tasks, cpus)
+
+
+def _cuts(items: int, count: int, lead: bool = True) -> list[int]:
+    """The bounds of ``count`` contiguous ranges of ``range(items)``: 0, where each later range starts, and ``items``.
+
+    With ``lead`` the first range is ``_LEAD`` times as long as each other;
+    without it the ranges are of equal count.
+    """
+    first = _LEAD if lead else 1.0
+    return [0, *(int(items * (first + j - 1) / (first + count - 1)) for j in range(1, count)), items]
 
 
 def _part_count(items: int, least: int) -> int:
@@ -60,34 +75,51 @@ def _part_count(items: int, least: int) -> int:
     return count if count > 1 and threading.active_count() == 1 else 1
 
 
-def _in_parts(run: Callable[[int, int], tuple], ranges: list[tuple[int, int]]) -> list[tuple]:
+def _in_parts(run: Callable[[int, int], object], ranges: list[tuple[int, int]], out: BinaryIO | None = None) -> list:
     """``run(lo, hi)`` for each range, in order: the first in this process, every other in a forked child.
 
     Each child evaluates its range while this process evaluates the first,
-    and sends its part back through a pipe, ``marshal``-encoded (so a part
-    holds only lists, tuples, dicts, strings, numbers and None).  A child
-    writes nothing else and always ends with ``os._exit``, so it runs no exit
-    handler and flushes no buffer it inherited.  A range whose child was
-    never forked, or sent no complete part (it raised, was killed, or had
-    not finished ``_WAIT_FACTOR`` times the first range's time plus
-    ``_WAIT_S`` seconds after it), is run here instead, in range order, so an
-    exception is raised with the type and message a serial run gives, the
-    earliest range first.  Every child forked is killed if still running and
-    reaped before this returns or raises, a KeyboardInterrupt included.
+    and sends its part back through a pipe after the part's length
+    (``_copy``), ``marshal``-encoded (so a part holds only lists, tuples,
+    dicts, strings, numbers and None).  With
+    ``out``, a seekable binary file, ``run`` yields its range's bytes in
+    blocks instead, and the parts are written to ``out`` in range order, not
+    returned: the first range's blocks as they come, then each child's bytes
+    as they arrive from its pipe (``_copy``), so no part is held here whole.
+    A child writes nothing else and always ends with ``os._exit``, so it
+    runs no exit handler and flushes no buffer it inherited.  A range whose
+    child was never forked, or sent no complete part (it raised, was killed,
+    or had not finished ``_WAIT_FACTOR`` times the first range's time plus
+    ``_WAIT_S`` seconds after it), is run here instead, in range order, so
+    an exception is raised with the type and message a serial run gives, the
+    earliest range first; what such a child wrote to ``out`` is cut off
+    first.  Every child forked is killed if still running and reaped before
+    this returns or raises, a KeyboardInterrupt included.
     """
     import signal  # here, so a caller that never splits never loads it
 
     children: list[tuple[int, int] | None] = []  # (pid, read end of its pipe) per later range
     try:
         for lo, hi in ranges[1:]:
-            children.append(_fork(run, lo, hi))
+            children.append(_fork(run, lo, hi, out is not None))
         start = time.monotonic()
-        parts = [run(*ranges[0])]
+        parts = []
+        if out is None:
+            parts.append(run(*ranges[0]))
+        else:
+            out.writelines(run(*ranges[0]))
         now = time.monotonic()
         deadline = now + _WAIT_FACTOR * (now - start) + _WAIT_S
         for child, (lo, hi) in zip(children, ranges[1:]):
-            part = None if child is None else _receive(child[1], deadline)
-            parts.append(run(lo, hi) if part is None else part)
+            if out is None:
+                part = None if child is None else _receive(child[1], deadline)
+                parts.append(run(lo, hi) if part is None else part)
+                continue
+            mark = out.tell()
+            if child is None or not _copy(child[1], deadline, out):
+                out.seek(mark)
+                out.truncate()
+                out.writelines(run(lo, hi))
         return parts
     finally:
         for child in children:
@@ -98,8 +130,12 @@ def _in_parts(run: Callable[[int, int], tuple], ranges: list[tuple[int, int]]) -
                 os.waitpid(pid, 0)
 
 
-def _fork(run: Callable[[int, int], tuple], lo: int, hi: int) -> tuple[int, int] | None:
-    """A child running ``run(lo, hi)`` into a pipe: (its pid, the pipe's read end), or None if none was forked."""
+def _fork(run: Callable[[int, int], object], lo: int, hi: int, raw: bool = False) -> tuple[int, int] | None:
+    """A child running ``run(lo, hi)`` into a pipe: (its pid, the pipe's read end), or None if none was forked.
+
+    The child sends its part ``marshal``-encoded or, if ``raw``, as the
+    bytes ``run`` yields, after the part's length (``_copy``).
+    """
     try:
         read, write = os.pipe()
     except OSError:
@@ -117,9 +153,10 @@ def _fork(run: Callable[[int, int], tuple], lo: int, hi: int) -> tuple[int, int]
             # collecting the parent's garbage here would run its finalizers a second time
             gc.disable()
             os.close(read)
-            data = marshal.dumps(run(lo, hi))
-            with open(write, "wb") as out:
-                out.write(data)
+            data = b"".join(run(lo, hi)) if raw else marshal.dumps(run(lo, hi))
+            with open(write, "wb") as pipe:
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
             status = 0
         finally:
             os._exit(status)
@@ -128,24 +165,35 @@ def _fork(run: Callable[[int, int], tuple], lo: int, hi: int) -> tuple[int, int]
 
 
 def _receive(read: int, deadline: float) -> tuple | None:
-    """The part a child wrote to the pipe ``read``: None if it wrote none, only some, or had not ended by ``deadline``.
+    """The part a child sent through the pipe ``read``, ``marshal``-decoded: None if not all of it came by ``deadline``."""
+    part = io.BytesIO()
+    return marshal.loads(part.getbuffer()) if _copy(read, deadline, part) else None
 
-    ``deadline`` is a ``time.monotonic`` time.
+
+def _copy(read: int, deadline: float, out: BinaryIO) -> bool:
+    """Copy the part a child sends through the pipe ``read`` to ``out`` as it arrives: whether all of it came in time.
+
+    A child sends the part's length in 8 bytes (little-endian), then the
+    part.  The copy ends with the part, or at the pipe's end (the child
+    raised or was killed), or at ``deadline``, a ``time.monotonic`` time.
     """
     import select
 
     poll = select.poll()
     poll.register(read, select.POLLIN)
-    chunks = []
-    while poll.poll(max(0.0, deadline - time.monotonic()) * 1000):
+    head, left = b"", -1
+    while left and poll.poll(max(0.0, deadline - time.monotonic()) * 1000):
         chunk = os.read(read, 1 << 16)
         if not chunk:
-            try:
-                return marshal.loads(b"".join(chunks))
-            except (EOFError, ValueError):  # nothing written, or cut short
-                return None
-        chunks.append(chunk)
-    return None
+            break
+        if left < 0:
+            head += chunk
+            if len(head) < 8:
+                continue
+            left, chunk = int.from_bytes(head[:8], "little"), head[8:]
+        out.write(chunk)
+        left -= len(chunk)
+    return left == 0
 
 
 def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple]] | None:
@@ -183,10 +231,9 @@ def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple]] | No
         return None
     doc = {"n": int(head[1]), "m": int(head[2])}
     a = head.end()
-    span, weight = len(text) - a, _PARSE_LEAD + count - 1
     cuts: list[int] = []  # index of each cut's "}"
-    for j in range(1, count):
-        cut = text.find("},{", a + int(span * (_PARSE_LEAD + j - 1) / weight))
+    for target in _cuts(len(text) - a, count)[1:-1]:
+        cut = text.find("},{", a + target)
         if cut < 0 or (cuts and cut <= cuts[-1]):
             return None
         cuts.append(cut)

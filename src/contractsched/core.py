@@ -22,10 +22,10 @@ import json
 import math
 import sys
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter, ne
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class Contract(NamedTuple):
@@ -172,20 +172,30 @@ def _split_count(items: int, least: int) -> int:
     return _parts._part_count(items, least)
 
 
-def _split(run: Callable[[int, int], tuple], items: int, least: int) -> list[tuple]:
+def _split(run: Callable[[int, int], object], items: int, least: int, lead: bool = True,
+           out: BinaryIO | None = None) -> list:
     """``run(lo, hi)`` for each of ``_split_count(items, least)`` contiguous ranges of ``range(items)``, in order.
 
-    The ranges are of equal count and run side by side through
-    ``_parts._in_parts``, so each part must be ``marshal``-able; a single
-    range runs here, and ``_parts`` is not imported.
+    The ranges run side by side through ``_parts._in_parts``, so each part
+    must be ``marshal``-able; a single range runs here, and ``_parts`` is
+    not imported.  ``lead`` says that the items are of one kind (windows,
+    contract rows), so the first range, this process's, is cut
+    ``_parts._LEAD`` times as long as each other (``_parts._cuts``);
+    without it (``verify``'s checks, whose costs differ) the ranges are of
+    equal count.  With ``out``, a seekable binary file, ``run`` yields its
+    range's bytes in blocks, which are written to ``out`` in range order,
+    and the list returned is empty.
     """
     count = _split_count(items, least)
-    if count == 1:
-        return [run(0, items)]
-    from ._parts import _in_parts
+    if count > 1:
+        from ._parts import _cuts, _in_parts
 
-    cuts = [items * j // count for j in range(count + 1)]
-    return _in_parts(run, list(zip(cuts, cuts[1:])))
+        cuts = _cuts(items, count, lead)
+        return _in_parts(run, list(zip(cuts, cuts[1:])), out)
+    if out is None:
+        return [run(0, items)]
+    out.writelines(run(0, items))
+    return []
 
 
 # sets a field from a record's __init__, past the __setattr__ that refuses assignment; one module-level
@@ -314,7 +324,8 @@ def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tup
 
 
 def _sweep(contracts: Sequence[Contract], n: int, fins: Sequence[float], times: Iterable[float],
-           order: Sequence[int]) -> Iterator[tuple[float, ...]]:
+           order: Sequence[int], start: int = 0,
+           longest: Sequence[float] | None = None) -> Iterator[tuple[float, ...]]:
     """The one sweep: ``snapshots_before`` of a contract sequence, at checked times.
 
     ``contracts`` need not be a ``Schedule``'s: ``fins[i]`` is the finish
@@ -323,9 +334,22 @@ def _sweep(contracts: Sequence[Contract], n: int, fins: Sequence[float], times: 
     sweeps it without building a schedule.  ``order`` is ``_ranked(fins)``,
     which every caller supplies; on one processor, whose finish times never
     decrease, it is the contract order.
+
+    The sweep starts at the rank position ``start``: each contract
+    ``order[:start]`` must finish before the first time, and ``longest``
+    holds each problem's longest length over them (it is not changed).
+    Without ``longest`` the sweep reads it from those contracts' lengths,
+    and no finish time before ``start`` is read.
     """
-    longest = [0.0] * n
-    pos, end, prev = 0, len(order), -math.inf
+    if longest is not None:
+        longest = list(longest)
+    else:
+        longest = [0.0] * n
+        if start:  # a sweep from the first position, the usual one, builds no iterator here
+            for problem, _, length in map(contracts.__getitem__, islice(order, start)):
+                if length > longest[problem]:
+                    longest[problem] = length
+    pos, end, prev = start, len(order), -math.inf
     for t in times:
         if not t >= prev:
             raise ValueError(f"interruption times must be ascending, got {t} after {prev}")
@@ -424,27 +448,46 @@ _ROW = '{"problem":%d,"processor":%d,"length":%r}'
 # Contract rows ``save_schedule`` joins into one string before writing them.
 _BLOCK = 1024
 
+# Fewest contract rows each range of ``save_schedule`` formats when it splits them (``_split``).  Measured on
+# whole ``gen`` commands of 4/2 exponential prefixes at base 1.004 in fresh processes (medians of 15, 2-vCPU
+# Xeon, Python 3.11), serial against split in two: 50.2 -> 51.5 ms at 12,000 rows, 59.4 -> 58.5 ms at
+# 20,000, 71.8 -> 67.7 ms at 30,000 and 84.1 -> 76.3 ms at 40,000.
+_SAVE_MIN = 10_000
+
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
     """Write ``schedule_to_dict(schedule)`` as compact JSON on one line.
 
-    The bytes are those of ``json.dumps(..., separators=(",", ":"))``; the
-    contract rows go through one format string instead of a dict each,
-    which takes about a fifth less time on a 100k-contract prefix.  They are
-    written ``_BLOCK`` rows at a time, so the text of the whole file is
-    never held: on that prefix it is 5.9 MB.  The file is truncated before
+    The bytes are those of ``json.dumps(..., separators=(",", ":"))``, which
+    writes only ASCII, and a newline; the contract rows go through one
+    format string instead of a dict each, which takes about a fifth less
+    time on a 100k-contract prefix.  They are written ``_BLOCK`` rows at a
+    time, so the text of the whole file is never held: on that prefix it is
+    5.9 MB.  From 2 × ``_SAVE_MIN`` rows on, into a file that can seek,
+    they are formatted in contiguous ranges side by side (``_split``): this
+    process writes the first range while a forked child formats each other
+    one, then copies each child's bytes from its pipe into the file as they
+    arrive.  A child that raised, died or outlived the bounded wait leaves
+    nothing in the file: what it sent is cut off, and this process formats
+    its range itself, into the same bytes.  The file is truncated before
     the first row is formatted, so a save interrupted or failing part way
-    leaves a partial file at ``path``, not the one that was there before.
+    leaves a partial file at ``path``, not the one that was there before,
+    and no child running.
     """
     compact = (",", ":")
     head = json.dumps({"n": schedule.n_problems, "m": schedule.m_processors}, separators=compact)[:-1]
     tail = "" if schedule.generator is None else ',"generator":' + json.dumps(schedule.generator, separators=compact)
     contracts = schedule.contracts
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f'{head},"contracts":[')
-        for start in range(0, len(contracts), _BLOCK):
-            out.write(("," if start else "") + ",".join(map(_ROW.__mod__, contracts[start:start + _BLOCK])))
-        out.write(f"]{tail}}}\n")
+
+    def rows(lo: int, hi: int) -> Iterator[bytes]:
+        for start in range(lo, hi, _BLOCK):
+            block = ",".join(map(_ROW.__mod__, contracts[start:min(start + _BLOCK, hi)]))
+            yield (("," if start else "") + block).encode()
+
+    with open(path, "wb") as out:
+        out.write(f'{head},"contracts":['.encode())
+        _split(rows, len(contracts), _SAVE_MIN if out.seekable() else sys.maxsize, out=out)
+        out.write(f"]{tail}}}\n".encode())
 
 
 def load_schedule(path: str | Path) -> Schedule:

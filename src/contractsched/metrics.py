@@ -22,11 +22,12 @@ them (scaling bisection, enumeration) live in ``verification``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Iterable
 
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
-# so all three stay imported.
-from .bounds import deficiency_upper_bound, geometric_functional
+# so all three stay imported.  ``bounds`` is imported only where an exponential schedule's analytic value
+# needs it.
 from .core import Schedule, _critical_times, _init_field, _length, _ranked, _Record, _split, _sweep, simulate
 from .core import critical_times  # noqa: F401
 from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
@@ -43,6 +44,13 @@ SHAPE_TOLERANCE = 4e-13
 # 4.2 -> 4.7 ms over 2,000 windows, 10.6 -> 8.5 ms over 5,000, 21.1 -> 15.1 ms over 10,000 and 211 -> 136 ms
 # over 100,000.
 _PART_MIN = 5_000
+
+# The same for the value-only acceleration and performance ratios, whose windows cost less each.  Measured
+# on whole eval commands of 4/2 exponential prefixes (base 1.004) in fresh processes, serial against split in
+# two (medians of 15, 2-vCPU Xeon, Python 3.11): acc took 58.3 -> 61.1 ms over 12,000 windows, 64.1 -> 66.5
+# ms over 16,000, 69.6 -> 68.7 ms over 20,000 and 81.7 -> 80.2 ms over 30,000; perf 64.5 -> 66.6, 70.3 ->
+# 69.3 and 75.2 -> 73.7 ms over 16,000, 20,000 and 24,000.  Both break even at about 20,000, so one value.
+_RATIO_PART_MIN = 10_000
 
 
 class MeasureSample(_Record):
@@ -98,7 +106,7 @@ class MeasureReport(_Record):
 
 def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None, *,
               samples: bool = True, lower: Callable[[tuple[float, ...]], float] | None = None,
-              split: bool = False) -> MeasureReport:
+              least: int | None = None) -> MeasureReport:
     """The one window loop; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes.
 
     The finish times are ranked once (``core._ranked``): the default
@@ -106,13 +114,17 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
     each window its snapshot, sorted once.  Only the pruned route lists its
     windows, to rank their ceilings t / ``lower``; the others stream them, so
     a long prefix never holds them all; the one with the largest ceiling
-    sets the first floor, then is read again in the pass.  ``split`` says
-    that ``denom_of`` keeps no state between windows and costs enough per
-    window to pay for a child (the LPT deficiency alone).  Then, when no
-    sample is kept, each window's ratio depends on its snapshot alone, so
-    ``core._split`` may run contiguous ranges of the windows side by side,
-    each through this same loop and the same ranking, which a child inherits
-    rather than sorting again; the parts merge into the serial report.
+    sets the first floor, then is read again in the pass.  ``least`` says
+    that ``denom_of`` keeps no state between windows, and is the fewest
+    windows that pay for a child.  Then, when no sample is kept, each
+    window's ratio depends on its snapshot alone, so ``core._split`` may run
+    contiguous ranges of the windows side by side, each through this same
+    loop and the same ranking, which a child inherits rather than sorting
+    again; the parts merge into the serial report.  A later range starts
+    its sweep at its first window (``core._sweep``): the contracts ranked
+    before it are those finishing before it, found by ``bisect_left`` on the
+    ranked finish times, and their longest lengths are read from the
+    contracts, so a child reads no finish time before its range.
     """
     explicit = window is not None
     fins = simulate(schedule)  # the one simulation: the windows and the sweep read it
@@ -124,8 +136,9 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
 
     def windows(lo: int, hi: int):
         part = times[lo:hi]
+        start = bisect_left(order, part[0], key=fins.__getitem__) if lo else 0
         return zip(part, (tuple(sorted(longest))
-                          for longest in _sweep(schedule.contracts, schedule.n_problems, fins, part, order)))
+                          for longest in _sweep(schedule.contracts, schedule.n_problems, fins, part, order, start)))
 
     floor = -math.inf  # the pruned route's first floor: the ratio of the window with the largest ceiling
 
@@ -164,8 +177,8 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
             t, snap = listed[ceilings.index(top)]
             floor = t / denom_of(snap)
         parts = [scan(listed)]
-    elif split and not samples:
-        parts = _split(lambda lo, hi: scan(windows(lo, hi)), len(times), _PART_MIN)
+    elif least is not None and not samples:
+        parts = _split(lambda lo, hi: scan(windows(lo, hi)), len(times), least)
     else:
         parts = [scan(windows(0, len(times)))]
 
@@ -208,6 +221,8 @@ def _acceleration_limit(schedule: Schedule) -> dict | None:
     b = _exponential_base(schedule)
     if b is None:
         return None
+    from .bounds import geometric_functional
+
     limit = geometric_functional("cyclic-acceleration", n=schedule.n_problems, m=schedule.m_processors)
     return {"kind": "limit", "value": limit(b)}
 
@@ -217,10 +232,11 @@ def acceleration_ratio(schedule: Schedule, window: Iterable[float] | None = None
     """sup over interruption times t, max over problems, of t / longest completed.
 
     ``samples=False`` asks for the value alone: no per-window row is kept,
-    and every other field is that of the full report.
+    and every other field is that of the full report.  The windows of a
+    long prefix may then be split across forked processes (``_evaluate``).
     """
     return _evaluate(schedule, window, "acceleration", lambda snap: snap[0], _acceleration_limit(schedule),
-                     samples=samples)
+                     samples=samples, least=_RATIO_PART_MIN)
 
 
 def performance_ratio(schedule: Schedule, window: Iterable[float] | None = None, *,
@@ -230,13 +246,15 @@ def performance_ratio(schedule: Schedule, window: Iterable[float] | None = None,
     The worst feasible offline schedule uses equal-length contracts; with m < n
     some processor stacks ceil(n/m) of them, so its contracts have length
     t/ceil(n/m).  For m >= n this coincides with the acceleration ratio.
-    ``samples=False`` keeps no per-window row, as in ``acceleration_ratio``.
+    ``samples=False`` keeps no per-window row and may split the windows, as
+    in ``acceleration_ratio``.
     """
     stack = math.ceil(schedule.n_problems / schedule.m_processors)
     analytic = _acceleration_limit(schedule)
     if analytic is not None:
         analytic["value"] /= stack
-    return _evaluate(schedule, window, "performance", lambda snap: stack * snap[0], analytic, samples=samples)
+    return _evaluate(schedule, window, "performance", lambda snap: stack * snap[0], analytic, samples=samples,
+                     least=_RATIO_PART_MIN)
 
 
 def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver: str = "exact", *,
@@ -315,12 +333,14 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     analytic = None
     b = _exponential_base(schedule)
     if b is not None:
+        from .bounds import deficiency_upper_bound
+
         # for m = 1 the bound is the limit b^(n+1)/(b^n - 1) of the series itself
         bound = deficiency_upper_bound(schedule.n_problems, m, b).value
         analytic = {"kind": "limit" if m == 1 else "upper_bound", "value": bound}
     prune = not samples and window is None and m > 1 and solver == "exact"
     report = _evaluate(schedule, window, "deficiency", denom_of, analytic, samples=samples,
                        lower=(lambda snap: lower_bound(snap, m)) if prune else None,
-                       split=(m > 1 and solver == "lpt"))
+                       least=_PART_MIN if m > 1 and solver == "lpt" else None)
     return report._replace(solver=solver, exact=(solver == "exact"), opt_solves=solves)
 

@@ -41,6 +41,7 @@ reports from its sorted snapshots.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import compress, groupby
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -118,7 +119,7 @@ _Row = tuple[int, int, float]
 
 
 def _ratios(contracts: Sequence[_Row], n: int, fins: list[float], held: list[float | None] | None = None,
-            start: int = 0, stop: int | None = None) -> list[float | None]:
+            start: int = 0, stop: int | None = None, longest: list[float] | None = None) -> list[float | None]:
     """Deficiency ratio right before each finish time in ``fins``, in contract order; None where a problem is unserved.
 
     ``fins[i]`` is the finish time of ``contracts[i]``: on one processor
@@ -127,11 +128,21 @@ def _ratios(contracts: Sequence[_Row], n: int, fins: list[float], held: list[flo
     Windows ``start`` to ``stop`` (the end by default) are swept from the
     contracts; the others are read from ``held``, the ratios of a state the
     caller knows to agree with ``contracts`` there (see ``_rewrite``).
+
+    The sweep starts at contract ``start`` with ``longest``, each
+    problem's longest length over the contracts before it, where the caller
+    carries them; the walk over those contracts is skipped.  Where window
+    ``start`` ties with its predecessor's finish time, the contracts tied
+    with it do not count there: the sweep then starts at the first of them,
+    and reads the lengths before it from the contracts.
     """
     times = fins[start:stop]
+    first = start
+    if 0 < start < len(fins) and fins[start - 1] == fins[start]:
+        first, longest = bisect_left(fins, fins[start], 0, start), None
     # a problem with nothing completed has longest length 0.0, and every completed length is positive
-    swept = [t / math.fsum(longest) if 0.0 not in longest else None
-             for t, longest in zip(times, _sweep(contracts, n, fins, times, list(range(len(fins)))))]
+    swept = [t / math.fsum(snap) if 0.0 not in snap else None
+             for t, snap in zip(times, _sweep(contracts, n, fins, times, list(range(len(fins))), first, longest))]
     if start:
         swept = held[:start] + swept
     if stop is not None:
@@ -177,15 +188,16 @@ _State = tuple[list[_Row], list[float], list[float | None]]
 _Move = tuple[str, int, tuple[int, int] | None, str | None, _State, tuple[int, list[float]] | None]
 
 
-def _removal(contracts: list[_Row], n: int, fins: list[float], ratios: list[float | None], idx: int) -> _State:
-    """The state without contract ``idx``.
+def _removal(contracts: list[_Row], n: int, fins: list[float], ratios: list[float | None], idx: int,
+             longest: list[float] | None = None) -> _State:
+    """The state without contract ``idx``; ``longest``, where known, is each problem's longest length before it.
 
     Windows before ``idx`` are kept; every later finish time moves, so every
     later window is swept again.
     """
     nxt = contracts[:idx] + contracts[idx + 1 :]
     nxt_fins = fins[:idx] + _finish_times(nxt[idx:], [fins[idx - 1] if idx else 0.0])
-    return nxt, nxt_fins, _ratios(nxt, n, nxt_fins, ratios, idx)
+    return nxt, nxt_fins, _ratios(nxt, n, nxt_fins, ratios, idx, None, longest)
 
 
 def _first_dominated(contracts: list[_Row], start: int, longest: list[float]) -> int | None:
@@ -233,6 +245,9 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
     the first and no contract was dominated.  Every other step is at or
     above ``clean`` (a removed dominated contract is found from there, and
     the pair rule, which makes no swap, leaves it at 0), so it stays valid.
+    Each scan leaves the longest lengths at the index it stops at, so a
+    dominated-contract removal and a swap start their sweep at i from them
+    (``_ratios``), and no step walks the unchanged contracts before i.
 
     Both deficiencies of a step are read from the held ratios, over the
     window sets ``TransformStep`` describes.
@@ -244,9 +259,10 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
     clean, longest = 0, [0.0] * n
     steps: list[TransformStep] = []
     while True:
-        dom = _first_dominated(cur, clean, longest.copy())
+        seen = longest.copy()
+        dom = _first_dominated(cur, clean, seen)
         if dom is not None:
-            move = "remove-dominated", dom, None, None, _removal(cur, n, fins, ratios, dom), None
+            move = "remove-dominated", dom, None, None, _removal(cur, n, fins, ratios, dom, seen), None
         else:
             move = next_move(cur, n, fins, ratios, clean, longest.copy())
             if move is None:
@@ -346,8 +362,8 @@ def _swap_move(contracts: list[_Row], n: int, fins: list[float], ratios: list[fl
     offending = contracts[idx][0]
     nxt = _swap_suffix(contracts, idx, target, offending)
     stop = _stop_window(contracts, fins, idx, target, offending, max(longest[target], longest[offending]))
-    return ("swap-assignment", idx, (target, offending), None, (nxt, fins, _ratios(nxt, n, fins, ratios, idx, stop)),
-            (idx, longest))
+    return ("swap-assignment", idx, (target, offending), None,
+            (nxt, fins, _ratios(nxt, n, fins, ratios, idx, stop, longest)), (idx, longest))
 
 
 def normalize(schedule: Schedule) -> NormalizationTrace:

@@ -101,9 +101,9 @@ def forced_ranges(monkeypatch):
     forked = []
     fork = _parts._fork
 
-    def recording(run, lo, hi):
+    def recording(run, lo, hi, raw):
         forked.append((lo, hi))
-        return fork(run, lo, hi)
+        return fork(run, lo, hi, raw)
 
     monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
     monkeypatch.setattr(_parts, "_fork", recording)
@@ -171,7 +171,7 @@ def test_a_check_that_hangs_in_a_child_runs_here_instead(monkeypatch):
 
 def test_with_no_child_forked_every_range_runs_here(monkeypatch):
     forced_ranges(monkeypatch)
-    monkeypatch.setattr(_parts, "_fork", lambda run, lo, hi: None)
+    monkeypatch.setattr(_parts, "_fork", lambda run, lo, hi, raw: None)
     results = verification.run_checks(0)
     assert [r.check_id for r in results] == list(DETAILS_DIGESTS)
     assert digests(results) == list(DETAILS_DIGESTS.values())

@@ -11,9 +11,11 @@ import pytest
 import contractsched
 from contractsched import (
     Contract,
+    ExponentialSpec,
     Schedule,
     acceleration_ratio,
     deficiency_optimal_base,
+    exponential_schedule,
     load_schedule,
     save_schedule,
     snapshot_before,
@@ -775,16 +777,20 @@ def test_cli_import_does_not_load_numpy():
 @pytest.mark.parametrize("args, extra", [
     (["gen", "--n", "2", "--m", "1", "--k", "8"], set()),
     (["bounds", "--name", "def-upper-beta", "--n", "3", "--m", "2"], {"bounds"}),
-    (["eval", "--schedule", "MULTI", "--measure", "def", "--solver", "exact"], {"bounds", "metrics"}),
+    # bounds is loaded only for an exponential generator's analytic value
+    (["eval", "--schedule", "MULTI", "--measure", "def", "--solver", "exact"], {"metrics"}),
+    (["eval", "--schedule", "EXP", "--measure", "def", "--solver", "exact"], {"bounds", "metrics"}),
+    (["eval", "--schedule", "EXP", "--measure", "acc"], {"bounds", "metrics"}),
     (["makespan", "--sizes", "3,1,4,1,5", "--m", "2"], set()),
     (["normalize", "--schedule", "SINGLE"], {"transforms"}),
     (["verify", "--only", "C01"], {"bounds", "metrics", "transforms", "verification"}),
-], ids=["gen", "bounds", "eval", "makespan", "normalize", "verify"])
+], ids=["gen", "bounds", "eval", "eval-exponential-def", "eval-exponential-acc", "makespan", "normalize", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, extra):
     # one stray top-level import in cli.py would make every command compile every module again
-    paths = {"MULTI": tmp_path / "multi.json", "SINGLE": tmp_path / "single.json"}
+    paths = {"MULTI": tmp_path / "multi.json", "SINGLE": tmp_path / "single.json", "EXP": tmp_path / "exp.json"}
     save_schedule(Schedule(2, 2, [Contract(0, 0, 1.0), Contract(1, 1, 2.0), Contract(0, 1, 4.0)]), paths["MULTI"])
     save_schedule(Schedule(2, 1, [Contract(0, 0, 1.0), Contract(1, 0, 2.0), Contract(0, 0, 4.0)]), paths["SINGLE"])
+    save_schedule(exponential_schedule(ExponentialSpec(n=2, m=2, base=2.0, k_max=8)), paths["EXP"])
     assert loaded_submodules([str(paths.get(a, a)) for a in args]) == CLI_IMPORT_MODULES | extra
 
 

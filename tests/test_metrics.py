@@ -411,18 +411,19 @@ def test_every_route_simulates_the_schedule_once(monkeypatch):
 
 
 def forced_split(monkeypatch):
-    """Split every value-only LPT loop of at least 4 windows into up to three ranges, whatever the host.
+    """Split every value-only acc, perf and LPT loop of at least 4 windows into up to three ranges, whatever the host.
 
     Returns the list that records each range given to a child.
     """
     forked = []
     fork = _parts._fork
 
-    def recording(run, lo, hi):
+    def recording(run, lo, hi, raw):
         forked.append((lo, hi))
-        return fork(run, lo, hi)
+        return fork(run, lo, hi, raw)
 
     monkeypatch.setattr(metrics, "_PART_MIN", 2)
+    monkeypatch.setattr(metrics, "_RATIO_PART_MIN", 2)
     monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 3))
     monkeypatch.setattr(_parts, "_fork", recording)
     return forked
@@ -459,27 +460,64 @@ def test_split_reports_equal_the_serial_ones(monkeypatch, explicit):
     assert_no_child_left()
 
 
+def ratio_split_cases():
+    """Schedules and windows whose second range starts where a child must find its own first snapshot.
+
+    Lengths from {1, 2, 4} on two or three processors tie many finish times, also at a range's first window;
+    a schedule that serves one problem first has unserved leading windows, some in a child's range; and the
+    explicit windows are drawn between finish times, so a child's first window is never one of them.
+    """
+    rng = random.Random(35)
+    for case in range(30):
+        n, m = rng.randint(1, 4), rng.randint(2, 3)
+        problems = [0] * rng.randint(0, 60) + [rng.randrange(n) for _ in range(rng.randint(8, 30))]
+        s = sched(n, m, [(p, rng.randrange(m), rng.choice((1.0, 2.0, 4.0))) for p in problems])
+        fins = sorted(set(critical_times(s)))
+        window = None
+        if case % 2:
+            window = [rng.uniform(0.5, fins[-1] * 1.1) for _ in range(rng.randint(4, 40))]
+            assert not set(window) & set(fins)
+        yield s, window
+
+
+@pytest.mark.parametrize("measure", [acceleration_ratio, performance_ratio], ids=["acc", "perf"])
+def test_value_only_ratios_split_into_the_serial_reports(monkeypatch, measure):
+    cases = list(ratio_split_cases())
+    forked = forced_split(monkeypatch)
+    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
+    split = [repr(measure(s, window=window, samples=False)) for s, window in cases]
+    assert len(forked) == len(cases)
+    monkeypatch.setattr(_parts, "_workers", lambda tasks: 1)
+    serial = [measure(s, window=window, samples=False) for s, window in cases]
+    assert [repr(report) for report in serial] == split
+    assert len(forked) == len(cases)
+    # some child's range opens with unserved windows, of the default window and of an explicit one
+    assert {window is None for (_, window), (lo, _), report in zip(cases, forked, serial)
+            if len(report.unserved_times) > lo} == {True, False}
+    assert_no_child_left()
+
+
 def test_split_argmax_is_the_earliest_window_of_a_maximum_tied_across_ranges(monkeypatch):
     # the window 3 * 2^i sees the contract 2^i as the longest completed, after 2^(i+1) - 1 and before
     # 2^(i+2) - 1, and one job's LPT makespan is its size, so every one of the 30 ratios is exactly 3, in
-    # each of the three ranges
+    # each of the three ranges (the first, this process's, is _LEAD = 1.2 times as long as each other)
     s = sched(1, 2, [(0, 0, 2.0**i) for i in range(40)])
     window = [3 * 2.0**i for i in range(1, 31)]
     forked = forced_split(monkeypatch)
     report = lpt_value(s, window)
-    assert forked == [(10, 20), (20, 30)]
+    assert forked == [(11, 20), (20, 30)]
     assert (report.value, report.argmax_time, report.windows) == (3.0, 6.0, 30)
     assert_no_child_left()
 
 
 def test_split_concatenates_unserved_windows_across_ranges(monkeypatch):
-    # problem 1 completes its first contract at 12.0: the windows 1.0 ... 12.0 are unserved, the ten of the
-    # first range and the first two of the second
+    # problem 1 completes its first contract at 12.0: the windows 1.0 ... 12.0 are unserved, the eleven of
+    # the first range and the first of the second
     s = sched(2, 2, [(0, 0, 1.0)] * 11 + [(1, 0, 1.0)] + [((i + 1) % 2, 0, 1.0 + i / 8) for i in range(18)])
     serial = lpt_value(s)
     forked = forced_split(monkeypatch)
     report = lpt_value(s)
-    assert forked == [(10, 20), (20, 30)]
+    assert forked == [(11, 20), (20, 30)]
     assert report.unserved_times == tuple(float(t) for t in range(1, 13))
     assert report.windows == 18
     assert repr(report) == repr(serial)
@@ -553,12 +591,11 @@ def test_nothing_forks_where_a_split_is_not_allowed(monkeypatch):
     s = random_sched(random.Random(10), 3, 2, 40)
     one = random_sched(random.Random(10), 3, 1, 40)
     forked = forced_split(monkeypatch)
-    # samples kept; windows too cheap to pay for a child: the acceleration and performance ratios and the
-    # deficiency on one processor, LPT or not; the exact solver's shape memo on m >= 2, pruned or over an
-    # explicit window
+    # samples kept; windows too cheap to pay for a child: the deficiency on one processor, LPT or not; the
+    # exact solver's shape memo on m >= 2, pruned or over an explicit window
     deficiency(s, solver="lpt")
-    acceleration_ratio(s, samples=False)
-    performance_ratio(s, samples=False)
+    acceleration_ratio(s)
+    performance_ratio(s, window=critical_times(s))
     deficiency(one, samples=False)
     deficiency(one, solver="lpt", samples=False)
     deficiency(s, samples=False)
@@ -574,15 +611,21 @@ def test_nothing_forks_where_a_split_is_not_allowed(monkeypatch):
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive() and forked == []
-    # fewer than 2 * _PART_MIN windows
+    # fewer than 2 * _PART_MIN windows, and fewer than 2 * _RATIO_PART_MIN
     monkeypatch.setattr(metrics, "_PART_MIN", 10_000)
+    monkeypatch.setattr(metrics, "_RATIO_PART_MIN", 10_000)
     lpt_value(s)
+    acceleration_ratio(s, samples=False)
+    performance_ratio(s, samples=False)
     assert forked == []
-    # and at 2 * _PART_MIN windows it splits
+    # and at 2 * _PART_MIN windows each splits, the first range 1.2 times as long as the second
     big = exponential_schedule(ExponentialSpec(n=2, m=2, base=1.004, k_max=20_000))
     assert len(critical_times(big)) == 20_000
-    lpt_value(big)
-    assert forked == [(10_000, 20_000)]
+    for value_only in (lpt_value, lambda s: acceleration_ratio(s, samples=False),
+                       lambda s: performance_ratio(s, samples=False)):
+        forked.clear()
+        value_only(big)
+        assert forked == [(10_909, 20_000)]
     assert_no_child_left()
 
 

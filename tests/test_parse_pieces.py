@@ -20,9 +20,9 @@ def forced_pieces(monkeypatch):
     forked = []
     fork = _parts._fork
 
-    def recording(run, lo, hi):
+    def recording(run, lo, hi, raw):
         forked.append((lo, hi))
-        return fork(run, lo, hi)
+        return fork(run, lo, hi, raw)
 
     monkeypatch.setattr(core, "_PARSE_MIN", 0)
     monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 3))
