@@ -21,9 +21,8 @@ import threading
 import time
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import BinaryIO, Callable, Iterable
-
-from .core import _ROW_FIELDS
 
 # A child that has not reported this many times the caller's own part later, plus _WAIT_S seconds, is
 # taken for hung (``_in_parts``); its part is no longer than the caller's.
@@ -32,10 +31,11 @@ _WAIT_FACTOR, _WAIT_S = 10, 1.0
 # How many times as many items the caller's own range takes as each child's, where the items are of one
 # kind (``_cuts``): windows, contract rows or a file's characters.  A child also forks, finds where its range
 # starts and sends its part back, so on two CPUs the caller's range holds 55% of the items.  On the 100k
-# ``long-prefix-cli`` prefix, in fresh processes (medians of 11, 2-vCPU Xeon), a lead of 1.0, 1.1, 1.2, 1.3,
-# 1.4 and 1.6 took 140.0, 137.4, 135.0, 133.1, 134.2 and 137.9 ms for gen; 164.9, 161.4, 160.8, 162.5, 162.4
-# and 163.0 ms for the acceleration ratio's eval (its 5.9 MB file loads in pieces too); and 238.6, 232.1,
-# 235.6, 240.9, 244.6 and 254.0 ms for the LPT deficiency's: 711, 695, 694, 700, 705 and 719 ms with perf's.
+# ``long-prefix-cli`` prefix, in fresh processes (medians of 15, 2-vCPU Xeon, Python 3.11), a lead of 1.0, 1.1,
+# 1.2, 1.3, 1.4 and 1.6 took 131.6, 130.5, 127.4, 124.4, 126.0 and 129.4 ms for gen; 156.0, 155.0, 155.0,
+# 155.9, 156.0 and 157.1 ms for the acceleration ratio's eval (its 5.9 MB file loads in pieces too); and
+# 235.2, 229.1, 233.1, 236.8, 242.8 and 250.0 ms for the LPT deficiency's: 681, 669, 673, 675, 683 and 695 ms
+# with perf's.  Over 21 more rounds 1.1, 1.2 and 1.3 took 671.8, 672.9 and 677.0 ms, so 1.2 stays.
 _LEAD = 1.2
 
 # The head ``save_schedule`` writes, up to the "[" that opens the contracts; n and m are JSON integers.
@@ -200,10 +200,11 @@ def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple]] | No
     """``core._parse`` in ``count`` pieces: (document, contract rows), or None where ``_HEAD`` does not start the text.
 
     The caller parses the first piece of the ``"contracts"`` array and a
-    forked child each other one (``_in_parts``); each child sends its rows
-    back by ``marshal``.  The rows are ``core._ROW_FIELDS`` tuples, and the
-    document has no ``"contracts"``.  The pieces joined are what one
-    ``json.loads(text)`` gives, because:
+    forked child each other one (``_in_parts``); each child sends its
+    piece's columns back by ``marshal`` (``_piece``).  The rows are the
+    columns zipped into ``core._ROW_FIELDS`` tuples, and the document has
+    no ``"contracts"``.  The pieces joined are what one ``json.loads(text)``
+    gives, because:
 
     * the head: ``_HEAD`` matches the text from its first character, so its
       ``[`` opens the value of the top-level ``"contracts"``, outside every
@@ -238,17 +239,24 @@ def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple]] | No
             return None
         cuts.append(cut)
     ranges = list(zip([a] + [cut + 2 for cut in cuts], [cut + 1 for cut in cuts] + [len(text)]))
-    parts = _in_parts(partial(_piece, text), ranges)
-    doc.update(parts[-1][1])
-    return doc, chain.from_iterable(part[0] for part in parts)
+    problems, processors, lengths, rests = zip(*_in_parts(partial(_piece, text), ranges))
+    doc.update(rests[-1])
+    return doc, zip(chain.from_iterable(problems), chain.from_iterable(processors), chain.from_iterable(lengths))
 
 
-def _piece(text: str, lo: int, hi: int) -> tuple[list[tuple], dict | None]:
-    """The rows of ``text[lo:hi]``, a piece of the contracts array, as ``_ROW_FIELDS`` tuples, and the members after it.
+_PROBLEM, _PROCESSOR, _LENGTH = map(itemgetter, ("problem", "processor", "length"))
 
-    The members after the array are read for the last piece alone (``hi``
-    is the text's end), and None stands for them otherwise.  Raises
-    ValueError where ``core._parse`` must fall back.
+
+def _piece(text: str, lo: int, hi: int) -> tuple[list, list, list, dict | None]:
+    """The rows of ``text[lo:hi]``, a piece of the contracts array, as columns, and the members after it.
+
+    The columns are the rows' problems, processors and lengths, three flat
+    lists that ``marshal`` sends in two thirds of the time of row tuples; a
+    row that lacks a field raises KeyError, and one that is not an object
+    TypeError, as with ``core._ROW_FIELDS``.  The members after the array
+    are read for the last piece alone (``hi`` is the text's end), and None
+    stands for them otherwise.  Raises ValueError where ``core._parse``
+    must fall back.
     """
     rest = None
     if hi < len(text):
@@ -266,4 +274,4 @@ def _piece(text: str, lo: int, hi: int) -> tuple[list[tuple], dict | None]:
             raise ValueError("the contracts are followed by neither a member nor the document's end")
     if not rows:
         raise ValueError("an empty piece of the contracts")
-    return list(map(_ROW_FIELDS, rows)), rest
+    return list(map(_PROBLEM, rows)), list(map(_PROCESSOR, rows)), list(map(_LENGTH, rows)), rest

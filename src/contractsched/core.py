@@ -21,8 +21,7 @@ import gc
 import json
 import math
 import sys
-from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter, ne
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -41,9 +40,13 @@ class Contract(NamedTuple):
     length: float
 
 
-# Contract from a (problem, processor, length) tuple without the Python-level
-# __new__ that Contract(...) runs per call; for bulk construction only.
-contract_of = partial(tuple.__new__, Contract)
+def _contracts(rows: Iterable[Iterable]) -> tuple[Contract, ...]:
+    """A ``Contract`` from each (problem, processor, length) row, in one C-level map: the one bulk build.
+
+    It skips the Python-level ``__new__`` that ``Contract(...)`` runs per
+    call, and checks nothing: ``Schedule`` checks the fields.
+    """
+    return tuple(map(tuple.__new__, repeat(Contract), rows))
 
 
 class _Record:
@@ -229,10 +232,10 @@ class Schedule(_Record):
                     and 0 <= problem < n and 0 <= processor < m and 0.0 < length < math.inf):
                 # a contract is bad or has an int length: check each in order, problem, processor, then
                 # length, so the error names the first bad field of the first bad contract
-                contracts = tuple(contract_of((_index(p, n, f"contract {i}: problem"),
-                                               _index(q, m, f"contract {i}: processor"),
-                                               _length(x, f"contract {i}: length")))
-                                  for i, (p, q, x) in enumerate(contracts))
+                contracts = _contracts((_index(p, n, f"contract {i}: problem"),
+                                        _index(q, m, f"contract {i}: processor"),
+                                        _length(x, f"contract {i}: length"))
+                                       for i, (p, q, x) in enumerate(contracts))
                 break
         if generator is not None:
             if not isinstance(generator, dict):
@@ -425,7 +428,7 @@ def schedule_from_dict(doc: dict) -> Schedule:
             raise ValueError(f"schedule 'contracts' must be a list, got {type(rows).__name__}")
         try:
             # one map reads every row, so a well-formed 100k-contract file runs no Python code per contract here
-            contracts = tuple(map(contract_of, map(_ROW_FIELDS, rows)))
+            contracts = _contracts(map(_ROW_FIELDS, rows))
         except TypeError:  # a row that is not a dict cannot be indexed by a field name
             idx, row = next((idx, row) for idx, row in enumerate(rows) if not isinstance(row, dict))
             raise ValueError(f"contract {idx} must be a JSON object, got {type(row).__name__}") from None
@@ -501,7 +504,9 @@ def load_schedule(path: str | Path) -> Schedule:
     100k-contract file the collections they trigger take about a fifth of
     the load.  The caller's collector state is restored however the load
     ends, and a collector the caller disabled stays so.  The file's text is
-    released as soon as it is parsed, before the contracts are built.
+    released as soon as it is parsed, before the contracts are built in
+    one map (``_contracts``) from its rows, or, parsed in pieces, from the
+    columns each piece sends, zipped into rows.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -515,7 +520,7 @@ def load_schedule(path: str | Path) -> Schedule:
         del text
         if rows is None:
             return schedule_from_dict(doc)
-        return _schedule_of(doc, tuple(map(contract_of, rows)))
+        return _schedule_of(doc, _contracts(rows))
     finally:
         if collecting:
             gc.enable()
@@ -533,7 +538,8 @@ def _parse(text: str) -> tuple[object, Iterable[tuple] | None]:
 
     The rows are the (problem, processor, length) tuples ``_ROW_FIELDS``
     reads from the document's ``"contracts"``, which the document then
-    lacks.  A text of ``save_schedule``'s layout is parsed in
+    lacks (a piece sends them as columns, ``_parts._piece``).  A text of
+    ``save_schedule``'s layout is parsed in
     ``_split_count(len(text), _PARSE_MIN)`` pieces when that is more than
     one; ``_parts._parse_in_pieces`` says why the pieces joined are one
     parse.  Any ``ValueError``, ``RecursionError``, ``KeyError`` (a row

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import gc
 import math
-from itertools import repeat
-from operator import mod
+from itertools import cycle, islice, repeat
 
-from .core import Schedule, _base, _count, _init_field, _Record, contract_of
+from .core import Schedule, _base, _contracts, _count, _init_field, _Record
 
 
 class ExponentialSpec(_Record):
@@ -46,10 +45,12 @@ def exponential_schedule(spec: ExponentialSpec) -> Schedule:
     collecting = gc.isenabled()
     gc.disable()  # the contracts make no reference cycle, and a collection per 700 of them is wasted
     try:
+        # b**i grows with i, so the last length overflows exactly when any would: this one pow refuses an
+        # overflowing base and k before a single contract is built
+        pow(float(b), k - 1)
         # contract i is (i mod n, i mod m, float(b)**i), built in one map with no Python code per contract
-        contracts = tuple(map(contract_of, zip(map(mod, range(k), repeat(spec.n)),
-                                               map(mod, range(k), repeat(spec.m)),
-                                               map(pow, repeat(float(b)), range(k)))))
+        contracts = _contracts(zip(islice(cycle(range(spec.n)), k), islice(cycle(range(spec.m)), k),
+                                   map(pow, repeat(float(b)), range(k))))
     except OverflowError:
         raise ValueError(f"base {b!r} with k={k} contracts overflows: {b!r}**{k - 1} exceeds the float range") from None
     finally:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import partial
 from typing import Callable, Iterable
 
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
@@ -107,24 +108,28 @@ class MeasureReport(_Record):
 def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None, *,
               samples: bool = True, lower: Callable[[tuple[float, ...]], float] | None = None,
               least: int | None = None) -> MeasureReport:
-    """The one window loop; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes.
+    """The window loops; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes.
 
     The finish times are ranked once (``core._ranked``): the default
     windows are read from that ranking, and one ``core._sweep`` over it gives
-    each window its snapshot, sorted once.  Only the pruned route lists its
-    windows, to rank their ceilings t / ``lower``; the others stream them, so
-    a long prefix never holds them all; the one with the largest ceiling
-    sets the first floor, then is read again in the pass.  ``least`` says
+    each window its snapshot, sorted once.  A value-only call without
+    ``lower`` runs the lean loop: each snapshot is sorted into a list, which
+    every denominator takes, an unserved window is only noted (unserved
+    windows come first, so an explicit one makes the value +inf at the
+    first), and nothing else is kept or tested per window.  ``least`` says
     that ``denom_of`` keeps no state between windows, and is the fewest
-    windows that pay for a child.  Then, when no sample is kept, each
-    window's ratio depends on its snapshot alone, so ``core._split`` may run
-    contiguous ranges of the windows side by side, each through this same
-    loop and the same ranking, which a child inherits rather than sorting
-    again; the parts merge into the serial report.  A later range starts
-    its sweep at its first window (``core._sweep``): the contracts ranked
-    before it are those finishing before it, found by ``bisect_left`` on the
-    ranked finish times, and their longest lengths are read from the
-    contracts, so a child reads no finish time before its range.
+    windows that pay for a child: ``core._split`` may then run contiguous
+    ranges of the windows side by side, each through the lean loop and the
+    same ranking, which a child inherits rather than sorting again; the
+    parts merge into the serial report.  A later range starts its sweep at
+    its first window (``core._sweep``): the contracts ranked before it are
+    those finishing before it, found by ``bisect_left`` on the ranked finish
+    times, and their longest lengths are read from the contracts, so a child
+    reads no finish time before its range.  Samples and ``lower`` take one
+    serial loop over tuple snapshots.  Only the pruned route lists its
+    windows, to rank their ceilings t / ``lower``; the others stream them,
+    so a long prefix never holds them all; the one with the largest ceiling
+    sets the first floor, then is read again in the pass.
     """
     explicit = window is not None
     fins = simulate(schedule)  # the one simulation: the windows and the sweep read it
@@ -133,22 +138,47 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
         times = sorted(_length(t, "interruption time") for t in window)
     else:
         times = _critical_times(list(map(fins.__getitem__, order)))
+    contracts, n = schedule.contracts, schedule.n_problems
+    rows: list[MeasureSample] = []
+    pruned = 0
 
-    def windows(lo: int, hi: int):
-        part = times[lo:hi]
-        start = bisect_left(order, part[0], key=fins.__getitem__) if lo else 0
-        return zip(part, (tuple(sorted(longest))
-                          for longest in _sweep(schedule.contracts, schedule.n_problems, fins, part, order, start)))
+    if not samples and lower is None:
+        def lean(lo: int, hi: int) -> tuple[list[float], float, float | None]:
+            part = times[lo:hi]
+            start = bisect_left(order, part[0], key=fins.__getitem__) if lo else 0
+            unserved: list[float] = []
+            value, argmax = -math.inf, None
+            for t, snap in zip(part, map(sorted, _sweep(contracts, n, fins, part, order, start))):
+                if snap[0] > 0.0:
+                    ratio = t / denom_of(snap)
+                    if ratio > value:
+                        value, argmax = ratio, t
+                else:
+                    unserved.append(t)
+            return unserved, value, argmax
 
-    floor = -math.inf  # the pruned route's first floor: the ratio of the window with the largest ceiling
-
-    def scan(part) -> tuple[list[MeasureSample], list[float], float, float | None, int]:
-        rows: list[MeasureSample] = []
-        unserved: list[float] = []
-        value = -math.inf
-        argmax: float | None = None
-        pruned = 0
-        for i, (t, snap) in enumerate(part):
+        parts = [lean(0, len(times))] if least is None else _split(lean, len(times), least)
+        unserved, value, argmax = parts[0]
+        for part_unserved, part_value, part_argmax in parts[1:]:
+            unserved += part_unserved
+            if part_value > value:  # strictly: the earliest part attaining the maximum keeps its window
+                value, argmax = part_value, part_argmax
+        if explicit and unserved:
+            value, argmax = math.inf, unserved[0]
+    else:
+        windows = zip(times, map(tuple, map(sorted, _sweep(contracts, n, fins, times, order))))
+        floor = -math.inf  # the pruned route's first floor: the ratio of the window with the largest ceiling
+        if lower is not None:
+            windows = list(windows)
+            # a served window's ceiling is positive, so 0.0 never ranks an unserved one first
+            ceilings = [t / lower(snap) if snap[0] > 0.0 else 0.0 for t, snap in windows]
+            top = max(ceilings, default=0.0)
+            if top > 0.0:
+                t, snap = windows[ceilings.index(top)]
+                floor = t / denom_of(snap)
+        unserved = []
+        value, argmax = -math.inf, None
+        for i, (t, snap) in enumerate(windows):
             served = snap[0] > 0.0
             if not served:
                 unserved.append(t)
@@ -164,31 +194,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
             if samples:
                 rows.append(MeasureSample(t, snap, denom, ratio, served))
             if ratio > value:
-                value = ratio
-                argmax = t
-        return rows, unserved, value, argmax, pruned
-
-    if lower is not None:
-        listed = list(windows(0, len(times)))
-        # a served window's ceiling is positive, so 0.0 never ranks an unserved one first
-        ceilings = [t / lower(snap) if snap[0] > 0.0 else 0.0 for t, snap in listed]
-        top = max(ceilings, default=0.0)
-        if top > 0.0:
-            t, snap = listed[ceilings.index(top)]
-            floor = t / denom_of(snap)
-        parts = [scan(listed)]
-    elif least is not None and not samples:
-        parts = _split(lambda lo, hi: scan(windows(lo, hi)), len(times), least)
-    else:
-        parts = [scan(windows(0, len(times)))]
-
-    rows, unserved, value, argmax, pruned = parts[0]
-    for part_rows, part_unserved, part_value, part_argmax, part_pruned in parts[1:]:
-        rows += part_rows
-        unserved += part_unserved
-        if part_value > value:  # strictly: the earliest part attaining the maximum keeps its window
-            value, argmax = part_value, part_argmax
-        pruned += part_pruned
+                value, argmax = ratio, t
     if value == -math.inf:
         value = math.inf  # nothing served: any interruption is infinitely bad
         argmax = None
@@ -313,12 +319,8 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     shapes: dict[tuple[float, ...], tuple[tuple[float, ...], tuple[int, ...]]] = {}
     solves = 0
 
-    def denom_of(snap: tuple[float, ...]) -> float:
+    def exact(snap: tuple[float, ...]) -> float:
         nonlocal solves
-        if m == 1:
-            return math.fsum(snap)
-        if solver == "lpt":
-            return _lpt_span(snap, m)
         top = snap[-1]
         ratios = tuple(v / top for v in snap)
         key = tuple(float(f"{r:.12g}") for r in ratios)
@@ -329,6 +331,9 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
         best = exact_makespan(MakespanInstance(sizes=snap, m=m))
         shapes.setdefault(key, (ratios, best.processor_of))
         return best.makespan
+
+    # picked once per call; each takes any ascending sequence, the lean loop's lists included
+    denom_of = math.fsum if m == 1 else partial(_lpt_span, m=m) if solver == "lpt" else exact
 
     analytic = None
     b = _exponential_base(schedule)

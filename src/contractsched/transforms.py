@@ -46,7 +46,7 @@ from itertools import compress, groupby
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .core import Schedule, _finish_times, _init_field, _Record, _sweep, contract_of, simulate
+from .core import Schedule, _contracts, _finish_times, _init_field, _Record, _sweep, simulate
 
 
 class TransformStep(_Record):
@@ -277,7 +277,7 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
         if resume is not None:
             clean, longest = resume
 
-    output = Schedule(n, 1, map(contract_of, cur)) if steps else schedule
+    output = Schedule(n, 1, _contracts(cur)) if steps else schedule
     return NormalizationTrace(input=schedule, output=output, steps=tuple(steps), run_outcomes=tuple(outcomes))
 
 

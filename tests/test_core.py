@@ -441,6 +441,8 @@ def test_schedule_file_is_written_and_read_without_a_second_copy_of_its_text(tmp
     # save never holds the whole file's text, and load releases the text before it builds the contracts
     s = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=20_000))
     path = tmp_path / "s.json"
+    from contractsched import _parts  # noqa: F401  the split save imports it: compiled here, out of the peak
+
     tracemalloc.start()
     try:
         save_schedule(s, path)
@@ -574,3 +576,29 @@ def test_loosely_typed_rows_load_as_the_exactly_typed_ones():
 def test_json_missing_key_raises():
     with pytest.raises(ValueError):
         schedule_from_dict({"n": 1, "m": 1})
+
+
+def test_every_builder_makes_contracts_not_plain_tuples(tmp_path, monkeypatch):
+    # a plain (p, q, x) tuple compares equal to its Contract, so only the type tells them apart
+    from contractsched import _parts, normalize
+
+
+    s = exponential_schedule(ExponentialSpec(n=3, m=2, base=1.5, k_max=60))
+    doc = schedule_to_dict(s)
+    loose = json.loads(json.dumps(doc).replace('"length": 1.0}', '"length": 1}'))  # an int length: the checked path
+    path = tmp_path / "s.json"
+    save_schedule(s, path)
+    built = {"exponential_schedule": s, "schedule_from_dict": schedule_from_dict(doc),
+             "schedule_from_dict, int length": schedule_from_dict(loose), "load_schedule": load_schedule(path)}
+    monkeypatch.setattr(core, "_PARSE_MIN", 0)
+    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
+    assert core._parse(path.read_text(encoding="utf-8"))[1] is not None
+    built["load_schedule in pieces"] = load_schedule(path)
+    one = Schedule(2, 1, [Contract(0, 0, 1.0), Contract(0, 0, 2.0), Contract(1, 0, 4.0)])
+    trace = normalize(one)
+    assert trace.steps
+    built["normalize"] = trace.output
+    assert loose["contracts"][0]["length"] == 1
+    for name, schedule in built.items():
+        assert schedule.contracts == s.contracts or name == "normalize"
+        assert {type(c) for c in schedule.contracts} == {Contract}, name

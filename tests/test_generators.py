@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -23,13 +24,12 @@ def test_doubling_lengths():
 def test_exponential_schedule_pauses_the_collector_and_restores_the_callers_state(monkeypatch, caller_collects,
                                                                                   base, error):
     during = []
-    contract_of = generators.contract_of
 
-    def recording(row):
+    def recording(base, exponent):  # every length, and the one up-front overflow check, runs through pow
         during.append(gc.isenabled())
-        return contract_of(row)
+        return pow(base, exponent)
 
-    monkeypatch.setattr(generators, "contract_of", recording)
+    monkeypatch.setattr(generators, "pow", recording, raising=False)
     spec = ExponentialSpec(n=2, m=1, base=base, k_max=40)
     was = gc.isenabled()
     try:
@@ -43,6 +43,18 @@ def test_exponential_schedule_pauses_the_collector_and_restores_the_callers_stat
     finally:
         gc.enable() if was else gc.disable()
     assert during and not any(during)
+
+
+def test_an_overflowing_base_is_refused_before_any_contract_is_built():
+    # the current map would build about 710,000 contracts before 1.001**i overflows
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^base 1\.001 with k=1000000 contracts overflows: 1\.001\*\*999999 "):
+            exponential_schedule(ExponentialSpec(n=2, m=1, base=1.001, k_max=1_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_round_robin_assignment():
