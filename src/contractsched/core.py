@@ -30,9 +30,9 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 class Contract(NamedTuple):
     """One execution unit: a run of a given length for one problem on one processor.
 
-    A named tuple: it compares equal to the plain tuple of its fields, and a
-    schedule file or an exponential prefix builds all its contracts in one
-    map with no Python code per contract.
+    A named tuple: it compares equal to the plain tuple of its fields.  Only
+    ``Schedule`` makes them, from (problem, processor, length) rows, all in
+    one map with no Python code per contract.
     """
 
     problem: int
@@ -41,10 +41,10 @@ class Contract(NamedTuple):
 
 
 def _contracts(rows: Iterable[Iterable]) -> tuple[Contract, ...]:
-    """A ``Contract`` from each (problem, processor, length) row, in one C-level map: the one bulk build.
+    """A ``Contract`` from each (problem, processor, length) row, in one C-level map: ``Schedule``'s one build.
 
     It skips the Python-level ``__new__`` that ``Contract(...)`` runs per
-    call, and checks nothing: ``Schedule`` checks the fields.
+    call, and checks nothing, a row's length included: ``Schedule`` does.
     """
     return tuple(map(tuple.__new__, repeat(Contract), rows))
 
@@ -212,31 +212,49 @@ class Schedule(_Record):
     Contracts are stored in global execution order.  ``generator`` optionally
     records the rule that produced the prefix (e.g. an exponential family),
     which lets evaluators report analytic limits next to empirical suprema.
-    Every contract, whatever built it, is checked here and nowhere else: its
-    problem and processor by ``_index``, its length by ``_length`` (an int
-    length is stored as a float), and a ValueError names the first bad field.
-    So is the generator: ``None``, or a dict whose ``"family"`` is a ``str``,
-    with a ``"base"`` that obeys ``_base`` if the family is ``"exponential"``.
+    ``contracts`` is any iterable of (problem, processor, length) rows, read
+    once.  Whatever made them, each becomes a ``Contract`` here, in one map
+    (``_contracts``) with the cyclic collector paused (the caller's state is
+    restored however the build ends), and is checked here and nowhere else:
+    three fields, problem and processor by ``_index``, length by ``_length``
+    (an int length is stored as a float); a ValueError names the first bad
+    field.  So is the generator: ``None``, or a dict whose ``"family"`` is a
+    ``str``, with a ``"base"`` that obeys ``_base`` if it is ``"exponential"``.
     """
 
     __slots__ = _fields = ("n_problems", "m_processors", "contracts", "generator")
 
-    def __init__(self, n_problems: int, m_processors: int, contracts: Iterable[Contract],
+    def __init__(self, n_problems: int, m_processors: int, contracts: Iterable[Iterable],
                  generator: dict | None = None) -> None:
-        contracts = tuple(contracts)
         n, m = _count(n_problems, "n_problems"), _count(m_processors, "m_processors")
-        # one combined test per contract, exact types included (a NaN fails every comparison); min/max/sum
-        # passes over the fields measured 1.6x slower than a loop, at 180 and at 100k contracts
-        for problem, processor, length in contracts:
-            if not (type(problem) is int and type(processor) is int and type(length) is float
-                    and 0 <= problem < n and 0 <= processor < m and 0.0 < length < math.inf):
-                # a contract is bad or has an int length: check each in order, problem, processor, then
-                # length, so the error names the first bad field of the first bad contract
-                contracts = _contracts((_index(p, n, f"contract {i}: problem"),
-                                        _index(q, m, f"contract {i}: processor"),
-                                        _length(x, f"contract {i}: length"))
-                                       for i, (p, q, x) in enumerate(contracts))
-                break
+        collecting = gc.isenabled()
+        gc.disable()  # the contracts make no reference cycle, and a collection per 700 of them is wasted
+        try:
+            contracts, bad = _contracts(contracts), False
+            try:
+                # one combined test per contract, exact types included (a NaN fails every comparison); min/max/sum
+                # passes over the fields measured 1.6x slower than a loop, at 180 and at 100k contracts
+                for problem, processor, length in contracts:
+                    if not (type(problem) is int and type(processor) is int and type(length) is float
+                            and 0 <= problem < n and 0 <= processor < m and 0.0 < length < math.inf):
+                        bad = True
+                        break
+            except ValueError:  # a row of other than three fields fails to unpack
+                bad = True
+            if bad:
+                # a contract is bad or has an int length: check each in order, its field count, then problem,
+                # processor and length, so the error names the first bad field of the first bad contract
+                checked = []
+                for i, row in enumerate(contracts):
+                    if len(row) != 3:  # shown as a tuple: a Contract's repr raises unless it has three fields
+                        raise ValueError(f"contract {i} must be a (problem, processor, length) row, got {tuple(row)!r}")
+                    p, q, x = row
+                    checked.append((_index(p, n, f"contract {i}: problem"), _index(q, m, f"contract {i}: processor"),
+                                    _length(x, f"contract {i}: length")))
+                contracts = _contracts(checked)
+        finally:
+            if collecting:
+                gc.enable()
         if generator is not None:
             if not isinstance(generator, dict):
                 raise ValueError(f"schedule 'generator' must be a JSON object, got {type(generator).__name__}")
@@ -426,22 +444,20 @@ def schedule_from_dict(doc: dict) -> Schedule:
         rows = doc["contracts"]
         if not isinstance(rows, list):
             raise ValueError(f"schedule 'contracts' must be a list, got {type(rows).__name__}")
-        try:
-            # one map reads every row, so a well-formed 100k-contract file runs no Python code per contract here
-            contracts = _contracts(map(_ROW_FIELDS, rows))
-        except TypeError:  # a row that is not a dict cannot be indexed by a field name
-            idx, row = next((idx, row) for idx, row in enumerate(rows) if not isinstance(row, dict))
-            raise ValueError(f"contract {idx} must be a JSON object, got {type(row).__name__}") from None
-    except KeyError as exc:
+        # one map reads every row, so a well-formed 100k-contract file runs no Python code per contract here
+        return _schedule_of(doc, map(_ROW_FIELDS, rows))
+    except KeyError as exc:  # "contracts" is missing; _schedule_of names every other missing key
         raise ValueError(f"schedule document missing key: {exc}") from exc
-    return _schedule_of(doc, contracts)
+    except TypeError:  # a row that is not a dict cannot be indexed by a field name
+        idx, row = next((idx, row) for idx, row in enumerate(rows) if not isinstance(row, dict))
+        raise ValueError(f"contract {idx} must be a JSON object, got {type(row).__name__}") from None
 
 
-def _schedule_of(doc: dict, contracts: tuple[Contract, ...]) -> Schedule:
-    """``schedule_from_dict(doc)`` once the contracts are read from the document's rows."""
+def _schedule_of(doc: dict, rows: Iterable[tuple]) -> Schedule:
+    """``schedule_from_dict(doc)`` once the contract rows are read, from the document or from its pieces."""
     try:
-        return Schedule(_count(doc["n"], "n"), _count(doc["m"], "m"), contracts, doc.get("generator"))
-    except KeyError as exc:
+        return Schedule(_count(doc["n"], "n"), _count(doc["m"], "m"), rows, doc.get("generator"))
+    except KeyError as exc:  # a missing "n" or "m", or a row missing a field
         raise ValueError(f"schedule document missing key: {exc}") from exc
 
 
@@ -504,9 +520,9 @@ def load_schedule(path: str | Path) -> Schedule:
     100k-contract file the collections they trigger take about a fifth of
     the load.  The caller's collector state is restored however the load
     ends, and a collector the caller disabled stays so.  The file's text is
-    released as soon as it is parsed, before the contracts are built in
-    one map (``_contracts``) from its rows, or, parsed in pieces, from the
-    columns each piece sends, zipped into rows.
+    released as soon as it is parsed, before ``Schedule`` builds the
+    contracts from its rows, or, parsed in pieces, from the columns each
+    piece sends, zipped into rows.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -520,7 +536,7 @@ def load_schedule(path: str | Path) -> Schedule:
         del text
         if rows is None:
             return schedule_from_dict(doc)
-        return _schedule_of(doc, _contracts(rows))
+        return _schedule_of(doc, rows)
     finally:
         if collecting:
             gc.enable()

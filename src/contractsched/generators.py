@@ -7,11 +7,10 @@ deficiency-minimizing base and the acceleration-ratio-minimizing base.
 
 from __future__ import annotations
 
-import gc
 import math
 from itertools import cycle, islice, repeat
 
-from .core import Schedule, _base, _contracts, _count, _init_field, _Record
+from .core import Schedule, _base, _count, _init_field, _Record
 
 
 class ExponentialSpec(_Record):
@@ -39,38 +38,27 @@ class ExponentialSpec(_Record):
 
 
 def exponential_schedule(spec: ExponentialSpec) -> Schedule:
-    """Materialize the prefix of an exponential round-robin schedule."""
+    """Materialize the prefix of an exponential round-robin schedule, its rows handed to ``Schedule`` in one ``zip``."""
     b = spec.base
     k = spec.contracts_to_build
-    collecting = gc.isenabled()
-    gc.disable()  # the contracts make no reference cycle, and a collection per 700 of them is wasted
     try:
         # b**i grows with i, so the last length overflows exactly when any would: this one pow refuses an
         # overflowing base and k before a single contract is built
         pow(float(b), k - 1)
-        # contract i is (i mod n, i mod m, float(b)**i), built in one map with no Python code per contract
-        contracts = _contracts(zip(islice(cycle(range(spec.n)), k), islice(cycle(range(spec.m)), k),
-                                   map(pow, repeat(float(b)), range(k))))
     except OverflowError:
         raise ValueError(f"base {b!r} with k={k} contracts overflows: {b!r}**{k - 1} exceeds the float range") from None
-    finally:
-        if collecting:
-            gc.enable()
-    return Schedule(
-        n_problems=spec.n,
-        m_processors=spec.m,
-        contracts=contracts,
-        generator={"family": "exponential", "base": b},
-    )
+    rows = zip(islice(cycle(range(spec.n)), k), islice(cycle(range(spec.m)), k), map(pow, repeat(float(b)), range(k)))
+    return Schedule(spec.n, spec.m, rows, {"family": "exponential", "base": b})
 
 
 def _geometric_minimum(p: int, q: int) -> tuple[float, float]:
     """Minimizer and minimum (a*, F(a*)) of F(a) = a^p / (a^q - 1) over a > 1, for p > q >= 1.
 
-    a* = (p/(p-q))^(1/q) and F(a*) = (p-q)/q * (p/(p-q))^(p/q), through exp and log so no power overflows.
+    a* = (p/(p-q))^(1/q) and F(a*) = p/q * (p/(p-q))^((p-q)/q), through exp and log1p(q/(p-q)), so no power
+    overflows and no digit of q/(p-q) is lost to p/(p-q) rounding toward 1.0 as p/q grows.
     """
-    log_ratio = math.log(p / (p - q))
-    return math.exp(log_ratio / q), math.exp(log_ratio * p / q) * (p - q) / q
+    log_ratio = math.log1p(q / (p - q))
+    return math.exp(log_ratio / q), p / q * math.exp(log_ratio * (p - q) / q)
 
 
 def deficiency_optimal_base(n: int, m: int) -> float:

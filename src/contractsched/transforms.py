@@ -46,7 +46,7 @@ from itertools import compress, groupby
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .core import Schedule, _contracts, _finish_times, _init_field, _Record, _sweep, simulate
+from .core import Schedule, _finish_times, _init_field, _Record, _sweep, simulate
 
 
 class TransformStep(_Record):
@@ -113,8 +113,7 @@ class NormalizationTrace(_Record):
 # ---------------------------------------------------------------------------
 
 # A contract as the rewrite loop holds it: a ``Contract`` or a plain (problem, processor, length) tuple, which
-# compares equal to it.  A swap builds each relabelled contract as a plain tuple, about three times faster than
-# through ``Contract``'s constructor, and the output is converted once.
+# compares equal to it.  A swap builds each relabelled contract as a plain tuple; ``Schedule`` makes it a ``Contract``.
 _Row = tuple[int, int, float]
 
 
@@ -277,7 +276,7 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
         if resume is not None:
             clean, longest = resume
 
-    output = Schedule(n, 1, _contracts(cur)) if steps else schedule
+    output = Schedule(n, 1, cur) if steps else schedule
     return NormalizationTrace(input=schedule, output=output, steps=tuple(steps), run_outcomes=tuple(outcomes))
 
 

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from . import bounds, metrics, transforms
-from .core import Schedule, Contract, _init_field, _length, _Record, _split, critical_times, simulate, snapshots_before
+from .core import Schedule, _init_field, _length, _Record, _split, critical_times, simulate, snapshots_before
 from .generators import ExponentialSpec, acceleration_optimal_base, deficiency_optimal_base, exponential_schedule
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order
 
@@ -88,11 +88,7 @@ def random_schedule(rng: random.Random, n: int, m: int, k: int, permutation_pref
         problems.extend(head)
     while len(problems) < k:
         problems.append(rng.randrange(n))
-    contracts = tuple(
-        Contract(problem=p, processor=rng.randrange(m), length=rng.uniform(0.1, 10.0))
-        for p in problems[:k]
-    )
-    return Schedule(n_problems=n, m_processors=m, contracts=contracts)
+    return Schedule(n, m, [(p, rng.randrange(m), rng.uniform(0.1, 10.0)) for p in problems[:k]])
 
 
 def _enumerated_makespan(sizes: tuple[float, ...], m: int) -> float:

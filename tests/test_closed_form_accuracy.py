@@ -9,6 +9,7 @@ Each reference takes its float inputs (a base b) exactly, via Decimal(b).
 import decimal
 import functools
 import itertools
+import sys
 from decimal import Decimal
 
 import pytest
@@ -17,6 +18,7 @@ from contractsched import (
     acceleration_optimal_base,
     best_exponential_deficiency_single_processor,
     cyclic_acceleration_lower_bound,
+    deficiency_lower_bound_general,
     deficiency_optimal_base,
     deficiency_upper_bound,
     deficiency_upper_bound_at_beta,
@@ -59,9 +61,9 @@ def _cyclic(n: int, m: int) -> Decimal:
     return Decimal(n) / m * (Decimal(n + m) / n) ** (Decimal(n + m) / m)
 
 
-def _assert_close(got: float, want: Decimal, where) -> None:
+def _assert_close(got: float, want: Decimal, where, rtol: Decimal = RTOL) -> None:
     err = abs(Decimal(got) - want) / want
-    assert err <= RTOL, f"{where}: {got!r} vs {want:.25g}, relative error {err:.2e}"
+    assert err <= rtol, f"{where}: {got!r} vs {want:.25g}, relative error {err:.2e}"
 
 
 @pytest.mark.parametrize("p, q", [(2, 1), (4, 3), (5, 2), (41, 40), (80, 40)])
@@ -127,3 +129,38 @@ def test_deficiency_bound_at_the_optimal_base():
                       ("deficiency_upper_bound_at_beta", n, m))
     for m, rho, value in (row for row in figure2_deficiency_surface() if row[0] <= 40 and row[1] <= 40):
         _assert_close(value, _at_beta(m, m * (rho + 1)), ("figure2_deficiency_surface", m, rho))
+
+
+# p/q from 2 up to 2**62 + 1, where the float p/(p-q) rounds toward 1.0 and keeps few of q/(p-q)'s digits
+WIDE = [(q * 2**j + s, q) for q in (1, 2, 3, 7, 64) for j in range(1, 63) for s in (0, 1)]
+
+
+def test_the_geometric_minimum_keeps_its_digits_as_p_over_q_grows():
+    # log(p/(p-q)) put F(a*) off by up to a factor of e on this grid (e times too small at p = 2**53 + 1,
+    # q = 1, e times too large at p = 2**59 + 1, q = 64); log1p(q/(p-q)) keeps the worst relative error near 3.3e-16
+    for p, q in WIDE:
+        ratio = 1 + Decimal(q) / (p - q)
+        a, value = _geometric_minimum(p, q)
+        _assert_close(a, ratio ** (1 / Decimal(q)), ("_geometric_minimum a", p, q), Decimal("1e-15"))
+        _assert_close(value, Decimal(p) / q * ratio ** (Decimal(p - q) / q), ("_geometric_minimum F", p, q),
+                      Decimal("1e-15"))
+
+
+@pytest.mark.parametrize("n", [10**12, 10**16, 10**18, sys.maxsize])
+def test_the_acceleration_and_performance_closed_forms_hold_at_large_n_over_m(n):
+    # (1 + 1/n)^(n+1) falls toward e from above; at the parent the performance ratio was 1.0 at n = 10**16, and the
+    # acceleration bound 1e18 at n = 10**18 instead of about e * 10**18
+    want = (1 + 1 / Decimal(n)) ** (n + 1)
+    _assert_close(performance_ratio_closed_form(n, 1).value, want, ("performance_ratio_closed_form", n),
+                  Decimal("1e-15"))
+    _assert_close(cyclic_acceleration_lower_bound(n, 1).value, n * want, ("cyclic_acceleration_lower_bound", n),
+                  Decimal("1e-15"))
+
+
+def test_the_best_exponential_deficiency_never_falls_below_the_general_lower_bound():
+    # the parent gave 0.9999999999999986 at n = 10**18, below the general bound's 1.0
+    for n in sorted({*(2**j for j in range(63)), *(10**j for j in range(19)), sys.maxsize - 1, sys.maxsize}):
+        best = best_exponential_deficiency_single_processor(n).value
+        assert best >= deficiency_lower_bound_general(n).value, n
+        _assert_close(best, Decimal(n + 1) ** (Decimal(n + 1) / n) / n, ("best exponential deficiency", n),
+                      Decimal("1e-15"))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contractsched import core
+from contractsched.verification import random_schedule
 from contractsched import (
     Contract,
     ExponentialSpec,
@@ -594,11 +595,93 @@ def test_every_builder_makes_contracts_not_plain_tuples(tmp_path, monkeypatch):
     monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
     assert core._parse(path.read_text(encoding="utf-8"))[1] is not None
     built["load_schedule in pieces"] = load_schedule(path)
+    built["Schedule from plain tuples"] = Schedule(3, 2, [tuple(c) for c in s.contracts])
     one = Schedule(2, 1, [Contract(0, 0, 1.0), Contract(0, 0, 2.0), Contract(1, 0, 4.0)])
     trace = normalize(one)
     assert trace.steps
     built["normalize"] = trace.output
+    built["random_schedule"] = random_schedule(random.Random(0), 3, 2, 30)
     assert loose["contracts"][0]["length"] == 1
     for name, schedule in built.items():
-        assert schedule.contracts == s.contracts or name == "normalize"
+        assert schedule.contracts == s.contracts or name in ("normalize", "random_schedule")
         assert {type(c) for c in schedule.contracts} == {Contract}, name
+
+
+def _rows():
+    return [(0, 0, 1.0), (1, 1, 2.0), (0, 0, 4.0)]
+
+
+ROW_FORMS = {
+    "plain tuples": lambda: Schedule(2, 2, _rows()),
+    "zip": lambda: Schedule(2, 2, zip(*zip(*_rows()))),
+    "one-shot generator": lambda: Schedule(2, 2, (row for row in _rows())),
+    "_replace": lambda: sched(2, 2, [(1, 0, 8.0)])._replace(contracts=_rows()),
+}
+
+
+@pytest.mark.parametrize("make", ROW_FORMS.values(), ids=ROW_FORMS.keys())
+def test_schedule_makes_a_contract_of_every_row_whatever_the_caller_passes(make):
+    # at the parent Schedule kept a plain tuple it was given, so .problem and schedule_to_dict raised AttributeError
+    s = make()
+    assert [type(c) for c in s.contracts] == [Contract] * 3
+    assert [c.problem for c in s.contracts] == [0, 1, 0] and s.contracts[2].length == 4.0
+    assert schedule_to_dict(s)["contracts"][1] == {"problem": 1, "processor": 1, "length": 2.0}
+    assert schedule_from_dict(schedule_to_dict(s)) == s
+
+
+WRONG_LENGTH_ROWS = {
+    "short": ([(0, 0)], "contract 0 must be a (problem, processor, length) row, got (0, 0)"),
+    "long": ([(0, 0, 1.0), (1, 0, 2.0, 3)],
+             "contract 1 must be a (problem, processor, length) row, got (1, 0, 2.0, 3)"),
+    "empty": ([(0, 0, 1.0), ()], "contract 1 must be a (problem, processor, length) row, got ()"),
+    "bad field first": ([(5, 0, 1.0), (0, 0)], "contract 0: problem 5 out of range [0, 2)"),
+}
+
+
+@pytest.mark.parametrize("rows, message", WRONG_LENGTH_ROWS.values(), ids=WRONG_LENGTH_ROWS.keys())
+def test_a_row_of_the_wrong_length_is_named_like_every_other_bad_contract(rows, message):
+    # at the parent a short row raised "not enough values to unpack (expected 3, got 2)", naming no contract
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Schedule(2, 1, rows)
+
+
+class _RowsBroke(Exception):
+    pass
+
+
+def _raising_rows():
+    yield (0, 0, 1.0)
+    raise _RowsBroke
+
+
+BUILDS = {
+    "good rows": (lambda: [(0, 0, 1.0), (1, 0, 2.0)], None),
+    "int length": (lambda: [(0, 0, 1), (1, 0, 2.0)], None),
+    "bad row": (lambda: [(0, 0, 1.0), (1, 0, -2.0)], ValueError),
+    "short row": (lambda: [(0, 0, 1.0), (1, 0)], ValueError),
+    "rows that raise": (_raising_rows, _RowsBroke),
+}
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("rows, error", BUILDS.values(), ids=BUILDS.keys())
+def test_schedule_pauses_the_collector_while_it_builds_and_restores_the_callers_state(caller_collects, rows, error):
+    during = []
+
+    def reading():  # records the collector's state as Schedule reads each row
+        for row in rows():
+            during.append(gc.isenabled())
+            yield row
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if caller_collects else gc.disable()
+        if error is None:
+            assert Schedule(2, 1, reading()) == sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0)])
+        else:
+            with pytest.raises(error):
+                Schedule(2, 1, reading())
+        assert gc.isenabled() is caller_collects
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during and not any(during)

@@ -23,6 +23,8 @@ def test_doubling_lengths():
                          ids=["builds", "overflows"])
 def test_exponential_schedule_pauses_the_collector_and_restores_the_callers_state(monkeypatch, caller_collects,
                                                                                   base, error):
+    # the up-front overflow check runs before any row is made, under the caller's collector state; every length
+    # is computed as Schedule reads the rows, under its pause
     during = []
 
     def recording(base, exponent):  # every length, and the one up-front overflow check, runs through pow
@@ -42,7 +44,8 @@ def test_exponential_schedule_pauses_the_collector_and_restores_the_callers_stat
         assert gc.isenabled() is caller_collects
     finally:
         gc.enable() if was else gc.disable()
-    assert during and not any(during)
+    assert during[0] is caller_collects and not any(during[1:])
+    assert len(during) == (41 if error is None else 1)
 
 
 def test_an_overflowing_base_is_refused_before_any_contract_is_built():

@@ -250,7 +250,7 @@ def test_every_saved_file_takes_the_pieces_route(n, m, k, data, generator):
         forked = forced_pieces(monkeypatch)
         doc, parsed = core._parse(text)
     assert parsed is not None and forked
-    assert core._schedule_of(doc, core._contracts(parsed)) == s
+    assert core._schedule_of(doc, parsed) == s
     assert_no_child_left()
 
 
