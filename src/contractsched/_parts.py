@@ -4,9 +4,10 @@ Five tasks split this way, each through ``core._split_count``: the
 value-only acceleration and performance ratios and LPT deficiency
 (``metrics``) and ``verification.run_checks`` cut their windows and checks
 with ``core._split``, ``core.save_schedule`` its contract rows, and
-``core._parse`` the contract rows of a long ``save_schedule`` file
-(``_parse_in_pieces``).  A task imports this module only once it is long
-enough to split, so a command that never splits never compiles it.
+``core._parse`` the contract rows of a long file whose contracts come
+last, as ``save_schedule`` writes them (``_parse_in_pieces``).  A task
+imports this module only once it is long enough to split, so a command that
+never splits never compiles it.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import io
 import json
 import marshal
 import os
-import re
 import threading
 import time
 from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import BinaryIO, Callable, Iterable
+
+from .core import _CONTRACTS
 
 # A child that has not reported this many times the caller's own part later, plus _WAIT_S seconds, is
 # taken for hung (``_in_parts``); its part is no longer than the caller's.
@@ -37,10 +39,6 @@ _WAIT_FACTOR, _WAIT_S = 10, 1.0
 # 235.2, 229.1, 233.1, 236.8, 242.8 and 250.0 ms for the LPT deficiency's: 681, 669, 673, 675, 683 and 695 ms
 # with perf's.  Over 21 more rounds 1.1, 1.2 and 1.3 took 671.8, 672.9 and 677.0 ms, so 1.2 stays.
 _LEAD = 1.2
-
-# The head ``save_schedule`` writes, up to the "[" that opens the contracts; n and m are JSON integers.
-_HEAD = re.compile(r'\{"n":(-?(?:0|[1-9][0-9]*)),"m":(-?(?:0|[1-9][0-9]*)),"contracts":\[')
-
 
 def _workers(tasks: int) -> int:
     """One process per usable CPU (its affinity mask, where the platform has one), never more than ``tasks``."""
@@ -197,7 +195,7 @@ def _copy(read: int, deadline: float, out: BinaryIO) -> bool:
 
 
 def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple]] | None:
-    """``core._parse`` in ``count`` pieces: (document, contract rows), or None where ``_HEAD`` does not start the text.
+    """``core._parse`` in ``count`` pieces: (document, contract rows), or None where the contracts do not come last.
 
     The caller parses the first piece of the ``"contracts"`` array and a
     forked child each other one (``_in_parts``); each child sends its
@@ -206,72 +204,58 @@ def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple]] | No
     no ``"contracts"``.  The pieces joined are what one ``json.loads(text)``
     gives, because:
 
-    * the head: ``_HEAD`` matches the text from its first character, so its
-      ``[`` opens the value of the top-level ``"contracts"``, outside every
-      string, after the members ``"n"`` and ``"m"``, read as json reads them;
+    * the head: ``json.loads(text[:i] + "}")``, i where the first
+      ``core._CONTRACTS`` starts, is a non-empty object.  The ``}`` that
+      ends a JSON text closes its top-level object, so ``text[i]`` is the
+      ``,`` after a member, and the ``[`` opens a top-level ``"contracts"``;
     * the cuts: each is the ``},{`` that ``text.find`` gives at or after a
-      target, and they strictly increase.  Each piece between cuts parses
-      as ``"[" + piece + "]"`` into a non-empty list (an empty one would
-      hide a ``,,``).  JSON is read left to right, so a piece that starts
-      where a row may start and parses whole ends where a row ends, outside
-      every string, and the ``,`` after it is the array's own;
-    * the last piece is read by ``JSONDecoder.raw_decode`` from ``"["`` and
-      the text after the last cut's comma, to the array's ``]``.  Right
-      after it comes either the document's ``}`` and nothing but
-      whitespace, or a ``,`` and at least one more member, none of them a
-      second ``"contracts"``, all parsed as ``json.loads("{" + ...)``;
-    * the document is the head's n and m updated by the members after the
-      array, so the last of a repeated key wins, as in json.
+      target, and they strictly increase.  Each piece, the last one up to
+      the ``]`` of the ``]}`` that the text ends with but for JSON
+      whitespace (space, tab, LF, CR), parses as ``"[" + piece + "]"`` into
+      a non-empty list (an empty one would hide a ``,,``).  JSON is read
+      left to right, so a piece that starts where a row may start and parses
+      whole ends where a row ends, outside every string: the ``,`` after it
+      is the array's own, and after the last one ``]}`` closes the array and
+      the document.  The contracts are its last member, and json keeps the
+      last of a repeated key, so a ``"contracts"`` in the head is dropped.
 
-    A piece that does not parse raises here (``_piece``), also when its
+    A head or piece that does not parse raises here, a piece also when its
     child failed or outlived the bounded wait, since ``_in_parts`` then
     parses it here; ``core._parse`` then falls back to one ``json.loads``.
     """
-    head = _HEAD.match(text)
-    if head is None:
+    end = len(text)
+    while end and text[end - 1] in " \t\n\r":  # json's whitespace only, and no copy of the text
+        end -= 1
+    i = text.find(_CONTRACTS)
+    doc = json.loads(text[:i] + "}") if i > 0 and text[end - 2:end] == "]}" else None
+    if not doc:  # also "{" alone before the contracts, which json refuses
         return None
-    doc = {"n": int(head[1]), "m": int(head[2])}
-    a = head.end()
+    doc.pop("contracts", None)
+    a, z = i + len(_CONTRACTS), end - 2  # the array's first character, and its "]"
     cuts: list[int] = []  # index of each cut's "}"
-    for target in _cuts(len(text) - a, count)[1:-1]:
-        cut = text.find("},{", a + target)
+    for target in _cuts(z - a, count)[1:-1]:
+        cut = text.find("},{", a + target, z)
         if cut < 0 or (cuts and cut <= cuts[-1]):
             return None
         cuts.append(cut)
-    ranges = list(zip([a] + [cut + 2 for cut in cuts], [cut + 1 for cut in cuts] + [len(text)]))
-    problems, processors, lengths, rests = zip(*_in_parts(partial(_piece, text), ranges))
-    doc.update(rests[-1])
+    ranges = list(zip([a] + [cut + 2 for cut in cuts], [cut + 1 for cut in cuts] + [z]))
+    problems, processors, lengths = zip(*_in_parts(partial(_piece, text), ranges))
     return doc, zip(chain.from_iterable(problems), chain.from_iterable(processors), chain.from_iterable(lengths))
 
 
 _PROBLEM, _PROCESSOR, _LENGTH = map(itemgetter, ("problem", "processor", "length"))
 
 
-def _piece(text: str, lo: int, hi: int) -> tuple[list, list, list, dict | None]:
-    """The rows of ``text[lo:hi]``, a piece of the contracts array, as columns, and the members after it.
+def _piece(text: str, lo: int, hi: int) -> tuple[list, list, list]:
+    """The rows of ``text[lo:hi]``, a piece of the contracts array, as columns.
 
     The columns are the rows' problems, processors and lengths, three flat
     lists that ``marshal`` sends in two thirds of the time of row tuples; a
     row that lacks a field raises KeyError, and one that is not an object
-    TypeError, as with ``core._ROW_FIELDS``.  The members after the array
-    are read for the last piece alone (``hi`` is the text's end), and None
-    stands for them otherwise.  Raises ValueError where ``core._parse``
-    must fall back.
+    TypeError, as with ``core._ROW_FIELDS``.  Raises ValueError where
+    ``core._parse`` must fall back.
     """
-    rest = None
-    if hi < len(text):
-        rows = json.loads(f"[{text[lo:hi]}]")
-    else:
-        rows, end = json.JSONDecoder().raw_decode("[" + text[lo:])
-        tail = text[lo + end - 1:]
-        if tail[:1] == "}":
-            rest = json.loads("{" + tail)  # {}, unless something follows the document
-        elif tail[:1] == ",":
-            rest = json.loads("{" + tail[1:])
-            if not rest or "contracts" in rest:
-                raise ValueError("the contracts are followed by no member, or by a second contracts")
-        else:
-            raise ValueError("the contracts are followed by neither a member nor the document's end")
+    rows = json.loads(f"[{text[lo:hi]}]")
     if not rows:
         raise ValueError("an empty piece of the contracts")
-    return list(map(_PROBLEM, rows)), list(map(_PROCESSOR, rows)), list(map(_LENGTH, rows)), rest
+    return list(map(_PROBLEM, rows)), list(map(_PROCESSOR, rows)), list(map(_LENGTH, rows))

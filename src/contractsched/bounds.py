@@ -10,10 +10,11 @@ Every bound is reported with the parameters it was evaluated at:
   geometric functional.
 
 Every minimized bound is ``generators._geometric_minimum`` of a^p/(a^q - 1) at
-its (p, q).  The module also carries the greedy makespan's closed form on
-geometric instances, the ternary-search optimizer for the geometric
-functionals that appear in the lower-bound arguments, and the data sets
-behind the three standard figures.
+its (p, q), and every value of a^p/(a^q - 1) at a base is ``_geometric``.
+The module also carries the greedy makespan's closed form on geometric
+instances, the ternary-search optimizer for the geometric functionals that
+appear in the lower-bound arguments, and the data sets behind the three
+standard figures.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from itertools import accumulate, repeat
 
 from .core import _base, _count, _index, _init_field, _Record
-from .generators import _geometric_minimum, deficiency_optimal_base
+from .generators import _geometric_minimum
 
 
 class BoundReport(_Record):
@@ -57,14 +58,28 @@ def _finite(what, closed_form) -> float:
     return value
 
 
-def _lambda_factor(m: int, b: float) -> float:
-    """min{2 - 1/m, b^m/(b^m - 1)}: how far greedy can sit above OPT, inverted."""
-    return min(2.0 - 1.0 / m, b**m / (b**m - 1.0))
+def _geometric(a: float, p: int, q: int, log_a: float | None = None) -> float:
+    """a^p / (a^q - 1) for a > 1 and p >= q >= 1, as a^(p-q) / (1 - a^-q): no power overflows before the quotient does.
+
+    ``log_a``, if given, is log a, for an a that rounds toward 1.0 (``_bound_at_beta``).
+    """
+    return float(a) ** (p - q) / -math.expm1(-q * (math.log(a) if log_a is None else log_a))
 
 
-def _deficiency_bound(m: int, y: int, b: float) -> float:
-    """lambda * b^(n+m) / (b^(n+m-1) - b^gamma) divided through by b^gamma, with y = n+m-1-gamma."""
-    return _lambda_factor(m, b) * b ** (y + 1) / (b**y - 1)
+def _lambda_factor(m: int, b: float, log_b: float | None = None) -> float:
+    """min{2 - 1/m, b^m/(b^m - 1)}: how far greedy can sit above OPT, inverted; ``log_b`` as in ``_geometric``."""
+    return min(2.0 - 1.0 / m, _geometric(b, m, m, log_b))
+
+
+def _bound_at_beta(m: int, y: int) -> tuple[float, float, float]:
+    """(beta, lambda, bound) of the deficiency bound lambda * F(beta) at its optimal base beta = (y+1)^(1/y).
+
+    beta and the least F(beta) of F(b) = b^(y+1)/(b^y - 1) are ``_geometric_minimum(y + 1, y)``; lambda is read
+    from log beta = log1p(y)/y, not from beta, which is 1.0 from y of about 2**56 on.
+    """
+    beta, least = _geometric_minimum(y + 1, y)
+    lam = _lambda_factor(m, beta, math.log1p(y) / y)
+    return beta, lam, lam * least
 
 
 def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
@@ -80,17 +95,20 @@ def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
 
 
 def deficiency_upper_bound(n: int, m: int, b: float) -> BoundReport:
-    """Deficiency bound of the base-b exponential schedule: lambda * b^(n+m) / (b^(n+m-1) - b^gamma)."""
+    """Deficiency bound of the base-b exponential schedule: lambda * b^(n+m) / (b^(n+m-1) - b^gamma).
+
+    That is lambda * b^(y+1)/(b^y - 1), y = n+m-1-gamma, finite at every base: lambda <= 2 - 1/m is 1 once
+    b^-m is below about 2**-54, and b^(y+1)/(b^y - 1) = b/(1 - b^-y) is at most b/(1 - 1/b).
+    """
     b, n, m = _base(b, "base"), _count(n, "n"), _count(m, "m")
     gamma = (n - 1) % m
-    value = _finite(lambda: f"exponential deficiency bound at n={n}, m={m}, b={b!r}",
-                    lambda: _deficiency_bound(m, n + m - 1 - gamma, b))
+    y = n + m - 1 - gamma
     lam = _lambda_factor(m, b)
     return BoundReport(
         name="exponential-deficiency-upper",
         measure="deficiency",
         kind="upper",
-        value=value,
+        value=lam * _geometric(b, y + 1, y),
         params={"n": n, "m": m, "b": b, "gamma": gamma, "lam": lam, "kappa": 1.0 / lam},
     )
 
@@ -100,17 +118,13 @@ def deficiency_upper_bound_at_beta(n: int, m: int) -> BoundReport:
     n, m = _count(n, "n"), _count(m, "m")
     gamma = (n - 1) % m
     rho = (n - 1 - gamma) // m
-    y = m * (rho + 1)
-    beta = deficiency_optimal_base(n, m)
-    if not beta > 1.0:
-        raise ValueError(f"the optimal base (y+1)^(1/y) at y={y} rounds to {beta!r}; the bound needs a base > 1")
-    value = _deficiency_bound(m, y, beta)
+    beta, lam, value = _bound_at_beta(m, m * (rho + 1))
     return BoundReport(
         name="exponential-deficiency-upper-at-beta",
         measure="deficiency",
         kind="upper",
         value=value,
-        params={"n": n, "m": m, "gamma": gamma, "rho": rho, "beta": beta, "lam": _lambda_factor(m, beta)},
+        params={"n": n, "m": m, "gamma": gamma, "rho": rho, "beta": beta, "lam": lam},
     )
 
 
@@ -188,12 +202,13 @@ def performance_ratio_closed_form(n: int, m: int) -> BoundReport:
 
     (n/m)((m+n)/n)^((m+n)/m) for m >= n, divided by ceil(n/m) for m < n.
     The report carries the two rewritten forms (1+n/m)(1+m/n)^(n/m) and
-    (1+m/n)(1+m/n)^(n/m) that show the <= 4 and <= 2e ceilings.
+    (1+m/n)(1+m/n)^(n/m) that show the <= 4 and <= 2e ceilings: the first is
+    the acceleration bound itself, the second that bound times m/n.
     """
     n, m = _count(n, "n"), _count(m, "m")
     acceleration = cyclic_acceleration_lower_bound(n, m)
     raw = acceleration.value
-    stack = math.ceil(n / m)
+    stack = -(-n // m)  # ceil(n/m) in integers: a float n/m rounds past 2**53
     value = raw / stack
     return BoundReport(
         name="performance-ratio-closed-form",
@@ -205,8 +220,8 @@ def performance_ratio_closed_form(n: int, m: int) -> BoundReport:
             "m": m,
             "a": acceleration.params["a"],
             "acceleration_value": raw,
-            "rewritten_m_ge_n": (1 + n / m) * (1 + m / n) ** (n / m),
-            "rewritten_m_lt_n": (1 + m / n) * (1 + m / n) ** (n / m),
+            "rewritten_m_ge_n": raw,
+            "rewritten_m_lt_n": raw * m / n,
         },
     )
 
@@ -245,7 +260,7 @@ def geometric_functional(name: str, n: int | None = None, m: int | None = None):
 
     def functional(a: float) -> float:
         a = _base(a, what)
-        return _finite(lambda: f"{name} functional at a={a!r}", lambda: a**p / (a**q - 1))
+        return _finite(lambda: f"{name} functional at a={a!r}", lambda: _geometric(a, p, q))
 
     return functional
 
@@ -319,12 +334,7 @@ def figure2_deficiency_surface() -> list[tuple[int, int, float]]:
 
     Cell (m, rho) is ``deficiency_upper_bound_at_beta(m*rho + 1, m).value``, without building its report.
     """
-    rows = []
-    for m in range(1, 65):
-        for rho in range(1, 65):
-            y = m * (rho + 1)
-            rows.append((m, rho, _deficiency_bound(m, y, _geometric_minimum(y + 1, y)[0])))
-    return rows
+    return [(m, rho, _bound_at_beta(m, m * (rho + 1))[2]) for m in range(1, 65) for rho in range(1, 65)]
 
 
 def figure3_single_processor_curves() -> list[tuple[int, float, float]]:

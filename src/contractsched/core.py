@@ -405,25 +405,20 @@ def snapshot_before(schedule: Schedule, t: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # JSON schedule format
 #
-# {"n": int, "m": int, "contracts": [{"problem": int, "processor": int,
-#  "length": float}, ...]} in global execution order, plus an optional
-# "generator" object, written compact on one line.  Round-trips are
-# value-exact (Python's json module serializes floats via repr, which is
-# lossless for binary64).
+# {"n": int, "m": int, "generator": {...}, "contracts": [{"problem": int,
+#  "processor": int, "length": float}, ...]}, the "generator" optional and
+# the contracts in global execution order, last, written compact on one
+# line.  Round-trips are value-exact (Python's json module serializes floats
+# via repr, which is lossless for binary64).
 # ---------------------------------------------------------------------------
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:
-    doc: dict = {
-        "n": schedule.n_problems,
-        "m": schedule.m_processors,
-        "contracts": [
-            {"problem": c.problem, "processor": c.processor, "length": c.length}
-            for c in schedule.contracts
-        ],
-    }
+    """The schedule as its JSON document: "n", "m", the "generator" if there is one, and "contracts", last."""
+    doc: dict = {"n": schedule.n_problems, "m": schedule.m_processors}
     if schedule.generator is not None:
         doc["generator"] = schedule.generator
+    doc["contracts"] = [{"problem": p, "processor": q, "length": x} for p, q, x in schedule.contracts]
     return doc
 
 
@@ -461,6 +456,9 @@ def _schedule_of(doc: dict, rows: Iterable[tuple]) -> Schedule:
         raise ValueError(f"schedule document missing key: {exc}") from exc
 
 
+# what opens the contracts array in a saved file, after the other members: the split parse looks for it
+_CONTRACTS = ',"contracts":['
+
 # one contract row as json.dumps writes it (json writes a float by its repr)
 _ROW = '{"problem":%d,"processor":%d,"length":%r}'
 
@@ -478,7 +476,9 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
     """Write ``schedule_to_dict(schedule)`` as compact JSON on one line.
 
     The bytes are those of ``json.dumps(..., separators=(",", ":"))``, which
-    writes only ASCII, and a newline; the contract rows go through one
+    writes only ASCII, and a newline: the other members, then ``_CONTRACTS``,
+    the rows and ``]}``, so the contracts are the document's last member,
+    as ``_parse`` needs to split them.  The contract rows go through one
     format string instead of a dict each, which takes about a fifth less
     time on a 100k-contract prefix.  They are written ``_BLOCK`` rows at a
     time, so the text of the whole file is never held: on that prefix it is
@@ -493,9 +493,9 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
     leaves a partial file at ``path``, not the one that was there before,
     and no child running.
     """
-    compact = (",", ":")
-    head = json.dumps({"n": schedule.n_problems, "m": schedule.m_processors}, separators=compact)[:-1]
-    tail = "" if schedule.generator is None else ',"generator":' + json.dumps(schedule.generator, separators=compact)
+    head = {"n": schedule.n_problems, "m": schedule.m_processors}
+    if schedule.generator is not None:
+        head["generator"] = schedule.generator
     contracts = schedule.contracts
 
     def rows(lo: int, hi: int) -> Iterator[bytes]:
@@ -504,17 +504,18 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
             yield (("," if start else "") + block).encode()
 
     with open(path, "wb") as out:
-        out.write(f'{head},"contracts":['.encode())
+        out.write((json.dumps(head, separators=(",", ":"))[:-1] + _CONTRACTS).encode())
         _split(rows, len(contracts), _SAVE_MIN if out.seekable() else sys.maxsize, out=out)
-        out.write(f"]{tail}}}\n".encode())
+        out.write(b"]}\n")
 
 
 def load_schedule(path: str | Path) -> Schedule:
     """Read a schedule file written by ``save_schedule`` (or by hand), checked as ``schedule_from_dict`` checks it.
 
-    The text is parsed by ``_parse``: in pieces, side by side, when the file
-    is laid out as ``save_schedule`` writes it, long enough and more than
-    one CPU is usable, into what ``json.loads`` gives.  The cyclic garbage
+    The text is parsed by ``_parse``: in pieces, side by side, when the
+    contracts are the document's last member, opened by ``_CONTRACTS``, as
+    ``save_schedule`` writes them, the file is long enough and more than one
+    CPU is usable, into what ``json.loads`` gives.  The cyclic garbage
     collector is paused while the JSON is parsed and the contracts are
     built: the dicts, lists and tuples made there form no cycle, yet on a
     100k-contract file the collections they trigger take about a fifth of
@@ -554,15 +555,16 @@ def _parse(text: str) -> tuple[object, Iterable[tuple] | None]:
 
     The rows are the (problem, processor, length) tuples ``_ROW_FIELDS``
     reads from the document's ``"contracts"``, which the document then
-    lacks (a piece sends them as columns, ``_parts._piece``).  A text of
-    ``save_schedule``'s layout is parsed in
+    lacks (a piece sends them as columns, ``_parts._piece``).  A text whose
+    contracts array is its last member, opened by ``_CONTRACTS`` as
+    ``save_schedule`` writes it, is parsed in
     ``_split_count(len(text), _PARSE_MIN)`` pieces when that is more than
     one; ``_parts._parse_in_pieces`` says why the pieces joined are one
     parse.  Any ``ValueError``, ``RecursionError``, ``KeyError`` (a row
-    missing a field) or ``TypeError`` (a row that is not an object) from a
-    piece, or a text laid out otherwise, falls back to the one serial
-    ``json.loads(text)``, so every text gives the same ``Schedule``, or
-    raises the same error, as a serial parse.  Every child is reaped
+    missing a field) or ``TypeError`` (a row that is not an object) from the
+    head or a piece, or a text laid out otherwise, falls back to the one
+    serial ``json.loads(text)``, so every text gives the same ``Schedule``,
+    or raises the same error, as a serial parse.  Every child is reaped
     before this returns or raises.
     """
     count = _split_count(len(text), _PARSE_MIN)

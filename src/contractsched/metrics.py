@@ -255,7 +255,7 @@ def performance_ratio(schedule: Schedule, window: Iterable[float] | None = None,
     ``samples=False`` keeps no per-window row and may split the windows, as
     in ``acceleration_ratio``.
     """
-    stack = math.ceil(schedule.n_problems / schedule.m_processors)
+    stack = -(-schedule.n_problems // schedule.m_processors)  # ceil(n/m) in integers: a float n/m rounds past 2**53
     analytic = _acceleration_limit(schedule)
     if analytic is not None:
         analytic["value"] /= stack

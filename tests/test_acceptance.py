@@ -30,7 +30,7 @@ DETAILS_DIGESTS = {
     "C03": "91fb2fdee25d49cfc9cca20b8d78c2a254a86cdb8b7339cd10d6db45a268e2b1",
     "C04": "a33346839902a9cd2a83d82c1b1f7685056a585d553aa2f91d9dd256e44de16b",
     "C05": "be71f144dd1b70a5327758f09cf84f877abf85db8d64ba45e547218860964357",
-    "C06": "3c3025cf95bc5ba9bc1e6c3c94f39d05061945f22212b28c9ede08e2f9110b40",
+    "C06": "1de3e745f59ec362af64221fa01a0c3d3c47202c91e3a90c7e0f2fe072d06496",
     "C07": "b8521abe7930c739ac088c986e15d5d1229673b175ef1ef401c1ad8454ecf09b",
     "C08": "b721fd22524e47d1a3327208509bfe1b24afd98d79513b9859e6b71c3ce4c63a",
     "C09": "c0ee33291ef7428051238011bf6cef6f9758fa1291011b75574cfbaaa8819586",
@@ -39,7 +39,7 @@ DETAILS_DIGESTS = {
     "P02": "0079e87421074f1a477bde5a0e776fe1b35c053e5b7499020cc139045f4c58ef",
     "P03": "ceb2694f9cec4fee65cab22496c2cb9df1acb23556cfe2c6cd45d7409be97e28",
     "P04": "00f9144144d1eff02899259eaf92d7bc3e74c7842b176aecd6979b2ff02ccfb1",
-    "P05": "4ee277709d94fc1cde69af32446ca494e8d233a50a34df4313faa53c9dc19d9a",
+    "P05": "f11159166b221971ddb432ae5418be95cc573300cccb0aa2ea970106f1a25850",
 }
 
 # the details that differ from seed 0 at seeds 1 and 7; every other check prints the same details at

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -63,8 +64,11 @@ def test_upper_bound_rejects_base():
 def test_functionals_reject_values_beyond_the_float_range(name, kwargs):
     functional = geometric_functional(name, **kwargs)
     assert functional(2.0) == {"round-robin": 8 / 3, "cyclic-acceleration": 8.0, "two-problem": 16 / 7}[name]
-    with pytest.raises(ValueError, match=f"^{name} functional at a=1e\\+200 overflows the float range$"):
-        functional(1e200)
+    if name == "cyclic-acceleration":  # a^3 / (a - 1) is about 1e400
+        with pytest.raises(ValueError, match=f"^{name} functional at a=1e\\+200 overflows the float range$"):
+            functional(1e200)
+    else:  # a^3 / (a^2 - 1) and a^4 / (a^3 - 1) are a to within an ulp, though a^3 overflowed and was refused
+        assert functional(1e200) == 1e200
     with pytest.raises(ValueError, match=f"^{name} functional base a must be a finite number > 1, got inf$"):
         truncated_functional_sup(name, math.inf, **kwargs)
 
@@ -357,3 +361,15 @@ def test_figure2_cells_are_the_scalar_bound():
     assert [(m, rho) for m, rho, _ in rows] == list(itertools.product(range(1, 13), range(1, 14)))
     for m, rho, value in rows:
         assert value == deficiency_upper_bound_at_beta(m * rho + 1, m).value
+
+
+def test_the_deficiency_bound_is_finite_for_every_base():
+    # b^(y+1) / (b^y - 1) is evaluated as b / (1 - b^-y), and lambda is 1 wherever b could reach the float range
+    bases = [1 + 2**-52, 1 + 1e-10, 1.0001, 1.5, 2.0, 10.0, 2.0**27, 2.0**53, 1e154, 1e300,
+             sys.float_info.max / 2, math.nextafter(sys.float_info.max, 0), sys.float_info.max]
+    counts = [1, 2, 3, 7, 1000, 2**53 - 1, 2**53 + 1, 2**60, sys.maxsize]
+    for b, n, m in itertools.product(bases, counts, counts):
+        report = deficiency_upper_bound(n, m, b)
+        assert math.isfinite(report.value) and 1.0 < report.value <= max(2.0**53, b * (1 + 2**-50)), (b, n, m)
+        assert 1.0 <= report.params["lam"] <= 2.0 - 1.0 / m, (b, n, m)
+    assert deficiency_upper_bound(1, 2, sys.float_info.max).value == sys.float_info.max

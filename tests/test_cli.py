@@ -343,20 +343,44 @@ def test_normalize_rejects_a_bad_generator_base(tmp_path, capsys, base):
     assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
 
 
+BASE_1E300 = {"n": 2, "m": 1, "generator": {"family": "exponential", "base": 1e300},
+              "contracts": [{"problem": 0, "processor": 0, "length": 1.0},
+                            {"problem": 1, "processor": 0, "length": 2.0}]}
+
+
 @pytest.mark.parametrize("measure, message", [
     ("acc", "cyclic-acceleration functional at a=1e+300 overflows the float range"),
     ("perf", "cyclic-acceleration functional at a=1e+300 overflows the float range"),
-    ("def", "exponential deficiency bound at n=2, m=1, b=1e+300 overflows the float range"),
 ])
 def test_eval_rejects_a_base_whose_closed_form_overflows(tmp_path, capsys, measure, message):
-    # the analytic closed forms raised OverflowError tracebacks
-    doc = {"n": 2, "m": 1, "generator": {"family": "exponential", "base": 1e300},
-           "contracts": [{"problem": 0, "processor": 0, "length": 1.0}, {"problem": 1, "processor": 0, "length": 2.0}]}
+    # the analytic closed forms raised OverflowError tracebacks; the acceleration limit a^3/(a - 1) is 1e600 here
     path = tmp_path / "sched.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(BASE_1E300))
     code, out, err = run_cli(["eval", "--schedule", str(path), "--measure", measure], capsys)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
+def test_eval_gives_the_deficiency_limit_of_a_base_near_the_float_range(tmp_path, capsys):
+    # a^3/(a^2 - 1) at a = 1e300 is 1e300, yet a^3 overflowed before the quotient and eval refused it
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(BASE_1E300))
+    code, out, _ = run_cli(["eval", "--schedule", str(path), "--measure", "def"], capsys)
+    assert code == 0
+    assert json.loads(out)["analytic"] == {"kind": "limit", "value": 1e300}
+
+
+@pytest.mark.parametrize("measure, analytic", [("def", 10.0), ("acc", 1e308 / 0.9), ("perf", 1e308 / 0.9 / 308)],
+                         ids=["def", "acc", "perf"])
+def test_eval_of_a_base_10_prefix_up_to_1e308(tmp_path, capsys, measure, analytic):
+    # the limits 10 and 1.11e308 are finite, yet their powers 10**309 overflowed and eval exited 1
+    path = tmp_path / "sched.json"
+    assert run_cli(["gen", "--n", "308", "--m", "1", "--base", "10", "--k", "309", "--out", str(path)], capsys)[0] == 0
+    code, out, _ = run_cli(["eval", "--schedule", str(path), "--measure", measure], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert math.isfinite(report["value"])
+    assert report["analytic"]["value"] == pytest.approx(analytic, rel=1e-15)
 
 
 @pytest.mark.parametrize("field", ["n", "m"])
@@ -409,25 +433,35 @@ def test_bounds_def_upper(capsys):
 @pytest.mark.parametrize("n, m, b, message", [
     ("1", "1", "inf", "base must be a finite number > 1, got inf"),
     ("1", "1", "nan", "base must be a finite number > 1, got nan"),
-    ("1", "1", "1e300", "exponential deficiency bound at n=1, m=1, b=1e+300 overflows the float range"),
-    ("2", "2", "1e200", "exponential deficiency bound at n=2, m=2, b=1e+200 overflows the float range"),
-    ("3000", "1", "2", "exponential deficiency bound at n=3000, m=1, b=2.0 overflows the float range"),
 ])
 def test_bounds_def_upper_rejects_a_bound_beyond_the_float_range(capsys, n, m, b, message):
-    # an infinite base printed NaN with exit 0, and the overflowing powers were tracebacks
+    # an infinite base printed NaN with exit 0
     code, out, err = run_cli(["bounds", "--name", "def-upper", "--n", n, "--m", m, "--b", b], capsys)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
 
 
-@pytest.mark.parametrize("m", ["1", "2"])
-def test_bounds_def_upper_beta_rejects_a_base_that_rounds_to_one(capsys, m):
-    # at n = 10**18 the optimal base (y+1)^(1/y) is 1.0, and beta^m - 1 = 0 was a ZeroDivisionError traceback
-    code, out, err = run_cli(["bounds", "--name", "def-upper-beta", "--n", str(10**18), "--m", m], capsys)
-    assert code == 1 and out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "ValueError"
-    assert error["message"].endswith("rounds to 1.0; the bound needs a base > 1")
+@pytest.mark.parametrize("n, m, b, value", [("1", "1", "1e300", 1e300), ("2", "2", "1e200", 1e200),
+                                            ("3000", "1", "2", 2.0)])
+def test_bounds_def_upper_is_finite_where_its_powers_are_not(capsys, n, m, b, value):
+    # b^(y+1) overflowed before the quotient b^(y+1)/(b^y - 1), about b, and these bounds were refused
+    code, out, _ = run_cli(["bounds", "--name", "def-upper", "--n", n, "--m", m, "--b", b], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == value
+
+
+@pytest.mark.parametrize("m, value", [("1", None), ("2", 1.5)])
+def test_bounds_def_upper_beta_at_a_base_that_rounds_to_one(capsys, m, value):
+    # at n = 10**18 the optimal base (y+1)^(1/y) is 1.0: beta^m - 1 = 0 was a ZeroDivisionError traceback, and
+    # then a refusal; lambda is read from log beta = log1p(y)/y instead, and on one processor the bound is the
+    # round-robin minimum best-exp-def-m1
+    code, out, _ = run_cli(["bounds", "--name", "def-upper-beta", "--n", str(10**18), "--m", m], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["params"]["beta"] == 1.0
+    if value is None:
+        value = json.loads(run_cli(["bounds", "--name", "best-exp-def-m1", "--n", str(10**18)], capsys)[1])["value"]
+    assert report["value"] == value
 
 
 # every command form that takes a count: (the command, the counts it takes, the one given as 10**400)
@@ -794,10 +828,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, extra):
     assert loaded_submodules([str(paths.get(a, a)) for a in args]) == CLI_IMPORT_MODULES | extra
 
 
-# SHA-256 of each demo's stdout, recorded before the measures shared one window loop
+# SHA-256 of each demo's stdout, recorded before the measures shared one window loop; lower_bound_functionals.py's
+# again once every functional was evaluated as a^(p-q)/(1 - a^-q), where its ternary search lands a few 1e-8 apart
 DEMO_DIGESTS = {
     "doubling_and_measures.py": "35229e9ef7bf46e293fe3b955cd29148fedf8e723fc91bd2c99fa3607db0f613",
-    "lower_bound_functionals.py": "f97bd605f9dabbd644e2e41d4f1b86dbdd198e92c45dfb44da5ce5b579949d23",
+    "lower_bound_functionals.py": "de0c7486fc46ee00915bc7b9bc6aac48c008fe730345b7233d6c9605d3ce1e66",
     "makespan_solvers.py": "266b416b6b5d72798abcf3c6eac7506bc78e9fc02d12d7dcfb7ebe707d6d100d",
     "multiprocessor_deficiency.py": "f2aa1e43bf61e89b54cc354ae71d6d5ac2ce64378965e47fd1fea3146ca224cd",
     "normalization_walkthrough.py": "50f504ab3341f6702da82988688659e962d4ead79312d987fd214c9728fc623e",

@@ -28,6 +28,7 @@ from contractsched import (
     roundrobin_lower_bound,
     two_problem_lower_bound,
 )
+from contractsched.bounds import _geometric
 from contractsched.generators import _geometric_minimum
 
 RTOL = Decimal("1e-13")
@@ -164,3 +165,59 @@ def test_the_best_exponential_deficiency_never_falls_below_the_general_lower_bou
         assert best >= deficiency_lower_bound_general(n).value, n
         _assert_close(best, Decimal(n + 1) ** (Decimal(n + 1) / n) / n, ("best exponential deficiency", n),
                       Decimal("1e-15"))
+
+
+GEOMETRIC_BASES = (1.0001, 1.01, 1.2, 1.5, 2.0, 10.0)
+# bases where a^p overflows the float range though a^p / (a^q - 1) does not: the limits of the n = 308 base-10 prefix,
+# the deficiency bound at b = 2 for n = 3000, and bases near the top of the float range
+OVERFLOWING_POWERS = [(10.0, 309, 308), (10.0, 309, 1), (2.0, 3001, 3000), (1.5, 1751, 1750), (1e154, 2, 1),
+                      (1e200, 3, 2), (1e200, 4, 3), (1e300, 2, 1), (1e300, 3, 2), (1.7e308, 2, 1), (1.7e308, 1, 1)]
+
+
+def test_one_expression_evaluates_every_geometric_form():
+    # a^(p-q) / (1 - a^-q), the lambda factor (m, m), the deficiency bound's (y+1, y) and the cyclic acceleration's
+    # (n+m, m); a^p / (a^q - 1) was off by up to 4.6e-15 on this grid, and refused the overflowing powers outright
+    forms = [(b, p, q) for n, m, b in itertools.product(range(1, 33), range(1, 17), GEOMETRIC_BASES)
+             for p, q in ((m, m), (n + m - (n - 1) % m, n + m - 1 - (n - 1) % m), (n + m, m))]
+    assert len(forms) == 9_216
+    for b, p, q in forms + OVERFLOWING_POWERS:
+        exact = Decimal(b)
+        _assert_close(_geometric(b, p, q), exact**p / (exact**q - 1), ("_geometric", b, p, q), Decimal("1e-15"))
+
+
+def test_the_bound_at_beta_on_one_processor_is_the_round_robin_minimum():
+    # the same quantity by two formulas differed in the last bits for 759 of these n, and at n = 10**16 the bound
+    # at beta read 1.0, below the round-robin minimum's 1.0000000000000038
+    for n in sorted({*range(1, 2000), *(2**j for j in range(63)), *(10**j for j in range(19)), sys.maxsize}):
+        at_beta = deficiency_upper_bound_at_beta(n, 1)
+        assert at_beta.value == best_exponential_deficiency_single_processor(n).value, n
+        assert at_beta.params["lam"] == 1.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 2**31, 2**53 + 1, sys.maxsize - 1, sys.maxsize])
+def test_the_bound_at_beta_holds_for_every_count(m):
+    # beta rounds to 1.0 from y near 2**56 on, where the bound refused ("rounds to 1.0") though it is near 2 - 1/m
+    for n in (1, 2, m - 1, m, m + 1, 2**56, 2**60, sys.maxsize - 1, sys.maxsize):
+        if not 1 <= n <= sys.maxsize:
+            continue
+        report = deficiency_upper_bound_at_beta(n, m)
+        gamma = (n - 1) % m
+        y = n + m - 1 - gamma
+        assert 1.0 <= report.value <= 4.0 and report.params["beta"] >= 1.0, (n, m)
+        # log beta = log(y+1)/y, F(beta) = (y+1)/y * beta and lambda = min(2 - 1/m, 1/(1 - beta^-m))
+        log_beta = Decimal(y + 1).ln() / y
+        want = min(2 - Decimal(1) / m, 1 / (1 - (-m * log_beta).exp())) * (y + 1) / y * log_beta.exp()
+        _assert_close(report.value, want, ("deficiency_upper_bound_at_beta", n, m), Decimal("1e-15"))
+
+
+def test_the_performance_closed_form_reports_its_rewritten_forms_at_any_count():
+    # (1 + n/m)(1 + m/n)^(n/m) and (1 + m/n)(1 + m/n)^(n/m) read 1e16 and 1.0 at n = 10**16, m = 1
+    for n, m in [(10**16, 1), (2**53 + 1, 1), (sys.maxsize, 3), (5, 2), (2, 4)]:
+        report = performance_ratio_closed_form(n, m)
+        want = Decimal(n + m) / m * (1 + Decimal(m) / n) ** (Decimal(n) / m)
+        _assert_close(report.params["rewritten_m_ge_n"], want, ("rewritten_m_ge_n", n, m), Decimal("1e-15"))
+        _assert_close(report.params["rewritten_m_lt_n"], want * m / n, ("rewritten_m_lt_n", n, m), Decimal("1e-15"))
+        assert report.value == report.params["acceleration_value"] / (-(-n // m))
+    # the stacking factor ceil(n/m) is 2**52 + 1 here, and the float n/m, which rounds to 2**52, took 2**52
+    raw = performance_ratio_closed_form(3 * 2**52 + 1, 3).params["acceleration_value"]
+    assert performance_ratio_closed_form(3 * 2**52 + 1, 3).value == raw / (2**52 + 1) != raw / 2**52

@@ -400,8 +400,8 @@ def test_schedule_file_is_one_compact_json_line(tmp_path):
     path = tmp_path / "s.json"
     save_schedule(s, path)
     assert path.read_text(encoding="utf-8") == (
-        '{"n":2,"m":1,"contracts":[{"problem":0,"processor":0,"length":1.0},'
-        '{"problem":1,"processor":0,"length":0.30000000000000004}],"generator":{"family":"custom","k":[1,2]}}\n'
+        '{"n":2,"m":1,"generator":{"family":"custom","k":[1,2]},"contracts":[{"problem":0,"processor":0,"length":1.0},'
+        '{"problem":1,"processor":0,"length":0.30000000000000004}]}\n'
     )
 
 

@@ -90,6 +90,13 @@ def exponential_text(k=60, generator=True):
     return saved_text(s if generator else Schedule(3, 2, s.contracts))
 
 
+def generator_last(text):
+    """A saved text as files were written before the generator came first: the same members, the generator last."""
+    doc = json.loads(text)
+    generator = doc.pop("generator")
+    return json.dumps({**doc, "generator": generator}, separators=(",", ":")) + "\n"
+
+
 def test_a_saved_file_loads_in_pieces_as_one_parse(tmp_path, monkeypatch):
     s = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=3_000))
     path = tmp_path / "s.json"
@@ -105,34 +112,47 @@ def test_a_saved_file_loads_in_pieces_as_one_parse(tmp_path, monkeypatch):
 
 
 # name: (how ``_parse_in_pieces`` takes the text in three pieces, the text); "pieces" gives the rows, "layout" None
-# (no save_schedule head, or no cuts), and "raises" an error; all but "pieces" fall back
+# (no '"contracts":[' after a comma, an empty head, no "]}" at the end, or no cuts), and "raises" an error (the
+# head or a piece does not parse); all but "pieces" fall back
 NAMED = {
     # a cut lands inside a string that reads "},{": that piece does not parse
     "string-with-a-cut": ("raises", '{"n":3,"m":2,"contracts":[%s]}' % rows(40, ',"note":"},{"')),
-    "generator-with-a-cut": ("pieces", '{"n":3,"m":2,"contracts":[%s],"generator":{"family":"x},{y","k":[1,{}]}}'
+    # the cuts are looked for in the array alone, so the generator's "},{" is never one
+    "generator-with-a-cut": ("pieces", '{"n":3,"m":2,"generator":{"family":"x},{y","k":[1,{}]},"contracts":[%s]}'
                              % rows(40)),
-    "contracts-before": ("layout", '{"contracts":[%s],"n":3,"m":2,"contracts":[%s]}' % (rows(5), rows(40))),
+    # json keeps the last of a repeated key, so the head's contracts are dropped
+    "contracts-before": ("pieces", '{"contracts":[%s],"n":3,"m":2,"contracts":[%s]}' % (rows(5), rows(40))),
     "contracts-after": ("raises", '{"n":3,"m":2,"contracts":[%s],"contracts":[%s]}' % (rows(40), rows(5))),
-    "contracts-after-not-a-list": ("raises", '{"n":3,"m":2,"contracts":[%s],"contracts":5}' % rows(40)),
-    "n-repeated-after": ("pieces", '{"n":1,"m":2,"contracts":[%s],"n":3}' % rows(40)),
-    "contracts-in-a-nested-object": ("layout", '{"n":3,"m":2,"generator":{"family":"x","contracts":[%s]},'
+    "contracts-after-not-a-list": ("layout", '{"n":3,"m":2,"contracts":[%s],"contracts":5}' % rows(40)),
+    "n-repeated-after": ("layout", '{"n":1,"m":2,"contracts":[%s],"n":3}' % rows(40)),
+    "n-repeated-in-the-head": ("pieces", '{"n":1,"m":2,"n":3,"contracts":[%s]}' % rows(40)),
+    # the first ',"contracts":[' is inside the generator, so the head does not close
+    "contracts-in-a-nested-object": ("raises", '{"n":3,"m":2,"generator":{"family":"x","contracts":[%s]},'
                                      '"contracts":[%s]}' % (rows(5), rows(40))),
-    "escaped-contracts-in-a-string": ("layout", '{"n":3,"m":2,"generator":{"family":"\\"contracts\\":["},'
+    "escaped-contracts-in-a-string": ("pieces", '{"n":3,"m":2,"generator":{"family":"\\"contracts\\":["},'
                                       '"contracts":[%s]}' % rows(40)),
+    "empty-head": ("layout", '{,"contracts":[%s]}' % rows(40)),
+    "blank-head": ("layout", '{ \n,"contracts":[%s]}' % rows(40)),
+    "head-in-another-order": ("pieces", '{"generator":{"family":"x"},"m":2,"n":3,"contracts":[%s]}' % rows(40)),
+    "spaces-in-the-head": ("pieces", ' \r\n{ "n" : 3 ,\t"m":2\n,"contracts":[%s]}' % rows(40)),
+    "generator-last": ("layout", generator_last(exponential_text())),
     "indented": ("layout", json.dumps(json.loads(exponential_text()), indent=2)),
     "indented-rows": ("layout", exponential_text().replace("},{", "},\n  {")),
     "spaced-key": ("layout", exponential_text().replace('"contracts":[', '"contracts": [')),
-    "space-after-the-array": ("raises", exponential_text().replace("],", "] ,")),
-    "whitespace-at-the-end": ("raises", exponential_text(generator=False).replace("]}", "]\t\r\n }") + "\r\n"),
-    "form-feed-at-the-end": ("raises", exponential_text(generator=False).replace("]}", "]\f}")),
-    "bom": ("layout", "\ufeff" + exponential_text()),
+    "space-after-the-array": ("layout", exponential_text().replace("]}", "] }")),
+    "whitespace-at-the-end": ("pieces", exponential_text() + "\t\r\n \r\n"),
+    # json's whitespace is space, tab, LF and CR; str.rstrip would also strip these three, which json refuses
+    "form-feed-at-the-end": ("layout", exponential_text().replace("]}\n", "]}\f\n")),
+    "next-line-at-the-end": ("layout", exponential_text().replace("]}\n", "]}\x85\n")),
+    "no-break-space-at-the-end": ("layout", exponential_text().replace("]}\n", "]}\u00a0\n")),
+    "bom": ("raises", "\ufeff" + exponential_text()),
     "nan-length": ("pieces", exponential_text().replace('"length":1.5}', '"length":NaN}', 1)),
     "infinite-length": ("pieces", exponential_text()[::-1].replace('}0.1:"htgnel"', '}ytinifnI-:"htgnel"', 1)[::-1]),
-    "truncated": ("raises", exponential_text()[:-40]),
-    "truncated-in-a-row": ("raises", exponential_text()[:len(exponential_text()) // 2]),
-    "no-end": ("raises", exponential_text(generator=False).rstrip()[:-1]),
-    "extra-data": ("raises", exponential_text() + "{}"),
-    "comma-before-the-end": ("raises", exponential_text(generator=False).replace("]}", "],}")),
+    "truncated": ("layout", exponential_text()[:-40]),
+    "truncated-in-a-row": ("layout", exponential_text()[:len(exponential_text()) // 2]),
+    "no-end": ("layout", exponential_text().rstrip()[:-1]),
+    "extra-data": ("layout", exponential_text() + "{}"),
+    "comma-before-the-end": ("layout", exponential_text().replace("]}", "],}")),
     "double-comma": ("raises", '{"n":3,"m":2,"contracts":[%s,,%s]}' % (rows(20), rows(20))),
     "empty-contracts": ("layout", '{"n":3,"m":2,"contracts":[]}'),
     "one-row": ("layout", '{"n":3,"m":2,"contracts":[%s]}' % rows(1)),
@@ -146,7 +166,7 @@ NAMED = {
                             % (rows(20), rows(20))),
     "bad-problem-late": ("pieces", '{"n":3,"m":2,"contracts":[%s,{"problem":7,"processor":0,"length":1.0}]}'
                          % rows(40)),
-    "missing-m": ("layout", '{"n":3,"contracts":[%s]}' % rows(40)),
+    "missing-m": ("pieces", '{"n":3,"contracts":[%s]}' % rows(40)),
     "not-an-object": ("layout", '[{"contracts":[%s]}]' % rows(40)),
     # a long row among short ones: two targets find the same "},{", so the cuts do not increase
     "adjacent-cuts": ("layout", '{"n":3,"m":2,"contracts":[%s,%s,%s]}'
@@ -177,6 +197,19 @@ def test_every_named_file_loads_or_fails_as_one_parse(tmp_path, monkeypatch, exp
     assert outcome(path) == serial
     if expected != "raises":  # a text may raise before its pieces are forked, in the head
         assert (len(forked) > 0) == (expected != "layout")
+    assert_no_child_left()
+
+
+def test_a_file_with_its_generator_last_loads_whole_into_the_same_schedule(tmp_path, monkeypatch):
+    # files saved before the generator came first: their contracts are not the last member, so they load by one
+    # json.loads, and saving them again restores the split
+    s = exponential_schedule(ExponentialSpec(n=3, m=2, base=1.5, k_max=60))
+    path = write(tmp_path, generator_last(saved_text(s)))
+    forked = forced_pieces(monkeypatch)
+    assert load_schedule(path) == s and forked == []
+    save_schedule(load_schedule(path), path)
+    assert path.read_text(encoding="utf-8") == saved_text(s)
+    assert load_schedule(path) == s and len(forked) == 2
     assert_no_child_left()
 
 
@@ -224,8 +257,11 @@ MEMBERS = ['"contracts":[%s]', '"contracts" : [%s]', '"a\\"contracts":[%s]', '"\
 @st.composite
 def member_texts(draw):
     members = draw(st.lists(st.sampled_from(MEMBERS), max_size=5))
-    if draw(st.booleans()):  # save_schedule's head first, so a later "contracts" is a second one
+    layout = draw(st.sampled_from(["any", "first", "last"]))
+    if layout == "first":  # n, m and contracts first, so a later "contracts" is a second one
         members = ['"n":3', '"m":2', MEMBERS[0]] + members
+    elif layout == "last":  # the contracts last, as save_schedule writes them
+        members = members + [MEMBERS[0]]
     return "{%s}" % ",".join(member.replace("%s", rows(draw(st.integers(0, 12)))) for member in members)
 
 
@@ -245,7 +281,7 @@ def test_every_saved_file_takes_the_pieces_route(n, m, k, data, generator):
     s = Schedule(n, m, [Contract(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1)), data.draw(lengths))
                         for _ in range(k)], generator)
     text = saved_text(s)
-    assert _parts._HEAD.match(text)
+    assert route(text) == "pieces"
     with pytest.MonkeyPatch.context() as monkeypatch:
         forked = forced_pieces(monkeypatch)
         doc, parsed = core._parse(text)

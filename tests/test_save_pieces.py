@@ -144,7 +144,7 @@ def test_an_interrupted_save_leaves_a_partial_file_and_no_child(tmp_path, monkey
     path.write_bytes(dump(s))
     with pytest.raises(KeyboardInterrupt):
         save_schedule(s, path)
-    assert path.read_bytes() == b'{"n":3,"m":2,"contracts":['
+    assert path.read_bytes() == b'{"n":3,"m":2,"generator":{"family":"exponential","base":1.01},"contracts":['
     assert len(forked) == 2
     assert_no_child_left()
 
