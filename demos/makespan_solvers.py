@@ -10,6 +10,7 @@ LPT builds 7 while the optimum pairs the threes for 6.
 
 from contractsched import (
     MakespanInstance,
+    deficiency_upper_bound,
     exact_makespan,
     greedy_geometric_makespan,
     greedy_in_order,
@@ -34,7 +35,7 @@ def main() -> None:
     print(f"  closed form:         {greedy_geometric_makespan(b, n, m, k)}")
     print(f"  placement (job -> processor): {greedy.processor_of}  (i mod m pattern)")
     opt = exact_makespan(MakespanInstance(sizes, m)).makespan
-    kappa = max(1.0 / (2.0 - 1.0 / m), (b**m - 1.0) / b**m)
+    kappa = deficiency_upper_bound(n, m, b).params["kappa"]
     print(f"  exact:               {opt}")
     print(f"  sandwich: {kappa:.4f} * greedy = {kappa * greedy.makespan:.4f} <= exact <= greedy")
 

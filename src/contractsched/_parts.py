@@ -5,9 +5,10 @@ value-only acceleration and performance ratios and LPT deficiency
 (``metrics``) and ``verification.run_checks`` cut their windows and checks
 with ``core._split``, ``core.save_schedule`` its contract rows, and
 ``core._parse`` the contract rows of a long file whose contracts come
-last, as ``save_schedule`` writes them (``_parse_in_pieces``).  A task
-imports this module only once it is long enough to split, so a command that
-never splits never compiles it.
+last, as ``save_schedule`` writes them (``_parse_in_pieces``).
+``core._split_count`` alone decides how many parts a task runs in; this
+module only cuts and runs them.  A task imports it only once it is long enough to
+split, so a command that never splits never compiles it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import io
 import json
 import marshal
 import os
-import threading
 import time
 from functools import partial
 from itertools import chain
@@ -40,11 +40,6 @@ _WAIT_FACTOR, _WAIT_S = 10, 1.0
 # with perf's.  Over 21 more rounds 1.1, 1.2 and 1.3 took 671.8, 672.9 and 677.0 ms, so 1.2 stays.
 _LEAD = 1.2
 
-def _workers(tasks: int) -> int:
-    """One process per usable CPU (its affinity mask, where the platform has one), never more than ``tasks``."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(tasks, cpus)
-
 
 def _cuts(items: int, count: int, lead: bool = True) -> list[int]:
     """The bounds of ``count`` contiguous ranges of ``range(items)``: 0, where each later range starts, and ``items``.
@@ -54,23 +49,6 @@ def _cuts(items: int, count: int, lead: bool = True) -> list[int]:
     """
     first = _LEAD if lead else 1.0
     return [0, *(int(items * (first + j - 1) / (first + count - 1)) for j in range(1, count)), items]
-
-
-def _part_count(items: int, least: int) -> int:
-    """The parts a task of this many items runs in, each of at least ``least`` items: one unless forking is allowed.
-
-    ``core._split_count`` asks only past two parts' worth of items.  Forking
-    is allowed when more than one CPU is usable (``_workers``), ``os.fork``
-    exists and this process runs a single thread, since a fork copies only
-    the calling thread and may leave another's locks held in the child.
-    Threads that Python did not start (a native library's pool) are not
-    counted; a child that deadlocks on one of their locks is caught by
-    ``_in_parts``'s wait.
-    """
-    if not hasattr(os, "fork"):
-        return 1
-    count = _workers(items // max(least, 1))
-    return count if count > 1 and threading.active_count() == 1 else 1
 
 
 def _in_parts(run: Callable[[int, int], object], ranges: list[tuple[int, int]], out: BinaryIO | None = None) -> list:

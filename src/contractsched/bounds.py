@@ -10,11 +10,12 @@ Every bound is reported with the parameters it was evaluated at:
   geometric functional.
 
 Every minimized bound is ``generators._geometric_minimum`` of a^p/(a^q - 1) at
-its (p, q), and every value of a^p/(a^q - 1) at a base is ``_geometric``.
-The module also carries the greedy makespan's closed form on geometric
-instances, the ternary-search optimizer for the geometric functionals that
-appear in the lower-bound arguments, and the data sets behind the three
-standard figures.
+its (p, q), and every value of a^p/(a^q - 1) at a base is ``_geometric``: the
+greedy makespan's closed form on geometric instances, lambda and the
+deficiency functional included, here and in ``verification``'s checks.  The
+module also carries the ternary-search optimizer for the geometric
+functionals that appear in the lower-bound arguments, and the data sets
+behind the three standard figures.
 """
 
 from __future__ import annotations
@@ -87,11 +88,15 @@ def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
 
     Greedy in increasing order places the i-th job on processor i mod m, so
     the busiest processor carries the geometric subseries ending at the last
-    job:  b**k * (b**(n+m-1) - b**((n-1) mod m)) / (b**m - 1).
+    job:  b**k * (b**(n+m-1) - b**gamma) / (b**m - 1), gamma = (n-1) mod m.
+    That is ``_geometric(b, k+n+m-1, m) * (1 - b**-y)``, y = n+m-1-gamma: the
+    last job b**(k+n-1) times a factor between 1 and y/m, so a ValueError
+    comes only where the last job itself overflows the float range.
     """
     b, n, m, k = _base(b, "geometric ratio"), _count(n, "n"), _count(m, "m"), _index(k, sys.maxsize, "k")
+    y = n + m - 1 - (n - 1) % m
     return _finite(lambda: f"greedy geometric makespan at b={b!r}, n={n}, m={m}, k={k}",
-                   lambda: b**k * (b ** (n + m - 1) - b ** ((n - 1) % m)) / (b**m - 1))
+                   lambda: _geometric(b, k + n + m - 1, m) * -math.expm1(-y * math.log(b)))
 
 
 def deficiency_upper_bound(n: int, m: int, b: float) -> BoundReport:
@@ -277,10 +282,13 @@ def optimize_geometric_functional(name: str, n: int | None = None, m: int | None
     base the search is checked against (``verify``'s C06).  The search stops
     once the bracket is at most 1e-10 wide.  Each step keeps two thirds of a
     bracket at most 63 wide, so it ends within 68 steps: (2/3)**68 * 63 < 1e-10.
+    A search that never moves the lower end 1 + 1e-9 (a* - 1 below about
+    1e-9, or p past about 7 * 10**11, where the bracket is empty) raises a
+    ValueError instead of returning the bracket's end.
     """
     p, _ = _exponents(name, n, m)
     f = geometric_functional(name, n=n, m=m)
-    lo, hi = 1.0 + 1e-9, min(64.0, 2 ** (1020 / p))
+    bracket = lo, hi = 1.0 + 1e-9, min(64.0, 2 ** (1020 / p))
     while hi - lo > 1e-10:
         third = (hi - lo) / 3.0
         m1, m2 = lo + third, hi - third
@@ -288,6 +296,9 @@ def optimize_geometric_functional(name: str, n: int | None = None, m: int | None
             hi = m2
         else:
             lo = m1
+    if lo == bracket[0]:
+        raise ValueError(f"{name} functional at n={n}, m={m}: no minimizer inside the search bracket "
+                         f"[1 + 1e-9, {bracket[1]!r}]")
     a = 0.5 * (lo + hi)
     return a, f(a)
 

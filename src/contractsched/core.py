@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import sys
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter, ne
@@ -161,18 +162,27 @@ def _length(value: float, what: str) -> float:
     return value
 
 
+def _cpus() -> int:
+    """The usable CPUs: this process's affinity mask where the platform has one, else ``os.cpu_count()``."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _split_count(items: int, least: int) -> int:
     """The parts a task of this many items runs in, each of about ``least`` or more: the one rule for every split.
 
-    Below two parts' worth of items it is one, and ``_parts`` is not
-    imported, so a task too short to split never compiles it; past that,
-    ``_parts._part_count`` says how many.
+    One below two parts' worth of items, so a short task never imports ``_parts`` or ``threading``.  Past that,
+    one per usable CPU (``_cpus``), at most ``items // least``, where ``os.fork`` exists and this process runs a
+    single thread: a fork copies only the calling thread and may leave another's locks held in the child.  A
+    native library's threads are not counted; a child stuck on their locks is caught by ``_parts._in_parts``.
     """
-    if items < 2 * least:
+    if items < 2 * least or not hasattr(os, "fork"):
         return 1
-    from . import _parts
+    count = min(items // max(least, 1), _cpus())
+    if count < 2:
+        return 1
+    import threading
 
-    return _parts._part_count(items, least)
+    return count if threading.active_count() == 1 else 1
 
 
 def _split(run: Callable[[int, int], object], items: int, least: int, lead: bool = True,

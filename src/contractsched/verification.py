@@ -222,7 +222,8 @@ def check_finish_time_closed_form(seed: int) -> tuple[bool, str]:
         k_max = max(n + m, n + k + 1)
         sched = exponential_schedule(ExponentialSpec(n=n, m=m, base=b, k_max=k_max))
         got = simulate(sched)[n + k]
-        want = (b ** (k + n + m) - b ** ((k + n) % m)) / (b**m - 1)
+        # contract i runs on processor i mod m, where greedy puts job i, so contract n+k ends at the makespan
+        want = bounds.greedy_geometric_makespan(b, n + k + 1, m)
         worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
     return worst <= rtol, f"{len(GEOMETRIC_GRID)} grid points, worst relative error {worst:.2e} (tol {rtol:g})"
 
@@ -313,7 +314,7 @@ def check_graham_sandwich(seed: int) -> tuple[bool, str]:
         instance = MakespanInstance(sizes, m)
         exact = exact_makespan(instance).makespan
         greedy = greedy_in_order(instance).makespan
-        kappa = max(1.0 / (2.0 - 1.0 / m), (b**m - 1.0) / b**m)
+        kappa = 1.0 / bounds._lambda_factor(m, b)
         closed = bounds.greedy_geometric_makespan(b, n, m, k)
         if not (exact <= greedy * (1 + slack)):
             return False, f"exact > greedy at b={b}, n={n}, m={m}, k={k}"
@@ -504,11 +505,8 @@ def check_bound_dominates(seed: int) -> tuple[bool, str]:
 
     for n, m in itertools.product(range(1, 17), range(1, 17)):
         beta = deficiency_optimal_base(n, m)
-        gamma = (n - 1) % m
-
-        def f(b: float) -> float:
-            return b ** (n + m) / (b ** (n + m - 1) - b**gamma)
-
+        y = n + m - 1 - (n - 1) % m
+        f = partial(bounds._geometric, p=y + 1, q=y)
         if not (f(beta) <= f(beta - 1e-3) + 1e-12 and f(beta) <= f(beta + 1e-3) + 1e-12):
             return False, f"beta misses the minimum at n={n}, m={m}"
 

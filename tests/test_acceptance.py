@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from contractsched import _parts, cli, verification
+from contractsched import _parts, cli, core, verification
 from contractsched.verification import ALL_CHECKS
 
 ACCEPTANCE_CHECKS = [c for c in ALL_CHECKS if c.check_id.startswith("C")]
@@ -27,8 +27,8 @@ PROPERTY_CHECKS = [c for c in ALL_CHECKS if c.check_id.startswith("P")]
 DETAILS_DIGESTS = {
     "C01": "a1c0f9585ff57b73f637e775aad5346741ade675d199e5844a26bdf3e9c526ab",
     "C02": "b3765fb70e9eace3f6f3f8391b6e8b8badd806b89fe10330bdec58a74e93d4b5",
-    "C03": "91fb2fdee25d49cfc9cca20b8d78c2a254a86cdb8b7339cd10d6db45a268e2b1",
-    "C04": "a33346839902a9cd2a83d82c1b1f7685056a585d553aa2f91d9dd256e44de16b",
+    "C03": "d2a822aeb7919b48518e051b9726160a38c61800f4c908ff5d5d5ca0965e17cb",
+    "C04": "927bed9c4737839e3851526521f5228b02e895f0e4bfb1be939adff61dfa612a",
     "C05": "be71f144dd1b70a5327758f09cf84f877abf85db8d64ba45e547218860964357",
     "C06": "1de3e745f59ec362af64221fa01a0c3d3c47202c91e3a90c7e0f2fe072d06496",
     "C07": "b8521abe7930c739ac088c986e15d5d1229673b175ef1ef401c1ad8454ecf09b",
@@ -105,7 +105,7 @@ def forced_ranges(monkeypatch):
         forked.append((lo, hi))
         return fork(run, lo, hi, raw)
 
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     monkeypatch.setattr(_parts, "_fork", recording)
     return forked
 

@@ -228,6 +228,26 @@ def test_optimizer_bracket_stays_in_the_float_range(name, kwargs, closed_base, c
     assert abs(value - closed_value) <= 1e-9 * closed_value
 
 
+@pytest.mark.parametrize("name, kwargs", [
+    ("round-robin", {"n": 24 * 10**9}),
+    ("round-robin", {"n": 3 * 10**10}),  # a* - 1 = 8.04e-10: 1.039e-9 came back, the bracket's end
+    ("round-robin", {"n": 10**11}),
+    ("round-robin", {"n": 10**12}),  # 2**(1020/p) < 1 + 1e-9: the bracket is empty
+    ("cyclic-acceleration", {"n": 1, "m": 10**11}),
+], ids=["rr-2.4e10", "rr-3e10", "rr-1e11", "rr-1e12-empty", "cyclic-m-1e11"])
+def test_optimizer_refuses_a_minimizer_below_its_bracket(name, kwargs):
+    counts = f"n={kwargs['n']}, m={kwargs.get('m')}"
+    with pytest.raises(ValueError, match=rf"^{name} functional at {counts}: no minimizer inside the search bracket "):
+        optimize_geometric_functional(name, **kwargs)
+
+
+def test_optimizer_keeps_a_minimizer_just_above_its_bracket_end():
+    # a* - 1 = 2.3e-9, a bracket's end 1 + 1e-9 below it
+    n = 10**10
+    a_star, _ = optimize_geometric_functional("round-robin", n=n)
+    assert abs(a_star - best_exponential_deficiency_single_processor(n).params["beta"]) <= 1e-10
+
+
 def test_optimizer_unknown_functional():
     with pytest.raises(ValueError):
         optimize_geometric_functional("mystery")

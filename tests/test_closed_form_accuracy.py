@@ -24,6 +24,7 @@ from contractsched import (
     deficiency_upper_bound_at_beta,
     figure1_performance_curve,
     figure2_deficiency_surface,
+    greedy_geometric_makespan,
     performance_ratio_closed_form,
     roundrobin_lower_bound,
     two_problem_lower_bound,
@@ -221,3 +222,31 @@ def test_the_performance_closed_form_reports_its_rewritten_forms_at_any_count():
     # the stacking factor ceil(n/m) is 2**52 + 1 here, and the float n/m, which rounds to 2**52, took 2**52
     raw = performance_ratio_closed_form(3 * 2**52 + 1, 3).params["acceleration_value"]
     assert performance_ratio_closed_form(3 * 2**52 + 1, 3).value == raw / (2**52 + 1) != raw / 2**52
+
+
+GREEDY_BASES = (1.0000001, 1.0001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 1e10)
+
+
+def test_the_greedy_makespan_keeps_its_digits_and_refuses_only_beyond_the_float_range():
+    # b^k (b^(n+m-1) - b^gamma) / (b^m - 1) written out was off by up to 3.95e-10 on this grid (b = 1.0000001,
+    # n = 3, m = 4, k = 1) and refused 544 finite makespans whose powers overflowed
+    grid = list(itertools.product(GREEDY_BASES, range(1, 33), range(1, 17), range(4)))
+    assert len(grid) == 18_432
+    refused = 0
+    for b, n, m, k in grid:
+        exact = Decimal(b)
+        want = exact**k * (exact ** (n + m - 1) - exact ** ((n - 1) % m)) / (exact**m - 1)
+        if want > Decimal(sys.float_info.max):
+            refused += 1
+            with pytest.raises(ValueError, match="^greedy geometric makespan at .* overflows the float range$"):
+                greedy_geometric_makespan(b, n, m, k)
+            continue
+        _assert_close(greedy_geometric_makespan(b, n, m, k), want, ("greedy_geometric_makespan", b, n, m, k),
+                      Decimal("1e-15"))
+    assert refused == 160
+
+
+@pytest.mark.parametrize("b, n, m, want", [(1e100, 2, 4, 1e100), (10.0, 2, 4, 10.0)])
+def test_the_greedy_makespan_is_its_last_job_when_every_job_has_a_processor(b, n, m, want):
+    # the jobs 1 and b on four processors: b^(n+m-1) overflowed at b = 1e100, which was refused
+    assert greedy_geometric_makespan(b, n, m) == want

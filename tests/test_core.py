@@ -2,9 +2,11 @@ import collections
 import gc
 import json
 import math
+import os
 import random
 import re
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -581,7 +583,7 @@ def test_json_missing_key_raises():
 
 def test_every_builder_makes_contracts_not_plain_tuples(tmp_path, monkeypatch):
     # a plain (p, q, x) tuple compares equal to its Contract, so only the type tells them apart
-    from contractsched import _parts, normalize
+    from contractsched import normalize
 
 
     s = exponential_schedule(ExponentialSpec(n=3, m=2, base=1.5, k_max=60))
@@ -592,7 +594,7 @@ def test_every_builder_makes_contracts_not_plain_tuples(tmp_path, monkeypatch):
     built = {"exponential_schedule": s, "schedule_from_dict": schedule_from_dict(doc),
              "schedule_from_dict, int length": schedule_from_dict(loose), "load_schedule": load_schedule(path)}
     monkeypatch.setattr(core, "_PARSE_MIN", 0)
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     assert core._parse(path.read_text(encoding="utf-8"))[1] is not None
     built["load_schedule in pieces"] = load_schedule(path)
     built["Schedule from plain tuples"] = Schedule(3, 2, [tuple(c) for c in s.contracts])
@@ -685,3 +687,41 @@ def test_schedule_pauses_the_collector_while_it_builds_and_restores_the_callers_
     finally:
         gc.enable() if was else gc.disable()
     assert during and not any(during)
+
+
+# --- the split gate -------------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("items, least, cpus, want", [
+    (19, 10, 3, 1),  # below two parts' worth of items
+    (20, 10, 3, 2),
+    (29, 10, 3, 2),
+    (30, 10, 3, 3),
+    (10**6, 10, 3, 3),
+    (10**6, 10, 1, 1),  # one usable CPU
+    (10**6, 1, 2, 2),
+])
+def test_one_function_decides_every_split(monkeypatch, items, least, cpus, want):
+    # min(items // least, cpus), or 1 below 2 * least; core._cpus is the one seam for the usable CPUs
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    assert core._split_count(items, least) == want
+
+
+def test_no_split_without_fork(monkeypatch):
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert core._split_count(10**6, 10) == 1
+
+
+def test_no_split_beside_a_second_thread(monkeypatch):
+    # a fork copies only the calling thread and may leave another's locks held in the child
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert core._split_count(10**6, 10) == 1
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert core._split_count(10**6, 10) == (3 if hasattr(os, "fork") else 1)

@@ -27,7 +27,7 @@ from contractsched import (
     performance_ratio,
     simulate,
 )
-from contractsched import _parts
+from contractsched import _parts, core
 
 MEASURES = {
     "acc": lambda s, samples: acceleration_ratio(s, samples=samples),
@@ -113,7 +113,7 @@ def test_the_long_value_only_routes_keep_the_relations(monkeypatch, measure, wor
         forked.append((lo, hi))
         return fork(run, lo, hi, raw)
 
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, workers))
+    monkeypatch.setattr(core, "_cpus", lambda: workers)
     monkeypatch.setattr(_parts, "_fork", recording)
     expected = value_and_argmax(measure(LONG, False))
     # the exact deficiency takes the bound-pruned route, which never splits

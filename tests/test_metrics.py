@@ -424,7 +424,7 @@ def forced_split(monkeypatch):
 
     monkeypatch.setattr(metrics, "_PART_MIN", 2)
     monkeypatch.setattr(metrics, "_RATIO_PART_MIN", 2)
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 3))
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
     monkeypatch.setattr(_parts, "_fork", recording)
     return forked
 
@@ -484,10 +484,10 @@ def ratio_split_cases():
 def test_value_only_ratios_split_into_the_serial_reports(monkeypatch, measure):
     cases = list(ratio_split_cases())
     forked = forced_split(monkeypatch)
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     split = [repr(measure(s, window=window, samples=False)) for s, window in cases]
     assert len(forked) == len(cases)
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: 1)
+    monkeypatch.setattr(core, "_cpus", lambda: 1)
     serial = [measure(s, window=window, samples=False) for s, window in cases]
     assert [repr(report) for report in serial] == split
     assert len(forked) == len(cases)

@@ -25,7 +25,7 @@ def forced_pieces(monkeypatch):
         return fork(run, lo, hi, raw)
 
     monkeypatch.setattr(core, "_PARSE_MIN", 0)
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 3))
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
     monkeypatch.setattr(_parts, "_fork", recording)
     return forked
 
@@ -358,10 +358,10 @@ def test_nothing_forks_where_pieces_are_not_allowed(tmp_path, monkeypatch):
         waiter.join(timeout=10)
     assert not waiter.is_alive() and forked == []
     # one usable CPU
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: 1)
+    monkeypatch.setattr(core, "_cpus", lambda: 1)
     assert outcome(path) == expected and forked == []
     # and a file of two pieces of _PARSE_MIN characters on two CPUs splits in two
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     monkeypatch.setattr(core, "_PARSE_MIN", len(text) // 2)
     assert outcome(path) == expected and len(forked) == 1
     assert_no_child_left()
@@ -375,6 +375,6 @@ def test_a_long_prefix_is_parsed_in_pieces_by_default_on_more_than_one_cpu(tmp_p
     text = path.read_text(encoding="utf-8")
     assert len(text) >= 2 * core._PARSE_MIN
     doc, parsed = core._parse(text)
-    assert (parsed is not None) == (_parts._workers(2) > 1)
+    assert (parsed is not None) == (core._cpus() > 1)
     assert load_schedule(path) == s == core.schedule_from_dict(json.loads(text))
     assert_no_child_left()

@@ -27,7 +27,7 @@ def forced_ranges(monkeypatch):
         return child
 
     monkeypatch.setattr(core, "_SAVE_MIN", 100)
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 3))
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
     monkeypatch.setattr(_parts, "_fork", recording)
     return forked
 
@@ -75,7 +75,7 @@ def test_a_failed_child_leaves_the_save_as_one_write(tmp_path, monkeypatch, fail
     # saving process copies its bytes has sent only some of them
     s = prefix(8000, True)
     forked = forced_ranges(monkeypatch)
-    monkeypatch.setattr(_parts, "_workers", lambda tasks: min(tasks, 2))
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     monkeypatch.setattr(_parts, "_WAIT_S", 0.2)
     fork, copy = _parts._fork, _parts._copy
     copied = []
@@ -205,5 +205,5 @@ def test_a_long_prefix_is_saved_in_ranges_by_default_on_more_than_one_cpu(tmp_pa
     path = tmp_path / "s.json"
     save_schedule(s, path)
     assert path.read_bytes() == dump(s)
-    assert (forked == [(10_909, 20_000)]) == (_parts._workers(2) > 1)
+    assert (forked == [(10_909, 20_000)]) == (core._cpus() > 1)
     assert_no_child_left()
