@@ -25,7 +25,7 @@ import sys
 from itertools import accumulate, repeat
 
 from .core import _base, _count, _index, _init_field, _Record
-from .generators import _geometric_minimum
+from .generators import _deficiency_exponent, _geometric_minimum
 
 
 class BoundReport(_Record):
@@ -94,7 +94,7 @@ def greedy_geometric_makespan(b: float, n: int, m: int, k: int = 0) -> float:
     comes only where the last job itself overflows the float range.
     """
     b, n, m, k = _base(b, "geometric ratio"), _count(n, "n"), _count(m, "m"), _index(k, sys.maxsize, "k")
-    y = n + m - 1 - (n - 1) % m
+    y = _deficiency_exponent(n, m)[1]
     return _finite(lambda: f"greedy geometric makespan at b={b!r}, n={n}, m={m}, k={k}",
                    lambda: _geometric(b, k + n + m - 1, m) * -math.expm1(-y * math.log(b)))
 
@@ -106,8 +106,7 @@ def deficiency_upper_bound(n: int, m: int, b: float) -> BoundReport:
     b^-m is below about 2**-54, and b^(y+1)/(b^y - 1) = b/(1 - b^-y) is at most b/(1 - 1/b).
     """
     b, n, m = _base(b, "base"), _count(n, "n"), _count(m, "m")
-    gamma = (n - 1) % m
-    y = n + m - 1 - gamma
+    gamma, y = _deficiency_exponent(n, m)
     lam = _lambda_factor(m, b)
     return BoundReport(
         name="exponential-deficiency-upper",
@@ -121,9 +120,9 @@ def deficiency_upper_bound(n: int, m: int, b: float) -> BoundReport:
 def deficiency_upper_bound_at_beta(n: int, m: int) -> BoundReport:
     """The exponential deficiency bound at its optimal base beta; it depends on (m, rho) only, n-1 = rho*m + gamma."""
     n, m = _count(n, "n"), _count(m, "m")
-    gamma = (n - 1) % m
-    rho = (n - 1 - gamma) // m
-    beta, lam, value = _bound_at_beta(m, m * (rho + 1))
+    gamma, y = _deficiency_exponent(n, m)
+    rho = y // m - 1
+    beta, lam, value = _bound_at_beta(m, y)
     return BoundReport(
         name="exponential-deficiency-upper-at-beta",
         measure="deficiency",

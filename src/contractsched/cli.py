@@ -99,7 +99,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # the file is written before anything is printed, so a failed write prints only the error JSON
     if args.csv:
         n = sched.n_problems
-        denom_name = "opt" if args.measure == "def" else "denominator"
+        denom_name = {"exact": "opt", "lpt": "lpt"}[args.solver] if args.measure == "def" else "denominator"
         header = ["time"] + [f"s{i}" for i in range(1, n + 1)] + [denom_name, "ratio", "served"]
         # a served window stays served, so the unserved windows come first in time
         rows = [

@@ -50,24 +50,44 @@ def _contracts(rows: Iterable[Iterable]) -> tuple[Contract, ...]:
     return tuple(map(tuple.__new__, repeat(Contract), rows))
 
 
+# sets a field from a record's __init__, past the __setattr__ that refuses assignment; one module-level
+# name, since looking up object.__setattr__ again for every field adds measurably to the hot records
+_init_field = object.__setattr__
+
+
 class _Record:
     """Base of the package's records: an immutable set of named fields.
 
-    A subclass names its fields, in order, in ``__slots__ = _fields = (...)``
-    and sets each once in its own ``__init__`` through ``_init_field``.  The
-    base gives what a frozen dataclass gives, without importing ``dataclasses``
-    (which loads ``inspect`` and ``ast`` into every process) or generating
-    methods when the class is defined: assigning or deleting a field raises
-    AttributeError, two records are equal when they are of the same class with
-    equal fields, the repr is ``Name(field=value, ...)``, and the hash is that
-    of the field tuple (a record with a dict field, such as ``Schedule.generator``
-    or ``BoundReport.params``, cannot be hashed, and the dict is not frozen).
-    Each ``__init__`` is written out: a loop over ``_fields`` measured slower
-    on the tens of thousands of records ``verify`` builds.
+    A subclass names its fields, in order, in ``__slots__ = _fields = (...)``,
+    and the defaults of the last ones in ``_defaults``.  The base gives what
+    a frozen dataclass gives, without importing ``dataclasses`` (which loads
+    ``inspect`` and ``ast`` into every process): assigning or deleting a
+    field raises AttributeError, two records are equal when they are of the
+    same class with equal fields, the repr is ``Name(field=value, ...)``, and
+    the hash is that of the field tuple (a record with a dict field, such as
+    ``Schedule.generator`` or ``BoundReport.params``, cannot be hashed, and
+    the dict is not frozen).  A subclass with no ``__init__`` in its class
+    chain gets one compiled from ``_fields``, as ``namedtuple`` compiles its
+    ``__new__``: one ``_init_field`` line per field, what a written-out
+    ``__init__`` runs, so it is as fast (a loop over ``_fields`` measured
+    slower on the tens of thousands of records ``verify`` builds).
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        if cls.__init__ is object.__init__:
+            fields = cls._fields
+            body = "".join(f"\n _init_field(self, {name!r}, {name})" for name in fields) or " pass"
+            namespace = {"_init_field": _init_field, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+            init = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            # a KeyError unless the defaults are those of the last fields
+            init.__defaults__ = tuple(cls._defaults[name] for name in fields[len(fields) - len(cls._defaults):])
+            cls.__init__ = init
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -209,11 +229,6 @@ def _split(run: Callable[[int, int], object], items: int, least: int, lead: bool
         return [run(0, items)]
     out.writelines(run(0, items))
     return []
-
-
-# sets a field from a record's __init__, past the __setattr__ that refuses assignment; one module-level
-# name, since looking up object.__setattr__ again for every field adds measurably to the hot records
-_init_field = object.__setattr__
 
 
 class Schedule(_Record):

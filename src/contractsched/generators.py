@@ -61,13 +61,18 @@ def _geometric_minimum(p: int, q: int) -> tuple[float, float]:
     return math.exp(log_ratio / q), p / q * math.exp(log_ratio * (p - q) / q)
 
 
+def _deficiency_exponent(n: int, m: int) -> tuple[int, int]:
+    """(gamma, y) for checked counts: gamma = (n-1) mod m, and y = n+m-1-gamma = m*(rho+1) with n-1 = rho*m + gamma."""
+    gamma = (n - 1) % m
+    return gamma, n + m - 1 - gamma
+
+
 def deficiency_optimal_base(n: int, m: int) -> float:
     """Base minimizing the deficiency bound lambda * b^(y+1)/(b^y - 1), y = n+m-1-gamma: (y+1)^(1/y).
 
-    With n-1 = rho*m + gamma, y = m*(rho+1).  For m=1 it reduces to (n+1)^(1/n).
+    For m=1 it reduces to (n+1)^(1/n).
     """
-    n, m = _count(n, "n"), _count(m, "m")
-    y = n + m - 1 - (n - 1) % m
+    y = _deficiency_exponent(_count(n, "n"), _count(m, "m"))[1]
     return _geometric_minimum(y + 1, y)[0]
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
 # so all three stay imported.  ``bounds`` is imported only where an exponential schedule's analytic value
 # needs it.
-from .core import Schedule, _critical_times, _init_field, _length, _ranked, _Record, _split, _sweep, simulate
+from .core import Schedule, _critical_times, _length, _ranked, _Record, _split, _sweep, simulate
 from .core import critical_times  # noqa: F401
 from .makespan import MakespanInstance, _lpt_span, assignment_from_map, exact_makespan, lower_bound
 from .makespan import lpt_makespan  # noqa: F401
@@ -55,17 +55,9 @@ _RATIO_PART_MIN = 10_000
 
 
 class MeasureSample(_Record):
-    """One evaluated interruption time: snapshot (sorted, n values), divisor of t, and ratio."""
+    """One evaluated window: float time, sorted snapshot of n floats, float divisor of t and ratio, bool served."""
 
     __slots__ = _fields = ("time", "snapshot", "denominator", "ratio", "served")
-
-    def __init__(self, time: float, snapshot: tuple[float, ...], denominator: float, ratio: float,
-                 served: bool) -> None:
-        _init_field(self, "time", time)
-        _init_field(self, "snapshot", snapshot)
-        _init_field(self, "denominator", denominator)
-        _init_field(self, "ratio", ratio)
-        _init_field(self, "served", served)
 
 
 class MeasureReport(_Record):
@@ -86,23 +78,7 @@ class MeasureReport(_Record):
                            "truncation_note", "analytic", "solver", "exact", "opt_solves", "windows",
                            "pruned_windows")
 
-    def __init__(self, measure: str, value: float, argmax_time: float | None, samples: tuple[MeasureSample, ...],
-                 unserved_times: tuple[float, ...], incomplete: bool, truncation_note: str | None,
-                 analytic: dict | None = None, solver: str | None = None, exact: bool = True, opt_solves: int = 0,
-                 windows: int = 0, pruned_windows: int = 0) -> None:
-        _init_field(self, "measure", measure)
-        _init_field(self, "value", value)
-        _init_field(self, "argmax_time", argmax_time)
-        _init_field(self, "samples", samples)
-        _init_field(self, "unserved_times", unserved_times)
-        _init_field(self, "incomplete", incomplete)
-        _init_field(self, "truncation_note", truncation_note)
-        _init_field(self, "analytic", analytic)
-        _init_field(self, "solver", solver)
-        _init_field(self, "exact", exact)
-        _init_field(self, "opt_solves", opt_solves)
-        _init_field(self, "windows", windows)
-        _init_field(self, "pruned_windows", pruned_windows)
+    _defaults = {"analytic": None, "solver": None, "exact": True, "opt_solves": 0, "windows": 0, "pruned_windows": 0}
 
 
 def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None, *,

@@ -46,7 +46,7 @@ from itertools import compress, groupby
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .core import Schedule, _finish_times, _init_field, _Record, _sweep, simulate
+from .core import Schedule, _finish_times, _Record, _sweep, simulate
 
 
 class TransformStep(_Record):
@@ -68,40 +68,22 @@ class TransformStep(_Record):
 
     __slots__ = _fields = ("kind", "index", "time", "problems", "rule", "deficiency_before", "deficiency_after")
 
-    def __init__(self, kind: str, index: int, time: float, problems: tuple[int, int] | None, rule: str | None,
-                 deficiency_before: float, deficiency_after: float) -> None:
-        _init_field(self, "kind", kind)
-        _init_field(self, "index", index)
-        _init_field(self, "time", time)
-        _init_field(self, "problems", problems)
-        _init_field(self, "rule", rule)
-        _init_field(self, "deficiency_before", deficiency_before)
-        _init_field(self, "deficiency_after", deficiency_after)
-
 
 class RunOutcome(_Record):
     """What happened to one run of >= 3 consecutive same-problem contracts.
 
-    ``action`` is "removed", "certified" or "irreducible".
+    ``start_index`` and ``length`` are ints; ``action`` is "removed", "certified" or "irreducible".
     """
 
     __slots__ = _fields = ("start_index", "length", "action")
 
-    def __init__(self, start_index: int, length: int, action: str) -> None:
-        _init_field(self, "start_index", start_index)
-        _init_field(self, "length", length)
-        _init_field(self, "action", action)
-
 
 class NormalizationTrace(_Record):
+    """Input and output ``Schedule``, and the tuples of ``TransformStep`` and ``RunOutcome`` between them."""
+
     __slots__ = _fields = ("input", "output", "steps", "run_outcomes")
 
-    def __init__(self, input: Schedule, output: Schedule, steps: tuple[TransformStep, ...],
-                 run_outcomes: tuple[RunOutcome, ...] = ()) -> None:
-        _init_field(self, "input", input)
-        _init_field(self, "output", output)
-        _init_field(self, "steps", steps)
-        _init_field(self, "run_outcomes", run_outcomes)
+    _defaults = {"run_outcomes": ()}
 
     @property
     def identity(self) -> bool:

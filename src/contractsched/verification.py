@@ -20,8 +20,8 @@ import time
 from functools import partial
 from typing import Callable, Sequence
 
-from . import bounds, metrics, transforms
-from .core import Schedule, _init_field, _length, _Record, _split, critical_times, simulate, snapshots_before
+from . import bounds, generators, metrics, transforms
+from .core import Schedule, _length, _Record, _split, critical_times, simulate, snapshots_before
 from .generators import ExponentialSpec, acceleration_optimal_base, deficiency_optimal_base, exponential_schedule
 from .makespan import MakespanInstance, exact_makespan, greedy_in_order
 
@@ -36,16 +36,9 @@ ORACLE_MAX_PROCESSORS = 3
 
 
 class CheckResult(_Record):
-    """The outcome of one check."""
+    """The outcome of one check: str id and description, bool passed, str details, float seconds."""
 
     __slots__ = _fields = ("check_id", "description", "passed", "details", "seconds")
-
-    def __init__(self, check_id: str, description: str, passed: bool, details: str, seconds: float) -> None:
-        _init_field(self, "check_id", check_id)
-        _init_field(self, "description", description)
-        _init_field(self, "passed", passed)
-        _init_field(self, "details", details)
-        _init_field(self, "seconds", seconds)
 
 
 # every check in definition order; ``_check`` appends each one
@@ -505,7 +498,7 @@ def check_bound_dominates(seed: int) -> tuple[bool, str]:
 
     for n, m in itertools.product(range(1, 17), range(1, 17)):
         beta = deficiency_optimal_base(n, m)
-        y = n + m - 1 - (n - 1) % m
+        y = generators._deficiency_exponent(n, m)[1]
         f = partial(bounds._geometric, p=y + 1, q=y)
         if not (f(beta) <= f(beta - 1e-3) + 1e-12 and f(beta) <= f(beta + 1e-3) + 1e-12):
             return False, f"beta misses the minimum at n={n}, m={m}"

@@ -18,8 +18,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from contractsched import _parts, cli, core, verification
+from contractsched import _parts, cli, verification
 from contractsched.verification import ALL_CHECKS
+
+from forks import assert_no_child_left, record_forks
 
 ACCEPTANCE_CHECKS = [c for c in ALL_CHECKS if c.check_id.startswith("C")]
 PROPERTY_CHECKS = [c for c in ALL_CHECKS if c.check_id.startswith("P")]
@@ -90,26 +92,6 @@ def test_a_check_past_its_runtime_limit_fails(monkeypatch):
     assert result.details.endswith("; exceeded runtime limit of 1s (5.00s)")
 
 
-def assert_no_child_left():
-    # waitpid sees every child, whichever way it was started
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def forced_ranges(monkeypatch):
-    """Run the checks in up to two ranges, whatever the host: returns the list of ranges given to a child."""
-    forked = []
-    fork = _parts._fork
-
-    def recording(run, lo, hi, raw):
-        forked.append((lo, hi))
-        return fork(run, lo, hi, raw)
-
-    monkeypatch.setattr(core, "_cpus", lambda: 2)
-    monkeypatch.setattr(_parts, "_fork", recording)
-    return forked
-
-
 def digests(results):
     return [hashlib.sha256(r.details.encode()).hexdigest() for r in results]
 
@@ -138,7 +120,7 @@ def test_run_checks_leaves_no_worker_when_a_check_raises(monkeypatch):
 
 
 def test_run_checks_splits_into_contiguous_ranges_of_equal_count(monkeypatch):
-    forked = forced_ranges(monkeypatch)
+    forked = record_forks(monkeypatch, cpus=2)
     results = verification.run_checks(0)
     assert forked == [(7, 15)]  # C01-C07 here, C08-P05 in the child
     assert digests(results) == list(DETAILS_DIGESTS.values())
@@ -147,7 +129,7 @@ def test_run_checks_splits_into_contiguous_ranges_of_equal_count(monkeypatch):
 
 def test_a_check_that_hangs_in_a_child_runs_here_instead(monkeypatch):
     monkeypatch.setattr(verification, "ALL_CHECKS", list(verification.ALL_CHECKS))
-    forked = forced_ranges(monkeypatch)
+    forked = record_forks(monkeypatch, cpus=2)
     monkeypatch.setattr(_parts, "_WAIT_FACTOR", 1)
     monkeypatch.setattr(_parts, "_WAIT_S", 0.2)
     parent = os.getpid()
@@ -170,7 +152,7 @@ def test_a_check_that_hangs_in_a_child_runs_here_instead(monkeypatch):
 
 
 def test_with_no_child_forked_every_range_runs_here(monkeypatch):
-    forced_ranges(monkeypatch)
+    record_forks(monkeypatch, cpus=2)
     monkeypatch.setattr(_parts, "_fork", lambda run, lo, hi, raw: None)
     results = verification.run_checks(0)
     assert [r.check_id for r in results] == list(DETAILS_DIGESTS)
@@ -179,7 +161,7 @@ def test_with_no_child_forked_every_range_runs_here(monkeypatch):
 
 
 def test_a_second_thread_keeps_every_check_here(monkeypatch, tmp_path, capsys):
-    forked = forced_ranges(monkeypatch)
+    forked = record_forks(monkeypatch, cpus=2)
     path = tmp_path / "report.json"
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)

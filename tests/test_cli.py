@@ -94,6 +94,22 @@ def test_eval_measure_and_csv(tmp_path, capsys):
     assert float(rows[-1][3]) == pytest.approx(4.0, abs=1e-3)
 
 
+@pytest.mark.parametrize(("measure", "solver", "column"),
+                         [("def", "lpt", "lpt"), ("def", "exact", "opt"), ("acc", "exact", "denominator"),
+                          ("perf", "lpt", "denominator")])
+def test_eval_csv_names_its_denominator_column_by_what_it_holds(tmp_path, capsys, measure, solver, column):
+    # an LPT makespan is above OPT wherever LPT is not optimal, so the LPT deficiency's column is not "opt"
+    sched_path = tmp_path / "sched.json"
+    csv_path = tmp_path / "series.csv"
+    run_cli(["gen", "--n", "3", "--m", "2", "--k", "40", "--out", str(sched_path)], capsys)
+    code, out, _ = run_cli(["eval", "--schedule", str(sched_path), "--measure", measure, "--solver", solver,
+                            "--csv", str(csv_path)], capsys)
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert f"measure={measure} solver={solver}" in lines[0]
+    assert lines[1] == f"time,s1,s2,s3,{column},ratio,served"
+
+
 def test_eval_csv_unserved_rows_carry_snapshots(tmp_path, capsys):
     # problem 2 is first served at 7.5, so the unserved windows before it
     # hold nonzero lengths for problems 0 and 1

@@ -11,7 +11,6 @@ holds the long, split routes to the short, serial ones.
 """
 
 import math
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +26,8 @@ from contractsched import (
     performance_ratio,
     simulate,
 )
-from contractsched import _parts, core
+
+from forks import assert_no_child_left, record_forks
 
 MEASURES = {
     "acc": lambda s, samples: acceleration_ratio(s, samples=samples),
@@ -106,15 +106,7 @@ LONG = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=25_000))
 @pytest.mark.parametrize("workers", [2, 1], ids=["split", "serial"])
 @pytest.mark.parametrize("measure", MEASURES.values(), ids=MEASURES.keys())
 def test_the_long_value_only_routes_keep_the_relations(monkeypatch, measure, workers):
-    forked = []
-    fork = _parts._fork
-
-    def recording(run, lo, hi, raw):
-        forked.append((lo, hi))
-        return fork(run, lo, hi, raw)
-
-    monkeypatch.setattr(core, "_cpus", lambda: workers)
-    monkeypatch.setattr(_parts, "_fork", recording)
+    forked = record_forks(monkeypatch, cpus=workers)
     expected = value_and_argmax(measure(LONG, False))
     # the exact deficiency takes the bound-pruned route, which never splits
     assert len(forked) == (workers - 1) * (measure is not MEASURES["exact"])
@@ -125,5 +117,4 @@ def test_the_long_value_only_routes_keep_the_relations(monkeypatch, measure, wor
         assert value_and_argmax(measure(variant, False), factor) == expected
     longer = Schedule(4, 2, [*LONG.contracts, Contract(0, 0, 2 * max(simulate(LONG)))])
     assert measure(longer, False).value >= expected[0]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()

@@ -27,6 +27,8 @@ from contractsched import _parts, core, metrics, transforms
 from contractsched.makespan import lower_bound
 from contractsched.transforms import deficiency_value_m1
 
+from forks import assert_no_child_left, record_forks
+
 
 def sched(n, m, rows):
     return Schedule(n, m, tuple(Contract(p, q, length) for p, q, length in rows))
@@ -415,23 +417,9 @@ def forced_split(monkeypatch):
 
     Returns the list that records each range given to a child.
     """
-    forked = []
-    fork = _parts._fork
-
-    def recording(run, lo, hi, raw):
-        forked.append((lo, hi))
-        return fork(run, lo, hi, raw)
-
     monkeypatch.setattr(metrics, "_PART_MIN", 2)
     monkeypatch.setattr(metrics, "_RATIO_PART_MIN", 2)
-    monkeypatch.setattr(core, "_cpus", lambda: 3)
-    monkeypatch.setattr(_parts, "_fork", recording)
-    return forked
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return record_forks(monkeypatch, cpus=3)
 
 
 def lpt_value(s, window=None):

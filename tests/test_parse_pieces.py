@@ -14,25 +14,13 @@ from hypothesis import strategies as st
 from contractsched import Contract, ExponentialSpec, Schedule, exponential_schedule, load_schedule, save_schedule
 from contractsched import _parts, core
 
+from forks import assert_no_child_left, record_forks
+
 
 def forced_pieces(monkeypatch):
     """Parse every file in up to three pieces, whatever its length and the host: returns the list of pieces forked."""
-    forked = []
-    fork = _parts._fork
-
-    def recording(run, lo, hi, raw):
-        forked.append((lo, hi))
-        return fork(run, lo, hi, raw)
-
     monkeypatch.setattr(core, "_PARSE_MIN", 0)
-    monkeypatch.setattr(core, "_cpus", lambda: 3)
-    monkeypatch.setattr(_parts, "_fork", recording)
-    return forked
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return record_forks(monkeypatch, cpus=3)
 
 
 def outcome(path):

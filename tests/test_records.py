@@ -2,7 +2,10 @@
 
 Each record is a plain class on ``core._Record``: equal by class and fields,
 hashed and printed by its field tuple, immutable, and validated in
-``__init__`` with the messages users already see.
+``__init__`` with the messages users already see.  Six output records write
+no ``__init__`` and take the one ``_Record`` compiles from their ``_fields``
+and ``_defaults`` (``tests/test_record_init.py``); the same table holds both
+kinds.
 """
 
 import copy

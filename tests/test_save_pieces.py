@@ -13,28 +13,15 @@ import contractsched
 from contractsched import Contract, ExponentialSpec, Schedule, exponential_schedule, save_schedule, schedule_to_dict
 from contractsched import _parts, core
 
+from forks import assert_no_child_left, record_forks
+
 GENERATOR = {"family": "exponential", "base": 1.004, "note": "café"}
 
 
 def forced_ranges(monkeypatch):
     """Save every schedule of at least 200 rows in up to three ranges, whatever the host: returns the ranges forked."""
-    forked = []
-    fork = _parts._fork
-
-    def recording(run, lo, hi, raw):
-        child = fork(run, lo, hi, raw)
-        forked.append((lo, hi, child and child[0]))
-        return child
-
     monkeypatch.setattr(core, "_SAVE_MIN", 100)
-    monkeypatch.setattr(core, "_cpus", lambda: 3)
-    monkeypatch.setattr(_parts, "_fork", recording)
-    return forked
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return record_forks(monkeypatch, cpus=3, pids=True)
 
 
 def dump(s):
@@ -199,9 +186,7 @@ def test_below_each_least_nothing_forks_and_parts_is_not_imported(tmp_path):
 
 def test_a_long_prefix_is_saved_in_ranges_by_default_on_more_than_one_cpu(tmp_path, monkeypatch):
     s = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=2 * core._SAVE_MIN))
-    forked = []
-    fork = _parts._fork
-    monkeypatch.setattr(_parts, "_fork", lambda run, lo, hi, raw: forked.append((lo, hi)) or fork(run, lo, hi, raw))
+    forked = record_forks(monkeypatch)
     path = tmp_path / "s.json"
     save_schedule(s, path)
     assert path.read_bytes() == dump(s)
