@@ -21,10 +21,9 @@ import os
 import time
 from functools import partial
 from itertools import chain
-from operator import itemgetter
-from typing import BinaryIO, Callable, Iterable
+from typing import BinaryIO, Callable
 
-from .core import _CONTRACTS
+from .core import _COLUMN_FIELDS, _CONTRACTS
 
 # A child that has not reported this many times the caller's own part later, plus _WAIT_S seconds, is
 # taken for hung (``_in_parts``); its part is no longer than the caller's.
@@ -172,14 +171,14 @@ def _copy(read: int, deadline: float, out: BinaryIO) -> bool:
     return left == 0
 
 
-def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple]] | None:
-    """``core._parse`` in ``count`` pieces: (document, contract rows), or None where the contracts do not come last.
+def _parse_in_pieces(text: str, count: int) -> tuple[dict, list[tuple]] | None:
+    """``core._parse`` in ``count`` pieces: (document, contract columns), or None where the contracts do not come last.
 
     The caller parses the first piece of the ``"contracts"`` array and a
     forked child each other one (``_in_parts``); each child sends its
-    piece's columns back by ``marshal`` (``_piece``).  The rows are the
-    columns zipped into ``core._ROW_FIELDS`` tuples, and the document has
-    no ``"contracts"``.  The pieces joined are what one ``json.loads(text)``
+    piece's columns back by ``marshal`` (``_piece``).  The columns are the
+    pieces' problems, processors and lengths, each joined into one tuple,
+    and the document has no ``"contracts"``.  The pieces joined are what one ``json.loads(text)``
     gives, because:
 
     * the head: ``json.loads(text[:i] + "}")``, i where the first
@@ -217,23 +216,19 @@ def _parse_in_pieces(text: str, count: int) -> tuple[dict, Iterable[tuple]] | No
             return None
         cuts.append(cut)
     ranges = list(zip([a] + [cut + 2 for cut in cuts], [cut + 1 for cut in cuts] + [z]))
-    problems, processors, lengths = zip(*_in_parts(partial(_piece, text), ranges))
-    return doc, zip(chain.from_iterable(problems), chain.from_iterable(processors), chain.from_iterable(lengths))
+    return doc, [tuple(chain.from_iterable(pieces)) for pieces in zip(*_in_parts(partial(_piece, text), ranges))]
 
 
-_PROBLEM, _PROCESSOR, _LENGTH = map(itemgetter, ("problem", "processor", "length"))
-
-
-def _piece(text: str, lo: int, hi: int) -> tuple[list, list, list]:
+def _piece(text: str, lo: int, hi: int) -> list[list]:
     """The rows of ``text[lo:hi]``, a piece of the contracts array, as columns.
 
     The columns are the rows' problems, processors and lengths, three flat
     lists that ``marshal`` sends in two thirds of the time of row tuples; a
     row that lacks a field raises KeyError, and one that is not an object
-    TypeError, as with ``core._ROW_FIELDS``.  Raises ValueError where
+    TypeError, as with ``core._COLUMN_FIELDS``.  Raises ValueError where
     ``core._parse`` must fall back.
     """
     rows = json.loads(f"[{text[lo:hi]}]")
     if not rows:
         raise ValueError("an empty piece of the contracts")
-    return list(map(_PROBLEM, rows)), list(map(_PROCESSOR, rows)), list(map(_LENGTH, rows))
+    return [list(map(field, rows)) for field in _COLUMN_FIELDS]

@@ -167,10 +167,11 @@ def _trace_to_dict(trace) -> dict:
     """The JSON form of a `transforms.NormalizationTrace`."""
     return {
         "identity": trace.identity,
-        "steps": [s._asdict() for s in trace.steps],
+        # a deficiency is +inf where no window is served: null, as eval prints it, since JSON has no infinity
+        "steps": [{k: None if v == float("inf") else v for k, v in s._asdict().items()} for s in trace.steps],
         "run_outcomes": [o._asdict() for o in trace.run_outcomes],
-        "input_contracts": len(trace.input.contracts),
-        "output_contracts": len(trace.output.contracts),
+        "input_contracts": len(trace.input),
+        "output_contracts": len(trace.output),
     }
 
 

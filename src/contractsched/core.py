@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat, zip_longest
 from operator import itemgetter, ne
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -31,23 +31,14 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 class Contract(NamedTuple):
     """One execution unit: a run of a given length for one problem on one processor.
 
-    A named tuple: it compares equal to the plain tuple of its fields.  Only
-    ``Schedule`` makes them, from (problem, processor, length) rows, all in
-    one map with no Python code per contract.
+    A named tuple: it compares equal to the plain tuple of its fields.  A
+    ``Schedule`` stores its contracts as columns and builds them only when
+    its ``contracts`` row view is read.
     """
 
     problem: int
     processor: int
     length: float
-
-
-def _contracts(rows: Iterable[Iterable]) -> tuple[Contract, ...]:
-    """A ``Contract`` from each (problem, processor, length) row, in one C-level map: ``Schedule``'s one build.
-
-    It skips the Python-level ``__new__`` that ``Contract(...)`` runs per
-    call, and checks nothing, a row's length included: ``Schedule`` does.
-    """
-    return tuple(map(tuple.__new__, repeat(Contract), rows))
 
 
 # sets a field from a record's __init__, past the __setattr__ that refuses assignment; one module-level
@@ -231,55 +222,65 @@ def _split(run: Callable[[int, int], object], items: int, least: int, lead: bool
     return []
 
 
+def _fits(n: int, m: int, problems: tuple, processors: tuple, lengths: tuple) -> bool:
+    """Whether every contract of the columns is good as stored: ``Schedule``'s check, column by column.
+
+    NaN makes ``min`` depend on order, so a finite ``sum`` rules out NaN and inf first.
+    """
+    return len(problems) == len(processors) == len(lengths) and (not lengths or (
+        set(map(type, problems)) == set(map(type, processors)) == {int} and set(map(type, lengths)) == {float}
+        and 0 <= min(problems) and max(problems) < n and 0 <= min(processors) and max(processors) < m
+        and math.isfinite(sum(lengths)) and min(lengths) > 0.0))
+
+
 class Schedule(_Record):
     """A finite prefix of a (possibly infinite) schedule of contracts.
 
-    Contracts are stored in global execution order.  ``generator`` optionally
-    records the rule that produced the prefix (e.g. an exponential family),
-    which lets evaluators report analytic limits next to empirical suprema.
-    ``contracts`` is any iterable of (problem, processor, length) rows, read
-    once.  Whatever made them, each becomes a ``Contract`` here, in one map
-    (``_contracts``) with the cyclic collector paused (the caller's state is
-    restored however the build ends), and is checked here and nowhere else:
-    three fields, problem and processor by ``_index``, length by ``_length``
-    (an int length is stored as a float); a ValueError names the first bad
-    field.  So is the generator: ``None``, or a dict whose ``"family"`` is a
-    ``str``, with a ``"base"`` that obeys ``_base`` if it is ``"exponential"``.
+    Contracts are stored in global execution order as three columns: the tuples ``problems`` and ``processors``
+    of ints and ``lengths`` of floats.  ``contracts``, the field that ``repr``, equality, hashing, pickling,
+    ``_replace`` and ``_asdict`` read, is a row view: a tuple of ``Contract``s built on each read (milliseconds on
+    a 100k-contract prefix; the library reads the columns).  ``generator`` optionally records the rule that
+    produced the prefix (e.g. an exponential family), which lets evaluators report analytic limits next to
+    empirical suprema.  ``contracts`` is any iterable of (problem, processor, length) rows, read once and
+    transposed; the loaders and the generator hand over columns (``_of``).  Either way they are checked here and
+    nowhere else, column by column (``_fits``), and where that fails one contract at a time: three fields,
+    problem and processor by ``_index``, length by ``_length`` (an int length is stored as a float); a
+    ValueError names the first bad field of the first bad contract.  So is the generator: ``None``, or a dict
+    whose ``"family"`` is a ``str``, with a ``"base"`` that obeys ``_base`` if it is ``"exponential"``.
     """
 
-    __slots__ = _fields = ("n_problems", "m_processors", "contracts", "generator")
+    __slots__ = ("n_problems", "m_processors", "problems", "processors", "lengths", "generator")
+    _fields = ("n_problems", "m_processors", "contracts", "generator")
 
     def __init__(self, n_problems: int, m_processors: int, contracts: Iterable[Iterable],
                  generator: dict | None = None) -> None:
+        self._set(n_problems, m_processors, None, contracts, generator)
+
+    @classmethod
+    def _of(cls, n_problems: int, m_processors: int, columns: Iterable[Iterable],
+            generator: dict | None = None) -> Schedule:
+        """The schedule of the (problems, processors, lengths) ``columns``, iterables read once: the loaders' entry."""
+        self = cls.__new__(cls)
+        self._set(n_problems, m_processors, columns, None, generator)
+        return self
+
+    def _set(self, n_problems: int, m_processors: int, columns: Iterable[Iterable] | None,
+             rows: Iterable[Iterable] | None, generator: dict | None) -> None:
         n, m = _count(n_problems, "n_problems"), _count(m_processors, "m_processors")
-        collecting = gc.isenabled()
-        gc.disable()  # the contracts make no reference cycle, and a collection per 700 of them is wasted
-        try:
-            contracts, bad = _contracts(contracts), False
-            try:
-                # one combined test per contract, exact types included (a NaN fails every comparison); min/max/sum
-                # passes over the fields measured 1.6x slower than a loop, at 180 and at 100k contracts
-                for problem, processor, length in contracts:
-                    if not (type(problem) is int and type(processor) is int and type(length) is float
-                            and 0 <= problem < n and 0 <= processor < m and 0.0 < length < math.inf):
-                        bad = True
-                        break
-            except ValueError:  # a row of other than three fields fails to unpack
-                bad = True
-            if bad:
-                # a contract is bad or has an int length: check each in order, its field count, then problem,
-                # processor and length, so the error names the first bad field of the first bad contract
-                checked = []
-                for i, row in enumerate(contracts):
-                    if len(row) != 3:  # shown as a tuple: a Contract's repr raises unless it has three fields
-                        raise ValueError(f"contract {i} must be a (problem, processor, length) row, got {tuple(row)!r}")
-                    p, q, x = row
-                    checked.append((_index(p, n, f"contract {i}: problem"), _index(q, m, f"contract {i}: processor"),
-                                    _length(x, f"contract {i}: length")))
-                contracts = _contracts(checked)
-        finally:
-            if collecting:
-                gc.enable()
+        if columns is None:
+            rows = tuple(map(tuple, rows))
+            # a row of other than three fields leaves other than three columns, or a None that no check passes
+            columns = tuple(zip_longest(*rows)) or ((), (), ())
+        columns = tuple(map(tuple, columns))
+        if len(columns) != 3 or not _fits(n, m, *columns):
+            checked = []  # one contract at a time, so the ValueError names the first bad field of the first bad one
+            for i, row in enumerate(zip_longest(*columns) if rows is None else rows):
+                if len(row) != 3:
+                    raise ValueError(f"contract {i} must be a (problem, processor, length) row, got {row!r}")
+                p, q, x = row
+                checked.append((_index(p, n, f"contract {i}: problem"), _index(q, m, f"contract {i}: processor"),
+                                _length(x, f"contract {i}: length")))
+            columns = tuple(zip(*checked))
         if generator is not None:
             if not isinstance(generator, dict):
                 raise ValueError(f"schedule 'generator' must be a JSON object, got {type(generator).__name__}")
@@ -289,13 +290,16 @@ class Schedule(_Record):
                 raise ValueError(f"schedule 'generator' family must be a string, got {family!r}")
             if family == "exponential":
                 _base(generator.get("base"), "exponential generator base")
-        _init_field(self, "n_problems", n)
-        _init_field(self, "m_processors", m)
-        _init_field(self, "contracts", contracts)
-        _init_field(self, "generator", generator)
+        for name, value in zip(self.__slots__, (n, m, *columns, generator)):
+            _init_field(self, name, value)
+
+    @property
+    def contracts(self) -> tuple[Contract, ...]:
+        """The row view: a ``Contract`` per contract, built from the columns in one C-level map on each read."""
+        return tuple(map(tuple.__new__, repeat(Contract), zip(self.problems, self.processors, self.lengths)))
 
     def __len__(self) -> int:
-        return len(self.contracts)
+        return len(self.lengths)
 
 
 def simulate(schedule: Schedule) -> list[float]:
@@ -305,21 +309,20 @@ def simulate(schedule: Schedule) -> list[float]:
     contract's finish time is the running load of its processor.  Raises
     ValueError if a processor's load overflows the float range.
     """
-    return _finish_times(schedule.contracts, [0.0] * schedule.m_processors)
+    return _finish_times(schedule.processors, schedule.lengths, [0.0] * schedule.m_processors)
 
 
-def _finish_times(contracts: Iterable[Contract], loads: list[float]) -> list[float]:
+def _finish_times(processors: Iterable[int], lengths: Iterable[float], loads: list[float]) -> list[float]:
     """The one finish-time loop: ``simulate`` for contracts run after the per-processor ``loads``.
 
-    Entry i is the finish time of the i-th contract, each added to its
-    processor's running load in order; ``loads`` is updated in place.  From
-    all-zero loads this is ``simulate``.  Raises ValueError if a load
-    overflows the float range.
+    Entry i is the finish time of the i-th contract, ``lengths[i]`` added to
+    the running load of processor ``processors[i]``; ``loads`` is updated in
+    place.  From all-zero loads this is ``simulate``.  Raises ValueError if a
+    load overflows the float range.
     """
     out: list[float] = []
-    for c in contracts:
-        p = c[1]  # read by index, which is faster than by field name and takes a plain tuple too
-        loads[p] += c[2]
+    for p, x in zip(processors, lengths):
+        loads[p] += x
         out.append(loads[p])
     # loads only grow, so checking the final ones covers every finish time
     for processor, load in enumerate(loads):
@@ -365,21 +368,20 @@ def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tup
     list would add 100k live tuples for the garbage collector to track.
     """
     fins = simulate(schedule)
-    return _sweep(schedule.contracts, schedule.n_problems, fins, (_length(t, "interruption time") for t in times),
-                  _ranked(fins))
+    return _sweep(schedule.problems, schedule.lengths, schedule.n_problems, fins,
+                  (_length(t, "interruption time") for t in times), _ranked(fins))
 
 
-def _sweep(contracts: Sequence[Contract], n: int, fins: Sequence[float], times: Iterable[float],
+def _sweep(problems: Sequence[int], lengths: Sequence[float], n: int, fins: Sequence[float], times: Iterable[float],
            order: Sequence[int], start: int = 0,
            longest: Sequence[float] | None = None) -> Iterator[tuple[float, ...]]:
-    """The one sweep: ``snapshots_before`` of a contract sequence, at checked times.
+    """The one sweep: ``snapshots_before`` of contracts given as columns, at checked times.
 
-    ``contracts`` need not be a ``Schedule``'s: ``fins[i]`` is the finish
-    time of ``contracts[i]`` and ``n`` the number of problems, so a caller
-    holding a contract list and its finish times (from ``_finish_times``)
-    sweeps it without building a schedule.  ``order`` is ``_ranked(fins)``,
-    which every caller supplies; on one processor, whose finish times never
-    decrease, it is the contract order.
+    The columns need not be a ``Schedule``'s: contract i, of problem
+    ``problems[i]`` and length ``lengths[i]``, finishes at ``fins[i]``, so a
+    caller holding columns and their finish times (``_finish_times``) sweeps
+    them without building a schedule.  ``order`` is ``_ranked(fins)``, which
+    every caller supplies; on one processor it is the contract order.
 
     The sweep starts at the rank position ``start``: each contract
     ``order[:start]`` must finish before the first time, and ``longest``
@@ -391,8 +393,9 @@ def _sweep(contracts: Sequence[Contract], n: int, fins: Sequence[float], times: 
         longest = list(longest)
     else:
         longest = [0.0] * n
-        if start:  # a sweep from the first position, the usual one, builds no iterator here
-            for problem, _, length in map(contracts.__getitem__, islice(order, start)):
+        if start:  # a sweep from the first position, the usual one, copies no ranks here
+            head = order[:start]
+            for problem, length in zip(map(problems.__getitem__, head), map(lengths.__getitem__, head)):
                 if length > longest[problem]:
                     longest[problem] = length
     pos, end, prev = start, len(order), -math.inf
@@ -401,7 +404,8 @@ def _sweep(contracts: Sequence[Contract], n: int, fins: Sequence[float], times: 
             raise ValueError(f"interruption times must be ascending, got {t} after {prev}")
         prev = t
         while pos < end and fins[order[pos]] < t:
-            problem, _, length = contracts[order[pos]]
+            i = order[pos]
+            problem, length = problems[i], lengths[i]
             if length > longest[problem]:
                 longest[problem] = length
             pos += 1
@@ -414,7 +418,7 @@ def snapshot(schedule: Schedule, t: float) -> tuple[float, ...]:
     # which snapshots_before would refuse, so the sweep is read directly
     t = math.nextafter(_length(t, "interruption time"), math.inf)
     fins = simulate(schedule)
-    return next(_sweep(schedule.contracts, schedule.n_problems, fins, [t], _ranked(fins)))
+    return next(_sweep(schedule.problems, schedule.lengths, schedule.n_problems, fins, [t], _ranked(fins)))
 
 
 def snapshot_before(schedule: Schedule, t: float) -> tuple[float, ...]:
@@ -443,11 +447,14 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     doc: dict = {"n": schedule.n_problems, "m": schedule.m_processors}
     if schedule.generator is not None:
         doc["generator"] = schedule.generator
-    doc["contracts"] = [{"problem": p, "processor": q, "length": x} for p, q, x in schedule.contracts]
+    doc["contracts"] = [{"problem": p, "processor": q, "length": x}
+                        for p, q, x in zip(schedule.problems, schedule.processors, schedule.lengths)]
     return doc
 
 
+# a row's fields, and one getter per column: the serial parse maps each over the rows
 _ROW_FIELDS = itemgetter("problem", "processor", "length")
+_COLUMN_FIELDS = tuple(map(itemgetter, ("problem", "processor", "length")))
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
@@ -464,21 +471,26 @@ def schedule_from_dict(doc: dict) -> Schedule:
         rows = doc["contracts"]
         if not isinstance(rows, list):
             raise ValueError(f"schedule 'contracts' must be a list, got {type(rows).__name__}")
-        # one map reads every row, so a well-formed 100k-contract file runs no Python code per contract here
-        return _schedule_of(doc, map(_ROW_FIELDS, rows))
-    except KeyError as exc:  # "contracts" is missing; _schedule_of names every other missing key
+        try:
+            # three maps read the columns, so a well-formed 100k-contract file runs no Python code per contract here
+            return _schedule_of(doc, [map(field, rows) for field in _COLUMN_FIELDS])
+        except (KeyError, TypeError):
+            list(map(_ROW_FIELDS, rows))  # raises again at the first row, in row order, lacking a field or no dict
+            raise
+    except KeyError as exc:  # "contracts" is missing, or a row lacks a field; _schedule_of names a missing n or m
         raise ValueError(f"schedule document missing key: {exc}") from exc
     except TypeError:  # a row that is not a dict cannot be indexed by a field name
         idx, row = next((idx, row) for idx, row in enumerate(rows) if not isinstance(row, dict))
         raise ValueError(f"contract {idx} must be a JSON object, got {type(row).__name__}") from None
 
 
-def _schedule_of(doc: dict, rows: Iterable[tuple]) -> Schedule:
-    """``schedule_from_dict(doc)`` once the contract rows are read, from the document or from its pieces."""
+def _schedule_of(doc: dict, columns: Iterable[Iterable]) -> Schedule:
+    """``schedule_from_dict(doc)`` once the contract columns are read, from the document or from its pieces."""
     try:
-        return Schedule(_count(doc["n"], "n"), _count(doc["m"], "m"), rows, doc.get("generator"))
-    except KeyError as exc:  # a missing "n" or "m", or a row missing a field
+        n, m = _count(doc["n"], "n"), _count(doc["m"], "m")
+    except KeyError as exc:  # a missing "n" or "m"
         raise ValueError(f"schedule document missing key: {exc}") from exc
+    return Schedule._of(n, m, columns, doc.get("generator"))
 
 
 # what opens the contracts array in a saved file, after the other members: the split parse looks for it
@@ -521,16 +533,16 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
     head = {"n": schedule.n_problems, "m": schedule.m_processors}
     if schedule.generator is not None:
         head["generator"] = schedule.generator
-    contracts = schedule.contracts
+    columns = schedule.problems, schedule.processors, schedule.lengths
 
     def rows(lo: int, hi: int) -> Iterator[bytes]:
         for start in range(lo, hi, _BLOCK):
-            block = ",".join(map(_ROW.__mod__, contracts[start:min(start + _BLOCK, hi)]))
+            block = ",".join(map(_ROW.__mod__, zip(*(column[start:min(start + _BLOCK, hi)] for column in columns))))
             yield (("," if start else "") + block).encode()
 
     with open(path, "wb") as out:
         out.write((json.dumps(head, separators=(",", ":"))[:-1] + _CONTRACTS).encode())
-        _split(rows, len(contracts), _SAVE_MIN if out.seekable() else sys.maxsize, out=out)
+        _split(rows, len(schedule), _SAVE_MIN if out.seekable() else sys.maxsize, out=out)
         out.write(b"]}\n")
 
 
@@ -541,14 +553,13 @@ def load_schedule(path: str | Path) -> Schedule:
     contracts are the document's last member, opened by ``_CONTRACTS``, as
     ``save_schedule`` writes them, the file is long enough and more than one
     CPU is usable, into what ``json.loads`` gives.  The cyclic garbage
-    collector is paused while the JSON is parsed and the contracts are
-    built: the dicts, lists and tuples made there form no cycle, yet on a
-    100k-contract file the collections they trigger take about a fifth of
-    the load.  The caller's collector state is restored however the load
-    ends, and a collector the caller disabled stays so.  The file's text is
-    released as soon as it is parsed, before ``Schedule`` builds the
-    contracts from its rows, or, parsed in pieces, from the columns each
-    piece sends, zipped into rows.
+    collector is paused while the JSON is parsed and the columns are read:
+    the dicts and lists made there form no cycle, yet on a 100k-contract
+    file the collections they trigger take about a fifth of the load.  The
+    caller's collector state is restored however the load ends, and a
+    collector the caller disabled stays so.  The file's text is released as
+    soon as it is parsed, before ``Schedule`` reads its columns from the
+    rows, or, parsed in pieces, takes the columns the pieces sent, joined.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -556,13 +567,11 @@ def load_schedule(path: str | Path) -> Schedule:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         try:
-            doc, rows = _parse(text)
+            doc, columns = _parse(text)
         except RecursionError:
             raise ValueError(f"schedule file {path} nests too deeply to parse") from None
         del text
-        if rows is None:
-            return schedule_from_dict(doc)
-        return _schedule_of(doc, rows)
+        return schedule_from_dict(doc) if columns is None else _schedule_of(doc, columns)
     finally:
         if collecting:
             gc.enable()
@@ -575,12 +584,12 @@ def load_schedule(path: str | Path) -> Schedule:
 _PARSE_MIN = 500_000
 
 
-def _parse(text: str) -> tuple[object, Iterable[tuple] | None]:
-    """``json.loads(text)`` as (document, None), or, parsed in pieces, as (document, contract rows).
+def _parse(text: str) -> tuple[object, list[tuple] | None]:
+    """``json.loads(text)`` as (document, None), or, parsed in pieces, as (document, contract columns).
 
-    The rows are the (problem, processor, length) tuples ``_ROW_FIELDS``
-    reads from the document's ``"contracts"``, which the document then
-    lacks (a piece sends them as columns, ``_parts._piece``).  A text whose
+    The columns are the problems, processors and lengths that
+    ``_COLUMN_FIELDS`` read from the document's ``"contracts"``, which the
+    document then lacks (each piece sends its own, ``_parts._piece``).  A text whose
     contracts array is its last member, opened by ``_CONTRACTS`` as
     ``save_schedule`` writes it, is parsed in
     ``_split_count(len(text), _PARSE_MIN)`` pieces when that is more than

@@ -8,7 +8,7 @@ deficiency-minimizing base and the acceleration-ratio-minimizing base.
 from __future__ import annotations
 
 import math
-from itertools import cycle, islice, repeat
+from itertools import repeat
 
 from .core import Schedule, _base, _count, _init_field, _Record
 
@@ -38,8 +38,11 @@ class ExponentialSpec(_Record):
 
 
 def exponential_schedule(spec: ExponentialSpec) -> Schedule:
-    """Materialize the prefix of an exponential round-robin schedule, its rows handed to ``Schedule`` in one ``zip``."""
-    b = spec.base
+    """Materialize the prefix of an exponential round-robin schedule, handing ``Schedule`` its three columns.
+
+    Each index column repeats ``range(n)`` or ``range(m)`` in one allocation: a MemoryError at once if too long.
+    """
+    n, m, b = spec.n, spec.m, spec.base
     k = spec.contracts_to_build
     try:
         # b**i grows with i, so the last length overflows exactly when any would: this one pow refuses an
@@ -47,8 +50,9 @@ def exponential_schedule(spec: ExponentialSpec) -> Schedule:
         pow(float(b), k - 1)
     except OverflowError:
         raise ValueError(f"base {b!r} with k={k} contracts overflows: {b!r}**{k - 1} exceeds the float range") from None
-    rows = zip(islice(cycle(range(spec.n)), k), islice(cycle(range(spec.m)), k), map(pow, repeat(float(b)), range(k)))
-    return Schedule(spec.n, spec.m, rows, {"family": "exponential", "base": b})
+    problems, processors = ((tuple(range(count)) * -(-k // count))[:k] for count in (n, m))
+    return Schedule._of(n, m, (problems, processors, map(pow, repeat(float(b)), range(k))),
+                        {"family": "exponential", "base": b})
 
 
 def _geometric_minimum(p: int, q: int) -> tuple[float, float]:

@@ -100,8 +100,8 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
     parts merge into the serial report.  A later range starts its sweep at
     its first window (``core._sweep``): the contracts ranked before it are
     those finishing before it, found by ``bisect_left`` on the ranked finish
-    times, and their longest lengths are read from the contracts, so a child
-    reads no finish time before its range.  Samples and ``lower`` take one
+    times, and their longest lengths are read from the length column, so a
+    child reads no finish time before its range.  Samples and ``lower`` take one
     serial loop over tuple snapshots.  Only the pruned route lists its
     windows, to rank their ceilings t / ``lower``; the others stream them,
     so a long prefix never holds them all; the one with the largest ceiling
@@ -114,7 +114,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
         times = sorted(_length(t, "interruption time") for t in window)
     else:
         times = _critical_times(list(map(fins.__getitem__, order)))
-    contracts, n = schedule.contracts, schedule.n_problems
+    problems, lengths, n = schedule.problems, schedule.lengths, schedule.n_problems
     rows: list[MeasureSample] = []
     pruned = 0
 
@@ -124,7 +124,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
             start = bisect_left(order, part[0], key=fins.__getitem__) if lo else 0
             unserved: list[float] = []
             value, argmax = -math.inf, None
-            for t, snap in zip(part, map(sorted, _sweep(contracts, n, fins, part, order, start))):
+            for t, snap in zip(part, map(sorted, _sweep(problems, lengths, n, fins, part, order, start))):
                 if snap[0] > 0.0:
                     ratio = t / denom_of(snap)
                     if ratio > value:
@@ -142,7 +142,7 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
         if explicit and unserved:
             value, argmax = math.inf, unserved[0]
     else:
-        windows = zip(times, map(tuple, map(sorted, _sweep(contracts, n, fins, times, order))))
+        windows = zip(times, map(tuple, map(sorted, _sweep(problems, lengths, n, fins, times, order))))
         floor = -math.inf  # the pruned route's first floor: the ratio of the window with the largest ceiling
         if lower is not None:
             windows = list(windows)

@@ -16,8 +16,9 @@ Both are one rewrite loop with a different step rule.  Before each step the
 loop removes a dominated contract if there is one: a contract no longer than
 an earlier contract for the same problem never contributes to any snapshot,
 and removing it only shortens later interruption times.  The loop holds
-each state it reaches as a contract list with its finish times and one
-ratio per window, and reads both deficiencies of a step from those.
+each state it reaches as problem and length lists (every processor is 0)
+with its finish times and one ratio per window, and reads both
+deficiencies of a step from those.
 
 A step at index i sweeps only the windows it can change.  The windows
 before i are the held floats, since no contract from i on finishes before
@@ -42,8 +43,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import compress, groupby
-from operator import itemgetter
+from itertools import accumulate, compress, groupby, repeat
 from typing import Callable, Sequence
 
 from .core import Schedule, _finish_times, _Record, _sweep, simulate
@@ -94,21 +94,18 @@ class NormalizationTrace(_Record):
 # Single-processor deficiency bookkeeping
 # ---------------------------------------------------------------------------
 
-# A contract as the rewrite loop holds it: a ``Contract`` or a plain (problem, processor, length) tuple, which
-# compares equal to it.  A swap builds each relabelled contract as a plain tuple; ``Schedule`` makes it a ``Contract``.
-_Row = tuple[int, int, float]
-
-
-def _ratios(contracts: Sequence[_Row], n: int, fins: list[float], held: list[float | None] | None = None,
-            start: int = 0, stop: int | None = None, longest: list[float] | None = None) -> list[float | None]:
+def _ratios(problems: Sequence[int], lengths: Sequence[float], n: int, fins: list[float],
+            held: list[float | None] | None = None, start: int = 0, stop: int | None = None,
+            longest: list[float] | None = None) -> list[float | None]:
     """Deficiency ratio right before each finish time in ``fins``, in contract order; None where a problem is unserved.
 
-    ``fins[i]`` is the finish time of ``contracts[i]``: on one processor
-    they never decrease, so contract order is the sweep's ranking
-    (``core._ranked``, ties in contract order), and every one is a window.
-    Windows ``start`` to ``stop`` (the end by default) are swept from the
-    contracts; the others are read from ``held``, the ratios of a state the
-    caller knows to agree with ``contracts`` there (see ``_rewrite``).
+    ``fins[i]`` is the finish time of contract i, of problem ``problems[i]``
+    and length ``lengths[i]``: on one processor they never decrease, so
+    contract order is the sweep's ranking (``core._ranked``, ties in
+    contract order), and every one is a window.  Windows ``start`` to
+    ``stop`` (the end by default) are swept from the columns; the others
+    are read from ``held``, the ratios of a state the caller knows to agree
+    with the columns there (see ``_rewrite``).
 
     The sweep starts at contract ``start`` with ``longest``, each
     problem's longest length over the contracts before it, where the caller
@@ -122,8 +119,8 @@ def _ratios(contracts: Sequence[_Row], n: int, fins: list[float], held: list[flo
     if 0 < start < len(fins) and fins[start - 1] == fins[start]:
         first, longest = bisect_left(fins, fins[start], 0, start), None
     # a problem with nothing completed has longest length 0.0, and every completed length is positive
-    swept = [t / math.fsum(snap) if 0.0 not in snap else None
-             for t, snap in zip(times, _sweep(contracts, n, fins, times, list(range(len(fins))), first, longest))]
+    snaps = _sweep(problems, lengths, n, fins, times, list(range(len(fins))), first, longest)
+    swept = [t / math.fsum(snap) if 0.0 not in snap else None for t, snap in zip(times, snaps)]
     if start:
         swept = held[:start] + swept
     if stop is not None:
@@ -156,39 +153,39 @@ def deficiency_value_m1(schedule: Schedule) -> float:
     explicit list of times, use ``metrics.deficiency(window=...)``.
     """
     _single_processor(schedule, "deficiency_value_m1")
-    return _value(_ratios(schedule.contracts, schedule.n_problems, simulate(schedule)))
+    return _value(_ratios(schedule.problems, schedule.lengths, schedule.n_problems, simulate(schedule)))
 
 
 # ---------------------------------------------------------------------------
 # The rewrite loop
 # ---------------------------------------------------------------------------
 
-# a state: (contract list, its finish times, its ``_ratios``)
-_State = tuple[list[_Row], list[float], list[float | None]]
+# a state: (problem list, length list, its finish times, its ``_ratios``)
+_State = tuple[list[int], list[float], list[float], list[float | None]]
 # a step: (kind, index, problems, rule, next state, and for a swap the (clean, longest) the scans resume from)
 _Move = tuple[str, int, tuple[int, int] | None, str | None, _State, tuple[int, list[float]] | None]
 
 
-def _removal(contracts: list[_Row], n: int, fins: list[float], ratios: list[float | None], idx: int,
-             longest: list[float] | None = None) -> _State:
+def _removal(problems: list[int], lengths: list[float], n: int, fins: list[float], ratios: list[float | None],
+             idx: int, longest: list[float] | None = None) -> _State:
     """The state without contract ``idx``; ``longest``, where known, is each problem's longest length before it.
 
     Windows before ``idx`` are kept; every later finish time moves, so every
     later window is swept again.
     """
-    nxt = contracts[:idx] + contracts[idx + 1 :]
-    nxt_fins = fins[:idx] + _finish_times(nxt[idx:], [fins[idx - 1] if idx else 0.0])
-    return nxt, nxt_fins, _ratios(nxt, n, nxt_fins, ratios, idx, None, longest)
+    problems, lengths = problems[:idx] + problems[idx + 1 :], lengths[:idx] + lengths[idx + 1 :]
+    nxt_fins = fins[:idx] + _finish_times(repeat(0), lengths[idx:], [fins[idx - 1] if idx else 0.0])
+    return problems, lengths, nxt_fins, _ratios(problems, lengths, n, nxt_fins, ratios, idx, None, longest)
 
 
-def _first_dominated(contracts: list[_Row], start: int, longest: list[float]) -> int | None:
+def _first_dominated(problems: list[int], lengths: list[float], start: int, longest: list[float]) -> int | None:
     """First index from ``start`` of a contract no longer than an earlier one of its problem.
 
     ``longest`` holds each problem's longest length before ``start`` and is
     advanced in place, to the found contract or the end.
     """
-    for idx in range(start, len(contracts)):
-        problem, _, length = contracts[idx]
+    for idx in range(start, len(lengths)):
+        problem, length = problems[idx], lengths[idx]
         if length <= longest[problem]:
             return idx
         longest[problem] = length
@@ -199,13 +196,13 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
              outcomes: Sequence[RunOutcome] = ()) -> NormalizationTrace:
     """Apply steps until none applies: a dominated-contract removal, else ``next_move``.
 
-    ``next_move(contracts, n, fins, ratios, clean, longest)`` sees the
-    current state with its finish times and windows, and where its scan may
-    resume (see below), and returns the next move, or None when it has none;
-    ``outcomes`` holds the run outcomes it records.  The input is simulated
-    once; every later state is held as a contract list with its finish times
-    and ``_ratios``, and no ``Schedule`` is built until the output.  A move
-    at index i sweeps only the windows it can change:
+    ``next_move(problems, lengths, n, fins, ratios, clean, longest)`` sees
+    the current state with its finish times and windows, and where its scan
+    may resume (see below), and returns the next move, or None when it has
+    none; ``outcomes`` holds the run outcomes it records.  The input is
+    simulated once; every later state is held as problem and length lists
+    with its finish times and ``_ratios``, and no ``Schedule`` is built
+    until the output.  A move at index i sweeps only the windows it can change:
 
     * windows before i are the held floats: every contract from i on
       finishes no earlier than contract i - 1 (lengths are positive), so it
@@ -235,30 +232,30 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
     """
     n = schedule.n_problems
     fins = simulate(schedule)
-    cur = list(schedule.contracts)
-    ratios = _ratios(cur, n, fins)
+    problems, lengths = list(schedule.problems), list(schedule.lengths)
+    ratios = _ratios(problems, lengths, n, fins)
     clean, longest = 0, [0.0] * n
     steps: list[TransformStep] = []
     while True:
         seen = longest.copy()
-        dom = _first_dominated(cur, clean, seen)
+        dom = _first_dominated(problems, lengths, clean, seen)
         if dom is not None:
-            move = "remove-dominated", dom, None, None, _removal(cur, n, fins, ratios, dom, seen), None
+            move = "remove-dominated", dom, None, None, _removal(problems, lengths, n, fins, ratios, dom, seen), None
         else:
-            move = next_move(cur, n, fins, ratios, clean, longest.copy())
+            move = next_move(problems, lengths, n, fins, ratios, clean, longest.copy())
             if move is None:
                 break
-        kind, idx, problems, rule, (nxt, nxt_fins, nxt_ratios), resume = move
+        kind, idx, pair, rule, (nxt_problems, nxt_lengths, nxt_fins, nxt_ratios), resume = move
         # over the windows the state serves (true exactly where a ratio is served, see ``_value``), except the
         # removed contract's own window; a swap keeps each of them served (see ``_swap_move``)
         before = _value(ratios[:idx] + ratios[idx + 1 :] if kind == "remove-dominated" else ratios)
         after = max(compress(nxt_ratios, ratios), default=math.inf) if kind == "swap-assignment" else _value(nxt_ratios)
-        steps.append(TransformStep(kind, idx, fins[idx - 1] if idx else 0.0, problems, rule, before, after))
-        cur, fins, ratios = nxt, nxt_fins, nxt_ratios
+        steps.append(TransformStep(kind, idx, fins[idx - 1] if idx else 0.0, pair, rule, before, after))
+        problems, lengths, fins, ratios = nxt_problems, nxt_lengths, nxt_fins, nxt_ratios
         if resume is not None:
             clean, longest = resume
 
-    output = Schedule(n, 1, cur) if steps else schedule
+    output = Schedule._of(n, 1, (problems, (0,) * len(lengths), lengths)) if steps else schedule
     return NormalizationTrace(input=schedule, output=output, steps=tuple(steps), run_outcomes=tuple(outcomes))
 
 
@@ -267,7 +264,8 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
 # ---------------------------------------------------------------------------
 
 
-def _first_violation(contracts: Sequence[_Row], start: int, longest: list[float]) -> tuple[int, int] | None:
+def _first_violation(problems: Sequence[int], lengths: Sequence[float], start: int,
+                     longest: list[float]) -> tuple[int, int] | None:
     """First contract start from ``start`` where the assigned problem is not least-served.
 
     ``longest`` holds each problem's completed length at ``start``, and the
@@ -276,34 +274,35 @@ def _first_violation(contracts: Sequence[_Row], start: int, longest: list[float]
     length at that start, and leaves ``longest`` at that start.  Equal
     lengths are not violations: the rule only demands some minimizer.
     """
-    for idx in range(start, len(contracts)):
-        problem, _, length = contracts[idx]
+    for idx in range(start, len(lengths)):
+        problem = problems[idx]
         least = min(longest)
         if longest[problem] > least:
             return idx, longest.index(least)
-        if length > longest[problem]:
-            longest[problem] = length
+        if lengths[idx] > longest[problem]:
+            longest[problem] = lengths[idx]
     return None
 
 
 def is_normalized(schedule: Schedule) -> bool:
     """True if every contract start picks a problem with minimal completed length."""
     _single_processor(schedule, "is_normalized")
-    return _first_violation(schedule.contracts, 0, [0.0] * schedule.n_problems) is None
+    return _first_violation(schedule.problems, schedule.lengths, 0, [0.0] * schedule.n_problems) is None
 
 
-def _swap_suffix(contracts: list[_Row], start: int, a: int, b: int) -> list[_Row]:
-    relabel = {a: b, b: a}
-    return contracts[:start] + [(relabel.get(p, p), proc, length) for p, proc, length in contracts[start:]]
+def _swap_suffix(problems: list[int], start: int, a: int, b: int) -> list[int]:
+    relabel, suffix = {a: b, b: a}, problems[start:]
+    return problems[:start] + list(map(relabel.get, suffix, suffix))
 
 
-def _stop_window(contracts: list[_Row], fins: list[float], start: int, a: int, b: int, reach: float) -> int:
+def _stop_window(problems: list[int], lengths: list[float], fins: list[float], start: int, a: int, b: int,
+                 reach: float) -> int:
     """First window from ``start`` past which swapping ``a`` and ``b`` on the suffix leaves every ratio alone.
 
     That is the first window j >= start not tied with its predecessor's
     finish time at which the suffix contracts start..j-1 of each problem,
     a and b, include one of length at least ``reach``, the longest length
-    either problem completes before ``start``; ``len(contracts)`` if there
+    either problem completes before ``start``; the contract count if there
     is none.  An untied window j counts exactly contracts 0..j-1, and every
     later window counts them too, so from j on the swapped schedule's
     longest length for a is the held one for b and the other way round
@@ -313,19 +312,19 @@ def _stop_window(contracts: list[_Row], fins: list[float], start: int, a: int, b
     returns the same float for it, so the ratio is the held float.
     """
     reached_a = reached_b = 0.0
-    for j in range(start, len(contracts)):
+    for j in range(start, len(lengths)):
         if (not j or fins[j] != fins[j - 1]) and min(reached_a, reached_b) >= reach:
             return j
-        problem, _, length = contracts[j]
+        problem, length = problems[j], lengths[j]
         if problem == a and length > reached_a:
             reached_a = length
         elif problem == b and length > reached_b:
             reached_b = length
-    return len(contracts)
+    return len(lengths)
 
 
-def _swap_move(contracts: list[_Row], n: int, fins: list[float], ratios: list[float | None], clean: int,
-               longest: list[float]) -> _Move | None:
+def _swap_move(problems: list[int], lengths: list[float], n: int, fins: list[float], ratios: list[float | None],
+               clean: int, longest: list[float]) -> _Move | None:
     """The suffix swap at the first violation, with its windows.
 
     The swap keeps every finish time.  Windows before the violation and
@@ -336,15 +335,15 @@ def _swap_move(contracts: list[_Row], n: int, fins: list[float], ratios: list[fl
     contract it had, and the offending problem keeps its contracts from
     before the violation.  The next scans resume at the violation.
     """
-    violation = _first_violation(contracts, clean, longest)
+    violation = _first_violation(problems, lengths, clean, longest)
     if violation is None:
         return None
     idx, target = violation
-    offending = contracts[idx][0]
-    nxt = _swap_suffix(contracts, idx, target, offending)
-    stop = _stop_window(contracts, fins, idx, target, offending, max(longest[target], longest[offending]))
+    offending = problems[idx]
+    nxt = _swap_suffix(problems, idx, target, offending)
+    stop = _stop_window(problems, lengths, fins, idx, target, offending, max(longest[target], longest[offending]))
     return ("swap-assignment", idx, (target, offending), None,
-            (nxt, fins, _ratios(nxt, n, fins, ratios, idx, stop, longest)), (idx, longest))
+            (nxt, lengths, fins, _ratios(nxt, lengths, n, fins, ratios, idx, stop, longest)), (idx, longest))
 
 
 def normalize(schedule: Schedule) -> NormalizationTrace:
@@ -366,15 +365,10 @@ def normalize(schedule: Schedule) -> NormalizationTrace:
 # ---------------------------------------------------------------------------
 
 
-def _runs(contracts: list[_Row]) -> list[tuple[int, int]]:
+def _runs(problems: list[int]) -> list[tuple[int, int]]:
     """Maximal (start, length) runs of consecutive contracts for one problem."""
-    runs = []
-    start = 0
-    for _, run in groupby(contracts, itemgetter(0)):  # field 0 is the problem
-        length = len(list(run))
-        runs.append((start, length))
-        start += length
-    return runs
+    lengths = [len(list(run)) for _, run in groupby(problems)]
+    return list(zip(accumulate(lengths, initial=0), lengths))
 
 
 def _pair_q_test(ratios: list[float | None], dropped: list[float | None], pair_at: int) -> bool:
@@ -398,14 +392,14 @@ def _pair_q_test(ratios: list[float | None], dropped: list[float | None], pair_a
     return qp <= q
 
 
-def _certified(contracts: list[_Row], pair_at: int) -> bool:
+def _certified(problems: list[int], lengths: list[float], pair_at: int) -> bool:
     """Whether ``x_next >= l_other``: the contract following the pair must serve the other problem.
 
     The run then legitimately ends there.  Reads the contract lengths only and compares them exactly.
     """
-    other = 1 - contracts[pair_at][0]
-    l_other = max((length for problem, _, length in contracts[:pair_at] if problem == other), default=0.0)
-    return contracts[pair_at + 1][2] >= l_other
+    other = 1 - problems[pair_at]
+    l_other = max((length for problem, length in zip(problems[:pair_at], lengths) if problem == other), default=0.0)
+    return lengths[pair_at + 1] >= l_other
 
 
 def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
@@ -427,20 +421,20 @@ def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
 
     outcomes: list[RunOutcome] = []
 
-    def drop_pair(cur: list[_Row], n: int, fins: list[float], ratios: list[float | None], clean: int,
-                  longest: list[float]) -> _Move | None:
-        runs = [(start, length) for start, length in _runs(cur) if length >= 3]
+    def drop_pair(problems: list[int], lengths: list[float], n: int, fins: list[float], ratios: list[float | None],
+                  clean: int, longest: list[float]) -> _Move | None:
+        runs = [(start, length) for start, length in _runs(problems) if length >= 3]
         for run_start, run_len in runs:
             candidates = []  # (pair index, state without the pair's first contract) of the pairs that failed the q-test
             for p in range(run_start, run_start + run_len - 1):
-                dropped = _removal(cur, n, fins, ratios, p)
-                if _pair_q_test(ratios, dropped[2], p):
+                dropped = _removal(problems, lengths, n, fins, ratios, p)
+                if _pair_q_test(ratios, dropped[3], p):
                     chosen = p, "q-test", dropped
                     break
                 candidates.append((p, dropped))
             else:
                 limit = _value(ratios)
-                chosen = next(((p, "direct", d) for p, d in candidates if _value(d[2]) <= limit), None)
+                chosen = next(((p, "direct", d) for p, d in candidates if _value(d[3]) <= limit), None)
             if chosen is not None:
                 pair_at, rule, dropped = chosen
                 outcomes.append(RunOutcome(run_start, run_len, "removed"))
@@ -449,7 +443,7 @@ def reduce_consecutive_pairs(schedule: Schedule) -> NormalizationTrace:
         # carries a certification (the pair's successor legitimately belongs
         # to the run's problem only through a least-served tie)
         for run_start, run_len in runs:
-            certified = any(_certified(cur, p) for p in range(run_start, run_start + run_len - 1))
+            certified = any(_certified(problems, lengths, p) for p in range(run_start, run_start + run_len - 1))
             outcomes.append(RunOutcome(run_start, run_len, "certified" if certified else "irreducible"))
         return None
 

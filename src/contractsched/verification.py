@@ -446,13 +446,10 @@ def check_snapshot_properties(seed: int) -> tuple[bool, str]:
 def check_roundrobin_structure(seed: int) -> tuple[bool, str]:
     for n, m, b in itertools.product((1, 2, 3, 5), (1, 2, 3), (1.3, 2.0)):
         sched = exponential_schedule(ExponentialSpec(n=n, m=m, base=b))
-        for i, c in enumerate(sched.contracts):
-            if c.problem != i % n or c.processor != i % m:
+        for i, (problem, processor) in enumerate(zip(sched.problems, sched.processors)):
+            if problem != i % n or processor != i % m:
                 return False, f"round-robin violated at contract {i} (n={n}, m={m})"
-        ratios = [
-            sched.contracts[i + 1].length / sched.contracts[i].length
-            for i in range(len(sched) - 1)
-        ]
+        ratios = [later / length for length, later in zip(sched.lengths, sched.lengths[1:])]
         if any(abs(r - b) > 1e-9 * b for r in ratios):
             return False, f"consecutive length ratio drifts from b={b}"
     return True, "problem/processor round-robin and exact length ratios"

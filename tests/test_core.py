@@ -656,37 +656,9 @@ def _raising_rows():
     raise _RowsBroke
 
 
-BUILDS = {
-    "good rows": (lambda: [(0, 0, 1.0), (1, 0, 2.0)], None),
-    "int length": (lambda: [(0, 0, 1), (1, 0, 2.0)], None),
-    "bad row": (lambda: [(0, 0, 1.0), (1, 0, -2.0)], ValueError),
-    "short row": (lambda: [(0, 0, 1.0), (1, 0)], ValueError),
-    "rows that raise": (_raising_rows, _RowsBroke),
-}
-
-
-@pytest.mark.parametrize("caller_collects", [True, False], ids=["collector-on", "collector-off"])
-@pytest.mark.parametrize("rows, error", BUILDS.values(), ids=BUILDS.keys())
-def test_schedule_pauses_the_collector_while_it_builds_and_restores_the_callers_state(caller_collects, rows, error):
-    during = []
-
-    def reading():  # records the collector's state as Schedule reads each row
-        for row in rows():
-            during.append(gc.isenabled())
-            yield row
-
-    was = gc.isenabled()
-    try:
-        gc.enable() if caller_collects else gc.disable()
-        if error is None:
-            assert Schedule(2, 1, reading()) == sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0)])
-        else:
-            with pytest.raises(error):
-                Schedule(2, 1, reading())
-        assert gc.isenabled() is caller_collects
-    finally:
-        gc.enable() if was else gc.disable()
-    assert during and not any(during)
+def test_an_error_from_the_callers_rows_reaches_the_caller():
+    with pytest.raises(_RowsBroke):
+        Schedule(2, 1, _raising_rows())
 
 
 # --- the split gate -------------------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import gc
 import math
 import tracemalloc
 
@@ -18,42 +17,27 @@ def test_doubling_lengths():
     assert [c.length for c in s.contracts] == [1.0, 2.0, 4.0, 8.0]
 
 
-@pytest.mark.parametrize("caller_collects", [True, False], ids=["collector-on", "collector-off"])
-@pytest.mark.parametrize("base, error", [(2.0, None), (1e10, "base 10000000000.0 with k=40 contracts overflows")],
-                         ids=["builds", "overflows"])
-def test_exponential_schedule_pauses_the_collector_and_restores_the_callers_state(monkeypatch, caller_collects,
-                                                                                  base, error):
-    # the up-front overflow check runs before any row is made, under the caller's collector state; every length
-    # is computed as Schedule reads the rows, under its pause
-    during = []
-
-    def recording(base, exponent):  # every length, and the one up-front overflow check, runs through pow
-        during.append(gc.isenabled())
-        return pow(base, exponent)
-
-    monkeypatch.setattr(generators, "pow", recording, raising=False)
-    spec = ExponentialSpec(n=2, m=1, base=base, k_max=40)
-    was = gc.isenabled()
-    try:
-        gc.enable() if caller_collects else gc.disable()
-        if error is None:
-            assert [c.length for c in exponential_schedule(spec).contracts] == [2.0**i for i in range(40)]
-        else:
-            with pytest.raises(ValueError, match=f"^{error}: "):
-                exponential_schedule(spec)
-        assert gc.isenabled() is caller_collects
-    finally:
-        gc.enable() if was else gc.disable()
-    assert during[0] is caller_collects and not any(during[1:])
-    assert len(during) == (41 if error is None else 1)
-
-
 def test_an_overflowing_base_is_refused_before_any_contract_is_built():
     # the current map would build about 710,000 contracts before 1.001**i overflows
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"^base 1\.001 with k=1000000 contracts overflows: 1\.001\*\*999999 "):
             exponential_schedule(ExponentialSpec(n=2, m=1, base=1.001, k_max=1_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_a_prefix_beyond_memory_is_refused_before_any_contract_is_built():
+    # n = 10**17 at its deficiency-optimal base: 1.0000000000000004**(8 * 10**17) does not overflow, and at the
+    # parent the rows were built one at a time until memory ran out
+    n = 10**17
+    spec = ExponentialSpec(n=n, m=1, base=deficiency_optimal_base(n, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            exponential_schedule(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

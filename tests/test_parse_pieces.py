@@ -92,7 +92,7 @@ def test_a_saved_file_loads_in_pieces_as_one_parse(tmp_path, monkeypatch):
     forked = forced_pieces(monkeypatch)
     doc, parsed = core._parse(path.read_text(encoding="utf-8"))
     assert parsed is not None and len(forked) == 2
-    assert [tuple(row) for row in parsed] == [tuple(c) for c in s.contracts]
+    assert parsed == [s.problems, s.processors, s.lengths]
     assert (doc["n"], doc["m"], doc["generator"]) == (4, 2, s.generator)
     assert repr(load_schedule(path)) == repr(s)
     assert len(forked) == 4

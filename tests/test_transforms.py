@@ -195,7 +195,7 @@ def test_reduce_triple_run():
     s = sched([(0, 1.0), (1, 10.0), (0, 2.0), (0, 3.0), (0, 4.0)], n=2)
     assert is_normalized(s)
     trace = reduce_consecutive_pairs(s)
-    assert all(length <= 2 for _, length in _runs(list(trace.output.contracts)))
+    assert all(length <= 2 for _, length in _runs(list(trace.output.problems)))
     assert all(o.action == "removed" for o in trace.run_outcomes)
     assert deficiency_value_m1(trace.output) <= deficiency_value_m1(s)
 
@@ -275,17 +275,17 @@ def test_reduce_dichotomy_under_canonical_windows():
     for _ in range(2000):
         s = random_sched(rng, 2, rng.randint(4, 12))
         normalized = normalize(s).output
-        contracts = list(normalized.contracts)
-        for start, length in _runs(contracts):
+        problems, lengths = list(normalized.problems), list(normalized.lengths)
+        for start, length in _runs(problems):
             if length < 3 or start == 0:
                 continue
-            t = sum(c.length for c in contracts[:start])
+            t = sum(lengths[:start])
             if not min(next(snapshots_before(normalized, [t]))) > 0.0:
                 continue
-            dropped = contracts[:start] + contracts[start + 1 :]
-            ratios = _ratios(contracts, 2, simulate(normalized))
-            dropped_ratios = _ratios(dropped, 2, simulate(Schedule(2, 1, dropped)))
-            assert _pair_q_test(ratios, dropped_ratios, start) or _certified(contracts, start)
+            dropped = Schedule(2, 1, [row for i, row in enumerate(normalized.contracts) if i != start])
+            ratios = _ratios(problems, lengths, 2, simulate(normalized))
+            dropped_ratios = _ratios(dropped.problems, dropped.lengths, 2, simulate(dropped))
+            assert _pair_q_test(ratios, dropped_ratios, start) or _certified(problems, lengths, start)
             checked += 1
     assert checked > 5
 
@@ -300,9 +300,9 @@ def test_pair_q_test_compares_exactly():
 
 def test_certified_compares_exactly():
     # the successor must be at least the other problem's longest length, not within a relative tolerance of it
-    head = [Contract(1, 0, 3.0), Contract(0, 0, 1.0)]
-    assert _certified(head + [Contract(0, 0, 3.0)], 1)
-    assert not _certified(head + [Contract(0, 0, 3.0 * (1 - 1e-13))], 1)
+    problems, head = [1, 0, 0], [3.0, 1.0]
+    assert _certified(problems, head + [3.0], 1)
+    assert not _certified(problems, head + [3.0 * (1 - 1e-13)], 1)
 
 
 def test_reduce_never_increases_deficiency_randomized():
@@ -319,7 +319,7 @@ def test_reduce_never_increases_deficiency_randomized():
         assert after <= before
         blocked += sum(1 for o in trace.run_outcomes if o.action != "removed")
         if not trace.run_outcomes or all(o.action == "removed" for o in trace.run_outcomes):
-            assert all(length <= 2 for _, length in _runs(list(trace.output.contracts)))
+            assert all(length <= 2 for _, length in _runs(list(trace.output.problems)))
     # blocked runs exist but are rare
     assert blocked <= 4
 
