@@ -1,27 +1,26 @@
 """Contiguous parts of one task run side by side: the first in this process, every other in a forked child.
 
-Five tasks split this way, each through ``core._split_count``: the
+Four tasks split this way, each through ``core._split_count``: the
 value-only acceleration and performance ratios and LPT deficiency
 (``metrics``) and ``verification.run_checks`` cut their windows and checks
-with ``core._split``, ``core.save_schedule`` its contract rows, and
-``core._parse`` the contract rows of a long file whose contracts come
-last, as ``save_schedule`` writes them (``_parse_in_pieces``).
-``core._split_count`` alone decides how many parts a task runs in; this
-module only cuts and runs them.  A task imports it only once it is long enough to
-split, so a command that never splits never compiles it.
+with ``core._split``, and ``core._parse`` the contract rows of a long file
+whose contracts come last, as ``save_schedule`` writes them
+(``_parse_in_pieces``).  ``core._split_count`` alone decides how many parts
+a task runs in; this module only cuts and runs them.  A task imports it only
+once it is long enough to split, so a command that never splits never
+compiles it.
 """
 
 from __future__ import annotations
 
 import gc
-import io
 import json
 import marshal
 import os
 import time
 from functools import partial
 from itertools import chain
-from typing import BinaryIO, Callable
+from typing import Callable
 
 from .core import _COLUMN_FIELDS, _CONTRACTS
 
@@ -30,13 +29,12 @@ from .core import _COLUMN_FIELDS, _CONTRACTS
 _WAIT_FACTOR, _WAIT_S = 10, 1.0
 
 # How many times as many items the caller's own range takes as each child's, where the items are of one
-# kind (``_cuts``): windows, contract rows or a file's characters.  A child also forks, finds where its range
-# starts and sends its part back, so on two CPUs the caller's range holds 55% of the items.  On the 100k
-# ``long-prefix-cli`` prefix, in fresh processes (medians of 15, 2-vCPU Xeon, Python 3.11), a lead of 1.0, 1.1,
-# 1.2, 1.3, 1.4 and 1.6 took 131.6, 130.5, 127.4, 124.4, 126.0 and 129.4 ms for gen; 156.0, 155.0, 155.0,
-# 155.9, 156.0 and 157.1 ms for the acceleration ratio's eval (its 5.9 MB file loads in pieces too); and
-# 235.2, 229.1, 233.1, 236.8, 242.8 and 250.0 ms for the LPT deficiency's: 681, 669, 673, 675, 683 and 695 ms
-# with perf's.  Over 21 more rounds 1.1, 1.2 and 1.3 took 671.8, 672.9 and 677.0 ms, so 1.2 stays.
+# kind (``_cuts``): windows or a file's characters.  A child also forks, finds where its range starts and sends
+# its part back, so on two CPUs the caller's range holds 55% of the items.  On the 100k ``long-prefix-cli``
+# prefix, in fresh processes (medians of 15, 2-vCPU Xeon, Python 3.11), a lead of 1.0, 1.1, 1.2, 1.3, 1.4 and
+# 1.6 took 156.0, 155.0, 155.0, 155.9, 156.0 and 157.1 ms for the acceleration ratio's eval (its 5.9 MB file
+# loads in pieces too) and 235.2, 229.1, 233.1, 236.8, 242.8 and 250.0 ms for the LPT deficiency's.  Over 21
+# more rounds of the workload's four commands, 1.1, 1.2 and 1.3 took 671.8, 672.9 and 677.0 ms, so 1.2 stays.
 _LEAD = 1.2
 
 
@@ -50,24 +48,19 @@ def _cuts(items: int, count: int, lead: bool = True) -> list[int]:
     return [0, *(int(items * (first + j - 1) / (first + count - 1)) for j in range(1, count)), items]
 
 
-def _in_parts(run: Callable[[int, int], object], ranges: list[tuple[int, int]], out: BinaryIO | None = None) -> list:
+def _in_parts(run: Callable[[int, int], object], ranges: list[tuple[int, int]]) -> list:
     """``run(lo, hi)`` for each range, in order: the first in this process, every other in a forked child.
 
     Each child evaluates its range while this process evaluates the first,
     and sends its part back through a pipe after the part's length
-    (``_copy``), ``marshal``-encoded (so a part holds only lists, tuples,
-    dicts, strings, numbers and None).  With
-    ``out``, a seekable binary file, ``run`` yields its range's bytes in
-    blocks instead, and the parts are written to ``out`` in range order, not
-    returned: the first range's blocks as they come, then each child's bytes
-    as they arrive from its pipe (``_copy``), so no part is held here whole.
-    A child writes nothing else and always ends with ``os._exit``, so it
-    runs no exit handler and flushes no buffer it inherited.  A range whose
-    child was never forked, or sent no complete part (it raised, was killed,
-    or had not finished ``_WAIT_FACTOR`` times the first range's time plus
-    ``_WAIT_S`` seconds after it), is run here instead, in range order, so
-    an exception is raised with the type and message a serial run gives, the
-    earliest range first; what such a child wrote to ``out`` is cut off
+    (``_receive``), ``marshal``-encoded (so a part holds only lists, tuples,
+    dicts, strings, numbers and None).  A child writes nothing else and
+    always ends with ``os._exit``, so it runs no exit handler and flushes no
+    buffer it inherited.  A range whose child was never forked, or sent no
+    complete part (it raised, was killed, or had not finished
+    ``_WAIT_FACTOR`` times the first range's time plus ``_WAIT_S`` seconds
+    after it), is run here instead, in range order, so an exception is
+    raised with the type and message a serial run gives, the earliest range
     first.  Every child forked is killed if still running and reaped before
     this returns or raises, a KeyboardInterrupt included.
     """
@@ -76,25 +69,14 @@ def _in_parts(run: Callable[[int, int], object], ranges: list[tuple[int, int]], 
     children: list[tuple[int, int] | None] = []  # (pid, read end of its pipe) per later range
     try:
         for lo, hi in ranges[1:]:
-            children.append(_fork(run, lo, hi, out is not None))
+            children.append(_fork(run, lo, hi))
         start = time.monotonic()
-        parts = []
-        if out is None:
-            parts.append(run(*ranges[0]))
-        else:
-            out.writelines(run(*ranges[0]))
+        parts = [run(*ranges[0])]
         now = time.monotonic()
         deadline = now + _WAIT_FACTOR * (now - start) + _WAIT_S
         for child, (lo, hi) in zip(children, ranges[1:]):
-            if out is None:
-                part = None if child is None else _receive(child[1], deadline)
-                parts.append(run(lo, hi) if part is None else part)
-                continue
-            mark = out.tell()
-            if child is None or not _copy(child[1], deadline, out):
-                out.seek(mark)
-                out.truncate()
-                out.writelines(run(lo, hi))
+            part = None if child is None else _receive(child[1], deadline)
+            parts.append(run(lo, hi) if part is None else part)
         return parts
     finally:
         for child in children:
@@ -105,12 +87,8 @@ def _in_parts(run: Callable[[int, int], object], ranges: list[tuple[int, int]], 
                 os.waitpid(pid, 0)
 
 
-def _fork(run: Callable[[int, int], object], lo: int, hi: int, raw: bool = False) -> tuple[int, int] | None:
-    """A child running ``run(lo, hi)`` into a pipe: (its pid, the pipe's read end), or None if none was forked.
-
-    The child sends its part ``marshal``-encoded or, if ``raw``, as the
-    bytes ``run`` yields, after the part's length (``_copy``).
-    """
+def _fork(run: Callable[[int, int], object], lo: int, hi: int) -> tuple[int, int] | None:
+    """A child sending ``run(lo, hi)`` through a pipe (``_receive``): (its pid, the read end), or None if not forked."""
     try:
         read, write = os.pipe()
     except OSError:
@@ -128,7 +106,7 @@ def _fork(run: Callable[[int, int], object], lo: int, hi: int, raw: bool = False
             # collecting the parent's garbage here would run its finalizers a second time
             gc.disable()
             os.close(read)
-            data = b"".join(run(lo, hi)) if raw else marshal.dumps(run(lo, hi))
+            data = marshal.dumps(run(lo, hi))
             with open(write, "wb") as pipe:
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
@@ -139,36 +117,26 @@ def _fork(run: Callable[[int, int], object], lo: int, hi: int, raw: bool = False
     return pid, read
 
 
-def _receive(read: int, deadline: float) -> tuple | None:
-    """The part a child sent through the pipe ``read``, ``marshal``-decoded: None if not all of it came by ``deadline``."""
-    part = io.BytesIO()
-    return marshal.loads(part.getbuffer()) if _copy(read, deadline, part) else None
-
-
-def _copy(read: int, deadline: float, out: BinaryIO) -> bool:
-    """Copy the part a child sends through the pipe ``read`` to ``out`` as it arrives: whether all of it came in time.
+def _receive(read: int, deadline: float) -> object | None:
+    """The part a child sent through the pipe ``read``, ``marshal``-decoded: None if not all of it came by ``deadline``.
 
     A child sends the part's length in 8 bytes (little-endian), then the
-    part.  The copy ends with the part, or at the pipe's end (the child
+    part.  The read ends with the part, or at the pipe's end (the child
     raised or was killed), or at ``deadline``, a ``time.monotonic`` time.
     """
     import select
 
     poll = select.poll()
     poll.register(read, select.POLLIN)
-    head, left = b"", -1
-    while left and poll.poll(max(0.0, deadline - time.monotonic()) * 1000):
+    data, size = bytearray(), None  # size: the length and the part, once the length has come
+    while (size is None or len(data) < size) and poll.poll(max(0.0, deadline - time.monotonic()) * 1000):
         chunk = os.read(read, 1 << 16)
         if not chunk:
             break
-        if left < 0:
-            head += chunk
-            if len(head) < 8:
-                continue
-            left, chunk = int.from_bytes(head[:8], "little"), head[8:]
-        out.write(chunk)
-        left -= len(chunk)
-    return left == 0
+        data += chunk
+        if size is None and len(data) >= 8:
+            size = 8 + int.from_bytes(data[:8], "little")
+    return marshal.loads(memoryview(data)[8:]) if len(data) == size else None
 
 
 def _parse_in_pieces(text: str, count: int) -> tuple[dict, list[tuple]] | None:

@@ -100,7 +100,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.csv:
         n = sched.n_problems
         denom_name = {"exact": "opt", "lpt": "lpt"}[args.solver] if args.measure == "def" else "denominator"
-        header = ["time"] + [f"s{i}" for i in range(1, n + 1)] + [denom_name, "ratio", "served"]
+        names = [None] * n  # every slot in one allocation: an n beyond memory is a MemoryError at once
+        for i in range(n):
+            names[i] = f"s{i + 1}"
+        header = ["time", *names, denom_name, "ratio", "served"]
         # a served window stays served, so the unserved windows come first in time
         rows = [
             [_fmt(t)] + [_fmt(v) for v in sorted(longest)] + ["0", "inf", "0"]

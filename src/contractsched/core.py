@@ -25,7 +25,7 @@ import sys
 from itertools import chain, compress, repeat, zip_longest
 from operator import itemgetter, ne
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class Contract(NamedTuple):
@@ -196,41 +196,37 @@ def _split_count(items: int, least: int) -> int:
     return count if threading.active_count() == 1 else 1
 
 
-def _split(run: Callable[[int, int], object], items: int, least: int, lead: bool = True,
-           out: BinaryIO | None = None) -> list:
+def _split(run: Callable[[int, int], object], items: int, least: int, lead: bool = True) -> list:
     """``run(lo, hi)`` for each of ``_split_count(items, least)`` contiguous ranges of ``range(items)``, in order.
 
     The ranges run side by side through ``_parts._in_parts``, so each part
     must be ``marshal``-able; a single range runs here, and ``_parts`` is
-    not imported.  ``lead`` says that the items are of one kind (windows,
-    contract rows), so the first range, this process's, is cut
-    ``_parts._LEAD`` times as long as each other (``_parts._cuts``);
-    without it (``verify``'s checks, whose costs differ) the ranges are of
-    equal count.  With ``out``, a seekable binary file, ``run`` yields its
-    range's bytes in blocks, which are written to ``out`` in range order,
-    and the list returned is empty.
+    not imported.  ``lead`` says that the items are of one kind (windows),
+    so the first range, this process's, is cut ``_parts._LEAD`` times as
+    long as each other (``_parts._cuts``); without it (``verify``'s checks,
+    whose costs differ) the ranges are of equal count.
     """
     count = _split_count(items, least)
     if count > 1:
         from ._parts import _cuts, _in_parts
 
         cuts = _cuts(items, count, lead)
-        return _in_parts(run, list(zip(cuts, cuts[1:])), out)
-    if out is None:
-        return [run(0, items)]
-    out.writelines(run(0, items))
-    return []
+        return _in_parts(run, list(zip(cuts, cuts[1:])))
+    return [run(0, items)]
 
 
 def _fits(n: int, m: int, problems: tuple, processors: tuple, lengths: tuple) -> bool:
-    """Whether every contract of the columns is good as stored: ``Schedule``'s check, column by column.
+    """Whether every contract of the columns is good as stored: ``Schedule``'s check, one fused test per contract.
 
-    NaN makes ``min`` depend on order, so a finite ``sum`` rules out NaN and inf first.
+    The types are tested first, since an int and a str do not compare, and ``0.0 < x < inf`` is false for NaN.
     """
-    return len(problems) == len(processors) == len(lengths) and (not lengths or (
-        set(map(type, problems)) == set(map(type, processors)) == {int} and set(map(type, lengths)) == {float}
-        and 0 <= min(problems) and max(problems) < n and 0 <= min(processors) and max(processors) < m
-        and math.isfinite(sum(lengths)) and min(lengths) > 0.0))
+    if not len(problems) == len(processors) == len(lengths):
+        return False
+    inf = math.inf
+    for p, q, x in zip(problems, processors, lengths):
+        if not (type(p) is int and type(q) is int and type(x) is float and 0 <= p < n and 0 <= q < m and 0.0 < x < inf):
+            return False
+    return True
 
 
 class Schedule(_Record):
@@ -243,7 +239,7 @@ class Schedule(_Record):
     produced the prefix (e.g. an exponential family), which lets evaluators report analytic limits next to
     empirical suprema.  ``contracts`` is any iterable of (problem, processor, length) rows, read once and
     transposed; the loaders and the generator hand over columns (``_of``).  Either way they are checked here and
-    nowhere else, column by column (``_fits``), and where that fails one contract at a time: three fields,
+    nowhere else, by one fused test per contract (``_fits``), and where that fails one contract at a time: three fields,
     problem and processor by ``_index``, length by ``_length`` (an int length is stored as a float); a
     ValueError names the first bad field of the first bad contract.  So is the generator: ``None``, or a dict
     whose ``"family"`` is a ``str``, with a ``"base"`` that obeys ``_base`` if it is ``"exponential"``.
@@ -502,12 +498,6 @@ _ROW = '{"problem":%d,"processor":%d,"length":%r}'
 # Contract rows ``save_schedule`` joins into one string before writing them.
 _BLOCK = 1024
 
-# Fewest contract rows each range of ``save_schedule`` formats when it splits them (``_split``).  Measured on
-# whole ``gen`` commands of 4/2 exponential prefixes at base 1.004 in fresh processes (medians of 15, 2-vCPU
-# Xeon, Python 3.11), serial against split in two: 50.2 -> 51.5 ms at 12,000 rows, 59.4 -> 58.5 ms at
-# 20,000, 71.8 -> 67.7 ms at 30,000 and 84.1 -> 76.3 ms at 40,000.
-_SAVE_MIN = 10_000
-
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
     """Write ``schedule_to_dict(schedule)`` as compact JSON on one line.
@@ -519,30 +509,19 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
     format string instead of a dict each, which takes about a fifth less
     time on a 100k-contract prefix.  They are written ``_BLOCK`` rows at a
     time, so the text of the whole file is never held: on that prefix it is
-    5.9 MB.  From 2 × ``_SAVE_MIN`` rows on, into a file that can seek,
-    they are formatted in contiguous ranges side by side (``_split``): this
-    process writes the first range while a forked child formats each other
-    one, then copies each child's bytes from its pipe into the file as they
-    arrive.  A child that raised, died or outlived the bounded wait leaves
-    nothing in the file: what it sent is cut off, and this process formats
-    its range itself, into the same bytes.  The file is truncated before
-    the first row is formatted, so a save interrupted or failing part way
-    leaves a partial file at ``path``, not the one that was there before,
-    and no child running.
+    5.9 MB.  The file is truncated before the first row is formatted, so a
+    save interrupted or failing part way leaves a partial file at ``path``,
+    not the one that was there before.
     """
     head = {"n": schedule.n_problems, "m": schedule.m_processors}
     if schedule.generator is not None:
         head["generator"] = schedule.generator
     columns = schedule.problems, schedule.processors, schedule.lengths
-
-    def rows(lo: int, hi: int) -> Iterator[bytes]:
-        for start in range(lo, hi, _BLOCK):
-            block = ",".join(map(_ROW.__mod__, zip(*(column[start:min(start + _BLOCK, hi)] for column in columns))))
-            yield (("," if start else "") + block).encode()
-
     with open(path, "wb") as out:
         out.write((json.dumps(head, separators=(",", ":"))[:-1] + _CONTRACTS).encode())
-        _split(rows, len(schedule), _SAVE_MIN if out.seekable() else sys.maxsize, out=out)
+        for start in range(0, len(schedule), _BLOCK):
+            block = ",".join(map(_ROW.__mod__, zip(*(column[start:start + _BLOCK] for column in columns))))
+            out.write((("," if start else "") + block).encode())
         out.write(b"]}\n")
 
 

@@ -1,7 +1,7 @@
 """The fork seam the split tests share: a recording ``_parts._fork``, a usable-CPU count, and a reaped-children check.
 
 A test module imports these and keeps only its own thresholds (``_PART_MIN``,
-``_SAVE_MIN``, ``_PARSE_MIN`` and the like).
+``_PARSE_MIN`` and the like).
 """
 
 import os
@@ -20,8 +20,8 @@ def record_forks(monkeypatch, cpus=None, pids=False):
     forked = []
     fork = _parts._fork
 
-    def recording(run, lo, hi, raw):
-        child = fork(run, lo, hi, raw)
+    def recording(run, lo, hi):
+        child = fork(run, lo, hi)
         forked.append((lo, hi, child and child[0]) if pids else (lo, hi))
         return child
 

@@ -153,7 +153,7 @@ def test_a_check_that_hangs_in_a_child_runs_here_instead(monkeypatch):
 
 def test_with_no_child_forked_every_range_runs_here(monkeypatch):
     record_forks(monkeypatch, cpus=2)
-    monkeypatch.setattr(_parts, "_fork", lambda run, lo, hi, raw: None)
+    monkeypatch.setattr(_parts, "_fork", lambda run, lo, hi: None)
     results = verification.run_checks(0)
     assert [r.check_id for r in results] == list(DETAILS_DIGESTS)
     assert digests(results) == list(DETAILS_DIGESTS.values())

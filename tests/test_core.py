@@ -444,7 +444,6 @@ def test_schedule_file_is_written_and_read_without_a_second_copy_of_its_text(tmp
     # save never holds the whole file's text, and load releases the text before it builds the contracts
     s = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=20_000))
     path = tmp_path / "s.json"
-    from contractsched import _parts  # noqa: F401  the split save imports it: compiled here, out of the peak
 
     tracemalloc.start()
     try:

@@ -33,12 +33,11 @@ def fixed(examples):
 
 
 # Values a field or member may be replaced by: bools, an int where a float goes and the other way round, NaN,
-# inf, zero, negatives, a subnormal, an integer beyond the float range, strings and nested values.  A count
-# in [1, sys.maxsize] above what memory holds is left out of the counts here: with no contract and --csv,
-# eval builds a header of n column names before it can fail (tests/test_cli.py takes 10**17 with one contract).
+# inf, zero, negatives, a subnormal, counts in range but beyond memory, an integer beyond the float range,
+# strings and nested values.
 ATOMS = [True, False, None, 0, 1, 2, -1, 2.5, 0.0, -0.0, -1.5, 5e-324, math.nan, math.inf, -math.inf,
-         10**400, sys.maxsize + 1, "1", "", [], {}, [0, 0, 1.0], {"problem": 0}, {"family": "exponential"},
-         {"family": "exponential", "base": "2"}]
+         10**17, sys.maxsize, 10**400, sys.maxsize + 1, "1", "", [], {}, [0, 0, 1.0], {"problem": 0},
+         {"family": "exponential"}, {"family": "exponential", "base": "2"}]
 
 ROW_FIELDS = ("problem", "processor", "length")
 
@@ -137,6 +136,9 @@ EVAL_OPTIONS = st.sampled_from([["--measure", "acc"], ["--measure", "perf"], ["-
          None)
 @example('{"n": 1, "m": 1, "contracts": [{"problem": 0, "processor": 0, "length": %d}]}' % 10**400,
          ["--measure", "acc"], "out.csv")
+# counts in range but beyond memory, with no contract: the CSV header's n names are refused at once
+@example('{"n": %d, "m": 1, "contracts": []}' % 10**17, ["--measure", "acc"], "out.csv")
+@example('{"n": %d, "m": 1, "contracts": []}' % sys.maxsize, ["--measure", "def", "--solver", "lpt"], "out.csv")
 def test_eval_of_any_document_exits_0_1_or_2(text, options, csv):
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "s.json")
@@ -170,8 +172,8 @@ def test_normalize_of_any_document_exits_0_1_or_2(text, reduce, output):
 # --- argument grammars -----------------------------------------------------------------------------------
 
 
-# good and bad spellings of a count; an in-range count above what memory holds is left out (see ATOMS)
-COUNTS = ["1", "2", "3", "5", "0", "-1", "2.5", "x", "", str(sys.maxsize + 1), str(10**400)]
+# good and bad spellings of a count; the in-range counts beyond memory meet the --n and --m of gen and bounds
+COUNTS = ["1", "2", "3", "5", "0", "-1", "2.5", "x", "", str(10**17), str(sys.maxsize + 1), str(10**400)]
 # bases, good and bad; a base near 1 meets only small counts here, so no prefix is long
 BASES = ["auto-def", "auto-acc", "1.5", "2", "10", "1.0000000000000002", "1", "0.5", "-2", "nan", "inf", "1e308",
          "x"]
@@ -217,3 +219,34 @@ NAMES = ["def-upper", "def-upper-beta", "best-exp-def-m1", "def-lower-general", 
        option("--b", FLOATS))
 def test_bounds_of_any_arguments_exits_0_1_or_2(name, n, m, b):
     check(["bounds", "--name", name, *n, *m, *b])
+
+
+# the three cheapest checks, which together still split where more than one CPU is usable, and unknown ids
+CHECK_IDS = ["C01", "C03", "P02"] * 3 + ["X99", "c01", ""]
+
+
+@fixed(60)
+@given(st.lists(st.sampled_from(CHECK_IDS), max_size=3), option("--seed", ["0", "7", "-1", "x"]),
+       st.sampled_from([None, "report.json", ".", "missing/report.json"]))
+@example(["C01", "C03", "P02"], [], "report.json")
+@example(["C01", "C03", "P02"], ["--seed", "7"], ".")
+def test_verify_of_any_arguments_exits_0_1_or_2(ids, seed, report):
+    with tempfile.TemporaryDirectory() as work:
+        args = ["verify", "--only", *ids, *seed]
+        if report is not None:
+            args += ["--json", os.path.join(work, report)]
+        if check(args, prints_json=False) == 0 and report is not None:
+            with open(os.path.join(work, report), encoding="utf-8") as fh:
+                strict(fh.read())
+
+
+@fixed(30)
+@given(st.sampled_from(["1", "2", "3", "4", "0", "x"]), st.sampled_from([None, "out.csv", ".", "missing/out.csv"]))
+def test_sweep_of_any_arguments_exits_0_1_or_2(figure, csv):
+    with tempfile.TemporaryDirectory() as work:
+        args = ["sweep", "--figure", figure]
+        if csv is not None:
+            args += ["--csv", os.path.join(work, csv)]
+        if check(args, prints_json=False) == 0:
+            with open(os.path.join(work, csv), encoding="utf-8") as fh:
+                assert fh.readline().startswith(f"# command=sweep figure={figure} ")
