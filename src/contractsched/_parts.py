@@ -25,27 +25,17 @@ from typing import Callable
 from .core import _COLUMN_FIELDS, _CONTRACTS
 
 # A child that has not reported this many times the caller's own part later, plus _WAIT_S seconds, is
-# taken for hung (``_in_parts``); its part is no longer than the caller's.
+# taken for hung (``_in_parts``); its part is about as long as the caller's (``_cuts``).
 _WAIT_FACTOR, _WAIT_S = 10, 1.0
 
-# How many times as many items the caller's own range takes as each child's, where the items are of one
-# kind (``_cuts``): windows or a file's characters.  A child also forks, finds where its range starts and sends
-# its part back, so on two CPUs the caller's range holds 55% of the items.  On the 100k ``long-prefix-cli``
-# prefix, in fresh processes (medians of 15, 2-vCPU Xeon, Python 3.11), a lead of 1.0, 1.1, 1.2, 1.3, 1.4 and
-# 1.6 took 156.0, 155.0, 155.0, 155.9, 156.0 and 157.1 ms for the acceleration ratio's eval (its 5.9 MB file
-# loads in pieces too) and 235.2, 229.1, 233.1, 236.8, 242.8 and 250.0 ms for the LPT deficiency's.  Over 21
-# more rounds of the workload's four commands, 1.1, 1.2 and 1.3 took 671.8, 672.9 and 677.0 ms, so 1.2 stays.
-_LEAD = 1.2
 
-
-def _cuts(items: int, count: int, lead: bool = True) -> list[int]:
+def _cuts(items: int, count: int) -> list[int]:
     """The bounds of ``count`` contiguous ranges of ``range(items)``: 0, where each later range starts, and ``items``.
 
-    With ``lead`` the first range is ``_LEAD`` times as long as each other;
-    without it the ranges are of equal count.
+    The ranges are of equal count, within one item, in any of the split
+    tasks: windows, checks or a file's characters.
     """
-    first = _LEAD if lead else 1.0
-    return [0, *(int(items * (first + j - 1) / (first + count - 1)) for j in range(1, count)), items]
+    return [items * j // count for j in range(count + 1)]
 
 
 def _in_parts(run: Callable[[int, int], object], ranges: list[tuple[int, int]]) -> list:

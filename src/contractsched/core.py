@@ -196,21 +196,19 @@ def _split_count(items: int, least: int) -> int:
     return count if threading.active_count() == 1 else 1
 
 
-def _split(run: Callable[[int, int], object], items: int, least: int, lead: bool = True) -> list:
+def _split(run: Callable[[int, int], object], items: int, least: int) -> list:
     """``run(lo, hi)`` for each of ``_split_count(items, least)`` contiguous ranges of ``range(items)``, in order.
 
-    The ranges run side by side through ``_parts._in_parts``, so each part
-    must be ``marshal``-able; a single range runs here, and ``_parts`` is
-    not imported.  ``lead`` says that the items are of one kind (windows),
-    so the first range, this process's, is cut ``_parts._LEAD`` times as
-    long as each other (``_parts._cuts``); without it (``verify``'s checks,
-    whose costs differ) the ranges are of equal count.
+    The ranges are of equal count, within one item (``_parts._cuts``), and
+    run side by side through ``_parts._in_parts``, so each part must be
+    ``marshal``-able; a single range runs here, and ``_parts`` is not
+    imported.
     """
     count = _split_count(items, least)
     if count > 1:
         from ._parts import _cuts, _in_parts
 
-        cuts = _cuts(items, count, lead)
+        cuts = _cuts(items, count)
         return _in_parts(run, list(zip(cuts, cuts[1:])))
     return [run(0, items)]
 

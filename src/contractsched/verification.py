@@ -555,7 +555,7 @@ def run_checks(seed: int = 0, ids: list[str] | None = None) -> list[CheckResult]
         unknown = sorted(set(ids) - {ALL_CHECKS[i].check_id for i in indices})
         if unknown or not ids:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}" if unknown else "no check ids given")
-    parts = _split(partial(_run_checks, indices, seed), len(indices), 1, lead=False)
+    parts = _split(partial(_run_checks, indices, seed), len(indices), 1)
     return [CheckResult(*values) for part in parts for values in part]
 
 

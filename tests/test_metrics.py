@@ -2,9 +2,12 @@ import math
 import os
 import random
 import signal
+import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contractsched import (
     Contract,
@@ -422,6 +425,26 @@ def forced_split(monkeypatch):
     return record_forks(monkeypatch, cpus=3)
 
 
+@st.composite
+def cut_counts(draw):
+    items = draw(st.integers(1, sys.maxsize))
+    return items, draw(st.integers(1, min(items, 64)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cut_counts())
+@example((sys.maxsize, 3))
+@example((sys.maxsize, 64))
+def test_cuts_are_ranges_of_equal_count_within_one_item(case):
+    # every split cuts this way: windows, checks and a file's characters; a float quotient drifts at large items
+    items, count = case
+    cuts = _parts._cuts(items, count)
+    assert len(cuts) == count + 1
+    assert (cuts[0], cuts[-1]) == (0, items)
+    assert all(lo < hi for lo, hi in zip(cuts, cuts[1:]))
+    assert {hi - lo for lo, hi in zip(cuts, cuts[1:])} <= {items // count, items // count + 1}
+
+
 def lpt_value(s, window=None):
     return deficiency(s, window=window, solver="lpt", samples=False)
 
@@ -488,24 +511,24 @@ def test_value_only_ratios_split_into_the_serial_reports(monkeypatch, measure):
 def test_split_argmax_is_the_earliest_window_of_a_maximum_tied_across_ranges(monkeypatch):
     # the window 3 * 2^i sees the contract 2^i as the longest completed, after 2^(i+1) - 1 and before
     # 2^(i+2) - 1, and one job's LPT makespan is its size, so every one of the 30 ratios is exactly 3, in
-    # each of the three ranges (the first, this process's, is _LEAD = 1.2 times as long as each other)
+    # each of the three ranges of ten windows
     s = sched(1, 2, [(0, 0, 2.0**i) for i in range(40)])
     window = [3 * 2.0**i for i in range(1, 31)]
     forked = forced_split(monkeypatch)
     report = lpt_value(s, window)
-    assert forked == [(11, 20), (20, 30)]
+    assert forked == [(10, 20), (20, 30)]
     assert (report.value, report.argmax_time, report.windows) == (3.0, 6.0, 30)
     assert_no_child_left()
 
 
 def test_split_concatenates_unserved_windows_across_ranges(monkeypatch):
-    # problem 1 completes its first contract at 12.0: the windows 1.0 ... 12.0 are unserved, the eleven of
-    # the first range and the first of the second
+    # problem 1 completes its first contract at 12.0: the windows 1.0 ... 12.0 are unserved, the ten
+    # unserved windows of the first range and the first two of the second
     s = sched(2, 2, [(0, 0, 1.0)] * 11 + [(1, 0, 1.0)] + [((i + 1) % 2, 0, 1.0 + i / 8) for i in range(18)])
     serial = lpt_value(s)
     forked = forced_split(monkeypatch)
     report = lpt_value(s)
-    assert forked == [(11, 20), (20, 30)]
+    assert forked == [(10, 20), (20, 30)]
     assert report.unserved_times == tuple(float(t) for t in range(1, 13))
     assert report.windows == 18
     assert repr(report) == repr(serial)
@@ -606,14 +629,14 @@ def test_nothing_forks_where_a_split_is_not_allowed(monkeypatch):
     acceleration_ratio(s, samples=False)
     performance_ratio(s, samples=False)
     assert forked == []
-    # and at 2 * _PART_MIN windows each splits, the first range 1.2 times as long as the second
+    # and at 2 * _PART_MIN windows each splits into two ranges of equal count
     big = exponential_schedule(ExponentialSpec(n=2, m=2, base=1.004, k_max=20_000))
     assert len(critical_times(big)) == 20_000
     for value_only in (lpt_value, lambda s: acceleration_ratio(s, samples=False),
                        lambda s: performance_ratio(s, samples=False)):
         forked.clear()
         value_only(big)
-        assert forked == [(10_909, 20_000)]
+        assert forked == [(10_000, 20_000)]
     assert_no_child_left()
 
 
