@@ -1,14 +1,13 @@
 """Contiguous parts of one task run side by side: the first in this process, every other in a forked child.
 
-Four tasks split this way, each through ``core._split_count``: the
-value-only acceleration and performance ratios and LPT deficiency
-(``metrics``) and ``verification.run_checks`` cut their windows and checks
-with ``core._split``, and ``core._parse`` the contract rows of a long file
-whose contracts come last, as ``save_schedule`` writes them
-(``_parse_in_pieces``).  ``core._split_count`` alone decides how many parts
-a task runs in; this module only cuts and runs them.  A task imports it only
-once it is long enough to split, so a command that never splits never
-compiles it.
+Three tasks split this way, each through ``core._split_count``: the
+value-only LPT deficiency (``metrics``) and ``verification.run_checks`` cut
+their windows and checks with ``core._split``, and ``core._parse`` the
+contract rows of a long file whose contracts come last, as
+``save_schedule`` writes them (``_parse_in_pieces``).
+``core._split_count`` alone decides how many parts a task runs in; this
+module only cuts and runs them.  A task imports it only once it is long
+enough to split, so a command that never splits never compiles it.
 """
 
 from __future__ import annotations

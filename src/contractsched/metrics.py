@@ -46,14 +46,6 @@ SHAPE_TOLERANCE = 4e-13
 # over 100,000.
 _PART_MIN = 5_000
 
-# The same for the value-only acceleration and performance ratios, whose windows cost less each.  Measured
-# on whole eval commands of 4/2 exponential prefixes (base 1.004) in fresh processes, serial against split in
-# two (medians of 15, 2-vCPU Xeon, Python 3.11): acc took 58.3 -> 61.1 ms over 12,000 windows, 64.1 -> 66.5
-# ms over 16,000, 69.6 -> 68.7 ms over 20,000 and 81.7 -> 80.2 ms over 30,000; perf 64.5 -> 66.6, 70.3 ->
-# 69.3 and 75.2 -> 73.7 ms over 16,000, 20,000 and 24,000.  Both break even at about 20,000, so one value.
-_RATIO_PART_MIN = 10_000
-
-
 class MeasureSample(_Record):
     """One evaluated window: float time, sorted snapshot of n floats, float divisor of t and ratio, bool served."""
 
@@ -82,30 +74,31 @@ class MeasureReport(_Record):
 
 
 def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None, *,
-              samples: bool = True, lower: Callable[[tuple[float, ...]], float] | None = None,
+              samples: bool = True, lower: Callable[[list[float]], float] | None = None,
               least: int | None = None) -> MeasureReport:
-    """The window loops; ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes.
+    """The window loop, and the pass ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes.
 
     The finish times are ranked once (``core._ranked``): the default
     windows are read from that ranking, and one ``core._sweep`` over it gives
-    each window its snapshot, sorted once.  A value-only call without
-    ``lower`` runs the lean loop: each snapshot is sorted into a list, which
-    every denominator takes, an unserved window is only noted (unserved
+    each window its snapshot, sorted once into a list, which every
+    denominator takes.  Every route without ``lower`` runs one loop: a
+    served window gives its ratio, an unserved one is noted (unserved
     windows come first, so an explicit one makes the value +inf at the
-    first), and nothing else is kept or tested per window.  ``least`` says
-    that ``denom_of`` keeps no state between windows, and is the fewest
-    windows that pay for a child: ``core._split`` may then run contiguous
-    ranges of the windows side by side, each through the lean loop and the
-    same ranking, which a child inherits rather than sorting again; the
-    parts merge into the serial report.  A later range starts its sweep at
-    its first window (``core._sweep``): the contracts ranked before it are
-    those finishing before it, found by ``bisect_left`` on the ranked finish
-    times, and their longest lengths are read from the length column, so a
-    child reads no finish time before its range.  Samples and ``lower`` take one
-    serial loop over tuple snapshots.  Only the pruned route lists its
-    windows, to rank their ceilings t / ``lower``; the others stream them,
-    so a long prefix never holds them all; the one with the largest ceiling
-    sets the first floor, then is read again in the pass.
+    first), and a sample row, the snapshot as a tuple, is built only if
+    asked for, for an unserved window only if it was explicit.  ``least``
+    says that ``denom_of`` keeps no state between windows, and is the fewest
+    windows that pay for a child: a value-only call may then run contiguous
+    ranges of the windows side by side (``core._split``), each through the
+    loop and the same ranking, which a child inherits rather than sorting
+    again; the parts merge into the serial report.  A later range starts its
+    sweep at its first window (``core._sweep``): the contracts ranked before
+    it are those finishing before it, found by ``bisect_left`` on the ranked
+    finish times, and their longest lengths are read from the length column,
+    so a child reads no finish time before its range.  The loop streams the
+    windows, so a long prefix never holds them all; only the pruned pass
+    (value-only, default window) lists them, to rank their ceilings
+    t / ``lower``; the one with the largest ceiling sets the first floor,
+    then is read again in the pass.
     """
     explicit = window is not None
     fins = simulate(schedule)  # the one simulation: the windows and the sweep read it
@@ -115,62 +108,58 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
     else:
         times = _critical_times(list(map(fins.__getitem__, order)))
     problems, lengths, n = schedule.problems, schedule.lengths, schedule.n_problems
-    rows: list[MeasureSample] = []
     pruned = 0
 
-    if not samples and lower is None:
-        def lean(lo: int, hi: int) -> tuple[list[float], float, float | None]:
+    if lower is None:
+        def run(lo: int, hi: int) -> tuple[list[MeasureSample], list[float], float, float | None]:
             part = times[lo:hi]
             start = bisect_left(order, part[0], key=fins.__getitem__) if lo else 0
+            rows: list[MeasureSample] = []
             unserved: list[float] = []
             value, argmax = -math.inf, None
             for t, snap in zip(part, map(sorted, _sweep(problems, lengths, n, fins, part, order, start))):
                 if snap[0] > 0.0:
-                    ratio = t / denom_of(snap)
+                    denom = denom_of(snap)
+                    ratio = t / denom
+                    if samples:
+                        rows.append(MeasureSample(t, tuple(snap), denom, ratio, True))
                     if ratio > value:
                         value, argmax = ratio, t
                 else:
                     unserved.append(t)
-            return unserved, value, argmax
+                    if samples and explicit:
+                        rows.append(MeasureSample(t, tuple(snap), 0.0, math.inf, False))
+            return rows, unserved, value, argmax
 
-        parts = [lean(0, len(times))] if least is None else _split(lean, len(times), least)
-        unserved, value, argmax = parts[0]
-        for part_unserved, part_value, part_argmax in parts[1:]:
+        # rows do not cross a pipe, so a route that keeps them never splits
+        parts = [run(0, len(times))] if least is None or samples else _split(run, len(times), least)
+        rows, unserved, value, argmax = parts[0]
+        for _, part_unserved, part_value, part_argmax in parts[1:]:
             unserved += part_unserved
             if part_value > value:  # strictly: the earliest part attaining the maximum keeps its window
                 value, argmax = part_value, part_argmax
         if explicit and unserved:
             value, argmax = math.inf, unserved[0]
     else:
-        windows = zip(times, map(tuple, map(sorted, _sweep(problems, lengths, n, fins, times, order))))
-        floor = -math.inf  # the pruned route's first floor: the ratio of the window with the largest ceiling
-        if lower is not None:
-            windows = list(windows)
-            # a served window's ceiling is positive, so 0.0 never ranks an unserved one first
-            ceilings = [t / lower(snap) if snap[0] > 0.0 else 0.0 for t, snap in windows]
-            top = max(ceilings, default=0.0)
-            if top > 0.0:
-                t, snap = windows[ceilings.index(top)]
-                floor = t / denom_of(snap)
-        unserved = []
+        windows = list(zip(times, map(sorted, _sweep(problems, lengths, n, fins, times, order))))
+        # a served window's ceiling is positive, so 0.0 never ranks an unserved one first
+        ceilings = [t / lower(snap) if snap[0] > 0.0 else 0.0 for t, snap in windows]
+        top = max(ceilings, default=0.0)
+        floor = -math.inf  # the first floor: the ratio of the window with the largest ceiling
+        if top > 0.0:
+            t, snap = windows[ceilings.index(top)]
+            floor = t / denom_of(snap)
+        rows, unserved = [], []
         value, argmax = -math.inf, None
-        for i, (t, snap) in enumerate(windows):
-            served = snap[0] > 0.0
-            if not served:
+        for (t, snap), ceiling in zip(windows, ceilings):
+            if snap[0] == 0.0:
                 unserved.append(t)
-                if not explicit:
-                    continue
-                denom, ratio = 0.0, math.inf
-            elif lower is not None and ceilings[i] < max(floor, value) * (1.0 - 1e-12):
+            elif ceiling < max(floor, value) * (1.0 - 1e-12):
                 pruned += 1
-                continue
             else:
-                denom = denom_of(snap)
-                ratio = t / denom
-            if samples:
-                rows.append(MeasureSample(t, snap, denom, ratio, served))
-            if ratio > value:
-                value, argmax = ratio, t
+                ratio = t / denom_of(snap)
+                if ratio > value:
+                    value, argmax = ratio, t
     if value == -math.inf:
         value = math.inf  # nothing served: any interruption is infinitely bad
         argmax = None
@@ -214,11 +203,10 @@ def acceleration_ratio(schedule: Schedule, window: Iterable[float] | None = None
     """sup over interruption times t, max over problems, of t / longest completed.
 
     ``samples=False`` asks for the value alone: no per-window row is kept,
-    and every other field is that of the full report.  The windows of a
-    long prefix may then be split across forked processes (``_evaluate``).
+    and every other field is that of the full report.
     """
     return _evaluate(schedule, window, "acceleration", lambda snap: snap[0], _acceleration_limit(schedule),
-                     samples=samples, least=_RATIO_PART_MIN)
+                     samples=samples)
 
 
 def performance_ratio(schedule: Schedule, window: Iterable[float] | None = None, *,
@@ -228,15 +216,13 @@ def performance_ratio(schedule: Schedule, window: Iterable[float] | None = None,
     The worst feasible offline schedule uses equal-length contracts; with m < n
     some processor stacks ceil(n/m) of them, so its contracts have length
     t/ceil(n/m).  For m >= n this coincides with the acceleration ratio.
-    ``samples=False`` keeps no per-window row and may split the windows, as
-    in ``acceleration_ratio``.
+    ``samples=False`` keeps no per-window row, as in ``acceleration_ratio``.
     """
     stack = -(-schedule.n_problems // schedule.m_processors)  # ceil(n/m) in integers: a float n/m rounds past 2**53
     analytic = _acceleration_limit(schedule)
     if analytic is not None:
         analytic["value"] /= stack
-    return _evaluate(schedule, window, "performance", lambda snap: stack * snap[0], analytic, samples=samples,
-                     least=_RATIO_PART_MIN)
+    return _evaluate(schedule, window, "performance", lambda snap: stack * snap[0], analytic, samples=samples)
 
 
 def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver: str = "exact", *,
@@ -295,7 +281,7 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     shapes: dict[tuple[float, ...], tuple[tuple[float, ...], tuple[int, ...]]] = {}
     solves = 0
 
-    def exact(snap: tuple[float, ...]) -> float:
+    def exact(snap: list[float]) -> float:
         nonlocal solves
         top = snap[-1]
         ratios = tuple(v / top for v in snap)
@@ -308,7 +294,7 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
         shapes.setdefault(key, (ratios, best.processor_of))
         return best.makespan
 
-    # picked once per call; each takes any ascending sequence, the lean loop's lists included
+    # picked once per call; each takes the ascending lists the window loop and the pruned pass sort
     denom_of = math.fsum if m == 1 else partial(_lpt_span, m=m) if solver == "lpt" else exact
 
     analytic = None

@@ -10,6 +10,7 @@ denominator bit for bit.
 import itertools
 import math
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,11 +18,14 @@ from hypothesis import strategies as st
 
 from contractsched import (
     Contract,
+    MakespanInstance,
     Schedule,
     acceleration_ratio,
     critical_times,
     deficiency,
     deficiency_value_m1,
+    lpt_makespan,
+    performance_ratio,
     simulate,
     snapshot,
     snapshots_before,
@@ -146,6 +150,40 @@ def test_measures_match_exact_reference(s):
         assert (pruned.value, pruned.argmax_time, pruned.windows, pruned.unserved_times, pruned.incomplete) == (
             report.value, report.argmax_time, report.windows, report.unserved_times, report.incomplete)
         assert pruned.opt_solves <= report.opt_solves
+
+    # every sample row is its replay, over the default window and over an explicit one that mixes unserved and
+    # served times, each finish time and the floats on either side of it: acc, perf and LPT to the bit, the exact
+    # deficiency within the solver's stop on m >= 2; on one processor either solver's OPT is the total
+    m, stack = s.m_processors, -(-s.n_problems // s.m_processors)
+    opt = cache(lambda snap: float(exact_opt(snap, m)))
+    denominators = {
+        acceleration_ratio: lambda snap: snap[0],
+        performance_ratio: lambda snap: stack * snap[0],
+        partial(deficiency, solver="lpt"): lambda snap: lpt_makespan(MakespanInstance(snap, m)).makespan if m > 1
+        else opt(snap),
+        deficiency: opt,
+    }
+    fins = finish_times(s)
+    explicit = [f for fin in fins for f in (math.nextafter(fin, math.inf), fin, math.nextafter(fin, 0.0))]
+    for window in (None, explicit):
+        times = sorted(set(fins)) if window is None else sorted(window)
+        replay = [(t, tuple(sorted(longest_before(s, fins, t)))) for t in times]
+        replay = [(t, snap, snap[0] > 0.0) for t, snap in replay if window is not None or snap[0] > 0.0]
+        for measure, denominator in denominators.items():
+            r = measure(s, window=window)
+            assert [(x.time, x.snapshot, x.served) for x in r.samples] == replay
+            for x in r.samples:
+                if not x.served:
+                    assert (x.denominator, x.ratio) == (0.0, math.inf)
+                    continue
+                assert x.ratio == x.time / x.denominator
+                if measure is deficiency and m > 1:
+                    assert denominator(x.snapshot) * (1 - 1e-15) <= x.denominator
+                    assert x.denominator <= denominator(x.snapshot) * (1 + 1e-12) ** 2
+                else:
+                    assert x.denominator == denominator(x.snapshot)
+            if window is not None and r.unserved_times:
+                assert (r.value, r.argmax_time) == (math.inf, r.unserved_times[0])
 
 
 def test_near_tie_is_one_value_on_both_routes():

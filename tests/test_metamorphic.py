@@ -99,7 +99,7 @@ def test_a_contract_finishing_last_cannot_lower_the_value(measure, samples, s, d
         assert after >= before
 
 
-# A prefix above every split threshold: 2 * _RATIO_PART_MIN and 2 * _PART_MIN windows, as in CI.
+# A prefix above the LPT deficiency's split threshold, 2 * _PART_MIN windows, as in CI.
 LONG = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=25_000))
 
 
@@ -108,8 +108,8 @@ LONG = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=25_000))
 def test_the_long_value_only_routes_keep_the_relations(monkeypatch, measure, workers):
     forked = record_forks(monkeypatch, cpus=workers)
     expected = value_and_argmax(measure(LONG, False))
-    # the exact deficiency takes the bound-pruned route, which never splits
-    assert len(forked) == (workers - 1) * (measure is not MEASURES["exact"])
+    # only the LPT deficiency splits: the exact one takes the bound-pruned route, and acc and perf run here
+    assert len(forked) == (workers - 1) * (measure is MEASURES["lpt"])
     labels = [1] * (len(LONG) // 2) + [0] * (len(LONG) - len(LONG) // 2)
     variants = [(relabel_problems(LONG, [2, 0, 3, 1]), 1.0), (relabel_processors(LONG, [1, 0]), 1.0),
                 (scale(LONG, -3), 8.0), (interleave(LONG, labels), 1.0)]

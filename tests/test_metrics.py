@@ -416,12 +416,11 @@ def test_every_route_simulates_the_schedule_once(monkeypatch):
 
 
 def forced_split(monkeypatch):
-    """Split every value-only acc, perf and LPT loop of at least 4 windows into up to three ranges, whatever the host.
+    """Split every value-only LPT loop of at least 4 windows into up to three ranges, whatever the host.
 
     Returns the list that records each range given to a child.
     """
     monkeypatch.setattr(metrics, "_PART_MIN", 2)
-    monkeypatch.setattr(metrics, "_RATIO_PART_MIN", 2)
     return record_forks(monkeypatch, cpus=3)
 
 
@@ -471,7 +470,7 @@ def test_split_reports_equal_the_serial_ones(monkeypatch, explicit):
     assert_no_child_left()
 
 
-def ratio_split_cases():
+def range_start_cases():
     """Schedules and windows whose second range starts where a child must find its own first snapshot.
 
     Lengths from {1, 2, 4} on two or three processors tie many finish times, also at a range's first window;
@@ -491,20 +490,19 @@ def ratio_split_cases():
         yield s, window
 
 
-@pytest.mark.parametrize("measure", [acceleration_ratio, performance_ratio], ids=["acc", "perf"])
-def test_value_only_ratios_split_into_the_serial_reports(monkeypatch, measure):
-    cases = list(ratio_split_cases())
+@pytest.mark.parametrize("explicit", [False, True], ids=["default-window", "explicit-window"])
+def test_value_only_lpt_splits_at_a_range_start_into_the_serial_reports(monkeypatch, explicit):
+    cases = [(s, window) for s, window in range_start_cases() if (window is not None) == explicit]
     forked = forced_split(monkeypatch)
     monkeypatch.setattr(core, "_cpus", lambda: 2)
-    split = [repr(measure(s, window=window, samples=False)) for s, window in cases]
+    split = [repr(lpt_value(s, window)) for s, window in cases]
     assert len(forked) == len(cases)
     monkeypatch.setattr(core, "_cpus", lambda: 1)
-    serial = [measure(s, window=window, samples=False) for s, window in cases]
+    serial = [lpt_value(s, window) for s, window in cases]
     assert [repr(report) for report in serial] == split
     assert len(forked) == len(cases)
-    # some child's range opens with unserved windows, of the default window and of an explicit one
-    assert {window is None for (_, window), (lo, _), report in zip(cases, forked, serial)
-            if len(report.unserved_times) > lo} == {True, False}
+    # some child's range opens with unserved windows
+    assert any(len(report.unserved_times) > lo for (lo, _), report in zip(forked, serial))
     assert_no_child_left()
 
 
@@ -602,11 +600,14 @@ def test_nothing_forks_where_a_split_is_not_allowed(monkeypatch):
     s = random_sched(random.Random(10), 3, 2, 40)
     one = random_sched(random.Random(10), 3, 1, 40)
     forked = forced_split(monkeypatch)
-    # samples kept; windows too cheap to pay for a child: the deficiency on one processor, LPT or not; the
-    # exact solver's shape memo on m >= 2, pruned or over an explicit window
+    # samples kept; the acceleration and performance ratios at any length; windows too cheap to pay for a
+    # child: the deficiency on one processor, LPT or not; the exact solver's shape memo on m >= 2, pruned or
+    # over an explicit window
     deficiency(s, solver="lpt")
     acceleration_ratio(s)
     performance_ratio(s, window=critical_times(s))
+    acceleration_ratio(s, samples=False)
+    performance_ratio(s, window=critical_times(s), samples=False)
     deficiency(one, samples=False)
     deficiency(one, solver="lpt", samples=False)
     deficiency(s, samples=False)
@@ -622,21 +623,22 @@ def test_nothing_forks_where_a_split_is_not_allowed(monkeypatch):
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive() and forked == []
-    # fewer than 2 * _PART_MIN windows, and fewer than 2 * _RATIO_PART_MIN
+    # fewer than 2 * _PART_MIN windows
     monkeypatch.setattr(metrics, "_PART_MIN", 10_000)
-    monkeypatch.setattr(metrics, "_RATIO_PART_MIN", 10_000)
     lpt_value(s)
-    acceleration_ratio(s, samples=False)
-    performance_ratio(s, samples=False)
     assert forked == []
-    # and at 2 * _PART_MIN windows each splits into two ranges of equal count
+    # at 2 * _PART_MIN windows the LPT deficiency splits into two ranges of equal count, and the acceleration
+    # and performance ratios, at that length and beyond, fork nothing
     big = exponential_schedule(ExponentialSpec(n=2, m=2, base=1.004, k_max=20_000))
     assert len(critical_times(big)) == 20_000
-    for value_only in (lpt_value, lambda s: acceleration_ratio(s, samples=False),
-                       lambda s: performance_ratio(s, samples=False)):
-        forked.clear()
-        value_only(big)
-        assert forked == [(10_000, 20_000)]
+    lpt_value(big)
+    assert forked == [(10_000, 20_000)]
+    forked.clear()
+    bigger = exponential_schedule(ExponentialSpec(n=2, m=2, base=1.004, k_max=40_000))
+    for ratio in (acceleration_ratio, performance_ratio):
+        ratio(big, samples=False)
+        ratio(bigger, samples=False)
+    assert forked == []
     assert_no_child_left()
 
 

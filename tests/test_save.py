@@ -99,17 +99,14 @@ fork = os.fork
 os.fork = lambda: forks.append(1) or fork()
 from contractsched import ExponentialSpec, exponential_schedule, load_schedule, save_schedule
 from contractsched import core, metrics
-# a save forks at no length: the long-prefix-cli prefix
-save_schedule(exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=100_000)), sys.argv[1])
+# a save, and the value-only acceleration and performance ratios, fork at no length: the long-prefix-cli prefix
+long = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=100_000))
+save_schedule(long, sys.argv[1])
 assert os.path.getsize(sys.argv[1]) > 2 * core._PARSE_MIN
-ratios = 2 * metrics._RATIO_PART_MIN - 1
-s = exponential_schedule(ExponentialSpec(n=2, m=2, base=1.004, k_max=ratios))
-assert len(metrics.critical_times(s)) == ratios
-metrics.acceleration_ratio(s, samples=False)
-metrics.performance_ratio(s, samples=False)
+metrics.acceleration_ratio(long, samples=False)
+metrics.performance_ratio(long, samples=False)
 lpt = exponential_schedule(ExponentialSpec(n=2, m=2, base=1.004, k_max=2 * metrics._PART_MIN - 1))
 metrics.deficiency(lpt, solver="lpt", samples=False)
-save_schedule(s, sys.argv[1])
 save_schedule(lpt, sys.argv[1])
 assert os.path.getsize(sys.argv[1]) < 2 * core._PARSE_MIN
 assert load_schedule(sys.argv[1]) == lpt
