@@ -1,27 +1,23 @@
 """Contiguous parts of one task run side by side: the first in this process, every other in a forked child.
 
-Three tasks split this way, each through ``core._split_count``: the
-value-only LPT deficiency (``metrics``) and ``verification.run_checks`` cut
-their windows and checks with ``core._split``, and ``core._parse`` the
-contract rows of a long file whose contracts come last, as
-``save_schedule`` writes them (``_parse_in_pieces``).
-``core._split_count`` alone decides how many parts a task runs in; this
-module only cuts and runs them.  A task imports it only once it is long
-enough to split, so a command that never splits never compiles it.
+Three tasks split this way, each through ``core._split``: the windows of
+the value-only LPT deficiency (``metrics``), the checks of
+``verification.run_checks``, and the characters of a long schedule file in
+``core._parse``, whose pieces each find their own row boundaries
+(``core._piece``).
+``core._split_count`` alone decides how many parts a task runs in, and
+``core`` alone knows the file's layout; this module only cuts and runs
+the parts.  A task imports it only once it is long enough to split, so a
+command that never splits never compiles it.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import marshal
 import os
 import time
-from functools import partial
-from itertools import chain
 from typing import Callable
-
-from .core import _COLUMN_FIELDS, _CONTRACTS
 
 # A child that has not reported this many times the caller's own part later, plus _WAIT_S seconds, is
 # taken for hung (``_in_parts``); its part is about as long as the caller's (``_cuts``).
@@ -127,65 +123,3 @@ def _receive(read: int, deadline: float) -> object | None:
             size = 8 + int.from_bytes(data[:8], "little")
     return marshal.loads(memoryview(data)[8:]) if len(data) == size else None
 
-
-def _parse_in_pieces(text: str, count: int) -> tuple[dict, list[tuple]] | None:
-    """``core._parse`` in ``count`` pieces: (document, contract columns), or None where the contracts do not come last.
-
-    The caller parses the first piece of the ``"contracts"`` array and a
-    forked child each other one (``_in_parts``); each child sends its
-    piece's columns back by ``marshal`` (``_piece``).  The columns are the
-    pieces' problems, processors and lengths, each joined into one tuple,
-    and the document has no ``"contracts"``.  The pieces joined are what one ``json.loads(text)``
-    gives, because:
-
-    * the head: ``json.loads(text[:i] + "}")``, i where the first
-      ``core._CONTRACTS`` starts, is a non-empty object.  The ``}`` that
-      ends a JSON text closes its top-level object, so ``text[i]`` is the
-      ``,`` after a member, and the ``[`` opens a top-level ``"contracts"``;
-    * the cuts: each is the ``},{`` that ``text.find`` gives at or after a
-      target, and they strictly increase.  Each piece, the last one up to
-      the ``]`` of the ``]}`` that the text ends with but for JSON
-      whitespace (space, tab, LF, CR), parses as ``"[" + piece + "]"`` into
-      a non-empty list (an empty one would hide a ``,,``).  JSON is read
-      left to right, so a piece that starts where a row may start and parses
-      whole ends where a row ends, outside every string: the ``,`` after it
-      is the array's own, and after the last one ``]}`` closes the array and
-      the document.  The contracts are its last member, and json keeps the
-      last of a repeated key, so a ``"contracts"`` in the head is dropped.
-
-    A head or piece that does not parse raises here, a piece also when its
-    child failed or outlived the bounded wait, since ``_in_parts`` then
-    parses it here; ``core._parse`` then falls back to one ``json.loads``.
-    """
-    end = len(text)
-    while end and text[end - 1] in " \t\n\r":  # json's whitespace only, and no copy of the text
-        end -= 1
-    i = text.find(_CONTRACTS)
-    doc = json.loads(text[:i] + "}") if i > 0 and text[end - 2:end] == "]}" else None
-    if not doc:  # also "{" alone before the contracts, which json refuses
-        return None
-    doc.pop("contracts", None)
-    a, z = i + len(_CONTRACTS), end - 2  # the array's first character, and its "]"
-    cuts: list[int] = []  # index of each cut's "}"
-    for target in _cuts(z - a, count)[1:-1]:
-        cut = text.find("},{", a + target, z)
-        if cut < 0 or (cuts and cut <= cuts[-1]):
-            return None
-        cuts.append(cut)
-    ranges = list(zip([a] + [cut + 2 for cut in cuts], [cut + 1 for cut in cuts] + [z]))
-    return doc, [tuple(chain.from_iterable(pieces)) for pieces in zip(*_in_parts(partial(_piece, text), ranges))]
-
-
-def _piece(text: str, lo: int, hi: int) -> list[list]:
-    """The rows of ``text[lo:hi]``, a piece of the contracts array, as columns.
-
-    The columns are the rows' problems, processors and lengths, three flat
-    lists that ``marshal`` sends in two thirds of the time of row tuples; a
-    row that lacks a field raises KeyError, and one that is not an object
-    TypeError, as with ``core._COLUMN_FIELDS``.  Raises ValueError where
-    ``core._parse`` must fall back.
-    """
-    rows = json.loads(f"[{text[lo:hi]}]")
-    if not rows:
-        raise ValueError("an empty piece of the contracts")
-    return [list(map(field, rows)) for field in _COLUMN_FIELDS]

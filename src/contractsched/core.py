@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from itertools import chain, compress, repeat, zip_longest
 from operator import itemgetter, ne
 from pathlib import Path
@@ -564,28 +565,61 @@ _PARSE_MIN = 500_000
 def _parse(text: str) -> tuple[object, list[tuple] | None]:
     """``json.loads(text)`` as (document, None), or, parsed in pieces, as (document, contract columns).
 
-    The columns are the problems, processors and lengths that
-    ``_COLUMN_FIELDS`` read from the document's ``"contracts"``, which the
-    document then lacks (each piece sends its own, ``_parts._piece``).  A text whose
-    contracts array is its last member, opened by ``_CONTRACTS`` as
-    ``save_schedule`` writes it, is parsed in
-    ``_split_count(len(text), _PARSE_MIN)`` pieces when that is more than
-    one; ``_parts._parse_in_pieces`` says why the pieces joined are one
-    parse.  Any ``ValueError``, ``RecursionError``, ``KeyError`` (a row
-    missing a field) or ``TypeError`` (a row that is not an object) from the
-    head or a piece, or a text laid out otherwise, falls back to the one
-    serial ``json.loads(text)``, so every text gives the same ``Schedule``,
-    or raises the same error, as a serial parse.  Every child is reaped
-    before this returns or raises.
-    """
-    count = _split_count(len(text), _PARSE_MIN)
-    if count > 1:
-        from ._parts import _parse_in_pieces
+    The columns are what ``_COLUMN_FIELDS`` read from the ``"contracts"``,
+    which the document then lacks.  A text that ``_split_count`` splits is
+    parsed in pieces through ``_split`` (``_piece``), and the pieces joined
+    are one parse when:
 
+    * the head ``json.loads(text[:i] + "}")``, where ``text[i:a]`` is the
+      first ``_CONTRACTS``, is a non-empty object: the ``}`` that ends a
+      JSON text closes its top-level object, so the ``[`` before ``a``
+      opens a top-level ``"contracts"``;
+    * the text ends with ``]}``, its ``]`` at ``z``, but for JSON
+      whitespace (space, tab, LF, CR);
+    * the pieces, cut at ``},{``, tile ``text[a:z]``, and each parses as
+      ``"[" + piece + "]"`` into a non-empty list (an empty one would hide
+      a ``,,``).  JSON is read left to right, so a piece that starts where
+      a row may start and parses whole ends where a row ends, outside every
+      string: the ``,`` after it is the array's, and after the last ``]}``
+      closes the array and the document.  json keeps the last of a
+      repeated key, so a ``"contracts"`` in the head is dropped.
+
+    Any ``ValueError``, ``RecursionError``, ``KeyError`` (a row missing a
+    field) or ``TypeError`` (a row not an object) from the head or a piece
+    (run here again if its child failed or hung), or a text laid out
+    otherwise, falls back to one ``json.loads(text)``, so every text gives
+    the serial parse's ``Schedule`` or error.  Every child is reaped before
+    this returns or raises.
+    """
+    if _split_count(len(text), _PARSE_MIN) > 1:
+        end = len(text)
+        while end and text[end - 1] in " \t\n\r":  # json's whitespace only, and no copy of the text
+            end -= 1
+        i = text.find(_CONTRACTS)
         try:
-            parsed = _parse_in_pieces(text, count)
+            doc = json.loads(text[:i] + "}") if i > 0 and text[end - 2:end] == "]}" else None
+            if doc:  # also "{" alone before the contracts, which json refuses
+                doc.pop("contracts", None)
+                parts = _split(partial(_piece, text, i + len(_CONTRACTS), end - 2), len(text), _PARSE_MIN)
+                return doc, [tuple(chain.from_iterable(pieces)) for pieces in zip(*parts)]
         except (ValueError, RecursionError, KeyError, TypeError):
-            parsed = None
-        if parsed is not None:
-            return parsed
+            pass
     return json.loads(text), None
+
+
+def _piece(text: str, a: int, z: int, lo: int, hi: int) -> list[list]:
+    """The rows of the contracts array ``text[a:z]`` in ``range(lo, hi)``, as three columns (quick to ``marshal``).
+
+    They start at ``a`` where lo is 0, else after the first ``},{`` at or
+    after ``max(lo, a)``, and end at ``z`` where hi is ``len(text)``, else
+    at the ``}`` of the first ``},{`` at or after ``max(hi, a)``, so
+    neighbouring ranges meet at one ``},{``.  Raises ValueError where none
+    is found or the piece is empty, as where two ranges meet at the same
+    ``},{``.
+    """
+    start = a if lo == 0 else text.index("},{", max(lo, a), z) + 2
+    stop = z if hi == len(text) else text.index("},{", max(hi, a), z) + 1
+    rows = json.loads(f"[{text[start:stop]}]")
+    if not rows:
+        raise ValueError("an empty piece of the contracts")
+    return [list(map(field, rows)) for field in _COLUMN_FIELDS]

@@ -2,7 +2,7 @@
 
 A test module imports these and keeps only the threshold of the split it
 tests: ``metrics._PART_MIN`` for the value-only LPT deficiency's windows,
-``core._PARSE_MIN`` for a long file's rows; ``verify`` splits from two checks.
+``core._PARSE_MIN`` for a long file's characters; ``verify`` splits from two checks.
 """
 
 import os

@@ -8,6 +8,7 @@ import sys
 import threading
 import tempfile
 import time
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,10 @@ from contractsched import _parts, core
 from forks import assert_no_child_left, record_forks
 
 
-def forced_pieces(monkeypatch):
-    """Parse every file in up to three pieces, whatever its length and the host: returns the list of pieces forked."""
+def forced_pieces(monkeypatch, cpus=3):
+    """Parse every file in up to ``cpus`` pieces, whatever its length and the host: returns the pieces forked."""
     monkeypatch.setattr(core, "_PARSE_MIN", 0)
-    return record_forks(monkeypatch, cpus=3)
+    return record_forks(monkeypatch, cpus=cpus)
 
 
 def outcome(path):
@@ -56,15 +57,15 @@ def write(tmp_path, text):
     return path
 
 
-def load_both_ways(text):
-    """(the serial outcome of loading ``text``, the outcome with every file forced into pieces)."""
+def load_both_ways(text, cpus=3):
+    """(the serial outcome of loading ``text``, the outcome with every file forced into pieces on ``cpus`` CPUs)."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "s.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         serial = serial_outcome(path)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            forced_pieces(monkeypatch)
+            forced_pieces(monkeypatch, cpus)
             return serial, outcome(path)
 
 
@@ -101,92 +102,96 @@ def test_a_saved_file_loads_in_pieces_as_one_parse(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
-# name: (how ``_parse_in_pieces`` takes the text in three pieces, the text); "pieces" gives the rows, "layout" None
-# (no '"contracts":[' after a comma, an empty head, no "]}" at the end, or no cuts), and "raises" an error (the
-# head or a piece does not parse); all but "pieces" fall back
+# name: (how ``core._parse`` takes the text in three pieces, ``route``, the text): "pieces" gives the columns;
+# "whole" forks nothing, since the head or tail check fails (no '"contracts":[' after a comma, an empty head or one
+# that does not parse, or no "]}" at the end); "fallback" forks, and a piece fails (it does not parse, or finds no
+# "},{" or no row); both fall back to one json.loads
 NAMED = {
     # a cut lands inside a string that reads "},{": that piece does not parse
-    "string-with-a-cut": ("raises", '{"n":3,"m":2,"contracts":[%s]}' % rows(40, ',"note":"},{"')),
+    "string-with-a-cut": ("fallback", '{"n":3,"m":2,"contracts":[%s]}' % rows(40, ',"note":"},{"')),
     # the cuts are looked for in the array alone, so the generator's "},{" is never one
     "generator-with-a-cut": ("pieces", '{"n":3,"m":2,"generator":{"family":"x},{y","k":[1,{}]},"contracts":[%s]}'
                              % rows(40)),
     # json keeps the last of a repeated key, so the head's contracts are dropped
     "contracts-before": ("pieces", '{"contracts":[%s],"n":3,"m":2,"contracts":[%s]}' % (rows(5), rows(40))),
-    "contracts-after": ("raises", '{"n":3,"m":2,"contracts":[%s],"contracts":[%s]}' % (rows(40), rows(5))),
-    "contracts-after-not-a-list": ("layout", '{"n":3,"m":2,"contracts":[%s],"contracts":5}' % rows(40)),
-    "n-repeated-after": ("layout", '{"n":1,"m":2,"contracts":[%s],"n":3}' % rows(40)),
+    "contracts-after": ("fallback", '{"n":3,"m":2,"contracts":[%s],"contracts":[%s]}' % (rows(40), rows(5))),
+    "contracts-after-not-a-list": ("whole", '{"n":3,"m":2,"contracts":[%s],"contracts":5}' % rows(40)),
+    "n-repeated-after": ("whole", '{"n":1,"m":2,"contracts":[%s],"n":3}' % rows(40)),
     "n-repeated-in-the-head": ("pieces", '{"n":1,"m":2,"n":3,"contracts":[%s]}' % rows(40)),
     # the first ',"contracts":[' is inside the generator, so the head does not close
-    "contracts-in-a-nested-object": ("raises", '{"n":3,"m":2,"generator":{"family":"x","contracts":[%s]},'
+    "contracts-in-a-nested-object": ("whole", '{"n":3,"m":2,"generator":{"family":"x","contracts":[%s]},'
                                      '"contracts":[%s]}' % (rows(5), rows(40))),
     "escaped-contracts-in-a-string": ("pieces", '{"n":3,"m":2,"generator":{"family":"\\"contracts\\":["},'
                                       '"contracts":[%s]}' % rows(40)),
-    "empty-head": ("layout", '{,"contracts":[%s]}' % rows(40)),
-    "blank-head": ("layout", '{ \n,"contracts":[%s]}' % rows(40)),
+    "empty-head": ("whole", '{,"contracts":[%s]}' % rows(40)),
+    "blank-head": ("whole", '{ \n,"contracts":[%s]}' % rows(40)),
     "head-in-another-order": ("pieces", '{"generator":{"family":"x"},"m":2,"n":3,"contracts":[%s]}' % rows(40)),
     "spaces-in-the-head": ("pieces", ' \r\n{ "n" : 3 ,\t"m":2\n,"contracts":[%s]}' % rows(40)),
-    "generator-last": ("layout", generator_last(exponential_text())),
-    "indented": ("layout", json.dumps(json.loads(exponential_text()), indent=2)),
-    "indented-rows": ("layout", exponential_text().replace("},{", "},\n  {")),
-    "spaced-key": ("layout", exponential_text().replace('"contracts":[', '"contracts": [')),
-    "space-after-the-array": ("layout", exponential_text().replace("]}", "] }")),
+    "generator-last": ("whole", generator_last(exponential_text())),
+    "indented": ("whole", json.dumps(json.loads(exponential_text()), indent=2)),
+    "indented-rows": ("fallback", exponential_text().replace("},{", "},\n  {")),
+    "spaced-key": ("whole", exponential_text().replace('"contracts":[', '"contracts": [')),
+    "space-after-the-array": ("whole", exponential_text().replace("]}", "] }")),
     "whitespace-at-the-end": ("pieces", exponential_text() + "\t\r\n \r\n"),
     # json's whitespace is space, tab, LF and CR; str.rstrip would also strip these three, which json refuses
-    "form-feed-at-the-end": ("layout", exponential_text().replace("]}\n", "]}\f\n")),
-    "next-line-at-the-end": ("layout", exponential_text().replace("]}\n", "]}\x85\n")),
-    "no-break-space-at-the-end": ("layout", exponential_text().replace("]}\n", "]}\u00a0\n")),
-    "bom": ("raises", "\ufeff" + exponential_text()),
+    "form-feed-at-the-end": ("whole", exponential_text().replace("]}\n", "]}\f\n")),
+    "next-line-at-the-end": ("whole", exponential_text().replace("]}\n", "]}\x85\n")),
+    "no-break-space-at-the-end": ("whole", exponential_text().replace("]}\n", "]}\u00a0\n")),
+    "bom": ("whole", "\ufeff" + exponential_text()),
     "nan-length": ("pieces", exponential_text().replace('"length":1.5}', '"length":NaN}', 1)),
     "infinite-length": ("pieces", exponential_text()[::-1].replace('}0.1:"htgnel"', '}ytinifnI-:"htgnel"', 1)[::-1]),
-    "truncated": ("layout", exponential_text()[:-40]),
-    "truncated-in-a-row": ("layout", exponential_text()[:len(exponential_text()) // 2]),
-    "no-end": ("layout", exponential_text().rstrip()[:-1]),
-    "extra-data": ("layout", exponential_text() + "{}"),
-    "comma-before-the-end": ("layout", exponential_text().replace("]}", "],}")),
-    "double-comma": ("raises", '{"n":3,"m":2,"contracts":[%s,,%s]}' % (rows(20), rows(20))),
-    "empty-contracts": ("layout", '{"n":3,"m":2,"contracts":[]}'),
-    "one-row": ("layout", '{"n":3,"m":2,"contracts":[%s]}' % rows(1)),
+    "truncated": ("whole", exponential_text()[:-40]),
+    "truncated-in-a-row": ("whole", exponential_text()[:len(exponential_text()) // 2]),
+    "no-end": ("whole", exponential_text().rstrip()[:-1]),
+    "extra-data": ("whole", exponential_text() + "{}"),
+    "comma-before-the-end": ("whole", exponential_text().replace("]}", "],}")),
+    "double-comma": ("fallback", '{"n":3,"m":2,"contracts":[%s,,%s]}' % (rows(20), rows(20))),
+    "empty-contracts": ("fallback", '{"n":3,"m":2,"contracts":[]}'),
+    "one-row": ("fallback", '{"n":3,"m":2,"contracts":[%s]}' % rows(1)),
     # nested past the recursion limit: a piece raises RecursionError, and so does the whole parse
-    "deeply-nested-row": ("raises", '{"n":3,"m":2,"contracts":[%s,{"problem":0,"processor":0,"length":%s1%s},%s]}'
+    "deeply-nested-row": ("fallback", '{"n":3,"m":2,"contracts":[%s,{"problem":0,"processor":0,"length":%s1%s},%s]}'
                           % (rows(300), "[" * 5_000, "]" * 5_000, rows(300))),
     "nested-field": ("pieces", '{"n":3,"m":2,"contracts":[%s,{"problem":0,"processor":0,"length":1.0,"x":%s1%s},%s]}'
                      % (rows(20), "[" * 500, "]" * 500, rows(20))),
-    "row-not-an-object": ("raises", '{"n":3,"m":2,"contracts":[%s,[1,2,3],%s]}' % (rows(20), rows(20))),
-    "row-missing-a-field": ("raises", '{"n":3,"m":2,"contracts":[%s,{"problem":0,"length":1.0},%s]}'
+    "row-not-an-object": ("fallback", '{"n":3,"m":2,"contracts":[%s,[1,2,3],%s]}' % (rows(20), rows(20))),
+    "row-missing-a-field": ("fallback", '{"n":3,"m":2,"contracts":[%s,{"problem":0,"length":1.0},%s]}'
                             % (rows(20), rows(20))),
     "bad-problem-late": ("pieces", '{"n":3,"m":2,"contracts":[%s,{"problem":7,"processor":0,"length":1.0}]}'
                          % rows(40)),
     "missing-m": ("pieces", '{"n":3,"contracts":[%s]}' % rows(40)),
-    "not-an-object": ("layout", '[{"contracts":[%s]}]' % rows(40)),
-    # a long row among short ones: two targets find the same "},{", so the cuts do not increase
-    "adjacent-cuts": ("layout", '{"n":3,"m":2,"contracts":[%s,%s,%s]}'
+    "not-an-object": ("whole", '[{"contracts":[%s]}]' % rows(40)),
+    # a long row among short ones: two neighbouring ranges find the same "},{", so the piece between them is empty
+    "adjacent-cuts": ("fallback", '{"n":3,"m":2,"contracts":[%s,%s,%s]}'
                       % (rows(1), ROW.replace("}", ',"pad":"%s"}') % (0, 0, "2.0", "x" * 5_000), rows(1))),
-    "two-rows": ("layout", '{"n":3,"m":2,"contracts":[%s]}' % rows(2)),
+    "two-rows": ("fallback", '{"n":3,"m":2,"contracts":[%s]}' % rows(2)),
     # the only '"contracts":[' ends the key a\"contracts, whose opening quote is escaped: one contract, and a
     # missing key
-    "escaped-key-after-contracts": ("layout", '{"n":1,"m":1,"contracts" : [%s],"a\\"contracts":[%s]}'
+    "escaped-key-after-contracts": ("whole", '{"n":1,"m":1,"contracts" : [%s],"a\\"contracts":[%s]}'
                                     % (rows(1, n=1, m=1), rows(40, n=1, m=1))),
-    "escaped-key-only": ("layout", '{"n":1,"m":1,"a\\"contracts":[%s]}' % rows(40, n=1, m=1)),
+    "escaped-key-only": ("whole", '{"n":1,"m":1,"a\\"contracts":[%s]}' % rows(40, n=1, m=1)),
 }
 
 
 def route(text):
-    try:
-        pieces = _parts._parse_in_pieces(text, 3)
-    except (ValueError, RecursionError, KeyError, TypeError):
-        return "raises"
-    return "layout" if pieces is None else "pieces"
+    """How ``core._parse`` takes ``text`` in up to three pieces: "pieces", "whole" or "fallback" (see ``NAMED``)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        forked = forced_pieces(monkeypatch)
+        try:
+            parsed = core._parse(text)[1]
+        except (ValueError, RecursionError):  # the serial parse the text falls back to raised
+            parsed = None
+    assert_no_child_left()
+    return "pieces" if parsed is not None else "fallback" if forked else "whole"
 
 
 @pytest.mark.parametrize("expected, text", NAMED.values(), ids=NAMED.keys())
 def test_every_named_file_loads_or_fails_as_one_parse(tmp_path, monkeypatch, expected, text):
     path = write(tmp_path, text)
     serial = serial_outcome(path)
-    forked = forced_pieces(monkeypatch)
     assert route(text) == expected
+    forked = forced_pieces(monkeypatch)
     assert outcome(path) == serial
-    if expected != "raises":  # a text may raise before its pieces are forked, in the head
-        assert (len(forked) > 0) == (expected != "layout")
+    assert len(forked) == (0 if expected == "whole" else 2)
     assert_no_child_left()
 
 
@@ -280,6 +285,33 @@ def test_every_saved_file_takes_the_pieces_route(n, m, k, data, generator):
     assert_no_child_left()
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 30), st.integers(2, 6), st.data(),
+       st.sampled_from([None, {"family": "exponential", "base": 1.5}, {"family": "x},{y", "k": [1, {}]}]))
+def test_the_pieces_of_a_saved_file_tile_its_contracts_or_one_raises(n, m, k, count, data, generator):
+    lengths = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+    s = Schedule(n, m, [Contract(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1)), data.draw(lengths))
+                        for _ in range(k)], generator)
+    text = saved_text(s)
+    a, z = text.index(core._CONTRACTS) + len(core._CONTRACTS), text.rindex("]}")
+    cuts = _parts._cuts(len(text), count)
+    ranges = list(zip(cuts, cuts[1:]))
+    try:
+        pieces = [core._piece(text, a, z, lo, hi) for lo, hi in ranges]
+    except ValueError:
+        # a piece may raise only where some range but the first holds no "},{" of the array: where each holds one,
+        # neighbouring ranges meet at distinct row boundaries and every piece holds a row
+        boundaries = [b for b in range(a, z) if text.startswith("},{", b)]
+        assert not all(a <= lo and any(lo <= b < hi for b in boundaries) for lo, hi in ranges[1:])
+        serial, forced = load_both_ways(text, cpus=count)
+        assert forced == serial == repr(s)
+    else:
+        rows = json.loads(text)["contracts"]
+        assert [list(chain.from_iterable(column)) for column in zip(*pieces)] == [
+            [row[key] for row in rows] for key in ("problem", "processor", "length")]
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("text", ["good", "bad-late"], ids=["loads", "raises"])
 @pytest.mark.parametrize("failure", ["fork-refused", "child-raises", "child-killed", "child-hangs"])
 def test_a_failed_child_leaves_the_load_as_one_parse(tmp_path, monkeypatch, failure, text):
@@ -288,7 +320,7 @@ def test_a_failed_child_leaves_the_load_as_one_parse(tmp_path, monkeypatch, fail
     serial = serial_outcome(path)
     forked = forced_pieces(monkeypatch)
     monkeypatch.setattr(_parts, "_WAIT_S", 0.2)
-    parent, piece = os.getpid(), _parts._piece
+    parent, piece = os.getpid(), core._piece
 
     def refused():
         raise OSError("fork refused")
@@ -305,7 +337,7 @@ def test_a_failed_child_leaves_the_load_as_one_parse(tmp_path, monkeypatch, fail
     if failure == "fork-refused":
         monkeypatch.setattr(os, "fork", refused)
     else:
-        monkeypatch.setattr(_parts, "_piece", failing)
+        monkeypatch.setattr(core, "_piece", failing)
     assert outcome(path) == serial
     assert len(forked) == 2
     assert_no_child_left()
@@ -314,14 +346,14 @@ def test_a_failed_child_leaves_the_load_as_one_parse(tmp_path, monkeypatch, fail
 def test_an_interrupted_first_piece_reaps_every_child(tmp_path, monkeypatch):
     path = write(tmp_path, exponential_text())
     forked = forced_pieces(monkeypatch)
-    parent, piece = os.getpid(), _parts._piece
+    parent, piece = os.getpid(), core._piece
 
     def interrupted(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         return piece(*args)
 
-    monkeypatch.setattr(_parts, "_piece", interrupted)
+    monkeypatch.setattr(core, "_piece", interrupted)
     with pytest.raises(KeyboardInterrupt):
         load_schedule(path)
     assert len(forked) == 2
@@ -383,14 +415,16 @@ def test_nothing_forks_where_pieces_are_not_allowed(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
-def test_a_long_prefix_is_parsed_in_pieces_by_default_on_more_than_one_cpu(tmp_path):
-    # 20,000 contracts take 1.16 MB, above two pieces of _PARSE_MIN
+def test_a_long_prefix_is_parsed_in_pieces_by_default_on_more_than_one_cpu(tmp_path, monkeypatch):
+    # 20,000 contracts take 1.16 MB, above two pieces of _PARSE_MIN: one child per usable CPU after the first
     s = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=20_000))
     path = tmp_path / "s.json"
     save_schedule(s, path)
     text = path.read_text(encoding="utf-8")
     assert len(text) >= 2 * core._PARSE_MIN
+    forked = record_forks(monkeypatch)
     doc, parsed = core._parse(text)
     assert (parsed is not None) == (core._cpus() > 1)
+    assert len(forked) == core._split_count(len(text), core._PARSE_MIN) - 1
     assert load_schedule(path) == s == core.schedule_from_dict(json.loads(text))
     assert_no_child_left()
