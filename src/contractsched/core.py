@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from bisect import bisect_left
 from functools import partial
 from itertools import chain, compress, repeat, zip_longest
 from operator import itemgetter, ne
@@ -368,7 +369,7 @@ def snapshots_before(schedule: Schedule, times: Iterable[float]) -> Iterator[tup
 
 
 def _sweep(problems: Sequence[int], lengths: Sequence[float], n: int, fins: Sequence[float], times: Iterable[float],
-           order: Sequence[int], start: int = 0,
+           order: Sequence[int], start: int | None = None,
            longest: Sequence[float] | None = None) -> Iterator[tuple[float, ...]]:
     """The one sweep: ``snapshots_before`` of contracts given as columns, at checked times.
 
@@ -378,12 +379,21 @@ def _sweep(problems: Sequence[int], lengths: Sequence[float], n: int, fins: Sequ
     them without building a schedule.  ``order`` is ``_ranked(fins)``, which
     every caller supplies; on one processor it is the contract order.
 
-    The sweep starts at the rank position ``start``: each contract
-    ``order[:start]`` must finish before the first time, and ``longest``
-    holds each problem's longest length over them (it is not changed).
-    Without ``longest`` the sweep reads it from those contracts' lengths,
-    and no finish time before ``start`` is read.
+    The sweep alone decides where it starts, tied finish times included.
+    A caller's rank position ``start`` is taken only if every contract
+    ranked before it finishes before the first time, with ``longest``, each
+    problem's longest length over ``order[:start]`` (not changed), and the
+    walk over those contracts is skipped.  Otherwise, or with no ``start``,
+    the sweep starts at ``bisect_left`` of the first time in the ranked
+    finish times and reads the longest lengths before it from the length
+    column alone.  Each time is read only when the sweep reaches it.
     """
+    times = iter(times)
+    first = next(times, None)
+    if first is None:
+        return
+    if start is None or start and not fins[order[start - 1]] < first:
+        start, longest = bisect_left(order, first, key=fins.__getitem__), None
     if longest is not None:
         longest = list(longest)
     else:
@@ -394,7 +404,7 @@ def _sweep(problems: Sequence[int], lengths: Sequence[float], n: int, fins: Sequ
                 if length > longest[problem]:
                     longest[problem] = length
     pos, end, prev = start, len(order), -math.inf
-    for t in times:
+    for t in chain((first,), times):
         if not t >= prev:
             raise ValueError(f"interruption times must be ascending, got {t} after {prev}")
         prev = t

@@ -22,7 +22,6 @@ them (scaling bisection, enumeration) live in ``verification``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import partial
 from typing import Callable, Iterable
 
@@ -90,11 +89,9 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
     windows that pay for a child: a value-only call may then run contiguous
     ranges of the windows side by side (``core._split``), each through the
     loop and the same ranking, which a child inherits rather than sorting
-    again; the parts merge into the serial report.  A later range starts its
-    sweep at its first window (``core._sweep``): the contracts ranked before
-    it are those finishing before it, found by ``bisect_left`` on the ranked
-    finish times, and their longest lengths are read from the length column,
-    so a child reads no finish time before its range.  The loop streams the
+    again; the parts merge into the serial report.  Each range's sweep
+    starts at its own first window, where ``core._sweep`` puts it, so a
+    child reads no finish time before its range.  The loop streams the
     windows, so a long prefix never holds them all; only the pruned pass
     (value-only, default window) lists them, to rank their ceilings
     t / ``lower``; the one with the largest ceiling sets the first floor,
@@ -113,11 +110,10 @@ def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, 
     if lower is None:
         def run(lo: int, hi: int) -> tuple[list[MeasureSample], list[float], float, float | None]:
             part = times[lo:hi]
-            start = bisect_left(order, part[0], key=fins.__getitem__) if lo else 0
             rows: list[MeasureSample] = []
             unserved: list[float] = []
             value, argmax = -math.inf, None
-            for t, snap in zip(part, map(sorted, _sweep(problems, lengths, n, fins, part, order, start))):
+            for t, snap in zip(part, map(sorted, _sweep(problems, lengths, n, fins, part, order))):
                 if snap[0] > 0.0:
                     denom = denom_of(snap)
                     ratio = t / denom

@@ -23,12 +23,12 @@ deficiencies of a step from those.
 A step at index i sweeps only the windows it can change.  The windows
 before i are the held floats, since no contract from i on finishes before
 contract i - 1 does.  A removal sweeps every window from i: each later
-finish time moves.  A swap keeps every finish time and sweeps only until
-both swapped problems' suffix contracts reach every length either problem
-completed before i, at a window not tied with the one before it; from there
-on each snapshot is the held one with the two problems' entries exchanged,
-and ``math.fsum`` gives the same float for it.  ``_rewrite`` states each
-case in full.
+finish time moves.  A swap keeps every finish time and sweeps only until a
+snapshot has both swapped problems' entries above every length either
+problem completed before i; from there on each snapshot is the held one
+with the two entries exchanged, and ``math.fsum`` gives the same float for
+it.  Which contracts a window counts, tied finish times included, is
+decided by ``core._sweep`` alone.  ``_rewrite`` states each case in full.
 
 On one processor the deficiency at time t is t divided by the sum of the
 per-problem completed lengths, which keeps every step's bookkeeping exact
@@ -42,8 +42,7 @@ reports from its sorted snapshots.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from itertools import accumulate, compress, groupby, repeat
+from itertools import accumulate, compress, groupby, repeat, takewhile
 from typing import Callable, Sequence
 
 from .core import Schedule, _finish_times, _Record, _sweep, simulate
@@ -95,37 +94,44 @@ class NormalizationTrace(_Record):
 # ---------------------------------------------------------------------------
 
 def _ratios(problems: Sequence[int], lengths: Sequence[float], n: int, fins: list[float],
-            held: list[float | None] | None = None, start: int = 0, stop: int | None = None,
-            longest: list[float] | None = None) -> list[float | None]:
+            held: list[float | None] | None = None, start: int = 0, longest: list[float] | None = None,
+            swap: tuple[int, int, float] | None = None) -> list[float | None]:
     """Deficiency ratio right before each finish time in ``fins``, in contract order; None where a problem is unserved.
 
     ``fins[i]`` is the finish time of contract i, of problem ``problems[i]``
     and length ``lengths[i]``: on one processor they never decrease, so
-    contract order is the sweep's ranking (``core._ranked``, ties in
-    contract order), and every one is a window.  Windows ``start`` to
-    ``stop`` (the end by default) are swept from the columns; the others
-    are read from ``held``, the ratios of a state the caller knows to agree
-    with the columns there (see ``_rewrite``).
+    contract order is the sweep's ranking, and every one is a window.
+    Windows from ``start`` are swept from the columns, and the ones before
+    it are read from ``held``, the ratios of a state the caller knows to
+    agree with the columns there (see ``_rewrite``).  The sweep is offered
+    the start ``start`` with ``longest``, each problem's longest length over
+    the contracts before it, where the caller carries them; ``core._sweep``
+    decides whether that start holds.
 
-    The sweep starts at contract ``start`` with ``longest``, each
-    problem's longest length over the contracts before it, where the caller
-    carries them; the walk over those contracts is skipped.  Where window
-    ``start`` ties with its predecessor's finish time, the contracts tied
-    with it do not count there: the sweep then starts at the first of them,
-    and reads the lengths before it from the contracts.
+    ``swap``, (a, b, reach), says that the columns are ``held``'s state
+    with problems a and b exchanged from ``start`` on, and that neither
+    problem completes a length above ``reach`` before ``start``.  The sweep
+    then stops at the first window whose snapshot has a's and b's entries
+    both strictly above ``reach``, and every ratio from there on is the
+    held one.  Each of those entries is then the longest of the counted
+    contracts from ``start`` on that the held state gives the other
+    problem, so it is also that problem's held entry, and these maxima only
+    grow at later windows.  Each later snapshot is thus the held one with
+    two entries exchanged: served exactly when the held one is, and of the
+    same ``math.fsum``, which is correctly rounded.  An entry equal to
+    ``reach`` may be a length from before ``start``, so it would not do.
     """
-    times = fins[start:stop]
-    first = start
-    if 0 < start < len(fins) and fins[start - 1] == fins[start]:
-        first, longest = bisect_left(fins, fins[start], 0, start), None
+    times = fins[start:]
+    # the ranking is the contract order, as a list: the sweep's loop indexes a list faster than a range
+    snaps = _sweep(problems, lengths, n, fins, times, list(range(len(fins))), start, longest)
+    if swap is not None:
+        a, b, reach = swap
+        snaps = takewhile(lambda snap: snap[a] <= reach or snap[b] <= reach, snaps)
     # a problem with nothing completed has longest length 0.0, and every completed length is positive
-    snaps = _sweep(problems, lengths, n, fins, times, list(range(len(fins))), first, longest)
     swept = [t / math.fsum(snap) if 0.0 not in snap else None for t, snap in zip(times, snaps)]
-    if start:
-        swept = held[:start] + swept
-    if stop is not None:
-        swept += held[stop:]
-    return swept
+    if swap is not None:
+        swept += held[start + len(swept) :]
+    return held[:start] + swept if start else swept
 
 
 def _single_processor(schedule: Schedule, what: str) -> None:
@@ -175,7 +181,7 @@ def _removal(problems: list[int], lengths: list[float], n: int, fins: list[float
     """
     problems, lengths = problems[:idx] + problems[idx + 1 :], lengths[:idx] + lengths[idx + 1 :]
     nxt_fins = fins[:idx] + _finish_times(repeat(0), lengths[idx:], [fins[idx - 1] if idx else 0.0])
-    return problems, lengths, nxt_fins, _ratios(problems, lengths, n, nxt_fins, ratios, idx, None, longest)
+    return problems, lengths, nxt_fins, _ratios(problems, lengths, n, nxt_fins, ratios, idx, longest)
 
 
 def _first_dominated(problems: list[int], lengths: list[float], start: int, longest: list[float]) -> int | None:
@@ -210,9 +216,9 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
     * a removal (a dominated contract or a pair's first contract) sweeps
       every window from i, since each later finish time moves and shifted
       times can create or break ties between absorbed lengths;
-    * a swap keeps every finish time, so every tie, and ``_swap_move``
-      sweeps only up to its stop window, after which each window's ratio is
-      the held float.
+    * a swap keeps every finish time, and ``_swap_move`` sweeps only until
+      its snapshots show that each later window's ratio is the held float
+      (``_ratios``).
 
     A step at index i also leaves contracts 0..i-1 alone, so the scans for
     the next step need not read them again.  The loop holds ``clean``, an
@@ -224,8 +230,9 @@ def _rewrite(schedule: Schedule, next_move: Callable[..., _Move | None],
     above ``clean`` (a removed dominated contract is found from there, and
     the pair rule, which makes no swap, leaves it at 0), so it stays valid.
     Each scan leaves the longest lengths at the index it stops at, so a
-    dominated-contract removal and a swap start their sweep at i from them
-    (``_ratios``), and no step walks the unchanged contracts before i.
+    dominated-contract removal and a swap offer their sweep the start i with
+    them (``_ratios``), and neither walks the unchanged contracts before i
+    unless window i ties with the one before it.
 
     Both deficiencies of a step are read from the held ratios, over the
     window sets ``TransformStep`` describes.
@@ -295,45 +302,18 @@ def _swap_suffix(problems: list[int], start: int, a: int, b: int) -> list[int]:
     return problems[:start] + list(map(relabel.get, suffix, suffix))
 
 
-def _stop_window(problems: list[int], lengths: list[float], fins: list[float], start: int, a: int, b: int,
-                 reach: float) -> int:
-    """First window from ``start`` past which swapping ``a`` and ``b`` on the suffix leaves every ratio alone.
-
-    That is the first window j >= start not tied with its predecessor's
-    finish time at which the suffix contracts start..j-1 of each problem,
-    a and b, include one of length at least ``reach``, the longest length
-    either problem completes before ``start``; the contract count if there
-    is none.  An untied window j counts exactly contracts 0..j-1, and every
-    later window counts them too, so from j on the swapped schedule's
-    longest length for a is the held one for b and the other way round
-    (the suffix's own longest length of each problem is reached in both).
-    The snapshot is the held one with two entries exchanged: it is served
-    exactly when the held one is, and ``math.fsum``, correctly rounded,
-    returns the same float for it, so the ratio is the held float.
-    """
-    reached_a = reached_b = 0.0
-    for j in range(start, len(lengths)):
-        if (not j or fins[j] != fins[j - 1]) and min(reached_a, reached_b) >= reach:
-            return j
-        problem, length = problems[j], lengths[j]
-        if problem == a and length > reached_a:
-            reached_a = length
-        elif problem == b and length > reached_b:
-            reached_b = length
-    return len(lengths)
-
-
 def _swap_move(problems: list[int], lengths: list[float], n: int, fins: list[float], ratios: list[float | None],
                clean: int, longest: list[float]) -> _Move | None:
     """The suffix swap at the first violation, with its windows.
 
-    The swap keeps every finish time.  Windows before the violation and
-    from ``_stop_window`` on are the held ratios; the ones between are
-    swept.  A window the held state serves stays served, since each of the
-    two problems keeps a contract finishing before it: the target receives
-    the offending contract, which finishes no later than any suffix
-    contract it had, and the offending problem keeps its contracts from
-    before the violation.  The next scans resume at the violation.
+    The swap keeps every finish time.  Windows before the violation, and
+    the ones from where ``_ratios`` finds the swap changes no ratio, are the
+    held ratios; the ones between are swept.  A window the held state
+    serves stays served, since each of the two problems keeps a contract
+    finishing before it: the target receives the offending contract, which
+    finishes no later than any suffix contract it had, and the offending
+    problem keeps its contracts from before the violation.  The next scans
+    resume at the violation.
     """
     violation = _first_violation(problems, lengths, clean, longest)
     if violation is None:
@@ -341,9 +321,9 @@ def _swap_move(problems: list[int], lengths: list[float], n: int, fins: list[flo
     idx, target = violation
     offending = problems[idx]
     nxt = _swap_suffix(problems, idx, target, offending)
-    stop = _stop_window(problems, lengths, fins, idx, target, offending, max(longest[target], longest[offending]))
+    swap = target, offending, max(longest[target], longest[offending])
     return ("swap-assignment", idx, (target, offending), None,
-            (nxt, lengths, fins, _ratios(nxt, lengths, n, fins, ratios, idx, stop, longest)), (idx, longest))
+            (nxt, lengths, fins, _ratios(nxt, lengths, n, fins, ratios, idx, longest, swap)), (idx, longest))
 
 
 def normalize(schedule: Schedule) -> NormalizationTrace:

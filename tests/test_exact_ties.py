@@ -30,7 +30,7 @@ from contractsched import (
     snapshot,
     snapshots_before,
 )
-from contractsched.core import _ranked
+from contractsched.core import _ranked, _sweep
 
 # one processor's finish times 1e6, 1e6 + 1 and 1e6 + 1 + 1e-4 lie within a
 # relative 1e-9 of each other, yet are three distinct interruption times
@@ -113,6 +113,40 @@ def test_one_processor_ranking_is_contract_order(s):
     # decrease there, and the ranking keeps ties in contract order
     fins = simulate(s)
     assert _ranked(fins) == list(range(len(fins)))
+
+
+@st.composite
+def tied_sweeps(draw):
+    """A schedule whose finish times tie often, with ascending times at and between its finish times."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # 1e20 absorbs every later 1, 2 and 4 on its processor, and equal small lengths tie across processors
+    lengths = st.sampled_from((1.0, 2.0, 4.0, 1e20))
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), lengths), min_size=1, max_size=10))
+    s = Schedule(n, m, tuple(Contract(p, q, length) for p, q, length in rows))
+    ends = sorted(set(finish_times(s)))
+    points = [ends[0] / 2, *ends, *((a + b) / 2 for a, b in zip(ends, ends[1:])), ends[-1] * 2]
+    return s, sorted(draw(st.lists(st.sampled_from(points), min_size=1, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tied_sweeps())
+@example((ABSORBED, [1e20, 1e20, 3e20]))
+def test_sweep_takes_a_callers_start_only_where_it_holds(case):
+    # a start holds when every contract ranked before it finishes before the first time; any other start, even
+    # with the true longest lengths over the contracts before it, or with wrong ones, gives the sweep's own
+    s, times = case
+    fins = finish_times(s)
+    order = _ranked(fins)
+    problems, lengths, n = s.problems, s.lengths, s.n_problems
+    expected = list(_sweep(problems, lengths, n, fins, times, order))
+    assert expected == [longest_before(s, fins, t) for t in times]
+    for start in range(len(order) + 1):
+        longest = [0.0] * n
+        for i in order[:start]:
+            longest[problems[i]] = max(longest[problems[i]], lengths[i])
+        assert list(_sweep(problems, lengths, n, fins, times, order, start, longest)) == expected
+        if start and not fins[order[start - 1]] < times[0]:
+            assert list(_sweep(problems, lengths, n, fins, times, order, start, [8.0] * n)) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
