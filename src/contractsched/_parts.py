@@ -1,14 +1,11 @@
 """Contiguous parts of one task run side by side: the first in this process, every other in a forked child.
 
-Three tasks split this way, each through ``core._split``: the windows of
-the value-only LPT deficiency (``metrics``), the checks of
-``verification.run_checks``, and the characters of a long schedule file in
-``core._parse``, whose pieces each find their own row boundaries
-(``core._piece``).
-``core._split_count`` alone decides how many parts a task runs in, and
-``core`` alone knows the file's layout; this module only cuts and runs
-the parts.  A task imports it only once it is long enough to split, so a
-command that never splits never compiles it.
+Two tasks split this way, each through ``core._split``: the windows of
+the value-only LPT deficiency (``metrics``) and the checks of
+``verification.run_checks``.  ``core._split_count`` alone decides how many
+parts a task runs in; this module only cuts and runs the parts.  A task
+imports it only once it is long enough to split, so a command that never
+splits never compiles it.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ _WAIT_FACTOR, _WAIT_S = 10, 1.0
 def _cuts(items: int, count: int) -> list[int]:
     """The bounds of ``count`` contiguous ranges of ``range(items)``: 0, where each later range starts, and ``items``.
 
-    The ranges are of equal count, within one item, in any of the split
-    tasks: windows, checks or a file's characters.
+    The ranges are of equal count, within one item, in either split task:
+    windows or checks.
     """
     return [items * j // count for j in range(count + 1)]
 

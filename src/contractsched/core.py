@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from bisect import bisect_left
-from functools import partial
 from itertools import chain, compress, repeat, zip_longest
 from operator import itemgetter, ne
 from pathlib import Path
@@ -441,9 +440,9 @@ def snapshot_before(schedule: Schedule, t: float) -> tuple[float, ...]:
 #
 # {"n": int, "m": int, "generator": {...}, "contracts": [{"problem": int,
 #  "processor": int, "length": float}, ...]}, the "generator" optional and
-# the contracts in global execution order, last, written compact on one
-# line.  Round-trips are value-exact (Python's json module serializes floats
-# via repr, which is lossless for binary64).
+# the contracts in global execution order, written compact on one line.
+# Round-trips are value-exact (Python's json module serializes floats via
+# repr, which is lossless for binary64).
 # ---------------------------------------------------------------------------
 
 
@@ -457,7 +456,7 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     return doc
 
 
-# a row's fields, and one getter per column: the serial parse maps each over the rows
+# a row's fields, and one getter per column: schedule_from_dict maps each over the rows
 _ROW_FIELDS = itemgetter("problem", "processor", "length")
 _COLUMN_FIELDS = tuple(map(itemgetter, ("problem", "processor", "length")))
 
@@ -476,30 +475,19 @@ def schedule_from_dict(doc: dict) -> Schedule:
         rows = doc["contracts"]
         if not isinstance(rows, list):
             raise ValueError(f"schedule 'contracts' must be a list, got {type(rows).__name__}")
+        n, m = _count(doc["n"], "n"), _count(doc["m"], "m")
         try:
             # three maps read the columns, so a well-formed 100k-contract file runs no Python code per contract here
-            return _schedule_of(doc, [map(field, rows) for field in _COLUMN_FIELDS])
+            return Schedule._of(n, m, [map(field, rows) for field in _COLUMN_FIELDS], doc.get("generator"))
         except (KeyError, TypeError):
             list(map(_ROW_FIELDS, rows))  # raises again at the first row, in row order, lacking a field or no dict
             raise
-    except KeyError as exc:  # "contracts" is missing, or a row lacks a field; _schedule_of names a missing n or m
+    except KeyError as exc:  # "contracts", "n" or "m" is missing, or a row lacks a field
         raise ValueError(f"schedule document missing key: {exc}") from exc
     except TypeError:  # a row that is not a dict cannot be indexed by a field name
         idx, row = next((idx, row) for idx, row in enumerate(rows) if not isinstance(row, dict))
         raise ValueError(f"contract {idx} must be a JSON object, got {type(row).__name__}") from None
 
-
-def _schedule_of(doc: dict, columns: Iterable[Iterable]) -> Schedule:
-    """``schedule_from_dict(doc)`` once the contract columns are read, from the document or from its pieces."""
-    try:
-        n, m = _count(doc["n"], "n"), _count(doc["m"], "m")
-    except KeyError as exc:  # a missing "n" or "m"
-        raise ValueError(f"schedule document missing key: {exc}") from exc
-    return Schedule._of(n, m, columns, doc.get("generator"))
-
-
-# what opens the contracts array in a saved file, after the other members: the split parse looks for it
-_CONTRACTS = ',"contracts":['
 
 # one contract row as json.dumps writes it (json writes a float by its repr)
 _ROW = '{"problem":%d,"processor":%d,"length":%r}'
@@ -512,9 +500,7 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
     """Write ``schedule_to_dict(schedule)`` as compact JSON on one line.
 
     The bytes are those of ``json.dumps(..., separators=(",", ":"))``, which
-    writes only ASCII, and a newline: the other members, then ``_CONTRACTS``,
-    the rows and ``]}``, so the contracts are the document's last member,
-    as ``_parse`` needs to split them.  The contract rows go through one
+    writes only ASCII, and a newline.  The contract rows go through one
     format string instead of a dict each, which takes about a fifth less
     time on a 100k-contract prefix.  They are written ``_BLOCK`` rows at a
     time, so the text of the whole file is never held: on that prefix it is
@@ -527,7 +513,7 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
         head["generator"] = schedule.generator
     columns = schedule.problems, schedule.processors, schedule.lengths
     with open(path, "wb") as out:
-        out.write((json.dumps(head, separators=(",", ":"))[:-1] + _CONTRACTS).encode())
+        out.write((json.dumps(head, separators=(",", ":"))[:-1] + ',"contracts":[').encode())
         for start in range(0, len(schedule), _BLOCK):
             block = ",".join(map(_ROW.__mod__, zip(*(column[start:start + _BLOCK] for column in columns))))
             out.write((("," if start else "") + block).encode())
@@ -537,17 +523,13 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
 def load_schedule(path: str | Path) -> Schedule:
     """Read a schedule file written by ``save_schedule`` (or by hand), checked as ``schedule_from_dict`` checks it.
 
-    The text is parsed by ``_parse``: in pieces, side by side, when the
-    contracts are the document's last member, opened by ``_CONTRACTS``, as
-    ``save_schedule`` writes them, the file is long enough and more than one
-    CPU is usable, into what ``json.loads`` gives.  The cyclic garbage
-    collector is paused while the JSON is parsed and the columns are read:
-    the dicts and lists made there form no cycle, yet on a 100k-contract
-    file the collections they trigger take about a fifth of the load.  The
-    caller's collector state is restored however the load ends, and a
-    collector the caller disabled stays so.  The file's text is released as
-    soon as it is parsed, before ``Schedule`` reads its columns from the
-    rows, or, parsed in pieces, takes the columns the pieces sent, joined.
+    The text is parsed by one ``json.loads``.  The cyclic garbage collector
+    is paused while the JSON is parsed and the columns are read: the dicts
+    and lists made there form no cycle, yet on a 100k-contract file the
+    collections they trigger take about a fifth of the load.  The caller's
+    collector state is restored however the load ends, and a collector the
+    caller disabled stays so.  The file's text is released as soon as it is
+    parsed, before ``Schedule`` reads its columns from the rows.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -555,81 +537,11 @@ def load_schedule(path: str | Path) -> Schedule:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         try:
-            doc, columns = _parse(text)
+            doc = json.loads(text)
         except RecursionError:
             raise ValueError(f"schedule file {path} nests too deeply to parse") from None
         del text
-        return schedule_from_dict(doc) if columns is None else _schedule_of(doc, columns)
+        return schedule_from_dict(doc)
     finally:
         if collecting:
             gc.enable()
-
-
-# Fewest characters of a schedule file each piece of ``_parse`` holds, so a file splits from 1,000,000 on.
-# Measured on whole loads in fresh processes that imported the CLI and the measures, on 4/2 exponential
-# prefixes at base 1.004 (medians of 11, 2-vCPU Xeon, Python 3.11), serial against two pieces: 8.9 -> 9.0
-# ms at 0.56 MB, 11.4 -> 11.1 ms at 0.74 MB, 15.0 -> 13.7 ms at 0.97 MB and 92.8 -> 68.4 ms at 5.9 MB.
-_PARSE_MIN = 500_000
-
-
-def _parse(text: str) -> tuple[object, list[tuple] | None]:
-    """``json.loads(text)`` as (document, None), or, parsed in pieces, as (document, contract columns).
-
-    The columns are what ``_COLUMN_FIELDS`` read from the ``"contracts"``,
-    which the document then lacks.  A text that ``_split_count`` splits is
-    parsed in pieces through ``_split`` (``_piece``), and the pieces joined
-    are one parse when:
-
-    * the head ``json.loads(text[:i] + "}")``, where ``text[i:a]`` is the
-      first ``_CONTRACTS``, is a non-empty object: the ``}`` that ends a
-      JSON text closes its top-level object, so the ``[`` before ``a``
-      opens a top-level ``"contracts"``;
-    * the text ends with ``]}``, its ``]`` at ``z``, but for JSON
-      whitespace (space, tab, LF, CR);
-    * the pieces, cut at ``},{``, tile ``text[a:z]``, and each parses as
-      ``"[" + piece + "]"`` into a non-empty list (an empty one would hide
-      a ``,,``).  JSON is read left to right, so a piece that starts where
-      a row may start and parses whole ends where a row ends, outside every
-      string: the ``,`` after it is the array's, and after the last ``]}``
-      closes the array and the document.  json keeps the last of a
-      repeated key, so a ``"contracts"`` in the head is dropped.
-
-    Any ``ValueError``, ``RecursionError``, ``KeyError`` (a row missing a
-    field) or ``TypeError`` (a row not an object) from the head or a piece
-    (run here again if its child failed or hung), or a text laid out
-    otherwise, falls back to one ``json.loads(text)``, so every text gives
-    the serial parse's ``Schedule`` or error.  Every child is reaped before
-    this returns or raises.
-    """
-    if _split_count(len(text), _PARSE_MIN) > 1:
-        end = len(text)
-        while end and text[end - 1] in " \t\n\r":  # json's whitespace only, and no copy of the text
-            end -= 1
-        i = text.find(_CONTRACTS)
-        try:
-            doc = json.loads(text[:i] + "}") if i > 0 and text[end - 2:end] == "]}" else None
-            if doc:  # also "{" alone before the contracts, which json refuses
-                doc.pop("contracts", None)
-                parts = _split(partial(_piece, text, i + len(_CONTRACTS), end - 2), len(text), _PARSE_MIN)
-                return doc, [tuple(chain.from_iterable(pieces)) for pieces in zip(*parts)]
-        except (ValueError, RecursionError, KeyError, TypeError):
-            pass
-    return json.loads(text), None
-
-
-def _piece(text: str, a: int, z: int, lo: int, hi: int) -> list[list]:
-    """The rows of the contracts array ``text[a:z]`` in ``range(lo, hi)``, as three columns (quick to ``marshal``).
-
-    They start at ``a`` where lo is 0, else after the first ``},{`` at or
-    after ``max(lo, a)``, and end at ``z`` where hi is ``len(text)``, else
-    at the ``}`` of the first ``},{`` at or after ``max(hi, a)``, so
-    neighbouring ranges meet at one ``},{``.  Raises ValueError where none
-    is found or the piece is empty, as where two ranges meet at the same
-    ``},{``.
-    """
-    start = a if lo == 0 else text.index("},{", max(lo, a), z) + 2
-    stop = z if hi == len(text) else text.index("},{", max(hi, a), z) + 1
-    rows = json.loads(f"[{text[start:stop]}]")
-    if not rows:
-        raise ValueError("an empty piece of the contracts")
-    return [list(map(field, rows)) for field in _COLUMN_FIELDS]

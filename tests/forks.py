@@ -1,8 +1,8 @@
 """The fork seam the split tests share: a recording ``_parts._fork``, a usable-CPU count, and a reaped-children check.
 
 A test module imports these and keeps only the threshold of the split it
-tests: ``metrics._PART_MIN`` for the value-only LPT deficiency's windows,
-``core._PARSE_MIN`` for a long file's characters; ``verify`` splits from two checks.
+tests: ``metrics._PART_MIN`` for the value-only LPT deficiency's windows;
+``verify`` splits from two checks.
 """
 
 import os

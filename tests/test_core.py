@@ -377,7 +377,24 @@ def test_tied_finishes_all_excluded_right_before():
 # --- JSON round-trip ---------------------------------------------------------
 
 
-def test_json_round_trip_is_exact(tmp_path):
+def _generator_last(text):
+    doc = json.loads(text)
+    doc["generator"] = doc.pop("generator")
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+# a saved file as it is, and laid out as json reads it but save_schedule does not write it: the generator after
+# the contracts (as files were saved before the generator came first), indented, or with whitespace at the end
+LAYOUTS = {
+    "saved": lambda text: text,
+    "generator-last": _generator_last,
+    "indented": lambda text: json.dumps(json.loads(text), indent=2),
+    "whitespace-at-the-end": lambda text: text + "\t\r\n \r\n",
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_json_round_trip_is_exact(tmp_path, layout):
     # awkward binary64 values must survive read -> write -> read unchanged
     lengths = [0.1 + 0.2, 1.0 / 3.0, math.pi, 5.0, 1e-9 + 1.0]
     s = Schedule(
@@ -389,12 +406,15 @@ def test_json_round_trip_is_exact(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     save_schedule(s, p1)
+    saved = p1.read_text(encoding="utf-8")
+    p1.write_text(layout(saved), encoding="utf-8")
     first = load_schedule(p1)
     save_schedule(first, p2)
     second = load_schedule(p2)
     assert first == s
     assert second == first
     assert [c.length for c in second.contracts] == lengths
+    assert p2.read_text(encoding="utf-8") == saved
 
 
 def test_schedule_file_is_one_compact_json_line(tmp_path):
@@ -438,6 +458,7 @@ def test_schedule_file_is_the_compact_json_dump_at_every_block_boundary(tmp_path
     path = tmp_path / "s.json"
     save_schedule(s, path)
     assert path.read_bytes() == (json.dumps(schedule_to_dict(s), separators=(",", ":")) + "\n").encode()
+    assert load_schedule(path) == s
 
 
 def test_schedule_file_is_written_and_read_without_a_second_copy_of_its_text(tmp_path):
@@ -575,12 +596,36 @@ def test_loosely_typed_rows_load_as_the_exactly_typed_ones():
     assert [type(c.length) for c in built.contracts] == [float, float]
 
 
-def test_json_missing_key_raises():
-    with pytest.raises(ValueError):
-        schedule_from_dict({"n": 1, "m": 1})
+ROW = {"problem": 0, "processor": 0, "length": 1.0}
+
+# a document lacking a member or a row's field, and which of two faults is named: "contracts" is read first, then
+# n and m, then the rows in order
+MISSING = {
+    "contracts": ({"n": 1, "m": 1}, "schedule document missing key: 'contracts'"),
+    "n": ({"m": 1, "contracts": [ROW]}, "schedule document missing key: 'n'"),
+    "m": ({"n": 1, "contracts": [ROW]}, "schedule document missing key: 'm'"),
+    "a-field": ({"n": 1, "m": 1, "contracts": [ROW, {"problem": 0, "length": 1.0}]},
+                "schedule document missing key: 'processor'"),
+    "contracts-before-n": ({"m": 1}, "schedule document missing key: 'contracts'"),
+    "contracts-not-a-list-before-n": ({"m": 1, "contracts": 5}, "schedule 'contracts' must be a list, got int"),
+    "n-before-m": ({"contracts": [ROW]}, "schedule document missing key: 'n'"),
+    "bad-n-before-m": ({"n": 0, "contracts": [ROW]}, f"n must be an integer in [1, {sys.maxsize}], got 0"),
+    "m-before-a-field": ({"n": 1, "contracts": [{"problem": 0}]}, "schedule document missing key: 'm'"),
+    "m-before-a-row-not-an-object": ({"n": 1, "contracts": [5]}, "schedule document missing key: 'm'"),
+    "a-field-before-a-row-not-an-object": ({"n": 1, "m": 1, "contracts": [{"problem": 0}, 5]},
+                                           "schedule document missing key: 'processor'"),
+    "a-row-not-an-object-before-a-field": ({"n": 1, "m": 1, "contracts": [ROW, 5, {"problem": 0}]},
+                                           "contract 1 must be a JSON object, got int"),
+}
 
 
-def test_every_builder_makes_contracts_not_plain_tuples(tmp_path, monkeypatch):
+@pytest.mark.parametrize("doc, message", MISSING.values(), ids=MISSING.keys())
+def test_json_missing_key_raises(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        schedule_from_dict(doc)
+
+
+def test_every_builder_makes_contracts_not_plain_tuples(tmp_path):
     # a plain (p, q, x) tuple compares equal to its Contract, so only the type tells them apart
     from contractsched import normalize
 
@@ -592,10 +637,6 @@ def test_every_builder_makes_contracts_not_plain_tuples(tmp_path, monkeypatch):
     save_schedule(s, path)
     built = {"exponential_schedule": s, "schedule_from_dict": schedule_from_dict(doc),
              "schedule_from_dict, int length": schedule_from_dict(loose), "load_schedule": load_schedule(path)}
-    monkeypatch.setattr(core, "_PARSE_MIN", 0)
-    monkeypatch.setattr(core, "_cpus", lambda: 2)
-    assert core._parse(path.read_text(encoding="utf-8"))[1] is not None
-    built["load_schedule in pieces"] = load_schedule(path)
     built["Schedule from plain tuples"] = Schedule(3, 2, [tuple(c) for c in s.contracts])
     one = Schedule(2, 1, [Contract(0, 0, 1.0), Contract(0, 0, 2.0), Contract(1, 0, 4.0)])
     trace = normalize(one)

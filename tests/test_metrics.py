@@ -1,9 +1,11 @@
+import marshal
 import math
 import os
 import random
 import signal
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -594,6 +596,32 @@ def test_split_reaps_every_child_when_the_first_range_is_interrupted(monkeypatch
         lpt_value(s)
     assert len(forked) == 2
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("sent", ["whole", "cut-short", "length-cut-short", "nothing"])
+def test_a_part_is_received_only_once_all_of_it_came(sent):
+    # more than one read's worth, sent from a thread since the pipe holds less; a child that raised or was killed
+    # part way leaves the pipe's end after some of its part, and one that hangs sends nothing by the deadline
+    part = [list(range(50_000)), [0.5] * 50_000]
+    data = marshal.dumps(part)
+    message = len(data).to_bytes(8, "little") + data
+    message = {"whole": message, "cut-short": message[:-1], "length-cut-short": message[:5], "nothing": b""}[sent]
+    read, write = os.pipe()
+
+    def send():
+        with open(write, "wb", closefd=sent != "nothing") as pipe:
+            pipe.write(message)
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    try:
+        got = _parts._receive(read, time.monotonic() + (0.2 if sent == "nothing" else 30))
+    finally:
+        sender.join()
+        os.close(read)
+        if sent == "nothing":
+            os.close(write)
+    assert got == (part if sent == "whole" else None)
 
 
 def test_nothing_forks_where_a_split_is_not_allowed(monkeypatch):

@@ -98,18 +98,16 @@ forks = []
 fork = os.fork
 os.fork = lambda: forks.append(1) or fork()
 from contractsched import ExponentialSpec, exponential_schedule, load_schedule, save_schedule
-from contractsched import core, metrics
-# a save, and the value-only acceleration and performance ratios, fork at no length: the long-prefix-cli prefix
+from contractsched import metrics
+# a save, a load, and the value-only acceleration and performance ratios, fork at no length: the long-prefix-cli
+# prefix, whose file is 5.9 MB
 long = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=100_000))
 save_schedule(long, sys.argv[1])
-assert os.path.getsize(sys.argv[1]) > 2 * core._PARSE_MIN
+assert load_schedule(sys.argv[1]) == long
 metrics.acceleration_ratio(long, samples=False)
 metrics.performance_ratio(long, samples=False)
 lpt = exponential_schedule(ExponentialSpec(n=2, m=2, base=1.004, k_max=2 * metrics._PART_MIN - 1))
 metrics.deficiency(lpt, solver="lpt", samples=False)
-save_schedule(lpt, sys.argv[1])
-assert os.path.getsize(sys.argv[1]) < 2 * core._PARSE_MIN
-assert load_schedule(sys.argv[1]) == lpt
 print(len(forks), "contractsched._parts" in sys.modules)
 """
 

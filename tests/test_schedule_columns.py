@@ -20,40 +20,27 @@ from contractsched import (
     Contract,
     ExponentialSpec,
     Schedule,
-    core,
     exponential_schedule,
     load_schedule,
     save_schedule,
 )
 from contractsched.cli import main
 
-from forks import record_forks
-
 ONE_FILE = ('{"n":2,"m":2,"contracts":[{"problem":1,"processor":0,"length":3.0},'
             '{"problem":0,"processor":1,"length":0.5},{"problem":1,"processor":1,"length":7}]}')
 
 
-def load_text(tmp_path, text, split):
-    """``load_schedule`` of ``text``, parsed in pieces if ``split``, whatever its length and the host."""
+def load_text(tmp_path, text):
     path = tmp_path / "s.json"
     path.write_text(text, encoding="utf-8")
-    if not split:
-        return load_schedule(path)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(core, "_PARSE_MIN", 0)
-        forked = record_forks(monkeypatch, cpus=2)
-        assert core._parse(text)[1] is not None
-        s = load_schedule(path)
-    assert forked
-    return s
+    return load_schedule(path)
 
 
 BUILDERS = {
     "rows": lambda tmp_path: Schedule(3, 2, [(0, 0, 1.0), (1, 1, 2.5), (2, 0, 4.0), (0, 1, 0.125)]),
     "int length": lambda tmp_path: Schedule(2, 1, [(0, 0, 1), (1, 0, 2.0)]),
     "exponential": lambda tmp_path: exponential_schedule(ExponentialSpec(n=3, m=2, base=1.5, k_max=8)),
-    "file, serial": lambda tmp_path: load_text(tmp_path, ONE_FILE, split=False),
-    "file, split": lambda tmp_path: load_text(tmp_path, ONE_FILE, split=True),
+    "file, serial": lambda tmp_path: load_text(tmp_path, ONE_FILE),
 }
 
 FILE_ROWS = ((1, 0, 3.0), (0, 1, 0.5), (1, 1, 7.0))
@@ -84,7 +71,6 @@ SURFACE = {
                     "'base': 1.5})",
                     "51053c2d4836084a7080c273cee9c18db4b45894efd490ebcd45b663ad3bfac7"),
     "file, serial": (2, 2, FILE_ROWS, None, FILE_REPR, FILE_PICKLE),
-    "file, split": (2, 2, FILE_ROWS, None, FILE_REPR, FILE_PICKLE),
 }
 
 
@@ -146,8 +132,8 @@ def tracked_after(build):
 K = 20_000
 
 
-@pytest.mark.parametrize("route", ["exponential_schedule", "rows", "load_schedule", "load_schedule in pieces"])
-def test_a_long_schedule_adds_no_tracked_object_per_contract(tmp_path, monkeypatch, route):
+@pytest.mark.parametrize("route", ["exponential_schedule", "rows", "load_schedule"])
+def test_a_long_schedule_adds_no_tracked_object_per_contract(tmp_path, route):
     # at the parent each Contract, a tuple subclass the collector never untracks, stayed tracked: 20,000 more
     spec = ExponentialSpec(n=4, m=2, base=1.0001, k_max=K)
     if route == "exponential_schedule":
@@ -158,14 +144,9 @@ def test_a_long_schedule_adds_no_tracked_object_per_contract(tmp_path, monkeypat
     else:
         path = tmp_path / "s.json"
         save_schedule(exponential_schedule(spec), path)
-        if route == "load_schedule in pieces":
-            monkeypatch.setattr(core, "_PARSE_MIN", 0)
-            forked = record_forks(monkeypatch, cpus=2)
         build = lambda: load_schedule(path)  # noqa: E731
     added, s = tracked_after(build)
     assert len(s) == K and added < 100, added
-    if route == "load_schedule in pieces":
-        assert forked
 
 
 # --- no library route reads the row view -----------------------------------------------------------------
