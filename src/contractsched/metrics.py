@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterable
 
 # perfbench/traced_cli.py wraps metrics.simulate, metrics.critical_times and metrics.lpt_makespan by name,
@@ -75,87 +76,85 @@ class MeasureReport(_Record):
 def _evaluate(schedule: Schedule, window: Iterable[float] | None, measure: str, denom_of, analytic: dict | None, *,
               samples: bool = True, lower: Callable[[list[float]], float] | None = None,
               least: int | None = None) -> MeasureReport:
-    """The window loop, and the pass ``lower``, a lower bound on ``denom_of``, prunes as ``deficiency`` describes.
+    """The one window loop, which skips the windows that ``lower``, a lower bound on ``denom_of``, rules out.
 
     The finish times are ranked once (``core._ranked``): the default
-    windows are read from that ranking, and one ``core._sweep`` over it gives
+    windows are read from that ranking, and a ``core._sweep`` over it gives
     each window its snapshot, sorted once into a list, which every
-    denominator takes.  Every route without ``lower`` runs one loop: a
-    served window gives its ratio, an unserved one is noted (unserved
-    windows come first, so an explicit one makes the value +inf at the
-    first), and a sample row, the snapshot as a tuple, is built only if
-    asked for, for an unserved window only if it was explicit.  ``least``
-    says that ``denom_of`` keeps no state between windows, and is the fewest
-    windows that pay for a child: a value-only call may then run contiguous
-    ranges of the windows side by side (``core._split``), each through the
-    loop and the same ranking, which a child inherits rather than sorting
-    again; the parts merge into the serial report.  Each range's sweep
-    starts at its own first window, where ``core._sweep`` puts it, so a
-    child reads no finish time before its range.  The loop streams the
-    windows, so a long prefix never holds them all; only the pruned pass
-    (value-only, default window) lists them, to rank their ceilings
-    t / ``lower``; the one with the largest ceiling sets the first floor,
-    then is read again in the pass.
+    denominator takes.  Every route runs one loop: a served window gives its
+    ratio, an unserved one is noted (unserved windows come first, so an
+    explicit one makes the value +inf at the first), and a sample row, the
+    snapshot as a tuple, is built only if asked for, for an unserved window
+    only if it was explicit.  Given ``lower``, a first sweep streams each
+    window's ceiling t / ``lower`` into an array of floats (0.0 for an
+    unserved window) and keeps the earliest window with the largest one,
+    whose ratio is solved first and is the first floor; the loop, a second
+    sweep, then skips a served window whose ceiling is below the larger of
+    the floor and the best ratio so far, as ``deficiency`` describes.
+    ``least`` says that ``denom_of`` keeps no state between windows, and is
+    the fewest windows that pay for a child: a value-only call may then run
+    contiguous ranges of the windows side by side (``core._split``), each
+    through the loop and the same ranking, which a child inherits rather
+    than sorting again; the parts merge into the serial report.  Each
+    range's sweep starts at its own first window, where ``core._sweep`` puts
+    it, so a child reads no finish time before its range.  Every sweep
+    streams the windows, so a long prefix never holds them all.
     """
     explicit = window is not None
-    fins = simulate(schedule)  # the one simulation: the windows and the sweep read it
-    order = _ranked(fins)  # the one sort of the finish times, which every range of the windows shares
+    fins = simulate(schedule)  # the one simulation: the windows and the sweeps read it
+    order = _ranked(fins)  # the one sort of the finish times, which every sweep and range of the windows shares
     if explicit:
         times = sorted(_length(t, "interruption time") for t in window)
     else:
         times = _critical_times(list(map(fins.__getitem__, order)))
     problems, lengths, n = schedule.problems, schedule.lengths, schedule.n_problems
-    pruned = 0
+    ceilings, floor = None, -math.inf
+    if lower is not None:
+        from array import array  # a shared library, which no other route loads
 
-    if lower is None:
-        def run(lo: int, hi: int) -> tuple[list[MeasureSample], list[float], float, float | None]:
-            part = times[lo:hi]
-            rows: list[MeasureSample] = []
-            unserved: list[float] = []
-            value, argmax = -math.inf, None
-            for t, snap in zip(part, map(sorted, _sweep(problems, lengths, n, fins, part, order))):
-                if snap[0] > 0.0:
-                    denom = denom_of(snap)
-                    ratio = t / denom
-                    if samples:
-                        rows.append(MeasureSample(t, tuple(snap), denom, ratio, True))
-                    if ratio > value:
-                        value, argmax = ratio, t
-                else:
-                    unserved.append(t)
-                    if samples and explicit:
-                        rows.append(MeasureSample(t, tuple(snap), 0.0, math.inf, False))
-            return rows, unserved, value, argmax
+        # a served window's ceiling is positive, so 0.0 never ranks an unserved one first, nor is it ever skipped
+        ceilings, top, first = array("d"), 0.0, None
+        for t, snap in zip(times, map(sorted, _sweep(problems, lengths, n, fins, times, order))):
+            ceiling = t / lower(snap) if snap[0] > 0.0 else 0.0
+            ceilings.append(ceiling)
+            if ceiling > top:  # strictly: the earliest window with the largest ceiling
+                top, first = ceiling, (t, snap)
+        if first is not None:
+            floor = first[0] / denom_of(first[1])
 
-        # rows do not cross a pipe, so a route that keeps them never splits
-        parts = [run(0, len(times))] if least is None or samples else _split(run, len(times), least)
-        rows, unserved, value, argmax = parts[0]
-        for _, part_unserved, part_value, part_argmax in parts[1:]:
-            unserved += part_unserved
-            if part_value > value:  # strictly: the earliest part attaining the maximum keeps its window
-                value, argmax = part_value, part_argmax
-        if explicit and unserved:
-            value, argmax = math.inf, unserved[0]
-    else:
-        windows = list(zip(times, map(sorted, _sweep(problems, lengths, n, fins, times, order))))
-        # a served window's ceiling is positive, so 0.0 never ranks an unserved one first
-        ceilings = [t / lower(snap) if snap[0] > 0.0 else 0.0 for t, snap in windows]
-        top = max(ceilings, default=0.0)
-        floor = -math.inf  # the first floor: the ratio of the window with the largest ceiling
-        if top > 0.0:
-            t, snap = windows[ceilings.index(top)]
-            floor = t / denom_of(snap)
-        rows, unserved = [], []
-        value, argmax = -math.inf, None
-        for (t, snap), ceiling in zip(windows, ceilings):
-            if snap[0] == 0.0:
-                unserved.append(t)
-            elif ceiling < max(floor, value) * (1.0 - 1e-12):
+    # bound as defaults, so that the loop reads locals, not closure cells
+    def run(lo: int, hi: int, samples: bool = samples, explicit: bool = explicit, denom_of=denom_of,
+            ceilings=ceilings, floor: float = floor) -> tuple[list[MeasureSample], list[float], float, float | None, int]:
+        part = times[lo:hi]
+        ceiling = None if ceilings is None else islice(ceilings, lo, hi).__next__
+        rows: list[MeasureSample] = []
+        unserved: list[float] = []
+        value, argmax, pruned = -math.inf, None, 0
+        for t, snap in zip(part, map(sorted, _sweep(problems, lengths, n, fins, part, order))):
+            if ceiling and 0.0 < ceiling() < max(floor, value) * (1.0 - 1e-12):
                 pruned += 1
-            else:
-                ratio = t / denom_of(snap)
+            elif snap[0] > 0.0:
+                denom = denom_of(snap)
+                ratio = t / denom
+                if samples:
+                    rows.append(MeasureSample(t, tuple(snap), denom, ratio, True))
                 if ratio > value:
                     value, argmax = ratio, t
+            else:
+                unserved.append(t)
+                if samples and explicit:
+                    rows.append(MeasureSample(t, tuple(snap), 0.0, math.inf, False))
+        return rows, unserved, value, argmax, pruned
+
+    # rows do not cross a pipe, so a route that keeps them never splits
+    parts = [run(0, len(times))] if least is None or samples else _split(run, len(times), least)
+    rows, unserved, value, argmax, pruned = parts[0]
+    for _, part_unserved, part_value, part_argmax, _ in parts[1:]:
+        unserved += part_unserved
+        if part_value > value:  # strictly: the earliest part attaining the maximum keeps its window
+            value, argmax = part_value, part_argmax
+    if explicit and unserved:
+        value, argmax = math.inf, unserved[0]
     if value == -math.inf:
         value = math.inf  # nothing served: any interruption is infinitely bad
         argmax = None
@@ -257,12 +256,12 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
     kept.  With the default window, the exact solver and m >= 2 it then
     solves only the windows that can reach the supremum: a window's ratio is
     at most its ceiling t / LB, with LB = ``makespan.lower_bound`` <= OPT.
-    This route alone lists its windows from the one sweep, with their
-    ceilings.  The window with the largest ceiling (earliest on ties) is
-    solved first, and its ratio is the first floor; then, in time order over
-    the same list, a window is solved only if its ceiling is at least the
-    larger of the floor and the best ratio so far, times 1 - 1e-12, a margin
-    that covers the few ulps by which a float LB may exceed a computed load.
+    A first sweep streams every window's ceiling into an array of floats.
+    The window with the largest ceiling (earliest on ties) is solved first,
+    and its ratio is the first floor; then the one window loop, in time
+    order, solves a window only if its ceiling is at least the larger of
+    the floor and the best ratio so far, times 1 - 1e-12, a margin that
+    covers the few ulps by which a float LB may exceed a computed load.
     A skipped window's ratio is therefore strictly below the best one, so
     ``value`` and ``argmax_time`` (the earliest solved window attaining it)
     are those of the full series.  By that margin the first window is never
@@ -290,7 +289,7 @@ def deficiency(schedule: Schedule, window: Iterable[float] | None = None, solver
         shapes.setdefault(key, (ratios, best.processor_of))
         return best.makespan
 
-    # picked once per call; each takes the ascending lists the window loop and the pruned pass sort
+    # picked once per call; each takes the ascending lists that the window loop and the first sweep sort
     denom_of = math.fsum if m == 1 else partial(_lpt_span, m=m) if solver == "lpt" else exact
 
     analytic = None

@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -352,6 +353,27 @@ def test_pruned_deficiency_solves_a_snapshot_whose_total_overflows():
     assert pruned.value == full.samples[-1].ratio == pytest.approx(17 / 9)
 
 
+def test_pruned_route_streams_its_windows():
+    # the ceilings are one array of floats, so the pruned route holds no window's snapshot beyond its top one:
+    # on 24,996 windows its peak is within 0.5 MB of the value-only acceleration ratio's (2.6 against 2.2 MB),
+    # where a list of every (t, sorted snapshot) and of their ceilings peaked at 6.8 MB
+    s = exponential_schedule(ExponentialSpec(n=4, m=2, base=1.004, k_max=25_000))
+
+    def peak(measure):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = measure(s, samples=False)
+            return report, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    (pruned, pruned_peak), (_, acc_peak) = peak(deficiency), peak(acceleration_ratio)
+    assert pruned_peak <= acc_peak + 500_000
+    same_value(pruned, deficiency(s))
+    assert (pruned.pruned_windows, pruned.windows, pruned.opt_solves) == (2_936, 24_996, 1)
+
+
 def test_value_only_routes_build_no_samples(monkeypatch):
     built = []
 
@@ -385,8 +407,8 @@ def test_value_only_routes_build_no_samples(monkeypatch):
 
 
 def test_every_route_simulates_the_schedule_once(monkeypatch):
-    # the windows and the one snapshot sweep read one simulation; the pruned route ranks its
-    # ceilings and solves in time order over the windows of that one sweep
+    # the windows and the snapshot sweeps read one simulation; the pruned route streams two sweeps of
+    # it, one for its ceilings and one for the window loop, and every other route one
     calls, sweeps = [], []
     original, original_sweep = core.simulate, core._sweep
 
@@ -403,15 +425,17 @@ def test_every_route_simulates_the_schedule_once(monkeypatch):
         monkeypatch.setattr(module, "_sweep", counting_sweep)
     two = random_sched(random.Random(3), 3, 2, 12)
     one = sched(2, 1, [(0, 0, 1.0), (1, 0, 2.0), (0, 0, 3.0)])
-    routes = [lambda: deficiency(two, samples=False), lambda: deficiency(two), lambda: deficiency(two, solver="lpt"),
-              lambda: deficiency(two, window=[3.0, 9.0]), lambda: acceleration_ratio(two),
-              lambda: performance_ratio(one), lambda: deficiency_value_m1(one)]
+    routes = [(lambda: deficiency(two, samples=False), 2), (lambda: deficiency(two), 1),
+              (lambda: deficiency(two, solver="lpt"), 1), (lambda: deficiency(two, window=[3.0, 9.0]), 1),
+              (lambda: acceleration_ratio(two), 1), (lambda: performance_ratio(one), 1),
+              (lambda: deficiency_value_m1(one), 1)]
     assert deficiency(two, samples=False).pruned_windows > 0
-    for route in routes:
+    for route, sweep_count in routes:
         calls.clear()
         sweeps.clear()
         route()
-        assert len(calls) == len(sweeps) == 1
+        assert len(calls) == 1
+        assert len(sweeps) == sweep_count
 
 
 # --- value-only LPT windows split across forked children ----------------------
